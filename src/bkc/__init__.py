@@ -66,6 +66,7 @@ from .dynamics import (
     profiles,
     series_fluctuation_ratio,
     time_averaged_entropy,
+    time_series,
 )
 from .analytics import (
     CollapseResult,
@@ -110,7 +111,7 @@ __all__ = [
     "AveragingProtocol", "PageCurve", "PropagationMode", "Propagator",
     "SiteProfiles", "TimeAverageResult", "build_propagator", "evolve",
     "fluctuation_ratio", "lab_exponential_evolve", "page_curve", "profiles",
-    "series_fluctuation_ratio", "time_averaged_entropy",
+    "series_fluctuation_ratio", "time_averaged_entropy", "time_series",
     "CollapseResult", "ContinuumParams", "GgeSpectrum", "avg_site_correlators",
     "conserved_correlators", "continuum_mode_nu", "continuum_params",
     "gge_entropy", "gge_spectrum", "nu_bar_squared", "s1_prediction",

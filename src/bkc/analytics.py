@@ -14,16 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, MissingReference
-from .gaussian import entropy_kernel
+from .gaussian import _NU_SCALE_TOL, _NU_TOL, entropy_kernel
 from .model import (
     ModelParams,
     PhaseRegime,
     classify_phase,
     squeezing_frame,
 )
-
-_NU_TOL = 1e-8
-_NU_SCALE_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -72,11 +69,9 @@ def conserved_correlators(params: ModelParams, j0: float | None = None):
         occ = ch0 * v - 0.5
         pair = ch0 * w - 0.5j * sh0
     else:
-        theta = math.pi - 2.0 * frame.phi
         occ = np.full(n, 0.5 * (ch0 - 1.0))
         phases = np.exp(-2j * (frame.phi - math.pi / 2.0) * jays)
         pair = (-0.5j * sh0) * (2.0 / (n + 1)) * (sin2 @ phases)
-        del theta
     return occ, pair
 
 

@@ -129,7 +129,10 @@ def _protocol_for(params: ModelParams, cfg: dict[str, str]) -> AveragingProtocol
     for key, (attr, cast) in _PROTOCOL_KEYS.items():
         if cfg.get(key, "") != "":
             overrides[attr] = _scalar(cfg, key, cast)
-    return AveragingProtocol.for_params(params, **overrides)
+    try:
+        return AveragingProtocol.for_params(params, **overrides)
+    except ValueError as exc:
+        raise ConfigError(f"invalid sampling protocol: {exc}") from exc
 
 
 def _resolve_site(cfg: dict[str, str], params: ModelParams) -> int:
@@ -191,6 +194,7 @@ def _sweep_point(task) -> list[dict]:
                 "g": g, "N": n, "subsystem": label,
                 "S_mean": result.mean, "stderr": result.stderr,
                 "n_samples": result.n_samples, "converged": converged,
+                "anchor_discrepancy": result.anchor_discrepancy,
             })
     elapsed = time.perf_counter() - started
     for row in rows:
@@ -240,7 +244,8 @@ def _write_manifest(path: Path, command: str, cfg: dict[str, str], rows: list[di
         "config": cfg,
         "rows": len(rows),
         "runs": [
-            {k: row[k] for k in ("g", "N", "subsystem", "converged", "route", "seconds")
+            {k: row[k] for k in ("g", "N", "subsystem", "converged", "route", "seconds",
+                                 "anchor_discrepancy")
              if k in row}
             for row in sorted(rows, key=lambda r: (r["N"], r["g"], r.get("subsystem", "")))
         ],

@@ -6,10 +6,18 @@ Two interchangeable propagation routes:
   frame, S(t) = G^{-1} B(t) G with B(t) block-diagonal rotations at the
   frequencies J cos(pi n / (N+1)). Cost per sample is O(N^2) and the route
   is available away from g == delta.
-* ``LAB_EXPONENTIAL`` evaluates scipy's matrix exponential of the
-  equation-of-motion generator afresh at every sample time. It works in
-  every regime (including the critical line) and serves as the
-  cross-validation oracle for the frame route.
+* ``LAB_EXPONENTIAL`` uses scipy's matrix exponential of the
+  equation-of-motion generator M. It works in every regime (including the
+  critical line). A single time gets a dense expm(M t) of its own, which
+  serves as the cross-validation oracle for the frame route. On the
+  averaging grid t_k = t_min + k dt the rows are instead stepped,
+  rows(t_{k+1}) = rows(t_k) expm(M dt), from one fresh expm anchor per
+  chunk of grid indices.
+
+Averages draw their samples in chunks of consecutive grid indices: a chunk
+holds at most ``_CHUNK_BYTES`` of map rows and never crosses a convergence
+check, and each chunk is one stacked call for the rows and one for their
+entropies.
 
 The covariance of the evolved vacuum is sigma(t) = S(t) S(t)^T.
 """
@@ -22,13 +30,10 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
-from .errors import NonConvergence, OverflowGuard
+from .errors import ConfigError, NonConvergence, NumericalFailure, OverflowGuard
 from .gaussian import (
     CovarianceMatrix,
-    LocalDecomposition,
-    local_decompose,
     quadrature_indices,
     site_correlators,
     subsystem_entropy_from_rows,
@@ -47,6 +52,11 @@ from .model import (
 
 _OVERFLOW_LIMIT = 1e300
 _MAX_SAMPLES_ENV = "BKC_MAX_SAMPLES"
+# Memory budget of one chunk of samples: its map rows plus the copy of
+# them that the batched QR makes, so the rows themselves take half.
+_CHUNK_BYTES = 4 * 2 ** 20
+# Largest relative gap allowed between stepped rows and a fresh expm anchor.
+_ANCHOR_RTOL = 1e-8
 
 
 class PropagationMode(enum.Enum):
@@ -90,27 +100,53 @@ class AveragingProtocol:
         kwargs = {"t_min": 10.0 * params.n_sites / hop, "dt": 10.0 / hop}
         env_cap = os.environ.get(_MAX_SAMPLES_ENV)
         if env_cap is not None:
-            kwargs["max_samples"] = int(env_cap)
+            try:
+                kwargs["max_samples"] = int(env_cap)
+            except ValueError:
+                raise ConfigError(
+                    f"{_MAX_SAMPLES_ENV} must be an integer, got {env_cap!r}"
+                ) from None
         kwargs.update(overrides)
         return cls(**kwargs)
 
     def time(self, k: int) -> float:
         return self.t_min + k * self.dt
 
+    def times(self, k0: int, k1: int) -> np.ndarray:
+        """Grid times t_k for k0 <= k < k1, equal to ``time(k)`` bit for bit."""
+        return self.t_min + np.arange(k0, k1) * self.dt
+
 
 @dataclass(frozen=True, eq=False)
 class TimeAverageResult:
-    """Converged (or capped) time average of a scalar entanglement quantity."""
+    """Converged (or capped) time average of a scalar entanglement quantity.
+
+    ``anchor_discrepancy`` is the largest relative gap between stepped rows
+    and a fresh expm anchor (0.0 when no chunk was re-anchored, as on the
+    frame route).
+    """
 
     mean: float
     stderr: float
     n_samples: int
     converged: bool
     values: np.ndarray = field(repr=False)
+    anchor_discrepancy: float = field(default=0.0, repr=False)
 
 
-def _check_finite(arr: np.ndarray, t: float) -> np.ndarray:
-    if not np.all(np.isfinite(arr)) or np.max(np.abs(arr)) > _OVERFLOW_LIMIT:
+def _expm(mat: np.ndarray) -> np.ndarray:
+    # scipy.linalg is imported at the first exponential: frame-route runs
+    # never need it, and importing it is most of the package's import time
+    import scipy.linalg
+
+    return scipy.linalg.expm(mat)
+
+
+def _check_finite(arr: np.ndarray, t) -> np.ndarray:
+    # max and min propagate NaN, so two reductions cover every entry
+    # without a temporary array of the stack's size
+    peak = max(float(arr.max()), -float(arr.min()))
+    if not peak <= _OVERFLOW_LIMIT:
         raise OverflowGuard(f"propagation overflowed float64 range at t = {t!r}")
     return arr
 
@@ -122,10 +158,13 @@ class Propagator:
         self.params = params
         self.mode = mode
         n = params.n_sites
-        h, omega = bdg_matrices(params)
-        self.generator = omega @ h
+        self.generator: np.ndarray | None = None
         self.frame: SqueezingFrame | None = None
-        if mode is PropagationMode.FRAME_EXACT:
+        self._step: tuple[float, np.ndarray] | None = None
+        if mode is PropagationMode.LAB_EXPONENTIAL:
+            h, omega = bdg_matrices(params)
+            self.generator = omega @ h
+        else:
             frame = squeezing_frame(params)
             sign = frame_hopping_sign(frame)
             spectrum = tight_binding_spectrum(params)
@@ -135,8 +174,42 @@ class Propagator:
             self.frequencies = sign * params.hopping * np.cos(
                 np.pi * np.arange(1, n + 1) / (n + 1)
             )
-            self.mode_map = psi2 @ frame.matrix()
-            self.mode_map_inv = frame.inverse_matrix() @ psi2.T
+            # psi2 G and G^{-1} psi2^T with G block diagonal: each entry is a
+            # single product, so this equals the dense products bit for bit
+            site_cols = psi2.reshape(2 * n, n, 2).transpose(1, 0, 2)
+            self.mode_map = (site_cols @ frame.site_factors).transpose(1, 0, 2).reshape(2 * n, -1)
+            inverse_rows = frame.inverse_factors() @ site_cols.transpose(0, 2, 1)
+            self.mode_map_inv = inverse_rows.reshape(2 * n, -1)
+
+    def _step_matrix(self, dt: float) -> np.ndarray:
+        """expm(M dt), the lab map across one grid step; built at first use."""
+        if self._step is None or self._step[0] != dt:
+            self._step = (dt, _check_finite(_expm(self.generator * dt), dt))
+        return self._step[1]
+
+    def _rotated_factor(self, factor: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """factor @ B(t) for every time: a K x m x 2N stack of column-pair rotations."""
+        phase = np.multiply.outer(times, self.frequencies)[:, None, :]
+        cos_t, sin_t = np.cos(phase), np.sin(phase)
+        even, odd = factor[:, 0::2], factor[:, 1::2]
+        out = np.empty((times.size,) + factor.shape)
+        out[..., 0::2] = cos_t * even - sin_t * odd
+        out[..., 1::2] = sin_t * even + cos_t * odd
+        return out
+
+    def _stepped_rows(self, times: np.ndarray, rows: np.ndarray,
+                      dt: float | None) -> np.ndarray:
+        """Lab rows on an arithmetic grid, stepped from one expm anchor at times[0]."""
+        scale = max(1.0, abs(times[0]), abs(times[-1]))
+        if dt is None or abs(times[-1] - times[0] - (times.size - 1) * dt) > 1e-9 * scale:
+            raise ValueError(f"lab-route times need their grid spacing dt, got {dt!r}")
+        step = self._step_matrix(dt)
+        anchor = self.symplectic(times[0])[rows]
+        out = np.empty((times.size,) + anchor.shape)
+        out[0] = anchor
+        for k in range(1, times.size):
+            np.matmul(out[k - 1], step, out=out[k])
+        return out
 
     def _rotated_map(self, t: float) -> np.ndarray:
         """B(t) G without materializing B: paired-row rotation of G."""
@@ -156,7 +229,7 @@ class Propagator:
         if self.mode is PropagationMode.FRAME_EXACT:
             s_mat = self.mode_map_inv @ self._rotated_map(t)
         else:
-            s_mat = scipy.linalg.expm(self.generator * t)
+            s_mat = _expm(self.generator * t)
         return _check_finite(s_mat, t)
 
     def subsystem_rows(self, t: float, rows: np.ndarray) -> np.ndarray:
@@ -186,14 +259,33 @@ class Propagator:
             return self.frame.matrix()
         return _check_finite(self._psi2.T @ self._rotated_map(t), t)
 
-    def entropy_rows(self, t: float, rows: np.ndarray) -> np.ndarray:
-        """Rows of entropy_map(t); see that method for the frame choice."""
+    def entropy_rows(self, t, rows: np.ndarray, dt: float | None = None) -> np.ndarray:
+        """Rows of entropy_map(t); see that method for the frame choice.
+
+        ``t`` may also be a 1-D array of K times, which gives a K x 2l x 2N
+        stack. On the frame route a single site rotates its 2 x 2N factor
+        Psi2^T[rows] and then takes one product with G for the whole stack;
+        larger blocks keep the per-time order Psi2^T[rows] (B(t) G). On the
+        lab route the times must be a grid t[k] = t[0] + k dt with ``dt``
+        given, and the stack is stepped from one expm anchor at t[0].
+        """
+        if np.ndim(t) == 0:
+            if self.mode is not PropagationMode.FRAME_EXACT:
+                return self.subsystem_rows(t, rows)
+            if t == 0.0:
+                return self.frame.matrix()[rows]
+            return _check_finite(self._psi2.T[rows] @ self._rotated_map(t), t)
+        times = np.asarray(t, dtype=float)
         if self.mode is not PropagationMode.FRAME_EXACT:
-            return self.subsystem_rows(t, rows)
-        if t == 0.0:
-            return self.frame.matrix()[rows]
-        block = self._psi2.T[rows] @ self._rotated_map(t)
-        return _check_finite(block, t)
+            stack = self._stepped_rows(times, rows, dt)
+        elif rows.size == 2:
+            rotated = self._rotated_factor(self._psi2.T[rows], times)
+            flat = rotated.reshape(-1, rotated.shape[-1]) @ self.mode_map
+            stack = flat.reshape(rotated.shape)
+        else:
+            factor = self._psi2.T[rows]
+            stack = np.stack([factor @ self._rotated_map(s) for s in times])
+        return _check_finite(stack, (times[0], times[-1]))
 
 
 @functools.lru_cache(maxsize=32)
@@ -219,11 +311,7 @@ def evolve(params: ModelParams, t: float, mode: PropagationMode | None = None) -
 
 def lab_exponential_evolve(params: ModelParams, t: float) -> CovarianceMatrix:
     """Covariance at time t computed through expm only; works in every regime."""
-    h, omega = bdg_matrices(params)
-    if t == 0.0:
-        return CovarianceMatrix(np.eye(2 * params.n_sites))
-    s_mat = _check_finite(scipy.linalg.expm((omega @ h) * t), t)
-    return CovarianceMatrix(s_mat @ s_mat.T)
+    return evolve(params, t, PropagationMode.LAB_EXPONENTIAL)
 
 
 def _resolve_protocol(params: ModelParams, protocol: AveragingProtocol | None) -> AveragingProtocol:
@@ -236,29 +324,100 @@ def _standard_error(values: np.ndarray) -> float:
     return float(values.std(ddof=1) / math.sqrt(values.size))
 
 
-def _converge_scalar(sample, protocol: AveragingProtocol) -> tuple[np.ndarray, bool]:
-    """Extend the sample list batchwise until the protocol's target is met."""
-    values: list[float] = []
+def _converge_series(sample, protocol: AveragingProtocol,
+                     chunk: int | None = None) -> tuple[np.ndarray, bool]:
+    """Extend the series batchwise until every component meets the protocol target.
+
+    ``sample(k0, k1)`` returns the values at grid indices k0 <= k < k1
+    along axis 0, a scalar or a vector per index. Draws span at most
+    ``chunk`` indices and never cross a convergence check.
+    """
+    parts: list[np.ndarray] = []
+    drawn = 0
     target = protocol.initial_samples
     while True:
-        while len(values) < target:
-            values.append(sample(protocol.time(len(values))))
-        arr = np.asarray(values)
-        if _standard_error(arr) <= protocol.rel_threshold * abs(arr.mean()):
-            return arr, True
-        if len(values) >= protocol.max_samples:
+        while drawn < target:
+            stop = target if chunk is None else min(target, drawn + chunk)
+            parts.append(sample(drawn, stop))
+            drawn = stop
+        arr = np.concatenate(parts)
+        if drawn >= 2:
+            stderr = arr.std(axis=0, ddof=1) / math.sqrt(drawn)
+            if np.all(stderr <= protocol.rel_threshold * np.abs(arr.mean(axis=0))):
+                return arr, True
+        if drawn >= protocol.max_samples:
             return arr, False
-        target = min(len(values) + protocol.batch_samples, protocol.max_samples)
+        target = min(drawn + protocol.batch_samples, protocol.max_samples)
 
 
-def _result_from_series(values: np.ndarray, converged: bool) -> TimeAverageResult:
+class _GridRows:
+    """Entropy-map rows of one subsystem on grid indices, drawn a chunk at a time.
+
+    ``chunk`` keeps a stack and its QR copy within _CHUNK_BYTES. On the lab
+    route every chunk starts from a fresh expm anchor; there the previous
+    chunk's last rows, advanced one step, must match the anchor within
+    _ANCHOR_RTOL (NumericalFailure otherwise), and ``max_discrepancy`` keeps
+    the largest relative gap seen.
+    """
+
+    def __init__(self, prop: Propagator, rows: np.ndarray, protocol: AveragingProtocol):
+        self.prop = prop
+        self.rows = rows
+        self.protocol = protocol
+        self.chunk = max(1, _CHUNK_BYTES // (2 * rows.size * 2 * prop.params.n_sites * 8))
+        self.max_discrepancy = 0.0
+        self._advanced: tuple[int, np.ndarray] | None = None
+
+    def __call__(self, k0: int, k1: int) -> np.ndarray:
+        dt = self.protocol.dt
+        stack = self.prop.entropy_rows(self.protocol.times(k0, k1), self.rows, dt)
+        if self.prop.mode is PropagationMode.LAB_EXPONENTIAL:
+            if self._advanced is not None and self._advanced[0] == k0:
+                anchor = stack[0]
+                gap = float(np.linalg.norm(self._advanced[1] - anchor) / np.linalg.norm(anchor))
+                if not gap <= _ANCHOR_RTOL:
+                    raise NumericalFailure(
+                        f"stepped rows drift from the expm anchor at grid index {k0}: "
+                        f"relative gap {gap:.3e} > {_ANCHOR_RTOL:g}"
+                    )
+                self.max_discrepancy = max(self.max_discrepancy, gap)
+            self._advanced = (k1, stack[-1] @ self.prop._step_matrix(dt))
+        return stack
+
+
+def _result_from_series(values: np.ndarray, converged: bool,
+                        anchor_discrepancy: float = 0.0) -> TimeAverageResult:
     return TimeAverageResult(
         mean=float(values.mean()),
         stderr=_standard_error(values),
         n_samples=int(values.size),
         converged=converged,
         values=values,
+        anchor_discrepancy=anchor_discrepancy,
     )
+
+
+def time_series(
+    params: ModelParams,
+    subsystem,
+    reduce,
+    protocol: AveragingProtocol | None = None,
+    mode: PropagationMode | None = None,
+) -> TimeAverageResult:
+    """Average of ``reduce`` over the entropy-map rows of ``subsystem`` on the grid.
+
+    ``reduce`` maps a K x 2l x 2N stack of rows to K values. Sampling
+    follows the protocol; the result says whether it converged.
+    """
+    protocol = _resolve_protocol(params, protocol)
+    prop = build_propagator(params, mode)
+    rows = quadrature_indices(subsystem, params.n_sites)
+    if rows.size == 0:
+        raise ValueError("subsystem must contain at least one site")
+    grid = _GridRows(prop, rows, protocol)
+    values, converged = _converge_series(lambda k0, k1: reduce(grid(k0, k1)), protocol,
+                                         grid.chunk)
+    return _result_from_series(values, converged, grid.max_discrepancy)
 
 
 def time_averaged_entropy(
@@ -273,20 +432,10 @@ def time_averaged_entropy(
     NonConvergence (with the partial estimate attached) if the sample cap
     is reached first.
     """
-    protocol = _resolve_protocol(params, protocol)
-    prop = build_propagator(params, mode)
-    rows = quadrature_indices(subsystem)
-    if rows.size == 0:
-        raise ValueError("subsystem must contain at least one site")
-
-    def sample(t: float) -> float:
-        return subsystem_entropy_from_rows(prop.entropy_rows(t, rows))
-
-    values, converged = _converge_scalar(sample, protocol)
-    result = _result_from_series(values, converged)
-    if not converged:
+    result = time_series(params, subsystem, subsystem_entropy_from_rows, protocol, mode)
+    if not result.converged:
         raise NonConvergence(
-            f"entropy mean not converged after {values.size} samples", result=result
+            f"entropy mean not converged after {result.n_samples} samples", result=result
         )
     return result
 
@@ -336,11 +485,12 @@ def page_curve(
     n = params.n_sites
     lengths = np.arange(1, n)
 
-    def sample(t: float) -> np.ndarray:
-        w_mat = prop.entropy_map(t)
-        out = np.empty(n - 1)
-        for i, l in enumerate(lengths):
-            out[i] = subsystem_entropy_from_rows(w_mat[: 2 * l])
+    def sample(k0: int, k1: int) -> np.ndarray:
+        out = np.empty((k1 - k0, n - 1))
+        for i, t in enumerate(protocol.times(k0, k1)):
+            w_mat = prop.entropy_map(t)
+            for j, l in enumerate(lengths):
+                out[i, j] = subsystem_entropy_from_rows(w_mat[: 2 * l])
         return out
 
     values, converged = _converge_series(sample, protocol)
@@ -358,23 +508,6 @@ def page_curve(
             f"page curve not converged after {values.shape[0]} samples", result=curve
         )
     return curve
-
-
-def _converge_series(sample, protocol: AveragingProtocol) -> tuple[np.ndarray, bool]:
-    """Vector version of the convergence loop: every component must converge."""
-    values: list[np.ndarray] = []
-    target = protocol.initial_samples
-    while True:
-        while len(values) < target:
-            values.append(sample(protocol.time(len(values))))
-        arr = np.asarray(values)
-        if arr.shape[0] >= 2:
-            stderr = arr.std(axis=0, ddof=1) / math.sqrt(arr.shape[0])
-            if np.all(stderr <= protocol.rel_threshold * np.abs(arr.mean(axis=0))):
-                return arr, True
-        if len(values) >= protocol.max_samples:
-            return arr, False
-        target = min(len(values) + protocol.batch_samples, protocol.max_samples)
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,10 +538,6 @@ class SiteProfiles:
         """
         return np.array([thermal_entropy(max(n, 0.0)) for n in self.occupations])
 
-    def local_decompositions(self) -> list[LocalDecomposition]:
-        """Rotation+squeeze+thermal factorization of each averaged site block."""
-        return [local_decompose(blk) for blk in self.mean_blocks]
-
 
 def profiles(
     params: ModelParams,
@@ -420,24 +549,19 @@ def profiles(
     prop = build_propagator(params, mode)
     n = params.n_sites
     block_sums = np.zeros((n, 2, 2))
-    count = 0
 
-    def sample(t: float) -> np.ndarray:
-        nonlocal count
-        s_mat = prop.symplectic(t)
-        w_mat = prop.entropy_map(t)
-        out = np.empty(n)
-        for j in range(n):
-            rows = s_mat[2 * j:2 * j + 2]
-            block_sums[j] += rows @ rows.T
-            out[j] = subsystem_entropy_from_rows(w_mat[2 * j:2 * j + 2])
-        count += 1
+    def sample(k0: int, k1: int) -> np.ndarray:
+        out = np.empty((k1 - k0, n))
+        for i, t in enumerate(protocol.times(k0, k1)):
+            site_rows = prop.symplectic(t).reshape(n, 2, 2 * n)
+            block_sums[:] += site_rows @ site_rows.transpose(0, 2, 1)
+            out[i] = subsystem_entropy_from_rows(prop.entropy_map(t).reshape(n, 2, 2 * n))
         return out
 
     values, converged = _converge_series(sample, protocol)
     means = values.mean(axis=0)
     stderrs = values.std(axis=0, ddof=1) / math.sqrt(values.shape[0])
-    mean_blocks = block_sums / count
+    mean_blocks = block_sums / values.shape[0]
     occs = np.empty(n)
     pairs = np.empty(n, dtype=complex)
     for j in range(n):

@@ -17,13 +17,14 @@ Public ``site`` arguments are 0-based; mode labels n = 1..N.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import AveragingProtocol, build_propagator
+from .dynamics import AveragingProtocol, time_series
 from .errors import DegenerateSpectrum, DomainError
 from .gaussian import symplectic_eigenvalues_from_rows
 from .model import ModelParams, PhaseRegime, squeezing_frame
@@ -261,12 +262,11 @@ def log_correction(
         raise DomainError(f"site {site} out of range for {n} sites")
     if protocol is None:
         protocol = AveragingProtocol.for_params(params)
-    prop = build_propagator(params)
-    rows = np.array([2 * site, 2 * site + 1])
-    nu_sq = np.empty(protocol.initial_samples)
-    for k in range(protocol.initial_samples):
-        block = prop.entropy_rows(protocol.time(k), rows)
-        nu_sq[k] = float(symplectic_eigenvalues_from_rows(block)[0]) ** 2
+    # a cap equal to the initial batch draws exactly that batch
+    batch = dataclasses.replace(protocol, max_samples=protocol.initial_samples)
+    nu_sq = time_series(
+        params, [site], lambda rows: symplectic_eigenvalues_from_rows(rows)[:, 0] ** 2, batch
+    ).values
     mean_sq = float(np.mean(nu_sq))
     return float(np.mean(nu_sq ** 2) - mean_sq ** 2) / mean_sq ** 2
 

@@ -27,11 +27,19 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return np.kron(np.eye(n_modes), OMEGA2)
 
 
-def quadrature_indices(modes) -> np.ndarray:
-    """Interleaved (q, p) row indices for a sequence of 0-based mode indices."""
+def quadrature_indices(modes, n_modes: int | None = None) -> np.ndarray:
+    """Interleaved (q, p) row indices for a sequence of distinct 0-based mode indices.
+
+    With ``n_modes`` given, every index must also lie below it.
+    """
     modes = np.asarray(sorted(modes), dtype=int)
-    if modes.size and (modes[0] < 0):
-        raise DomainError("mode indices must be non-negative")
+    if modes.size and modes[0] < 0:
+        raise DomainError(f"mode index {modes[0]} is negative")
+    if n_modes is not None and modes.size and modes[-1] >= n_modes:
+        raise DomainError(f"mode index {modes[-1]} out of range for {n_modes} modes")
+    repeated = modes[1:][modes[1:] == modes[:-1]]
+    if repeated.size:
+        raise DomainError(f"mode index {repeated[0]} listed more than once")
     return np.stack([2 * modes, 2 * modes + 1], axis=1).reshape(-1)
 
 
@@ -92,7 +100,7 @@ def symplectic_eigenvalues(sigma, modes=None) -> np.ndarray:
     """
     arr = _as_array(sigma)
     if modes is not None:
-        idx = quadrature_indices(modes)
+        idx = quadrature_indices(modes, arr.shape[0] // 2)
         arr = arr[np.ix_(idx, idx)]
     if arr.size == 0:
         return np.zeros(0)
@@ -117,38 +125,52 @@ def symplectic_eigenvalues_from_rows(rows) -> np.ndarray:
     the entries grow past ~1/sqrt(eps); this route keeps the absolute error
     near eps times the block norm instead, which is what resolves nu ~ 1
     modes inside strongly amplified blocks.
+
+    ``rows`` may also be a K x 2l x 2N stack; the result is then K x l and
+    the whole stack is factored in one batched QR. For a single mode T is
+    2 x 2 upper triangular and T Omega T^T = det(T) Omega, so nu = |T00 T11|
+    without an SVD.
     """
     rows = np.asarray(rows, dtype=float)
-    if rows.ndim != 2 or rows.shape[0] % 2 or rows.shape[0] > rows.shape[1]:
-        raise ValueError("expected a 2l x 2N row block with 2l <= 2N")
-    if rows.shape[0] == 0:
-        return np.zeros(0)
+    if rows.ndim not in (2, 3) or rows.shape[-2] % 2 or rows.shape[-2] > rows.shape[-1]:
+        raise ValueError("expected a 2l x 2N row block (or a stack of them) with 2l <= 2N")
+    n_rows = rows.shape[-2]
+    if n_rows == 0:
+        return np.zeros(rows.shape[:-1])
     try:
-        t_mat = np.linalg.qr(rows.T, mode="r")
-        kern = t_mat @ symplectic_form(rows.shape[0] // 2) @ t_mat.T
-        vals = np.linalg.svd(kern, compute_uv=False)
+        t_mat = np.linalg.qr(np.swapaxes(rows, -1, -2), mode="r")
+        if n_rows == 2:
+            return np.abs(t_mat[..., 0, 0] * t_mat[..., 1, 1])[..., None]
+        # T Omega swaps and negates column pairs; every entry of the product
+        # has one nonzero term, so this is T @ Omega bit for bit
+        t_omega = np.empty_like(t_mat)
+        t_omega[..., 0::2] = -t_mat[..., 1::2]
+        t_omega[..., 1::2] = t_mat[..., 0::2]
+        vals = np.linalg.svd(t_omega @ np.swapaxes(t_mat, -1, -2), compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"row-block symplectic spectrum failed: {exc}") from exc
-    return np.sort((vals[0::2] + vals[1::2]) / 2.0)
+    return np.sort((vals[..., 0::2] + vals[..., 1::2]) / 2.0, axis=-1)
 
 
-def subsystem_entropy_from_rows(rows) -> float:
+def subsystem_entropy_from_rows(rows):
     """Entanglement entropy of the block sigma_A = R R^T from its map rows.
 
     Same clamping policy as subsystem_entropy, with the noise floor scaled
-    by the block norm ||R||^2.
+    by the block norm ||R||^2. A K x 2l x 2N stack gives an array of K
+    entropies, each checked against its own floor.
     """
     rows = np.asarray(rows, dtype=float)
     nus = symplectic_eigenvalues_from_rows(rows)
-    if nus.size == 0:
-        return 0.0
-    scale = float(np.linalg.norm(rows, ord="fro") ** 2)
-    floor = 1.0 - (_NU_TOL + _NU_SCALE_TOL * max(1.0, scale))
-    if np.any(nus < floor):
+    if nus.shape[-1] == 0:
+        return 0.0 if rows.ndim == 2 else np.zeros(rows.shape[0])
+    scale = np.einsum("...ij,...ij->...", rows, rows)
+    floor = 1.0 - (_NU_TOL + _NU_SCALE_TOL * np.maximum(1.0, scale))
+    if np.any(nus < floor[..., None]):
         raise DomainError(
             f"subsystem spectrum dips below 1 beyond noise floor: min {nus.min()!r}"
         )
-    return float(np.sum(entropy_kernel(np.maximum(nus, 1.0))))
+    out = np.sum(entropy_kernel(np.maximum(nus, 1.0)), axis=-1)
+    return float(out) if rows.ndim == 2 else out
 
 
 def entropy_kernel(x):
@@ -187,7 +209,7 @@ def subsystem_entropy(sigma, modes=None) -> float:
     """
     arr = _as_array(sigma)
     if modes is not None:
-        idx = quadrature_indices(modes)
+        idx = quadrature_indices(modes, arr.shape[0] // 2)
         arr = arr[np.ix_(idx, idx)]
     nus = symplectic_eigenvalues(arr)
     scale = float(np.max(np.abs(arr))) if arr.size else 1.0

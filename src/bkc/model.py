@@ -98,16 +98,21 @@ def bdg_matrices(params: ModelParams, boundary: str = "open"):
         raise ValueError(f"boundary must be 'open' or 'periodic', got {boundary!r}")
     n = params.n_sites
     h = np.zeros((2 * n, 2 * n))
-    g, w, delta = params.g, params.w, params.delta
+    bond = _bond_block(params)
     bonds = [(j, j + 1) for j in range(n - 1)]
     if boundary == "periodic":
         bonds.append((n - 1, 0))
     for a, b in bonds:
-        qa, pa, qb, pb = 2 * a, 2 * a + 1, 2 * b, 2 * b + 1
-        h[qa, qb] = h[qb, qa] = h[pa, pb] = h[pb, pa] = g / 2.0
-        h[qa, pb] = h[pb, qa] = (w + delta) / 2.0
-        h[pa, qb] = h[qb, pa] = (delta - w) / 2.0
+        h[2 * a:2 * a + 2, 2 * b:2 * b + 2] = bond
+        h[2 * b:2 * b + 2, 2 * a:2 * a + 2] = bond.T
     return h, symplectic_form(n)
+
+
+def _bond_block(params: ModelParams) -> np.ndarray:
+    """2x2 block of h between (q_j, p_j) and (q_{j+1}, p_{j+1})."""
+    g, w, delta = params.g, params.w, params.delta
+    return np.array([[g / 2.0, (w + delta) / 2.0],
+                     [(delta - w) / 2.0, g / 2.0]])
 
 
 def dynamical_spectrum(params: ModelParams, boundary: str = "open") -> np.ndarray:
@@ -172,15 +177,28 @@ class SqueezingFrame:
             f[2 * j:2 * j + 2, 2 * j:2 * j + 2] = self.site_factors[j]
         return f
 
+    def inverse_factors(self) -> np.ndarray:
+        """Exact inverse -Omega2 S^T Omega2 of each unit-determinant site factor."""
+        return _factor_inverse(self.site_factors)
+
     def inverse_matrix(self) -> np.ndarray:
-        """Exact blockwise inverse -Omega2 S^T Omega2 of each unit-determinant factor."""
+        """Block-diagonal inverse F^{-1}, built from ``inverse_factors``."""
         n = self.n_sites
+        inverses = self.inverse_factors()
         f = np.zeros((2 * n, 2 * n))
         for j in range(n):
-            a, b = self.site_factors[j, 0]
-            c, d = self.site_factors[j, 1]
-            f[2 * j:2 * j + 2, 2 * j:2 * j + 2] = [[d, -b], [-c, a]]
+            f[2 * j:2 * j + 2, 2 * j:2 * j + 2] = inverses[j]
         return f
+
+
+def _factor_inverse(factors: np.ndarray) -> np.ndarray:
+    """Inverse of unit-determinant 2x2 factors (last two axes), exact in floating point."""
+    out = np.empty_like(factors)
+    out[..., 0, 0] = factors[..., 1, 1]
+    out[..., 0, 1] = -factors[..., 0, 1]
+    out[..., 1, 0] = -factors[..., 1, 0]
+    out[..., 1, 1] = factors[..., 0, 0]
+    return out
 
 
 def squeezing_frame(params: ModelParams, j0: float | None = None) -> SqueezingFrame:
@@ -274,14 +292,14 @@ def frame_hopping_sign(frame: SqueezingFrame) -> float:
     """Sign of the transformed hopping read off a bond at the profile centre.
 
     Edge bonds of the transformed form carry the largest floating-point
-    noise, so the sign is sampled where the site factors are O(1).
+    noise, so the sign is sampled where the site factors are O(1). The bond
+    block of F^{-T} h F^{-1} is F_a^{-T} h_ab F_b^{-1} with h_ab the 2x2
+    bond block of h, so only the two centre factors enter.
     """
     params = frame.params
-    h, _ = bdg_matrices(params)
-    f_inv = frame.inverse_matrix()
-    h_frame = f_inv.T @ h @ f_inv
     mid = min(max(int(round(frame.j0)) - 1, 0), params.n_sites - 2)
-    val = h_frame[2 * mid, 2 * (mid + 1)]
+    inv_a, inv_b = _factor_inverse(frame.site_factors[mid:mid + 2])
+    val = (inv_a.T @ _bond_block(params) @ inv_b)[0, 0]
     half = params.hopping / 2.0
     if abs(abs(val) - half) > 1e-6 * max(1.0, half):
         raise DomainError(

@@ -166,3 +166,26 @@ def test_exit_codes(tmp_path):
         protocol_t_min="1e300", protocol_initial_samples="30",
     )
     assert main(["sweep", "--config", blowup]) == 4
+
+
+def test_bad_sample_cap_env_exits_3(tmp_path, monkeypatch, capsys):
+    cfg = _write_cfg(tmp_path, g="0.2", n="8", out=tmp_path / "env", **_FAST)
+    monkeypatch.setenv("BKC_MAX_SAMPLES", "lots")
+    assert main(["sweep", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "BKC_MAX_SAMPLES" in err
+    assert "Traceback" not in err
+
+
+def test_anchor_discrepancy_in_manifest_not_csv(tmp_path):
+    cfg = _write_cfg(tmp_path, g="0.2,0.25", n="12", cut="quarter", out=tmp_path / "a",
+                     protocol_initial_samples="40", protocol_batch_samples="40",
+                     protocol_max_samples="80", protocol_rel_threshold="1.0")
+    assert main(["sweep", "--config", cfg]) == 0
+    text = (tmp_path / "a" / "sweep.csv").read_text()
+    assert text.splitlines()[0] == "g,N,subsystem,S_mean,stderr,n_samples"
+    assert "anchor" not in text
+    runs = json.loads((tmp_path / "a" / "sweep.manifest.json").read_text())["runs"]
+    gaps = {run["route"]: run["anchor_discrepancy"] for run in runs}
+    assert gaps["frame"] == 0.0
+    assert 0.0 <= gaps["lab"] <= 1e-8

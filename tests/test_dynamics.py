@@ -5,9 +5,11 @@ import warnings
 import numpy as np
 import pytest
 
+from bkc import dynamics
 from bkc.dynamics import (
     AveragingProtocol,
     PropagationMode,
+    Propagator,
     build_propagator,
     evolve,
     fluctuation_ratio,
@@ -16,8 +18,9 @@ from bkc.dynamics import (
     profiles,
     series_fluctuation_ratio,
     time_averaged_entropy,
+    time_series,
 )
-from bkc.errors import NonConvergence, OverflowGuard
+from bkc.errors import DomainError, NonConvergence, NumericalFailure, OverflowGuard
 from bkc.gaussian import (
     quadrature_indices,
     site_correlators,
@@ -279,3 +282,94 @@ def test_profiles_against_exact_dephasing():
 def test_evolve_at_time_zero_is_vacuum():
     sig = evolve(_params(0.2, 5), 0.0)
     assert np.array_equal(sig.data, np.eye(10))
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_critical_stepped_rows_match_dense_expm(n):
+    # g == delta: the chunked route steps rows from one expm anchor per
+    # chunk; the oracle takes a dense expm at every grid time
+    p = _params(0.25, n)
+    proto = AveragingProtocol.for_params(p, initial_samples=120, batch_samples=60,
+                                         max_samples=240, rel_threshold=2e-3)
+    prop = build_propagator(p)
+    assert prop.mode is PropagationMode.LAB_EXPONENTIAL
+    cuts = ([n // 2], list(range(n // 4)))
+    dense = np.array([
+        [subsystem_entropy_from_rows(lab_map[quadrature_indices(cut)]) for cut in cuts]
+        for lab_map in map(prop.symplectic, proto.times(0, proto.max_samples))
+    ])
+    for i, cut in enumerate(cuts):
+        ref, ref_converged = dynamics._converge_series(
+            lambda k0, k1: dense[k0:k1, i], proto)
+        got = time_series(p, cut, subsystem_entropy_from_rows, proto)
+        assert got.n_samples == ref.size and got.converged == ref_converged
+        assert np.max(np.abs(got.values - ref) / np.abs(ref)) <= 1e-10
+        assert got.anchor_discrepancy <= 1e-8
+    # the quarter cut spans several chunks, so at least one anchor was checked
+    assert got.anchor_discrepancy > 0.0
+
+
+def test_corrupted_step_matrix_fails_at_next_anchor(monkeypatch):
+    p = _params(0.25, 8)
+    proto = AveragingProtocol.for_params(p, initial_samples=30, batch_samples=30,
+                                         max_samples=90, rel_threshold=1e-12)
+    with pytest.raises(NonConvergence):
+        time_averaged_entropy(p, [3], proto)
+    exact = Propagator._step_matrix
+    monkeypatch.setattr(Propagator, "_step_matrix",
+                        lambda self, dt: exact(self, dt) * (1.0 + 1e-6))
+    with pytest.raises(NumericalFailure, match="grid index 30"):
+        time_averaged_entropy(p, [3], proto)
+
+
+def test_chunk_budget_of_one_sample_changes_nothing(monkeypatch):
+    proto_kw = dict(initial_samples=60, batch_samples=40, max_samples=140,
+                    rel_threshold=1e-3)
+    cases = [(_params(g, 16), cut) for g in (0.2, 0.25) for cut in ([8], [0, 1, 2, 3])]
+    chunked = []
+    for p, cut in cases:
+        proto = AveragingProtocol.for_params(p, **proto_kw)
+        chunked.append(time_series(p, cut, subsystem_entropy_from_rows, proto))
+    monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 1)
+    for (p, cut), ref in zip(cases, chunked):
+        proto = AveragingProtocol.for_params(p, **proto_kw)
+        one = time_series(p, cut, subsystem_entropy_from_rows, proto)
+        assert one.n_samples == ref.n_samples
+        # on g == delta a one-sample chunk is a fresh expm anchor per sample,
+        # so the stepped values differ from it by the stepping error
+        rtol = 1e-10 if p.g == p.delta else 1e-14
+        assert np.max(np.abs(one.values - ref.values) / np.abs(ref.values)) <= rtol
+
+
+def test_entropy_rows_stack_matches_scalar_calls():
+    for g in (0.2, 0.25):
+        p = _params(g, 10)
+        prop = build_propagator(p)
+        proto = AveragingProtocol.for_params(p)
+        times = proto.times(0, 12)
+        for cut in ([4], [0, 1, 2]):
+            rows = quadrature_indices(cut)
+            single = np.stack([prop.entropy_rows(t, rows) for t in times])
+            stack = prop.entropy_rows(times, rows, proto.dt)
+            assert stack.shape == (12, rows.size, 20)
+            assert np.allclose(stack, single, rtol=1e-10, atol=1e-12 * np.abs(single).max())
+    with pytest.raises(ValueError, match="grid spacing"):
+        prop.entropy_rows(times, rows)
+
+
+def test_subsystems_validated():
+    p = _params(0.2, 8)
+    with pytest.raises(DomainError, match="mode index 8 out of range"):
+        time_averaged_entropy(p, [8])
+    with pytest.raises(DomainError, match="mode index 0 listed more than once"):
+        time_averaged_entropy(p, [0, 0])
+    with pytest.raises(DomainError, match="mode index -1"):
+        time_averaged_entropy(p, [-1, 2])
+
+
+def test_bad_sample_cap_env_is_a_config_error(monkeypatch):
+    from bkc.errors import ConfigError
+
+    monkeypatch.setenv("BKC_MAX_SAMPLES", "lots")
+    with pytest.raises(ConfigError, match="BKC_MAX_SAMPLES"):
+        AveragingProtocol.for_params(_params(0.2, 8))

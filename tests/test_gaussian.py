@@ -351,3 +351,34 @@ def test_rows_entropy_empty_and_validation():
 def test_rows_entropy_rejects_unphysical():
     with pytest.raises(DomainError):
         subsystem_entropy_from_rows(0.5 * np.eye(2))
+
+
+def test_stacked_rows_entropy_matches_per_block_calls():
+    for cut in ([1], [0, 1], [0, 2, 3]):
+        idx = np.sort(np.concatenate([[2 * j, 2 * j + 1] for j in cut]))
+        stack = np.stack([random_symplectic(5, RNG)[idx] for _ in range(7)])
+        single = np.array([subsystem_entropy_from_rows(blk) for blk in stack])
+        batched = subsystem_entropy_from_rows(stack)
+        assert batched.shape == (7,)
+        if len(cut) == 1:
+            assert np.allclose(batched, single, rtol=1e-14, atol=0.0)
+        else:
+            assert np.array_equal(batched, single)
+            nus = symplectic_eigenvalues_from_rows(stack)
+            assert np.array_equal(nus, [symplectic_eigenvalues_from_rows(b) for b in stack])
+
+
+def test_single_mode_nu_without_svd_matches_block_spectrum():
+    for _ in range(10):
+        rows = random_symplectic(4, RNG)[2:4]
+        assert symplectic_eigenvalues_from_rows(rows)[0] == pytest.approx(
+            symplectic_eigenvalues(rows @ rows.T)[0], rel=1e-12
+        )
+
+
+def test_stacked_rows_floor_checked_per_block():
+    good = random_symplectic(3, RNG)[:2]
+    stack = np.stack([good, 0.5 * np.eye(2, 6)])
+    with pytest.raises(DomainError):
+        subsystem_entropy_from_rows(stack)
+    assert subsystem_entropy_from_rows(np.zeros((3, 0, 6))).shape == (3,)
