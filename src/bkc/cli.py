@@ -13,8 +13,10 @@ Exit codes: 0 success, 2 convergence failure (partial CSV retained),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
+import os
 import sys
 import time
 from multiprocessing import get_context
@@ -43,6 +45,7 @@ from .gaussian import local_decompose, thermal_entropy
 from .model import ModelParams, PhaseRegime, classify_phase
 
 SWEEP_FIELDS = ("g", "N", "subsystem", "S_mean", "stderr", "n_samples")
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _DEFAULTS = {
     "w": "1",
@@ -162,49 +165,53 @@ def _route(params: ModelParams) -> str:
     return "lab" if classify_phase(params) is PhaseRegime.CRITICAL else "frame"
 
 
+def _page_rows(params: ModelParams, protocol: AveragingProtocol) -> list[dict]:
+    """Page curve of one grid point as sweep rows, one per cut l = 1..N-1."""
+    started = time.perf_counter()
+    try:
+        curve = page_curve(params, protocol)
+        converged = True
+    except NonConvergence as exc:
+        curve = exc.result
+        converged = False
+    seconds = (time.perf_counter() - started) / curve.lengths.size
+    return [{
+        "g": params.g, "N": params.n_sites, "subsystem": f"left:{int(l)}",
+        "S_mean": float(s_mean), "stderr": float(err),
+        "n_samples": int(curve.n_samples), "converged": converged,
+        "anchor_discrepancy": curve.anchor_discrepancy,
+        "route": _route(params), "seconds": seconds,
+    } for l, s_mean, err in zip(curve.lengths, curve.entropies, curve.stderrs)]
+
+
 def _sweep_point(task) -> list[dict]:
     """Worker: all requested rows for one (g, N) grid point."""
     cfg, w, delta, g, n = task
     params = ModelParams(w=w, delta=delta, g=g, n_sites=n)
     protocol = _protocol_for(params, cfg)
-    rows = []
-    started = time.perf_counter()
     if cfg["cut"] == "page":
+        return _page_rows(params, protocol)
+    rows = []
+    for label, sites in _subsystems(cfg, params):
+        started = time.perf_counter()
         try:
-            curve = page_curve(params, protocol)
+            result = time_averaged_entropy(params, sites, protocol)
             converged = True
         except NonConvergence as exc:
-            curve = exc.result
+            result = exc.result
             converged = False
-        for l, s_mean, err in zip(curve.lengths, curve.entropies, curve.stderrs):
-            rows.append({
-                "g": g, "N": n, "subsystem": f"left:{int(l)}",
-                "S_mean": float(s_mean), "stderr": float(err),
-                "n_samples": int(curve.n_samples), "converged": converged,
-            })
-    else:
-        for label, sites in _subsystems(cfg, params):
-            try:
-                result = time_averaged_entropy(params, sites, protocol)
-                converged = True
-            except NonConvergence as exc:
-                result = exc.result
-                converged = False
-            rows.append({
-                "g": g, "N": n, "subsystem": label,
-                "S_mean": result.mean, "stderr": result.stderr,
-                "n_samples": result.n_samples, "converged": converged,
-                "anchor_discrepancy": result.anchor_discrepancy,
-            })
-    elapsed = time.perf_counter() - started
-    for row in rows:
-        row["route"] = _route(params)
-        row["seconds"] = elapsed / len(rows)
+        rows.append({
+            "g": g, "N": n, "subsystem": label,
+            "S_mean": result.mean, "stderr": result.stderr,
+            "n_samples": result.n_samples, "converged": converged,
+            "anchor_discrepancy": result.anchor_discrepancy,
+            "route": _route(params), "seconds": time.perf_counter() - started,
+        })
     return rows
 
 
 def _existing_rows(path: Path) -> dict[tuple, dict]:
-    """Parse a previous sweep CSV so finished grid points can be skipped."""
+    """Parse a previous sweep CSV; whether a row converged is not stored there."""
     rows = {}
     if not path.exists():
         return rows
@@ -218,14 +225,29 @@ def _existing_rows(path: Path) -> dict[tuple, dict]:
         row = {
             "g": float(parts[0]), "N": int(parts[1]), "subsystem": parts[2],
             "S_mean": float(parts[3]), "stderr": float(parts[4]),
-            "n_samples": int(parts[5]), "converged": True, "route": "resumed",
-            "seconds": 0.0,
+            "n_samples": int(parts[5]), "route": "resumed", "seconds": 0.0,
         }
         rows[(row["g"], row["N"], row["subsystem"])] = row
     return rows
 
 
-def _write_sweep_csv(path: Path, rows: list[dict]) -> None:
+def _converged_keys(manifest_path: Path) -> set[tuple]:
+    """(g, N, subsystem) of every run a previous sweep manifest records as converged."""
+    try:
+        runs = json.loads(manifest_path.read_text())["runs"]
+        return {(run["g"], run["N"], run["subsystem"]) for run in runs if run["converged"]}
+    except (OSError, ValueError, KeyError, TypeError):
+        return set()
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Replace ``path`` in one step, so a killed run never leaves it half written."""
+    tmp = path.with_name(path.name + ".tmp")
+    tmp.write_text(text)
+    os.replace(tmp, path)
+
+
+def _write_sweep_csv(path: Path, rows) -> None:
     rows = sorted(rows, key=lambda r: (r["N"], r["g"], r["subsystem"]))
     lines = [",".join(SWEEP_FIELDS)]
     for r in rows:
@@ -233,7 +255,7 @@ def _write_sweep_csv(path: Path, rows: list[dict]) -> None:
             _fmt(r["g"]), str(r["N"]), r["subsystem"],
             _fmt(r["S_mean"]), _fmt(r["stderr"]), str(r["n_samples"]),
         ]))
-    path.write_text("\n".join(lines) + "\n")
+    _write_atomic(path, "\n".join(lines) + "\n")
 
 
 def _write_manifest(path: Path, command: str, cfg: dict[str, str], rows: list[dict],
@@ -253,7 +275,7 @@ def _write_manifest(path: Path, command: str, cfg: dict[str, str], rows: list[di
     }
     if extra:
         manifest.update(extra)
-    path.write_text(json.dumps(manifest, indent=2, default=float) + "\n")
+    _write_atomic(path, json.dumps(manifest, indent=2, default=float) + "\n")
 
 
 def _out_dir(cfg: dict[str, str]) -> Path:
@@ -262,33 +284,67 @@ def _out_dir(cfg: dict[str, str]) -> Path:
     return out
 
 
+@contextlib.contextmanager
+def _worker_pool(jobs: int):
+    """Spawned pool whose workers start with one BLAS thread each.
+
+    Each worker already runs a grid point of its own, so BLAS threads on
+    top would oversubscribe the cores. The variables are set before the
+    workers import numpy and the parent's values are restored on exit.
+    """
+    saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        with get_context("spawn").Pool(jobs) as pool:
+            yield pool
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+
 def cmd_sweep(cfg: dict[str, str]) -> int:
-    """Numeric time-averaged entropies over the configured grid."""
+    """Numeric time-averaged entropies over the configured grid.
+
+    Rows of an earlier run in the same directory are reused only where its
+    manifest records them as converged; the CSV and manifest are rewritten
+    after every grid point.
+    """
     started = time.time()
     out = _out_dir(cfg)
     csv_path = out / "sweep.csv"
-    done = _existing_rows(csv_path)
-    grid = _grid(cfg)
+    manifest_path = out / "sweep.manifest.json"
+    rows = _existing_rows(csv_path)
+    finished = _converged_keys(manifest_path)
+    for key, row in rows.items():
+        row["converged"] = key in finished
     tasks = []
-    for params in grid:
-        wanted = [label for label, _ in _subsystems(cfg, params)]
-        if all((params.g, params.n_sites, label) in done for label in wanted):
+    for params in _grid(cfg):
+        wanted = [(params.g, params.n_sites, label) for label, _ in _subsystems(cfg, params)]
+        if all(key in rows and rows[key]["converged"] for key in wanted):
             continue
         tasks.append((cfg, params.w, params.delta, params.g, params.n_sites))
+
+    def save() -> None:
+        _write_sweep_csv(csv_path, rows.values())
+        _write_manifest(manifest_path, "sweep", cfg, list(rows.values()), started)
+
+    def record(batches) -> None:
+        for batch in batches:
+            rows.update(((r["g"], r["N"], r["subsystem"]), r) for r in batch)
+            save()
+
     jobs = _scalar(cfg, "jobs", int)
-    if jobs > 1 and len(tasks) > 1:
-        with get_context("spawn").Pool(jobs) as pool:
-            fresh = pool.map(_sweep_point, tasks)
+    if not tasks:
+        save()
+    elif jobs > 1 and len(tasks) > 1:
+        with _worker_pool(jobs) as pool:
+            record(pool.imap(_sweep_point, tasks))
     else:
-        fresh = [_sweep_point(task) for task in tasks]
-    rows = list(done.values())
-    for batch in fresh:
-        rows.extend(batch)
-    _write_sweep_csv(csv_path, rows)
-    _write_manifest(out / "sweep.manifest.json", "sweep", cfg, rows, started)
-    if any(not r["converged"] for r in rows):
-        return 2
-    return 0
+        record(map(_sweep_point, tasks))
+    return 2 if any(not r["converged"] for r in rows.values()) else 0
 
 
 def cmd_analytic(cfg: dict[str, str]) -> int:
@@ -365,6 +421,7 @@ def _figure_profiles(cfg: dict[str, str], out: Path) -> tuple[list[dict], bool]:
     meta, ok = [], True
     for params in _grid(cfg):
         protocol = _protocol_for(params, cfg)
+        started = time.perf_counter()
         try:
             prof = profiles(params, protocol)
             converged = True
@@ -383,7 +440,7 @@ def _figure_profiles(cfg: dict[str, str], out: Path) -> tuple[list[dict], bool]:
             ]))
         meta.append({"g": params.g, "N": params.n_sites, "subsystem": "profiles",
                      "converged": converged, "route": _route(params),
-                     "seconds": 0.0})
+                     "seconds": time.perf_counter() - started})
     (out / "profiles.csv").write_text("\n".join(lines) + "\n")
     return meta, ok
 
@@ -392,22 +449,18 @@ def _figure_page(cfg: dict[str, str], out: Path) -> tuple[list[dict], bool]:
     lines = ["g,N,l,S_mean,stderr,n_samples"]
     meta, ok = [], True
     for params in _grid(cfg):
-        protocol = _protocol_for(params, cfg)
-        try:
-            curve = page_curve(params, protocol)
-            converged = True
-        except NonConvergence as exc:
-            curve = exc.result
-            converged = False
-            ok = False
-        for l, s_mean, err in zip(curve.lengths, curve.entropies, curve.stderrs):
+        rows = _page_rows(params, _protocol_for(params, cfg))
+        for l, row in enumerate(rows, start=1):
             lines.append(",".join([
-                _fmt(params.g), str(params.n_sites), str(int(l)),
-                _fmt(s_mean), _fmt(err), str(curve.n_samples),
+                _fmt(row["g"]), str(row["N"]), str(l),
+                _fmt(row["S_mean"]), _fmt(row["stderr"]), str(row["n_samples"]),
             ]))
+        first = rows[0]
+        ok = ok and first["converged"]
         meta.append({"g": params.g, "N": params.n_sites, "subsystem": "page",
-                     "converged": converged, "route": _route(params),
-                     "seconds": 0.0})
+                     "converged": first["converged"], "route": first["route"],
+                     "seconds": sum(row["seconds"] for row in rows),
+                     "anchor_discrepancy": first["anchor_discrepancy"]})
     (out / "page.csv").write_text("\n".join(lines) + "\n")
     return meta, ok
 
@@ -418,6 +471,7 @@ def _figure_fourpoint(cfg: dict[str, str], out: Path) -> tuple[list[dict], bool]
     skipped = []
     for params in _grid(cfg):
         site = _resolve_site(cfg, params)
+        started = time.perf_counter()
         try:
             eps = epsilon4(params, site)
             corr = log_correction(params, site, _protocol_for(params, cfg))
@@ -430,7 +484,8 @@ def _figure_fourpoint(cfg: dict[str, str], out: Path) -> tuple[list[dict], bool]
             _fmt(eps), _fmt(inv), _fmt(corr),
         ]))
         meta.append({"g": params.g, "N": params.n_sites, "subsystem": f"site:{site}",
-                     "converged": True, "route": "sums", "seconds": 0.0})
+                     "converged": True, "route": "sums",
+                     "seconds": time.perf_counter() - started})
     (out / "fourpoint.csv").write_text("\n".join(lines) + "\n")
     if skipped:
         meta.append({"g": float("nan"), "N": 0, "subsystem": "skipped",

@@ -52,8 +52,8 @@ from .model import (
 
 _OVERFLOW_LIMIT = 1e300
 _MAX_SAMPLES_ENV = "BKC_MAX_SAMPLES"
-# Memory budget of one chunk of samples: its map rows plus the copy of
-# them that the batched QR makes, so the rows themselves take half.
+# Memory budget of one chunk of samples: its map rows plus the arrays of the
+# same size that factoring them needs (``stacks`` in _GridRows).
 _CHUNK_BYTES = 4 * 2 ** 20
 # Largest relative gap allowed between stepped rows and a fresh expm anchor.
 _ANCHOR_RTOL = 1e-8
@@ -212,15 +212,18 @@ class Propagator:
         return out
 
     def _rotated_map(self, t: float) -> np.ndarray:
-        """B(t) G without materializing B: paired-row rotation of G."""
+        """B(t) G without materializing B: paired-row rotation of G, written in place."""
         cos_t = np.cos(self.frequencies * t)[:, None]
         sin_t = np.sin(self.frequencies * t)[:, None]
-        top = self.mode_map[0::2]
-        bot = self.mode_map[1::2]
-        out = np.empty_like(self.mode_map)
-        out[0::2] = cos_t * top + sin_t * bot
-        out[1::2] = cos_t * bot - sin_t * top
-        return out
+        pairs = self.mode_map.reshape(cos_t.size, 2, -1)
+        out = np.empty_like(pairs)
+        scratch = sin_t * pairs[:, 1]
+        np.multiply(cos_t, pairs[:, 0], out=out[:, 0])
+        out[:, 0] += scratch
+        np.multiply(sin_t, pairs[:, 0], out=scratch)
+        np.multiply(cos_t, pairs[:, 1], out=out[:, 1])
+        out[:, 1] -= scratch
+        return out.reshape(self.mode_map.shape)
 
     def symplectic(self, t: float) -> np.ndarray:
         """Full quadrature map S(t) with sigma(t) = S S^T from the vacuum."""
@@ -284,7 +287,9 @@ class Propagator:
             stack = flat.reshape(rotated.shape)
         else:
             factor = self._psi2.T[rows]
-            stack = np.stack([factor @ self._rotated_map(s) for s in times])
+            stack = np.empty((times.size,) + factor.shape)
+            for i, s in enumerate(times):
+                np.matmul(factor, self._rotated_map(s), out=stack[i])
         return _check_finite(stack, (times[0], times[-1]))
 
 
@@ -353,18 +358,19 @@ def _converge_series(sample, protocol: AveragingProtocol,
 class _GridRows:
     """Entropy-map rows of one subsystem on grid indices, drawn a chunk at a time.
 
-    ``chunk`` keeps a stack and its QR copy within _CHUNK_BYTES. On the lab
-    route every chunk starts from a fresh expm anchor; there the previous
-    chunk's last rows, advanced one step, must match the anchor within
-    _ANCHOR_RTOL (NumericalFailure otherwise), and ``max_discrepancy`` keeps
-    the largest relative gap seen.
+    ``chunk`` fits ``stacks`` arrays of a chunk's size (by default the rows and
+    their QR copy) in _CHUNK_BYTES. On the lab route every chunk starts from
+    a fresh expm anchor; there the previous chunk's last rows, advanced one
+    step, must match the anchor within _ANCHOR_RTOL (NumericalFailure
+    otherwise), and ``max_discrepancy`` keeps the largest relative gap seen.
     """
 
-    def __init__(self, prop: Propagator, rows: np.ndarray, protocol: AveragingProtocol):
+    def __init__(self, prop: Propagator, rows: np.ndarray, protocol: AveragingProtocol,
+                 stacks: int = 2):
         self.prop = prop
         self.rows = rows
         self.protocol = protocol
-        self.chunk = max(1, _CHUNK_BYTES // (2 * rows.size * 2 * prop.params.n_sites * 8))
+        self.chunk = max(1, _CHUNK_BYTES // (stacks * rows.size * 2 * prop.params.n_sites * 8))
         self.max_discrepancy = 0.0
         self._advanced: tuple[int, np.ndarray] | None = None
 
@@ -383,18 +389,6 @@ class _GridRows:
                 self.max_discrepancy = max(self.max_discrepancy, gap)
             self._advanced = (k1, stack[-1] @ self.prop._step_matrix(dt))
         return stack
-
-
-def _result_from_series(values: np.ndarray, converged: bool,
-                        anchor_discrepancy: float = 0.0) -> TimeAverageResult:
-    return TimeAverageResult(
-        mean=float(values.mean()),
-        stderr=_standard_error(values),
-        n_samples=int(values.size),
-        converged=converged,
-        values=values,
-        anchor_discrepancy=anchor_discrepancy,
-    )
 
 
 def time_series(
@@ -417,7 +411,9 @@ def time_series(
     grid = _GridRows(prop, rows, protocol)
     values, converged = _converge_series(lambda k0, k1: reduce(grid(k0, k1)), protocol,
                                          grid.chunk)
-    return _result_from_series(values, converged, grid.max_discrepancy)
+    return TimeAverageResult(mean=float(values.mean()), stderr=_standard_error(values),
+                             n_samples=int(values.size), converged=converged, values=values,
+                             anchor_discrepancy=grid.max_discrepancy)
 
 
 def time_averaged_entropy(
@@ -461,13 +457,17 @@ def fluctuation_ratio(
 
 @dataclass(frozen=True, eq=False)
 class PageCurve:
-    """Time-averaged entropy of every left block, sharing one sample grid."""
+    """Time-averaged entropy of every left block, sharing one sample grid.
+
+    ``anchor_discrepancy`` is as on TimeAverageResult.
+    """
 
     lengths: np.ndarray
     entropies: np.ndarray
     stderrs: np.ndarray
     n_samples: int
     converged: bool
+    anchor_discrepancy: float = field(default=0.0, repr=False)
 
 
 def page_curve(
@@ -478,30 +478,30 @@ def page_curve(
     """Entropy of the leftmost l sites for every cut l = 1..N-1.
 
     All cuts share the same deterministic time grid; sampling stops when
-    every cut individually meets the protocol target.
+    every cut individually meets the protocol target. One QR per sample,
+    W^T = Q R, serves every cut: R[:2l, :2l]^T has the Gram matrix of W[:2l]
+    (QR column-prefix property), and its own QR returns it unchanged.
     """
     protocol = _resolve_protocol(params, protocol)
     prop = build_propagator(params, mode)
     n = params.n_sites
     lengths = np.arange(1, n)
+    # a chunk holds its rows, their QR copy, R and the per-cut temporaries
+    grid = _GridRows(prop, np.arange(2 * n), protocol, stacks=8)
 
     def sample(k0: int, k1: int) -> np.ndarray:
-        out = np.empty((k1 - k0, n - 1))
-        for i, t in enumerate(protocol.times(k0, k1)):
-            w_mat = prop.entropy_map(t)
-            for j, l in enumerate(lengths):
-                out[i, j] = subsystem_entropy_from_rows(w_mat[: 2 * l])
-        return out
+        r_mat = np.linalg.qr(np.swapaxes(grid(k0, k1), -1, -2), mode="r")
+        return np.stack([subsystem_entropy_from_rows(np.swapaxes(r_mat[:, :2 * l, :2 * l], -1, -2))
+                         for l in lengths], axis=1)
 
-    values, converged = _converge_series(sample, protocol)
-    means = values.mean(axis=0)
-    stderrs = values.std(axis=0, ddof=1) / math.sqrt(values.shape[0])
+    values, converged = _converge_series(sample, protocol, grid.chunk)
     curve = PageCurve(
         lengths=lengths,
-        entropies=means,
-        stderrs=stderrs,
+        entropies=values.mean(axis=0),
+        stderrs=values.std(axis=0, ddof=1) / math.sqrt(values.shape[0]),
         n_samples=values.shape[0],
         converged=converged,
+        anchor_discrepancy=grid.max_discrepancy,
     )
     if not converged:
         raise NonConvergence(

@@ -1,8 +1,10 @@
 """Command-line runner: config parsing, determinism, resume, exit codes."""
 import json
+import os
 
 import pytest
 
+from bkc import cli
 from bkc.analytics import s1_prediction
 from bkc.cli import main, parse_config
 from bkc.errors import ConfigError
@@ -143,6 +145,11 @@ def test_figures_products_skip_critical_fourpoint(tmp_path):
     manifest = json.loads((tmp_path / "f" / "figures.manifest.json").read_text())
     skipped = [run for run in manifest["runs"] if run["subsystem"] == "skipped"]
     assert len(skipped) == 1
+    measured = [run for run in manifest["runs"] if run["subsystem"] != "skipped"]
+    assert len(measured) == 5 and all(run["seconds"] > 0.0 for run in measured)
+    gaps = {run["route"]: run["anchor_discrepancy"] for run in manifest["runs"]
+            if run["subsystem"] == "page"}
+    assert gaps["frame"] == 0.0 and 0.0 <= gaps["lab"] <= 1e-8
 
 
 def test_exit_codes(tmp_path):
@@ -189,3 +196,55 @@ def test_anchor_discrepancy_in_manifest_not_csv(tmp_path):
     gaps = {run["route"]: run["anchor_discrepancy"] for run in runs}
     assert gaps["frame"] == 0.0
     assert 0.0 <= gaps["lab"] <= 1e-8
+
+
+def test_capped_sweep_stays_unconverged_on_rerun(tmp_path):
+    capped = _write_cfg(tmp_path, g="0.1", n="8", out=tmp_path / "cap",
+                        protocol_initial_samples="5", protocol_batch_samples="5",
+                        protocol_max_samples="5", protocol_rel_threshold="1e-12")
+    assert main(["sweep", "--config", capped]) == 2
+    first = (tmp_path / "cap" / "sweep.csv").read_bytes()
+    # the manifest records the row as not converged, so the rerun samples it again
+    assert main(["sweep", "--config", capped]) == 2
+    assert (tmp_path / "cap" / "sweep.csv").read_bytes() == first
+    runs = json.loads((tmp_path / "cap" / "sweep.manifest.json").read_text())["runs"]
+    assert [(run["route"], run["converged"]) for run in runs] == [("frame", False)]
+
+
+def test_interrupted_sweep_keeps_finished_points(tmp_path, monkeypatch):
+    cfg = _write_cfg(tmp_path, g="0.1,0.2", n="8", out=tmp_path / "k", **_FAST)
+    out = tmp_path / "k"
+    real = cli._sweep_point
+    calls = []
+
+    def killed_at_second_point(task):
+        calls.append(task)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return real(task)
+
+    monkeypatch.setattr(cli, "_sweep_point", killed_at_second_point)
+    with pytest.raises(KeyboardInterrupt):
+        main(["sweep", "--config", cfg])
+    lines = (out / "sweep.csv").read_text().splitlines()
+    assert len(lines) == 2 and lines[1].startswith("0.10000000000000001,8,site:4,")
+    assert sorted(path.name for path in out.iterdir()) == ["sweep.csv", "sweep.manifest.json"]
+
+    monkeypatch.setattr(cli, "_sweep_point", real)
+    assert main(["sweep", "--config", cfg]) == 0
+    runs = json.loads((out / "sweep.manifest.json").read_text())["runs"]
+    assert [(run["g"], run["route"]) for run in runs] == [(0.1, "resumed"), (0.2, "frame")]
+    fresh = _write_cfg(tmp_path, name="fresh.cfg", g="0.1,0.2", n="8",
+                       out=tmp_path / "fresh", **_FAST)
+    assert main(["sweep", "--config", fresh]) == 0
+    assert (out / "sweep.csv").read_bytes() == (tmp_path / "fresh" / "sweep.csv").read_bytes()
+
+
+def test_pool_workers_start_with_one_blas_thread(monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    with cli._worker_pool(2) as pool:
+        seen = pool.map(os.getenv, cli._BLAS_THREAD_VARS)
+    assert seen == ["1", "1", "1"]
+    assert os.environ["OMP_NUM_THREADS"] == "3"
+    assert "OPENBLAS_NUM_THREADS" not in os.environ

@@ -262,6 +262,52 @@ def test_page_curve_consistent_with_scalar_average():
         assert curve.entropies[l - 1] == pytest.approx(scalar.mean, abs=1e-10)
 
 
+@pytest.mark.parametrize("n", [8, 32])
+def test_page_curve_samples_match_per_cut_rows(monkeypatch, n):
+    # one QR of the full map per sample gives every cut through its R block;
+    # the reference factors each cut's own rows W[:2l]
+    p = _params(0.2, n)
+    proto = AveragingProtocol.for_params(p, initial_samples=40, batch_samples=20,
+                                         max_samples=80, rel_threshold=1.0)
+    loop, seen = dynamics._converge_series, []
+
+    def keep(*args):
+        seen.append(loop(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(dynamics, "_converge_series", keep)
+    curve = page_curve(p, proto)
+    values = seen[0][0]
+    prop = build_propagator(p)
+    ref = np.array([[subsystem_entropy_from_rows(w_map[:2 * l]) for l in range(1, n)]
+                    for w_map in map(prop.entropy_map, proto.times(0, curve.n_samples))])
+    assert values.shape == (40, n - 1)
+    assert np.max(np.abs(values - ref) / np.abs(ref)) <= 1e-13
+    assert curve.anchor_discrepancy == 0.0
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_critical_page_curve_matches_dense_expm(n):
+    p = _params(0.25, n)
+    proto = AveragingProtocol.for_params(p, initial_samples=120, batch_samples=60,
+                                         max_samples=240, rel_threshold=1e-3)
+    prop = build_propagator(p)
+    assert prop.mode is PropagationMode.LAB_EXPONENTIAL
+    dense = np.array([[subsystem_entropy_from_rows(lab_map[:2 * l]) for l in range(1, n)]
+                      for lab_map in map(prop.symplectic, proto.times(0, proto.max_samples))])
+    ref, ref_converged = dynamics._converge_series(lambda k0, k1: dense[k0:k1], proto)
+    try:
+        curve = page_curve(p, proto)
+    except NonConvergence as exc:
+        curve = exc.result
+    assert curve.n_samples == ref.shape[0] and curve.converged == ref_converged
+    # relative to the curve's peak: the stepping error enters through the
+    # near-pure modes of a block, so it is absolute and largest at l = N - 1
+    mean = ref.mean(axis=0)
+    assert np.max(np.abs(curve.entropies - mean)) <= 1e-10 * mean.max()
+    assert 0.0 < curve.anchor_discrepancy <= 1e-8
+
+
 def test_profiles_against_exact_dephasing():
     p = _params(0.1, 10)
     proto = AveragingProtocol.for_params(p, rel_threshold=5e-3, max_samples=60000)
@@ -320,6 +366,8 @@ def test_corrupted_step_matrix_fails_at_next_anchor(monkeypatch):
                         lambda self, dt: exact(self, dt) * (1.0 + 1e-6))
     with pytest.raises(NumericalFailure, match="grid index 30"):
         time_averaged_entropy(p, [3], proto)
+    with pytest.raises(NumericalFailure, match="grid index 30"):
+        page_curve(p, proto)
 
 
 def test_chunk_budget_of_one_sample_changes_nothing(monkeypatch):
@@ -330,7 +378,16 @@ def test_chunk_budget_of_one_sample_changes_nothing(monkeypatch):
     for p, cut in cases:
         proto = AveragingProtocol.for_params(p, **proto_kw)
         chunked.append(time_series(p, cut, subsystem_entropy_from_rows, proto))
+    # at N = 32 a page chunk holds 16 samples, so the reference spans several
+    page_params = _params(0.2, 32)
+    page_proto = AveragingProtocol.for_params(page_params, initial_samples=60,
+                                              rel_threshold=1.0)
+    page = page_curve(page_params, page_proto)
     monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 1)
+    one_page = page_curve(page_params, page_proto)
+    assert one_page.n_samples == page.n_samples
+    assert np.max(np.abs(one_page.entropies - page.entropies) / page.entropies) <= 1e-14
+    assert np.max(np.abs(one_page.stderrs - page.stderrs) / page.stderrs) <= 1e-14
     for (p, cut), ref in zip(cases, chunked):
         proto = AveragingProtocol.for_params(p, **proto_kw)
         one = time_series(p, cut, subsystem_entropy_from_rows, proto)
@@ -339,6 +396,19 @@ def test_chunk_budget_of_one_sample_changes_nothing(monkeypatch):
         # so the stepped values differ from it by the stepping error
         rtol = 1e-10 if p.g == p.delta else 1e-14
         assert np.max(np.abs(one.values - ref.values) / np.abs(ref.values)) <= rtol
+
+
+@pytest.mark.parametrize("n", [8, 64, 256])
+def test_rotated_map_matches_paired_row_formula(n):
+    prop = build_propagator(_params(0.3, n))
+    top, bot = prop.mode_map[0::2], prop.mode_map[1::2]
+    for t in (0.0, 1.3, *AveragingProtocol.for_params(prop.params).times(0, 4), 1e4):
+        cos_t = np.cos(prop.frequencies * t)[:, None]
+        sin_t = np.sin(prop.frequencies * t)[:, None]
+        expected = np.empty_like(prop.mode_map)
+        expected[0::2] = cos_t * top + sin_t * bot
+        expected[1::2] = cos_t * bot - sin_t * top
+        assert np.array_equal(prop._rotated_map(t), expected)
 
 
 def test_entropy_rows_stack_matches_scalar_calls():
