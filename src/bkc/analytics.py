@@ -169,6 +169,11 @@ def s1_prediction(params: ModelParams) -> float:
     The slope 1/15 in x = (delta^2 - g^2) N^2 / w^2 is the |x| << 1 limit of
     0.5 ln nu_bar^2 (up to the (N+1)^2 / N^2 factor); across a window that
     spans |x| of tens the fitted slope of that form is smaller.
+
+    The prediction is not continuous at the non-reciprocal handover x = 42:
+    ln nu_bar omits an O(1) remainder (+0.22 at g = 0.24), so crossing it
+    drops the value by 0.40, 0.44, 0.46 and 0.49 at N = 64, 96, 128 and 256
+    while the measured entropy is smooth in g.
     """
     n = params.n_sites
     window = abs(params.g ** 2 - params.delta ** 2) * n ** 2 / params.w ** 2

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -41,7 +42,7 @@ from .errors import (
     NonConvergence,
 )
 from .fourpoint import epsilon4, log_correction
-from .gaussian import local_decompose, thermal_entropy
+from .gaussian import local_decompose
 from .model import ModelParams, PhaseRegime, classify_phase
 
 SWEEP_FIELDS = ("g", "N", "subsystem", "S_mean", "stderr", "n_samples")
@@ -165,22 +166,26 @@ def _route(params: ModelParams) -> str:
     return "lab" if classify_phase(params) is PhaseRegime.CRITICAL else "frame"
 
 
-def _page_rows(params: ModelParams, protocol: AveragingProtocol) -> list[dict]:
-    """Page curve of one grid point as sweep rows, one per cut l = 1..N-1."""
+def _run_average(average, *args) -> tuple[object, bool, float]:
+    """``average(*args)``, whether it converged (else the partial result) and its seconds."""
     started = time.perf_counter()
     try:
-        curve = page_curve(params, protocol)
-        converged = True
+        result, converged = average(*args), True
     except NonConvergence as exc:
-        curve = exc.result
-        converged = False
-    seconds = (time.perf_counter() - started) / curve.lengths.size
+        result, converged = exc.result, False
+    return result, converged, time.perf_counter() - started
+
+
+def _page_rows(params: ModelParams, protocol: AveragingProtocol) -> list[dict]:
+    """Page curve of one grid point as sweep rows, one per cut l = 1..N-1."""
+    curve, converged, seconds = _run_average(page_curve, params, protocol)
     return [{
         "g": params.g, "N": params.n_sites, "subsystem": f"left:{int(l)}",
         "S_mean": float(s_mean), "stderr": float(err),
         "n_samples": int(curve.n_samples), "converged": converged,
         "anchor_discrepancy": curve.anchor_discrepancy,
-        "route": _route(params), "seconds": seconds,
+        "protocol": dataclasses.asdict(protocol),
+        "route": _route(params), "seconds": seconds / curve.lengths.size,
     } for l, s_mean, err in zip(curve.lengths, curve.entropies, curve.stderrs)]
 
 
@@ -193,19 +198,14 @@ def _sweep_point(task) -> list[dict]:
         return _page_rows(params, protocol)
     rows = []
     for label, sites in _subsystems(cfg, params):
-        started = time.perf_counter()
-        try:
-            result = time_averaged_entropy(params, sites, protocol)
-            converged = True
-        except NonConvergence as exc:
-            result = exc.result
-            converged = False
+        result, converged, seconds = _run_average(time_averaged_entropy, params, sites, protocol)
         rows.append({
             "g": g, "N": n, "subsystem": label,
             "S_mean": result.mean, "stderr": result.stderr,
             "n_samples": result.n_samples, "converged": converged,
             "anchor_discrepancy": result.anchor_discrepancy,
-            "route": _route(params), "seconds": time.perf_counter() - started,
+            "protocol": dataclasses.asdict(protocol),
+            "route": _route(params), "seconds": seconds,
         })
     return rows
 
@@ -231,13 +231,13 @@ def _existing_rows(path: Path) -> dict[tuple, dict]:
     return rows
 
 
-def _converged_keys(manifest_path: Path) -> set[tuple]:
-    """(g, N, subsystem) of every run a previous sweep manifest records as converged."""
+def _recorded_runs(manifest_path: Path) -> dict[tuple, dict]:
+    """Run entries of a previous sweep manifest by (g, N, subsystem); empty if unreadable."""
     try:
         runs = json.loads(manifest_path.read_text())["runs"]
-        return {(run["g"], run["N"], run["subsystem"]) for run in runs if run["converged"]}
+        return {(run["g"], run["N"], run["subsystem"]): run for run in runs}
     except (OSError, ValueError, KeyError, TypeError):
-        return set()
+        return {}
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -267,7 +267,7 @@ def _write_manifest(path: Path, command: str, cfg: dict[str, str], rows: list[di
         "rows": len(rows),
         "runs": [
             {k: row[k] for k in ("g", "N", "subsystem", "converged", "route", "seconds",
-                                 "anchor_discrepancy")
+                                 "anchor_discrepancy", "protocol")
              if k in row}
             for row in sorted(rows, key=lambda r: (r["N"], r["g"], r.get("subsystem", "")))
         ],
@@ -309,21 +309,27 @@ def cmd_sweep(cfg: dict[str, str]) -> int:
     """Numeric time-averaged entropies over the configured grid.
 
     Rows of an earlier run in the same directory are reused only where its
-    manifest records them as converged; the CSV and manifest are rewritten
-    after every grid point.
+    manifest records them as converged under the sampling protocol this
+    config resolves for their point; a reused row keeps its recorded
+    protocol and anchor gap. The CSV and manifest are rewritten after every
+    grid point.
     """
     started = time.time()
     out = _out_dir(cfg)
     csv_path = out / "sweep.csv"
     manifest_path = out / "sweep.manifest.json"
     rows = _existing_rows(csv_path)
-    finished = _converged_keys(manifest_path)
+    recorded = _recorded_runs(manifest_path)
     for key, row in rows.items():
-        row["converged"] = key in finished
+        run = recorded.get(key, {})
+        row["converged"] = run.get("converged") is True
+        row.update((k, run[k]) for k in ("anchor_discrepancy", "protocol") if k in run)
     tasks = []
     for params in _grid(cfg):
+        protocol = dataclasses.asdict(_protocol_for(params, cfg))
         wanted = [(params.g, params.n_sites, label) for label, _ in _subsystems(cfg, params)]
-        if all(key in rows and rows[key]["converged"] for key in wanted):
+        if all(key in rows and rows[key]["converged"] and rows[key].get("protocol") == protocol
+               for key in wanted):
             continue
         tasks.append((cfg, params.w, params.delta, params.g, params.n_sites))
 
@@ -407,7 +413,7 @@ def cmd_collapse(cfg: dict[str, str], input_csv: str) -> int:
             _fmt(result.x[i]), _fmt(result.y[i]),
             _fmt(result.g_values[i]), str(int(result.n_values[i])),
         ]))
-    csv_path.write_text("\n".join(lines) + "\n")
+    _write_atomic(csv_path, "\n".join(lines) + "\n")
     _write_manifest(
         out / "collapse.manifest.json", "collapse", cfg, [], started,
         extra={"input": str(input_csv), "nu_exp": nu_exp, "kind": kind,
@@ -420,28 +426,20 @@ def _figure_profiles(cfg: dict[str, str], out: Path) -> tuple[list[dict], bool]:
     lines = ["g,N,site,entropy,stderr,occupation,pair_abs,s_thermal,beta,z,n_samples"]
     meta, ok = [], True
     for params in _grid(cfg):
-        protocol = _protocol_for(params, cfg)
-        started = time.perf_counter()
-        try:
-            prof = profiles(params, protocol)
-            converged = True
-        except NonConvergence as exc:
-            prof = exc.result
-            converged = False
-            ok = False
-        for j in range(params.n_sites):
+        prof, converged, seconds = _run_average(profiles, params, _protocol_for(params, cfg))
+        ok = ok and converged
+        for j, s_thermal in enumerate(prof.thermal_entropies()):
             decomp = local_decompose(prof.mean_blocks[j])
             lines.append(",".join([
                 _fmt(params.g), str(params.n_sites), str(j),
                 _fmt(prof.entropies[j]), _fmt(prof.stderrs[j]),
                 _fmt(prof.occupations[j]), _fmt(abs(prof.pair_amplitudes[j])),
-                _fmt(thermal_entropy(max(prof.occupations[j], 1e-300))),
-                _fmt(decomp.beta), _fmt(decomp.z), str(prof.n_samples),
+                _fmt(s_thermal), _fmt(decomp.beta), _fmt(decomp.z), str(prof.n_samples),
             ]))
         meta.append({"g": params.g, "N": params.n_sites, "subsystem": "profiles",
-                     "converged": converged, "route": _route(params),
-                     "seconds": time.perf_counter() - started})
-    (out / "profiles.csv").write_text("\n".join(lines) + "\n")
+                     "converged": converged, "route": _route(params), "seconds": seconds,
+                     "anchor_discrepancy": prof.anchor_discrepancy})
+    _write_atomic(out / "profiles.csv", "\n".join(lines) + "\n")
     return meta, ok
 
 
@@ -461,7 +459,7 @@ def _figure_page(cfg: dict[str, str], out: Path) -> tuple[list[dict], bool]:
                      "converged": first["converged"], "route": first["route"],
                      "seconds": sum(row["seconds"] for row in rows),
                      "anchor_discrepancy": first["anchor_discrepancy"]})
-    (out / "page.csv").write_text("\n".join(lines) + "\n")
+    _write_atomic(out / "page.csv", "\n".join(lines) + "\n")
     return meta, ok
 
 
@@ -486,7 +484,7 @@ def _figure_fourpoint(cfg: dict[str, str], out: Path) -> tuple[list[dict], bool]
         meta.append({"g": params.g, "N": params.n_sites, "subsystem": f"site:{site}",
                      "converged": True, "route": "sums",
                      "seconds": time.perf_counter() - started})
-    (out / "fourpoint.csv").write_text("\n".join(lines) + "\n")
+    _write_atomic(out / "fourpoint.csv", "\n".join(lines) + "\n")
     if skipped:
         meta.append({"g": float("nan"), "N": 0, "subsystem": "skipped",
                      "converged": True, "route": json.dumps(skipped), "seconds": 0.0})

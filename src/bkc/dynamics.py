@@ -14,10 +14,13 @@ Two interchangeable propagation routes:
   rows(t_{k+1}) = rows(t_k) expm(M dt), from one fresh expm anchor per
   chunk of grid indices.
 
-Averages draw their samples in chunks of consecutive grid indices: a chunk
-holds at most ``_CHUNK_BYTES`` of map rows and never crosses a convergence
-check, and each chunk is one stacked call for the rows and one for their
-entropies.
+Every average (``time_series``, ``page_curve``, ``profiles``) draws its
+samples through one sampler, in chunks of consecutive grid indices: a chunk
+holds at most ``_CHUNK_BYTES`` of entropy-map rows (and the arrays that
+reducing them needs) and never crosses a convergence check, and each chunk
+is one stacked call for the rows and one batched factorization for their
+entropies. Page curves and site profiles take all 2N rows; outside the
+lab-route anchors no average builds the full map S(t).
 
 The covariance of the evolved vacuum is sigma(t) = S(t) S(t)^T.
 """
@@ -237,33 +240,24 @@ class Propagator:
 
     def subsystem_rows(self, t: float, rows: np.ndarray) -> np.ndarray:
         """Rows of S(t) for the quadratures listed in ``rows``."""
-        if t == 0.0:
-            return np.eye(2 * self.params.n_sites)[rows]
-        if self.mode is PropagationMode.FRAME_EXACT:
-            block = self.mode_map_inv[rows] @ self._rotated_map(t)
-            return _check_finite(block, t)
         return self.symplectic(t)[rows]
 
     def entropy_map(self, t: float) -> np.ndarray:
-        """Quadrature map whose state has the same subsystem entropies as S(t).
-
-        The frame route returns W(t) = Psi2^T B(t) G, i.e. the evolved state
-        written in the squeezing frame. Site blocks of W W^T differ from the
-        lab ones only by per-site symplectic factors, which leave every
-        whole-site subsystem entropy unchanged but strip the e^{r (j - j0)}
-        local-squeezing amplification. Without that rescaling the lab-frame
-        site blocks at large N carry entries so far above the symplectic
-        eigenvalues that the eigensolver's floating-point floor swallows the
-        entropy entirely.
-        """
-        if self.mode is not PropagationMode.FRAME_EXACT:
-            return self.symplectic(t)
-        if t == 0.0:
-            return self.frame.matrix()
-        return _check_finite(self._psi2.T @ self._rotated_map(t), t)
+        """Every row of entropy_rows(t); see that method for the frame choice."""
+        return self.entropy_rows(t, np.arange(2 * self.params.n_sites))
 
     def entropy_rows(self, t, rows: np.ndarray, dt: float | None = None) -> np.ndarray:
-        """Rows of entropy_map(t); see that method for the frame choice.
+        """Rows of a quadrature map whose state has the subsystem entropies of S(t).
+
+        The frame route returns rows of W(t) = Psi2^T B(t) G = F S(t), i.e.
+        the evolved state written in the squeezing frame F. Site blocks of
+        W W^T differ from the lab ones only by per-site symplectic factors,
+        which leave every whole-site subsystem entropy unchanged but strip
+        the e^{r (j - j0)} local-squeezing amplification. Without that
+        rescaling the lab-frame site blocks at large N carry entries so far
+        above the symplectic eigenvalues that the eigensolver's
+        floating-point floor swallows the entropy entirely. The lab route
+        returns rows of S(t) itself.
 
         ``t`` may also be a 1-D array of K times, which gives a K x 2l x 2N
         stack. On the frame route a single site rotates its 2 x 2N factor
@@ -274,7 +268,7 @@ class Propagator:
         """
         if np.ndim(t) == 0:
             if self.mode is not PropagationMode.FRAME_EXACT:
-                return self.subsystem_rows(t, rows)
+                return self.symplectic(t)[rows]
             if t == 0.0:
                 return self.frame.matrix()[rows]
             return _check_finite(self._psi2.T[rows] @ self._rotated_map(t), t)
@@ -319,14 +313,11 @@ def lab_exponential_evolve(params: ModelParams, t: float) -> CovarianceMatrix:
     return evolve(params, t, PropagationMode.LAB_EXPONENTIAL)
 
 
-def _resolve_protocol(params: ModelParams, protocol: AveragingProtocol | None) -> AveragingProtocol:
-    return AveragingProtocol.for_params(params) if protocol is None else protocol
-
-
-def _standard_error(values: np.ndarray) -> float:
-    if values.size < 2:
-        return math.inf
-    return float(values.std(ddof=1) / math.sqrt(values.size))
+def _standard_error(values: np.ndarray) -> np.ndarray:
+    """Standard error of the mean along axis 0; inf with fewer than two samples."""
+    if values.shape[0] < 2:
+        return np.full(values.shape[1:], math.inf)
+    return values.std(axis=0, ddof=1) / math.sqrt(values.shape[0])
 
 
 def _converge_series(sample, protocol: AveragingProtocol,
@@ -391,6 +382,25 @@ class _GridRows:
         return stack
 
 
+def _sample(params: ModelParams, subsystem, reduce, protocol: AveragingProtocol | None,
+            mode: PropagationMode | None, stacks: int = 2) -> tuple[np.ndarray, bool, float]:
+    """Sampler behind every average: ``reduce`` of the subsystem's rows on the grid.
+
+    ``reduce`` maps a K x 2l x 2N stack of entropy-map rows to K values (a
+    scalar or an array each); ``stacks`` is as in _GridRows. Returns the
+    values, whether they converged and the largest anchor gap.
+    """
+    if protocol is None:
+        protocol = AveragingProtocol.for_params(params)
+    rows = quadrature_indices(subsystem, params.n_sites)
+    if rows.size == 0:
+        raise ValueError("subsystem must contain at least one site")
+    grid = _GridRows(build_propagator(params, mode), rows, protocol, stacks)
+    values, converged = _converge_series(lambda k0, k1: reduce(grid(k0, k1)), protocol,
+                                         grid.chunk)
+    return values, converged, grid.max_discrepancy
+
+
 def time_series(
     params: ModelParams,
     subsystem,
@@ -403,17 +413,10 @@ def time_series(
     ``reduce`` maps a K x 2l x 2N stack of rows to K values. Sampling
     follows the protocol; the result says whether it converged.
     """
-    protocol = _resolve_protocol(params, protocol)
-    prop = build_propagator(params, mode)
-    rows = quadrature_indices(subsystem, params.n_sites)
-    if rows.size == 0:
-        raise ValueError("subsystem must contain at least one site")
-    grid = _GridRows(prop, rows, protocol)
-    values, converged = _converge_series(lambda k0, k1: reduce(grid(k0, k1)), protocol,
-                                         grid.chunk)
-    return TimeAverageResult(mean=float(values.mean()), stderr=_standard_error(values),
+    values, converged, gap = _sample(params, subsystem, reduce, protocol, mode)
+    return TimeAverageResult(mean=float(values.mean()), stderr=float(_standard_error(values)),
                              n_samples=int(values.size), converged=converged, values=values,
-                             anchor_discrepancy=grid.max_discrepancy)
+                             anchor_discrepancy=gap)
 
 
 def time_averaged_entropy(
@@ -482,27 +485,19 @@ def page_curve(
     W^T = Q R, serves every cut: R[:2l, :2l]^T has the Gram matrix of W[:2l]
     (QR column-prefix property), and its own QR returns it unchanged.
     """
-    protocol = _resolve_protocol(params, protocol)
-    prop = build_propagator(params, mode)
     n = params.n_sites
     lengths = np.arange(1, n)
-    # a chunk holds its rows, their QR copy, R and the per-cut temporaries
-    grid = _GridRows(prop, np.arange(2 * n), protocol, stacks=8)
 
-    def sample(k0: int, k1: int) -> np.ndarray:
-        r_mat = np.linalg.qr(np.swapaxes(grid(k0, k1), -1, -2), mode="r")
+    def reduce(stack: np.ndarray) -> np.ndarray:
+        r_mat = np.linalg.qr(np.swapaxes(stack, -1, -2), mode="r")
         return np.stack([subsystem_entropy_from_rows(np.swapaxes(r_mat[:, :2 * l, :2 * l], -1, -2))
                          for l in lengths], axis=1)
 
-    values, converged = _converge_series(sample, protocol, grid.chunk)
-    curve = PageCurve(
-        lengths=lengths,
-        entropies=values.mean(axis=0),
-        stderrs=values.std(axis=0, ddof=1) / math.sqrt(values.shape[0]),
-        n_samples=values.shape[0],
-        converged=converged,
-        anchor_discrepancy=grid.max_discrepancy,
-    )
+    # a chunk holds its rows, their QR copy, R and the per-cut temporaries
+    values, converged, gap = _sample(params, range(n), reduce, protocol, mode, stacks=8)
+    curve = PageCurve(lengths=lengths, entropies=values.mean(axis=0),
+                      stderrs=_standard_error(values), n_samples=values.shape[0],
+                      converged=converged, anchor_discrepancy=gap)
     if not converged:
         raise NonConvergence(
             f"page curve not converged after {values.shape[0]} samples", result=curve
@@ -516,6 +511,7 @@ class SiteProfiles:
 
     ``occupations`` and ``pair_amplitudes`` are the site correlators of the
     time-averaged covariance; ``mean_blocks`` holds its 2x2 site blocks.
+    ``anchor_discrepancy`` is as on TimeAverageResult.
     """
 
     entropies: np.ndarray
@@ -525,6 +521,7 @@ class SiteProfiles:
     mean_blocks: np.ndarray
     n_samples: int
     converged: bool
+    anchor_discrepancy: float = field(default=0.0, repr=False)
 
     def thermal_entropies(self) -> np.ndarray:
         """Thermal proxy per site: entropy of a thermal mode at the same density.
@@ -532,9 +529,9 @@ class SiteProfiles:
         The densities are the lab-frame occupations of the time-averaged
         covariance. Entropy is concave and a thermal mode has the largest
         entropy at a given occupation, so the proxy bounds the time-averaged
-        ``entropies`` from above at every site; deep in the non-reciprocal phase the occupations follow the
-        e^(2r|j - j0|) squeezing profile and the proxy rises by 2r per site
-        away from the frame centre j0.
+        ``entropies`` from above at every site; deep in the non-reciprocal
+        phase the occupations follow the e^(2r|j - j0|) squeezing profile
+        and the proxy rises by 2r per site away from the frame centre j0.
         """
         return np.array([thermal_entropy(max(n, 0.0)) for n in self.occupations])
 
@@ -544,37 +541,36 @@ def profiles(
     protocol: AveragingProtocol | None = None,
     mode: PropagationMode | None = None,
 ) -> SiteProfiles:
-    """Single-site entropy and averaged correlators for every site."""
-    protocol = _resolve_protocol(params, protocol)
-    prop = build_propagator(params, mode)
+    """Single-site entropy and averaged correlators for every site.
+
+    Each chunk of entropy maps W gives the site entropies in one batched
+    factorization and adds its site Gram blocks W_j W_j^T into one sum. On
+    the frame route W = F S, so the averaged lab blocks F_j^-1 Xbar_j F_j^-T
+    are mapped once from the averaged Gram Xbar_j, which keeps more digits
+    than mapping every sample's rows to the lab frame first.
+    """
     n = params.n_sites
-    block_sums = np.zeros((n, 2, 2))
+    gram_sum = np.zeros((n, 2, 2))
 
-    def sample(k0: int, k1: int) -> np.ndarray:
-        out = np.empty((k1 - k0, n))
-        for i, t in enumerate(protocol.times(k0, k1)):
-            site_rows = prop.symplectic(t).reshape(n, 2, 2 * n)
-            block_sums[:] += site_rows @ site_rows.transpose(0, 2, 1)
-            out[i] = subsystem_entropy_from_rows(prop.entropy_map(t).reshape(n, 2, 2 * n))
-        return out
+    def reduce(stack: np.ndarray) -> np.ndarray:
+        site_rows = stack.reshape(-1, n, 2, 2 * n)
+        gram_sum[:] += np.einsum("knar,knbr->nab", site_rows, site_rows)
+        return subsystem_entropy_from_rows(stack.reshape(-1, 2, 2 * n)).reshape(-1, n)
 
-    values, converged = _converge_series(sample, protocol)
-    means = values.mean(axis=0)
-    stderrs = values.std(axis=0, ddof=1) / math.sqrt(values.shape[0])
-    mean_blocks = block_sums / values.shape[0]
+    values, converged, gap = _sample(params, range(n), reduce, protocol, mode)
+    mean_blocks = gram_sum / values.shape[0]
+    frame = build_propagator(params, mode).frame
+    if frame is not None:
+        inverse = frame.inverse_factors()
+        mean_blocks = inverse @ mean_blocks @ inverse.transpose(0, 2, 1)
     occs = np.empty(n)
     pairs = np.empty(n, dtype=complex)
     for j in range(n):
         occs[j], pairs[j] = site_correlators(mean_blocks[j], 0)
-    result = SiteProfiles(
-        entropies=means,
-        stderrs=stderrs,
-        occupations=occs,
-        pair_amplitudes=pairs,
-        mean_blocks=mean_blocks,
-        n_samples=values.shape[0],
-        converged=converged,
-    )
+    result = SiteProfiles(entropies=values.mean(axis=0), stderrs=_standard_error(values),
+                          occupations=occs, pair_amplitudes=pairs, mean_blocks=mean_blocks,
+                          n_samples=values.shape[0], converged=converged,
+                          anchor_discrepancy=gap)
     if not converged:
         raise NonConvergence(
             f"site profiles not converged after {values.shape[0]} samples", result=result

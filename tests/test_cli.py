@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from bkc import cli
+from bkc import cli, dynamics
 from bkc.analytics import s1_prediction
 from bkc.cli import main, parse_config
 from bkc.errors import ConfigError
@@ -116,6 +116,7 @@ def test_collapse_roundtrip_and_missing_reference(tmp_path):
     assert xs == sorted(xs)
     manifest = json.loads((tmp_path / "c" / "collapse.manifest.json").read_text())
     assert "quality" in manifest and manifest["kind"] == "site"
+    assert not list((tmp_path / "c").glob("*.tmp"))
 
     # no g == delta rows: the reference is missing
     bare = _write_cfg(tmp_path, name="bare.cfg", g="0.26", n="8,16",
@@ -147,9 +148,12 @@ def test_figures_products_skip_critical_fourpoint(tmp_path):
     assert len(skipped) == 1
     measured = [run for run in manifest["runs"] if run["subsystem"] != "skipped"]
     assert len(measured) == 5 and all(run["seconds"] > 0.0 for run in measured)
-    gaps = {run["route"]: run["anchor_discrepancy"] for run in manifest["runs"]
-            if run["subsystem"] == "page"}
-    assert gaps["frame"] == 0.0 and 0.0 <= gaps["lab"] <= 1e-8
+    for product in ("page", "profiles"):
+        gaps = {run["route"]: run["anchor_discrepancy"] for run in manifest["runs"]
+                if run["subsystem"] == product}
+        assert gaps["frame"] == 0.0 and 0.0 <= gaps["lab"] <= 1e-8
+    assert not any("anchor" in "\n".join(lines) for lines in (prof, page, four))
+    assert not list((tmp_path / "f").glob("*.tmp"))
 
 
 def test_exit_codes(tmp_path):
@@ -209,6 +213,30 @@ def test_capped_sweep_stays_unconverged_on_rerun(tmp_path):
     assert (tmp_path / "cap" / "sweep.csv").read_bytes() == first
     runs = json.loads((tmp_path / "cap" / "sweep.manifest.json").read_text())["runs"]
     assert [(run["route"], run["converged"]) for run in runs] == [("frame", False)]
+
+
+def test_resume_reuses_rows_only_under_their_protocol(tmp_path, monkeypatch):
+    # one-sample chunks re-anchor the g = Delta rows at every sample
+    monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 1)
+    out = tmp_path / "p"
+    short = _write_cfg(tmp_path, name="short.cfg", g="0.1,0.25", n="8", out=out, **_FAST)
+    assert main(["sweep", "--config", short]) == 0
+    longer = _write_cfg(tmp_path, name="long.cfg", g="0.1,0.25", n="8", out=out,
+                        protocol_initial_samples="60", protocol_rel_threshold="1.0")
+    assert main(["sweep", "--config", longer]) == 0
+    lines = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[-1] for line in lines] == ["60", "60"]
+    runs = json.loads((out / "sweep.manifest.json").read_text())["runs"]
+    assert [run["route"] for run in runs] == ["frame", "lab"]
+    assert [run["protocol"]["initial_samples"] for run in runs] == [60, 60]
+    assert runs[1]["anchor_discrepancy"] > 0.0
+    # the same protocol again: both rows are reused with what they recorded
+    assert main(["sweep", "--config", longer]) == 0
+    resumed = json.loads((out / "sweep.manifest.json").read_text())["runs"]
+    assert [run["route"] for run in resumed] == ["resumed", "resumed"]
+    for run, before in zip(resumed, runs):
+        assert run["protocol"] == before["protocol"]
+        assert run["anchor_discrepancy"] == before["anchor_discrepancy"]
 
 
 def test_interrupted_sweep_keeps_finished_points(tmp_path, monkeypatch):

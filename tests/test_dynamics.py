@@ -325,6 +325,71 @@ def test_profiles_against_exact_dephasing():
     assert prof.stderrs.min() > 0.0
 
 
+def _block_gap(blocks, ref):
+    """Largest entry gap of each 2x2 block relative to that block's largest entry."""
+    return np.max(np.abs(blocks - ref).max(axis=(1, 2)) / np.abs(ref).max(axis=(1, 2)))
+
+
+def _lab_block_mean(maps):
+    """Average of the 2x2 site blocks of S S^T, from the site rows of each map."""
+    n = maps[0].shape[0] // 2
+    return sum(s.reshape(n, 2, -1) @ s.reshape(n, 2, -1).transpose(0, 2, 1)
+               for s in maps) / len(maps)
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_profiles_match_per_time_maps(n):
+    # the oracle takes each time's full maps: entropies from the site blocks
+    # of entropy_map(t), mean blocks from the row Gram sums of symplectic(t)
+    p = _params(0.2, n)
+    proto = AveragingProtocol.for_params(p, initial_samples=90, batch_samples=30,
+                                         max_samples=150, rel_threshold=1.0)
+    prof = profiles(p, proto)
+    prop = build_propagator(p)
+    times = proto.times(0, prof.n_samples)
+    ref = np.array([subsystem_entropy_from_rows(prop.entropy_map(t).reshape(n, 2, 2 * n))
+                    for t in times])
+    assert prof.n_samples == 90
+    assert np.max(np.abs(prof.entropies - ref.mean(axis=0)) / ref.mean(axis=0)) <= 1e-13
+    err = ref.std(axis=0, ddof=1) / math.sqrt(times.size)
+    assert np.max(np.abs(prof.stderrs - err) / err) <= 1e-13
+    lab_blocks = _lab_block_mean([prop.symplectic(t) for t in times])
+    assert _block_gap(prof.mean_blocks, lab_blocks) <= 1e-13
+    assert prof.anchor_discrepancy == 0.0
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_critical_profiles_match_dense_expm(n):
+    p = _params(0.25, n)
+    proto = AveragingProtocol.for_params(p, initial_samples=120, batch_samples=60,
+                                         max_samples=240, rel_threshold=1e-3)
+    prop = build_propagator(p)
+    maps = [prop.symplectic(t) for t in proto.times(0, proto.max_samples)]
+    dense = np.array([subsystem_entropy_from_rows(s.reshape(n, 2, 2 * n)) for s in maps])
+    ref, ref_converged = dynamics._converge_series(lambda k0, k1: dense[k0:k1], proto)
+    try:
+        prof = profiles(p, proto)
+    except NonConvergence as exc:
+        prof = exc.result
+    assert prof.n_samples == ref.shape[0] and prof.converged == ref_converged
+    assert np.max(np.abs(prof.entropies - ref.mean(axis=0)) / ref.mean(axis=0)) <= 1e-10
+    assert _block_gap(prof.mean_blocks, _lab_block_mean(maps[:ref.shape[0]])) <= 1e-10
+    assert 0.0 < prof.anchor_discrepancy <= 1e-8
+
+
+def test_frame_route_averages_never_build_the_lab_map(monkeypatch):
+    def refuse(self, t):
+        raise AssertionError(f"full lab map built at t = {t!r}")
+
+    monkeypatch.setattr(Propagator, "symplectic", refuse)
+    p = _params(0.2, 8)
+    proto = AveragingProtocol.for_params(p, initial_samples=20, rel_threshold=1.0)
+    for cut in ([3], [0, 1, 2]):
+        assert time_series(p, cut, subsystem_entropy_from_rows, proto).n_samples == 20
+    assert page_curve(p, proto).n_samples == 20
+    assert profiles(p, proto).n_samples == 20
+
+
 def test_evolve_at_time_zero_is_vacuum():
     sig = evolve(_params(0.2, 5), 0.0)
     assert np.array_equal(sig.data, np.eye(10))
@@ -368,6 +433,19 @@ def test_corrupted_step_matrix_fails_at_next_anchor(monkeypatch):
         time_averaged_entropy(p, [3], proto)
     with pytest.raises(NumericalFailure, match="grid index 30"):
         page_curve(p, proto)
+    with pytest.raises(NumericalFailure, match="grid index 30"):
+        profiles(p, proto)
+
+
+def _site_profiles_at_16(proto_kw):
+    out = []
+    for g in (0.2, 0.25):
+        p = _params(g, 16)
+        try:
+            out.append((g, profiles(p, AveragingProtocol.for_params(p, **proto_kw))))
+        except NonConvergence as exc:
+            out.append((g, exc.result))
+    return out
 
 
 def test_chunk_budget_of_one_sample_changes_nothing(monkeypatch):
@@ -383,11 +461,18 @@ def test_chunk_budget_of_one_sample_changes_nothing(monkeypatch):
     page_proto = AveragingProtocol.for_params(page_params, initial_samples=60,
                                               rel_threshold=1.0)
     page = page_curve(page_params, page_proto)
+    chunked_profiles = _site_profiles_at_16(proto_kw)
     monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 1)
     one_page = page_curve(page_params, page_proto)
     assert one_page.n_samples == page.n_samples
     assert np.max(np.abs(one_page.entropies - page.entropies) / page.entropies) <= 1e-14
     assert np.max(np.abs(one_page.stderrs - page.stderrs) / page.stderrs) <= 1e-14
+    for (g, one), (_, ref) in zip(_site_profiles_at_16(proto_kw), chunked_profiles):
+        assert one.n_samples == ref.n_samples
+        rtol = 1e-10 if g == 0.25 else 1e-14
+        assert np.max(np.abs(one.entropies - ref.entropies) / ref.entropies) <= rtol
+        assert np.max(np.abs(one.stderrs - ref.stderrs) / ref.stderrs) <= rtol
+        assert _block_gap(one.mean_blocks, ref.mean_blocks) <= rtol
     for (p, cut), ref in zip(cases, chunked):
         proto = AveragingProtocol.for_params(p, **proto_kw)
         one = time_series(p, cut, subsystem_entropy_from_rows, proto)
