@@ -6,13 +6,15 @@ Two interchangeable propagation routes:
   frame, S(t) = G^{-1} B(t) G with B(t) block-diagonal rotations at the
   frequencies J cos(pi n / (N+1)). Cost per sample is O(N^2) and the route
   is available away from g == delta.
-* ``LAB_EXPONENTIAL`` uses scipy's matrix exponential of the
-  equation-of-motion generator M. It works in every regime (including the
-  critical line). A single time gets a dense expm(M t) of its own, which
-  serves as the cross-validation oracle for the frame route. On the
-  averaging grid t_k = t_min + k dt the rows are instead stepped,
-  rows(t_{k+1}) = rows(t_k) expm(M dt), from one fresh expm anchor per
-  chunk of grid indices.
+* ``LAB_EXPONENTIAL`` takes the matrix exponential of the equation-of-motion
+  generator M (Padé-13 scaling and squaring in numpy). It works in every
+  regime (including the critical line). A single time gets a dense
+  expm(M t) of its own, which serves as the cross-validation oracle for the
+  frame route. On the averaging grid t_k = t_min + k dt the rows are
+  instead stepped, rows(t_{k+1}) = rows(t_k) expm(M dt), from one fresh
+  expm anchor per draw (the initial samples, then each batch); the stepped
+  rows must reach the next draw's anchor, and after the last sample one
+  closing anchor, within a 1e-8 relative gap.
 
 Every average (``time_series``, ``page_curve``, ``profiles``) draws its
 samples through one sampler, in chunks of consecutive grid indices: a chunk
@@ -125,8 +127,7 @@ class TimeAverageResult:
     """Converged (or capped) time average of a scalar entanglement quantity.
 
     ``anchor_discrepancy`` is the largest relative gap between stepped rows
-    and a fresh expm anchor (0.0 when no chunk was re-anchored, as on the
-    frame route).
+    and a fresh expm anchor (0.0 on the frame route, which steps nothing).
     """
 
     mean: float
@@ -137,12 +138,53 @@ class TimeAverageResult:
     anchor_discrepancy: float = field(default=0.0, repr=False)
 
 
-def _expm(mat: np.ndarray) -> np.ndarray:
-    # scipy.linalg is imported at the first exponential: frame-route runs
-    # never need it, and importing it is most of the package's import time
-    import scipy.linalg
+# Padé-13 numerator coefficients and the 1-norm up to which r_13(A) is exp(A)
+# to double precision (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
+_PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+            1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+            33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
+_THETA_13 = 5.371920351148152
+# Entries below this are flushed to zero. A GEMM slows by an order of
+# magnitude on subnormal operands and on products that underflow into the
+# subnormal range; the product of two entries above 2^-511 never does. The
+# maps exponentiated here are symplectic (norm >= 1), so what is dropped lies
+# far below rounding.
+_FLUSH_BELOW = 2.0 ** -511
 
-    return scipy.linalg.expm(mat)
+
+def _flush_small(mat: np.ndarray) -> np.ndarray:
+    mag = np.abs(mat)
+    mat[mag < _FLUSH_BELOW] = 0.0
+    return mag
+
+
+def _expm(mat: np.ndarray) -> np.ndarray:
+    """exp(mat) by Padé-13 scaling and squaring, with tiny entries flushed to zero.
+
+    Overflow is left as inf or NaN entries, which _check_finite rejects.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norm = float(np.linalg.norm(mat, 1))
+        if not norm < math.inf:
+            return np.full_like(mat, math.inf)
+        squarings = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
+        a = mat / 2.0 ** squarings
+        b = _PADE_13
+        ident = np.eye(a.shape[0])
+        a2 = a @ a
+        a4 = a2 @ a2
+        a6 = a2 @ a4
+        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
+        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
+        out = np.linalg.solve(v - u, v + u)
+        for _ in range(squarings):
+            if not _flush_small(out).max() < math.inf:
+                break
+            out = out @ out
+        _flush_small(out)
+    return out
 
 
 def _check_finite(arr: np.ndarray, t) -> np.ndarray:
@@ -200,16 +242,16 @@ class Propagator:
         out[..., 1::2] = sin_t * even + cos_t * odd
         return out
 
-    def _stepped_rows(self, times: np.ndarray, rows: np.ndarray,
-                      dt: float | None) -> np.ndarray:
-        """Lab rows on an arithmetic grid, stepped from one expm anchor at times[0]."""
+    def _stepped_rows(self, times: np.ndarray, rows: np.ndarray, dt: float | None,
+                      start: np.ndarray | None) -> np.ndarray:
+        """Lab rows on an arithmetic grid, stepped from ``start`` (the rows at
+        times[0]) or, without it, from a fresh expm anchor at times[0]."""
         scale = max(1.0, abs(times[0]), abs(times[-1]))
         if dt is None or abs(times[-1] - times[0] - (times.size - 1) * dt) > 1e-9 * scale:
             raise ValueError(f"lab-route times need their grid spacing dt, got {dt!r}")
         step = self._step_matrix(dt)
-        anchor = self.symplectic(times[0])[rows]
-        out = np.empty((times.size,) + anchor.shape)
-        out[0] = anchor
+        out = np.empty((times.size, rows.size, step.shape[0]))
+        out[0] = self.symplectic(times[0])[rows] if start is None else start
         for k in range(1, times.size):
             np.matmul(out[k - 1], step, out=out[k])
         return out
@@ -246,7 +288,8 @@ class Propagator:
         """Every row of entropy_rows(t); see that method for the frame choice."""
         return self.entropy_rows(t, np.arange(2 * self.params.n_sites))
 
-    def entropy_rows(self, t, rows: np.ndarray, dt: float | None = None) -> np.ndarray:
+    def entropy_rows(self, t, rows: np.ndarray, dt: float | None = None,
+                     start: np.ndarray | None = None) -> np.ndarray:
         """Rows of a quadrature map whose state has the subsystem entropies of S(t).
 
         The frame route returns rows of W(t) = Psi2^T B(t) G = F S(t), i.e.
@@ -264,7 +307,8 @@ class Propagator:
         Psi2^T[rows] and then takes one product with G for the whole stack;
         larger blocks keep the per-time order Psi2^T[rows] (B(t) G). On the
         lab route the times must be a grid t[k] = t[0] + k dt with ``dt``
-        given, and the stack is stepped from one expm anchor at t[0].
+        given, and the stack is stepped from ``start``, the rows at t[0], or
+        without it from a fresh expm anchor at t[0].
         """
         if np.ndim(t) == 0:
             if self.mode is not PropagationMode.FRAME_EXACT:
@@ -274,7 +318,7 @@ class Propagator:
             return _check_finite(self._psi2.T[rows] @ self._rotated_map(t), t)
         times = np.asarray(t, dtype=float)
         if self.mode is not PropagationMode.FRAME_EXACT:
-            stack = self._stepped_rows(times, rows, dt)
+            stack = self._stepped_rows(times, rows, dt, start)
         elif rows.size == 2:
             rotated = self._rotated_factor(self._psi2.T[rows], times)
             flat = rotated.reshape(-1, rotated.shape[-1]) @ self.mode_map
@@ -320,22 +364,19 @@ def _standard_error(values: np.ndarray) -> np.ndarray:
     return values.std(axis=0, ddof=1) / math.sqrt(values.shape[0])
 
 
-def _converge_series(sample, protocol: AveragingProtocol,
-                     chunk: int | None = None) -> tuple[np.ndarray, bool]:
+def _converge_series(sample, protocol: AveragingProtocol) -> tuple[np.ndarray, bool]:
     """Extend the series batchwise until every component meets the protocol target.
 
     ``sample(k0, k1)`` returns the values at grid indices k0 <= k < k1
-    along axis 0, a scalar or a vector per index. Draws span at most
-    ``chunk`` indices and never cross a convergence check.
+    along axis 0, a scalar or a vector per index. Each call is one draw:
+    the initial samples, then one batch per failed convergence check.
     """
     parts: list[np.ndarray] = []
     drawn = 0
     target = protocol.initial_samples
     while True:
-        while drawn < target:
-            stop = target if chunk is None else min(target, drawn + chunk)
-            parts.append(sample(drawn, stop))
-            drawn = stop
+        parts.append(sample(drawn, target))
+        drawn = target
         arr = np.concatenate(parts)
         if drawn >= 2:
             stderr = arr.std(axis=0, ddof=1) / math.sqrt(drawn)
@@ -347,39 +388,63 @@ def _converge_series(sample, protocol: AveragingProtocol,
 
 
 class _GridRows:
-    """Entropy-map rows of one subsystem on grid indices, drawn a chunk at a time.
+    """``reduce`` of one subsystem's entropy-map rows on grid indices, a draw at a time.
 
-    ``chunk`` fits ``stacks`` arrays of a chunk's size (by default the rows and
-    their QR copy) in _CHUNK_BYTES. On the lab route every chunk starts from
-    a fresh expm anchor; there the previous chunk's last rows, advanced one
-    step, must match the anchor within _ANCHOR_RTOL (NumericalFailure
-    otherwise), and ``max_discrepancy`` keeps the largest relative gap seen.
+    A draw is taken in chunks that fit ``stacks`` arrays of a chunk's size
+    (by default the rows and their QR copy) in _CHUNK_BYTES. On the lab route
+    each draw starts from a fresh expm anchor, and its later chunks step on
+    from the previous chunk's last rows. Where stepped rows reach an anchor
+    (the next draw's first index, or the index after the last sample, which
+    ``close`` anchors) they must match it within _ANCHOR_RTOL
+    (NumericalFailure otherwise), so every stepped sample lies between two
+    anchors that agree; ``max_discrepancy`` keeps the largest relative gap.
     """
 
     def __init__(self, prop: Propagator, rows: np.ndarray, protocol: AveragingProtocol,
-                 stacks: int = 2):
+                 reduce, stacks: int = 2):
         self.prop = prop
         self.rows = rows
         self.protocol = protocol
+        self.reduce = reduce
         self.chunk = max(1, _CHUNK_BYTES // (stacks * rows.size * 2 * prop.params.n_sites * 8))
         self.max_discrepancy = 0.0
         self._advanced: tuple[int, np.ndarray] | None = None
 
     def __call__(self, k0: int, k1: int) -> np.ndarray:
+        # each chunk's rows are freed before the next chunk's are built
+        return np.concatenate([self.reduce(self._rows(c0, min(k1, c0 + self.chunk), c0 > k0))
+                               for c0 in range(k0, k1, self.chunk)])
+
+    def _rows(self, k0: int, k1: int, step_on: bool) -> np.ndarray:
+        """Rows at k0 <= k < k1; on the lab route stepped on from the previous
+        chunk if ``step_on``, else from a fresh anchor checked against it."""
         dt = self.protocol.dt
-        stack = self.prop.entropy_rows(self.protocol.times(k0, k1), self.rows, dt)
-        if self.prop.mode is PropagationMode.LAB_EXPONENTIAL:
-            if self._advanced is not None and self._advanced[0] == k0:
-                anchor = stack[0]
-                gap = float(np.linalg.norm(self._advanced[1] - anchor) / np.linalg.norm(anchor))
-                if not gap <= _ANCHOR_RTOL:
-                    raise NumericalFailure(
-                        f"stepped rows drift from the expm anchor at grid index {k0}: "
-                        f"relative gap {gap:.3e} > {_ANCHOR_RTOL:g}"
-                    )
-                self.max_discrepancy = max(self.max_discrepancy, gap)
-            self._advanced = (k1, stack[-1] @ self.prop._step_matrix(dt))
+        times = self.protocol.times(k0, k1)
+        if self.prop.mode is not PropagationMode.LAB_EXPONENTIAL:
+            return self.prop.entropy_rows(times, self.rows, dt)
+        stack = self.prop.entropy_rows(times, self.rows, dt,
+                                       self._advanced[1] if step_on else None)
+        if not step_on:
+            self._check(k0, stack[0])
+        self._advanced = (k1, stack[-1] @ self.prop._step_matrix(dt))
         return stack
+
+    def close(self) -> None:
+        """Check the last stepped rows against one more fresh anchor."""
+        if self._advanced is not None:
+            k = self._advanced[0]
+            self._check(k, self.prop.entropy_rows(self.protocol.time(k), self.rows))
+
+    def _check(self, k: int, anchor: np.ndarray) -> None:
+        if self._advanced is None:
+            return
+        gap = float(np.linalg.norm(self._advanced[1] - anchor) / np.linalg.norm(anchor))
+        if not gap <= _ANCHOR_RTOL:
+            raise NumericalFailure(
+                f"stepped rows drift from the expm anchor at grid index {k}: "
+                f"relative gap {gap:.3e} > {_ANCHOR_RTOL:g}"
+            )
+        self.max_discrepancy = max(self.max_discrepancy, gap)
 
 
 def _sample(params: ModelParams, subsystem, reduce, protocol: AveragingProtocol | None,
@@ -395,9 +460,9 @@ def _sample(params: ModelParams, subsystem, reduce, protocol: AveragingProtocol 
     rows = quadrature_indices(subsystem, params.n_sites)
     if rows.size == 0:
         raise ValueError("subsystem must contain at least one site")
-    grid = _GridRows(build_propagator(params, mode), rows, protocol, stacks)
-    values, converged = _converge_series(lambda k0, k1: reduce(grid(k0, k1)), protocol,
-                                         grid.chunk)
+    grid = _GridRows(build_propagator(params, mode), rows, protocol, reduce, stacks)
+    values, converged = _converge_series(grid, protocol)
+    grid.close()
     return values, converged, grid.max_discrepancy
 
 

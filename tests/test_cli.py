@@ -1,6 +1,7 @@
 """Command-line runner: config parsing, determinism, resume, exit codes."""
 import json
 import os
+import warnings
 
 import pytest
 
@@ -171,12 +172,16 @@ def test_exit_codes(tmp_path):
     assert main(["sweep", "--config", stubborn]) == 2
     assert (tmp_path / "h" / "sweep.csv").exists()
 
-    # propagation past the overflow guard is a numerical failure
+    # propagation past the overflow guard is a numerical failure, reported
+    # without floating-point warnings from the exponential
     blowup = _write_cfg(
         tmp_path, name="blowup.cfg", g="0.25", n="8", out=tmp_path / "i",
         protocol_t_min="1e300", protocol_initial_samples="30",
     )
-    assert main(["sweep", "--config", blowup]) == 4
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sweep", "--config", blowup]) == 4
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
 
 def test_bad_sample_cap_env_exits_3(tmp_path, monkeypatch, capsys):

@@ -1,5 +1,8 @@
 """Quench propagation: route cross-checks, purity, averaging protocol."""
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -398,7 +401,7 @@ def test_evolve_at_time_zero_is_vacuum():
 @pytest.mark.parametrize("n", [32, 64])
 def test_critical_stepped_rows_match_dense_expm(n):
     # g == delta: the chunked route steps rows from one expm anchor per
-    # chunk; the oracle takes a dense expm at every grid time
+    # draw; the oracle takes a dense expm at every grid time
     p = _params(0.25, n)
     proto = AveragingProtocol.for_params(p, initial_samples=120, batch_samples=60,
                                          max_samples=240, rel_threshold=2e-3)
@@ -415,9 +418,8 @@ def test_critical_stepped_rows_match_dense_expm(n):
         got = time_series(p, cut, subsystem_entropy_from_rows, proto)
         assert got.n_samples == ref.size and got.converged == ref_converged
         assert np.max(np.abs(got.values - ref) / np.abs(ref)) <= 1e-10
-        assert got.anchor_discrepancy <= 1e-8
-    # the quarter cut spans several chunks, so at least one anchor was checked
-    assert got.anchor_discrepancy > 0.0
+        # every lab average ends with a closing anchor check
+        assert 0.0 < got.anchor_discrepancy <= 1e-8
 
 
 def test_corrupted_step_matrix_fails_at_next_anchor(monkeypatch):
@@ -435,6 +437,57 @@ def test_corrupted_step_matrix_fails_at_next_anchor(monkeypatch):
         page_curve(p, proto)
     with pytest.raises(NumericalFailure, match="grid index 30"):
         profiles(p, proto)
+
+
+def test_corrupted_step_matrix_fails_at_closing_anchor(monkeypatch):
+    # one draw and no convergence check inside it: only the closing anchor
+    # after the last sample can see the corrupted steps
+    p = _params(0.25, 32)
+    proto = AveragingProtocol.for_params(p, initial_samples=300, max_samples=300,
+                                         rel_threshold=1e-12)
+    exact = Propagator._step_matrix
+    monkeypatch.setattr(Propagator, "_step_matrix",
+                        lambda self, dt: exact(self, dt) * (1.0 + 1e-6))
+    with pytest.raises(NumericalFailure, match="grid index 300"):
+        time_series(p, [16], subsystem_entropy_from_rows, proto)
+
+
+@pytest.mark.parametrize("n", [8, 32, 96])
+def test_expm_matches_scipy(n):
+    import scipy.linalg
+
+    p = _params(0.25, n)
+    prop = build_propagator(p)
+    proto = AveragingProtocol.for_params(p)
+    for t in (proto.dt, proto.t_min, proto.time(1000)):
+        mine = dynamics._expm(prop.generator * t)
+        ref = scipy.linalg.expm(prop.generator * t)
+        assert np.linalg.norm(mine - ref) / np.linalg.norm(ref) <= 1e-10
+        assert symplectic_residual(mine) <= 1e-12
+
+
+def test_step_matrix_at_512_sites_has_no_subnormals():
+    p = _params(0.25, 512)
+    step = Propagator(p, PropagationMode.LAB_EXPONENTIAL)._step_matrix(
+        AveragingProtocol.for_params(p).dt)
+    magnitude = np.abs(step)
+    assert np.count_nonzero((magnitude > 0) & (magnitude < np.finfo(float).tiny)) == 0
+
+
+def test_critical_line_average_imports_no_scipy():
+    code = ("import sys\n"
+            "from bkc.dynamics import AveragingProtocol, time_averaged_entropy\n"
+            "from bkc.model import ModelParams\n"
+            "p = ModelParams(w=1.0, delta=0.25, g=0.25, n_sites=8)\n"
+            "proto = AveragingProtocol.for_params(p, initial_samples=50, rel_threshold=1.0)\n"
+            "assert time_averaged_entropy(p, [4], proto).anchor_discrepancy > 0\n"
+            "assert 'scipy' not in sys.modules, 'scipy imported'\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def _site_profiles_at_16(proto_kw):
@@ -467,20 +520,20 @@ def test_chunk_budget_of_one_sample_changes_nothing(monkeypatch):
     assert one_page.n_samples == page.n_samples
     assert np.max(np.abs(one_page.entropies - page.entropies) / page.entropies) <= 1e-14
     assert np.max(np.abs(one_page.stderrs - page.stderrs) / page.stderrs) <= 1e-14
+    # on g == delta the anchors sit at the draw boundaries whatever the chunk
+    # size, and a one-sample chunk steps on from the previous chunk's rows
     for (g, one), (_, ref) in zip(_site_profiles_at_16(proto_kw), chunked_profiles):
         assert one.n_samples == ref.n_samples
-        rtol = 1e-10 if g == 0.25 else 1e-14
-        assert np.max(np.abs(one.entropies - ref.entropies) / ref.entropies) <= rtol
-        assert np.max(np.abs(one.stderrs - ref.stderrs) / ref.stderrs) <= rtol
-        assert _block_gap(one.mean_blocks, ref.mean_blocks) <= rtol
+        assert (one.anchor_discrepancy > 0.0) is (g == 0.25)
+        assert np.max(np.abs(one.entropies - ref.entropies) / ref.entropies) <= 1e-14
+        assert np.max(np.abs(one.stderrs - ref.stderrs) / ref.stderrs) <= 1e-14
+        assert _block_gap(one.mean_blocks, ref.mean_blocks) <= 1e-14
     for (p, cut), ref in zip(cases, chunked):
         proto = AveragingProtocol.for_params(p, **proto_kw)
         one = time_series(p, cut, subsystem_entropy_from_rows, proto)
         assert one.n_samples == ref.n_samples
-        # on g == delta a one-sample chunk is a fresh expm anchor per sample,
-        # so the stepped values differ from it by the stepping error
-        rtol = 1e-10 if p.g == p.delta else 1e-14
-        assert np.max(np.abs(one.values - ref.values) / np.abs(ref.values)) <= rtol
+        assert (one.anchor_discrepancy > 0.0) is (p.g == p.delta)
+        assert np.max(np.abs(one.values - ref.values) / np.abs(ref.values)) <= 1e-14
 
 
 @pytest.mark.parametrize("n", [8, 64, 256])
