@@ -211,22 +211,26 @@ def _sweep_point(task) -> list[dict]:
 
 
 def _existing_rows(path: Path) -> dict[tuple, dict]:
-    """Parse a previous sweep CSV; whether a row converged is not stored there."""
+    """Parse a previous sweep CSV; whether a row converged is not stored there.
+
+    A data row that does not parse is a ConfigError naming its path and line.
+    """
     rows = {}
     if not path.exists():
         return rows
     lines = path.read_text().splitlines()
     if not lines or lines[0] != ",".join(SWEEP_FIELDS):
         return rows
-    for line in lines[1:]:
-        parts = line.split(",")
-        if len(parts) != len(SWEEP_FIELDS):
-            continue
-        row = {
-            "g": float(parts[0]), "N": int(parts[1]), "subsystem": parts[2],
-            "S_mean": float(parts[3]), "stderr": float(parts[4]),
-            "n_samples": int(parts[5]), "route": "resumed", "seconds": 0.0,
-        }
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            g, n, label, s_mean, stderr, n_samples = line.split(",")
+            row = {
+                "g": float(g), "N": int(n), "subsystem": label,
+                "S_mean": float(s_mean), "stderr": float(stderr),
+                "n_samples": int(n_samples), "route": "resumed", "seconds": 0.0,
+            }
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: malformed sweep row {line!r}: {exc}") from exc
         rows[(row["g"], row["N"], row["subsystem"])] = row
     return rows
 
@@ -464,9 +468,9 @@ def _figure_page(cfg: dict[str, str], out: Path) -> tuple[list[dict], bool]:
 
 
 def _figure_fourpoint(cfg: dict[str, str], out: Path) -> tuple[list[dict], bool]:
+    """Four-point table; a point it cannot evaluate enters ``meta`` with a ``reason``."""
     lines = ["g,N,site,epsilon4,one_over_eps4,log_correction"]
     meta = []
-    skipped = []
     for params in _grid(cfg):
         site = _resolve_site(cfg, params)
         started = time.perf_counter()
@@ -474,7 +478,7 @@ def _figure_fourpoint(cfg: dict[str, str], out: Path) -> tuple[list[dict], bool]
             eps = epsilon4(params, site)
             corr = log_correction(params, site, _protocol_for(params, cfg))
         except (CriticalFrameUndefined, DomainError) as exc:
-            skipped.append({"g": params.g, "N": params.n_sites, "reason": str(exc)})
+            meta.append({"g": params.g, "N": params.n_sites, "reason": str(exc)})
             continue
         inv = math.inf if eps == 0.0 else 1.0 / eps
         lines.append(",".join([
@@ -485,9 +489,6 @@ def _figure_fourpoint(cfg: dict[str, str], out: Path) -> tuple[list[dict], bool]
                      "converged": True, "route": "sums",
                      "seconds": time.perf_counter() - started})
     _write_atomic(out / "fourpoint.csv", "\n".join(lines) + "\n")
-    if skipped:
-        meta.append({"g": float("nan"), "N": 0, "subsystem": "skipped",
-                     "converged": True, "route": json.dumps(skipped), "seconds": 0.0})
     return meta, True
 
 
@@ -498,30 +499,34 @@ _FIGURES = {
 }
 
 
-def cmd_figures(cfg: dict[str, str]) -> int:
-    """Emit the per-figure data products named in the ``figures`` list."""
+def _run_figures(cfg: dict[str, str], names: list[str], command: str) -> int:
+    """Write the named products and ``<command>.manifest.json``, whose ``runs``
+    are the measured entries; entries with a ``reason`` go under ``skipped``."""
     started = time.time()
     out = _out_dir(cfg)
-    names = [tok for tok in cfg["figures"].split(",") if tok.strip()]
-    unknown = [name for name in names if name not in _FIGURES]
-    if unknown:
-        raise ConfigError(f"unknown figures {unknown}; choose from {sorted(_FIGURES)}")
     all_meta, all_ok = [], True
     for name in names:
         meta, ok = _FIGURES[name](cfg, out)
         all_meta.extend(meta)
         all_ok = all_ok and ok
-    _write_manifest(out / "figures.manifest.json", "figures", cfg, all_meta, started)
+    _write_manifest(out / f"{command}.manifest.json", command, cfg,
+                    [m for m in all_meta if "reason" not in m], started,
+                    extra={"skipped": [m for m in all_meta if "reason" in m]})
     return 0 if all_ok else 2
+
+
+def cmd_figures(cfg: dict[str, str]) -> int:
+    """Emit the per-figure data products named in the ``figures`` list."""
+    names = [tok for tok in cfg["figures"].split(",") if tok.strip()]
+    unknown = [name for name in names if name not in _FIGURES]
+    if unknown:
+        raise ConfigError(f"unknown figures {unknown}; choose from {sorted(_FIGURES)}")
+    return _run_figures(cfg, names, "figures")
 
 
 def cmd_fourpoint(cfg: dict[str, str]) -> int:
     """Standalone four-point consistency table."""
-    started = time.time()
-    out = _out_dir(cfg)
-    meta, _ = _figure_fourpoint(cfg, out)
-    _write_manifest(out / "fourpoint.manifest.json", "fourpoint", cfg, meta, started)
-    return 0
+    return _run_figures(cfg, ["fourpoint"], "fourpoint")
 
 
 def _build_parser() -> argparse.ArgumentParser:

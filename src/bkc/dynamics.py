@@ -1,27 +1,26 @@
 """Vacuum-quench propagation and long-time averaging of entanglement data.
 
-Two interchangeable propagation routes:
+Every average (``time_series``, ``page_curve``, ``profiles``) takes the
+route ``build_propagator`` picks from the couplings:
 
-* ``FRAME_EXACT`` conjugates the exact mode rotation through the squeezing
-  frame, S(t) = G^{-1} B(t) G with B(t) block-diagonal rotations at the
-  frequencies J cos(pi n / (N+1)). Cost per sample is O(N^2) and the route
-  is available away from g == delta.
-* ``LAB_EXPONENTIAL`` takes the matrix exponential of the equation-of-motion
-  generator M (Padé-13 scaling and squaring in numpy). It works in every
-  regime (including the critical line). A single time gets a dense
-  expm(M t) of its own, which serves as the cross-validation oracle for the
-  frame route. On the averaging grid t_k = t_min + k dt the rows are
-  instead stepped, rows(t_{k+1}) = rows(t_k) expm(M dt), from one fresh
-  expm anchor per draw (the initial samples, then each batch); the stepped
-  rows must reach the next draw's anchor, and after the last sample one
-  closing anchor, within a 1e-8 relative gap.
+* ``FRAME_EXACT`` away from g == delta conjugates the exact mode rotation
+  through the squeezing frame, S(t) = G^{-1} B(t) G with B(t) block-diagonal
+  rotations at the frequencies J cos(pi n / (N+1)). A propagator keeps one
+  2N x 2N array, Psi2 G.
+* ``LAB_EXPONENTIAL`` on the critical line exponentiates the
+  equation-of-motion generator M (Padé-13 scaling and squaring in numpy).
+  On the grid t_k = t_min + k dt the rows are stepped, rows(t_{k+1}) =
+  rows(t_k) expm(M dt), from one fresh expm anchor per draw (the initial
+  samples, then each batch); the stepped rows must reach the next draw's
+  anchor, and after the last sample one closing anchor, within 1e-8.
 
-Every average (``time_series``, ``page_curve``, ``profiles``) draws its
-samples through one sampler, in chunks of consecutive grid indices: a chunk
-holds at most ``_CHUNK_BYTES`` of entropy-map rows (and the arrays that
-reducing them needs) and never crosses a convergence check, and each chunk
-is one stacked call for the rows and one batched factorization for their
-entropies. Page curves and site profiles take all 2N rows; outside the
+``evolve`` and ``build_propagator`` with ``LAB_EXPONENTIAL`` give a dense
+expm(M t) per time in every regime: the single-time oracle for the frame route.
+
+One sampler draws the grid in chunks of consecutive indices: a chunk holds
+at most ``_CHUNK_BYTES`` of entropy-map rows (and the arrays that reducing
+them needs), never crosses a convergence check, and is one stacked call for
+the rows and one batched factorization for their entropies. Outside the
 lab-route anchors no average builds the full map S(t).
 
 The covariance of the evolved vacuum is sigma(t) = S(t) S(t)^T.
@@ -211,26 +210,29 @@ class Propagator:
             self.generator = omega @ h
         else:
             frame = squeezing_frame(params)
-            sign = frame_hopping_sign(frame)
             spectrum = tight_binding_spectrum(params)
-            psi2 = np.kron(spectrum.modes, np.eye(2))
             self.frame = frame
-            self._psi2 = psi2
-            self.frequencies = sign * params.hopping * np.cos(
-                np.pi * np.arange(1, n + 1) / (n + 1)
-            )
-            # psi2 G and G^{-1} psi2^T with G block diagonal: each entry is a
-            # single product, so this equals the dense products bit for bit
-            site_cols = psi2.reshape(2 * n, n, 2).transpose(1, 0, 2)
-            self.mode_map = (site_cols @ frame.site_factors).transpose(1, 0, 2).reshape(2 * n, -1)
-            inverse_rows = frame.inverse_factors() @ site_cols.transpose(0, 2, 1)
-            self.mode_map_inv = inverse_rows.reshape(2 * n, -1)
+            self.modes = spectrum.modes
+            # +-J cos(pi n / (N+1)) with the frame's hopping sign; halving is exact
+            self.frequencies = (-0.5 * frame_hopping_sign(frame)) * spectrum.energies
+            # Psi2 G with Psi2 = modes (x) I2 and G block diagonal: entry
+            # (2i+a, 2j+b) is the single product modes[i, j] G_j[a, b], so this
+            # equals the dense product bit for bit
+            self.mode_map = (self.modes[:, None, :, None]
+                             * frame.site_factors.transpose(1, 0, 2)).reshape(2 * n, 2 * n)
 
     def _step_matrix(self, dt: float) -> np.ndarray:
         """expm(M dt), the lab map across one grid step; built at first use."""
         if self._step is None or self._step[0] != dt:
             self._step = (dt, _check_finite(_expm(self.generator * dt), dt))
         return self._step[1]
+
+    def _mode_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Rows of Psi2^T: row 2j+b holds modes[i, j] at column 2i+b, zeros elsewhere."""
+        n = self.params.n_sites
+        out = np.zeros((rows.size, n, 2))
+        out[np.arange(rows.size), :, rows % 2] = self.modes[:, rows // 2].T
+        return out.reshape(rows.size, 2 * n)
 
     def _rotated_factor(self, factor: np.ndarray, times: np.ndarray) -> np.ndarray:
         """factor @ B(t) for every time: a K x m x 2N stack of column-pair rotations."""
@@ -246,14 +248,14 @@ class Propagator:
                       start: np.ndarray | None) -> np.ndarray:
         """Lab rows on an arithmetic grid, stepped from ``start`` (the rows at
         times[0]) or, without it, from a fresh expm anchor at times[0]."""
-        scale = max(1.0, abs(times[0]), abs(times[-1]))
-        if dt is None or abs(times[-1] - times[0] - (times.size - 1) * dt) > 1e-9 * scale:
-            raise ValueError(f"lab-route times need their grid spacing dt, got {dt!r}")
-        step = self._step_matrix(dt)
-        out = np.empty((times.size, rows.size, step.shape[0]))
+        if times.size > 1:
+            scale = max(1.0, abs(times[0]), abs(times[-1]))
+            if dt is None or abs(times[-1] - times[0] - (times.size - 1) * dt) > 1e-9 * scale:
+                raise ValueError(f"lab-route times need their grid spacing dt, got {dt!r}")
+        out = np.empty((times.size, rows.size, 2 * self.params.n_sites))
         out[0] = self.symplectic(times[0])[rows] if start is None else start
         for k in range(1, times.size):
-            np.matmul(out[k - 1], step, out=out[k])
+            np.matmul(out[k - 1], self._step_matrix(dt), out=out[k])
         return out
 
     def _rotated_map(self, t: float) -> np.ndarray:
@@ -272,13 +274,14 @@ class Propagator:
 
     def symplectic(self, t: float) -> np.ndarray:
         """Full quadrature map S(t) with sigma(t) = S S^T from the vacuum."""
+        n = self.params.n_sites
         if t == 0.0:
-            return np.eye(2 * self.params.n_sites)
-        if self.mode is PropagationMode.FRAME_EXACT:
-            s_mat = self.mode_map_inv @ self._rotated_map(t)
-        else:
-            s_mat = _expm(self.generator * t)
-        return _check_finite(s_mat, t)
+            return np.eye(2 * n)
+        if self.mode is PropagationMode.LAB_EXPONENTIAL:
+            return _check_finite(_expm(self.generator * t), t)
+        # S = F^-1 W(t), one 2 x 2 site factor per pair of rows
+        w_rows = self.entropy_map(t).reshape(n, 2, 2 * n)
+        return _check_finite((self.frame.inverse_factors() @ w_rows).reshape(2 * n, 2 * n), t)
 
     def subsystem_rows(self, t: float, rows: np.ndarray) -> np.ndarray:
         """Rows of S(t) for the quadratures listed in ``rows``."""
@@ -302,33 +305,29 @@ class Propagator:
         floating-point floor swallows the entropy entirely. The lab route
         returns rows of S(t) itself.
 
-        ``t`` may also be a 1-D array of K times, which gives a K x 2l x 2N
-        stack. On the frame route a single site rotates its 2 x 2N factor
-        Psi2^T[rows] and then takes one product with G for the whole stack;
-        larger blocks keep the per-time order Psi2^T[rows] (B(t) G). On the
-        lab route the times must be a grid t[k] = t[0] + k dt with ``dt``
-        given, and the stack is stepped from ``start``, the rows at t[0], or
-        without it from a fresh expm anchor at t[0].
+        ``t`` is a time, which gives the 2l x 2N rows, or a 1-D array of K
+        times, which gives a K x 2l x 2N stack; a time is a batch of one. On
+        the frame route a single site rotates its 2 x 2N factor Psi2^T[rows]
+        and then takes one product with G for the whole stack; larger blocks
+        keep the per-time order Psi2^T[rows] (B(t) G). On the lab route more
+        than one time must form a grid t[k] = t[0] + k dt with ``dt`` given,
+        and the stack is stepped from ``start``, the rows at t[0], or without
+        it from a fresh expm anchor at t[0].
         """
-        if np.ndim(t) == 0:
-            if self.mode is not PropagationMode.FRAME_EXACT:
-                return self.symplectic(t)[rows]
-            if t == 0.0:
-                return self.frame.matrix()[rows]
-            return _check_finite(self._psi2.T[rows] @ self._rotated_map(t), t)
-        times = np.asarray(t, dtype=float)
+        times = np.atleast_1d(np.asarray(t, dtype=float))
         if self.mode is not PropagationMode.FRAME_EXACT:
             stack = self._stepped_rows(times, rows, dt, start)
         elif rows.size == 2:
-            rotated = self._rotated_factor(self._psi2.T[rows], times)
+            rotated = self._rotated_factor(self._mode_rows(rows), times)
             flat = rotated.reshape(-1, rotated.shape[-1]) @ self.mode_map
             stack = flat.reshape(rotated.shape)
         else:
-            factor = self._psi2.T[rows]
+            factor = self._mode_rows(rows)
             stack = np.empty((times.size,) + factor.shape)
             for i, s in enumerate(times):
                 np.matmul(factor, self._rotated_map(s), out=stack[i])
-        return _check_finite(stack, (times[0], times[-1]))
+        _check_finite(stack, (times[0], times[-1]))
+        return stack if np.ndim(t) else stack[0]
 
 
 @functools.lru_cache(maxsize=32)
@@ -378,10 +377,8 @@ def _converge_series(sample, protocol: AveragingProtocol) -> tuple[np.ndarray, b
         parts.append(sample(drawn, target))
         drawn = target
         arr = np.concatenate(parts)
-        if drawn >= 2:
-            stderr = arr.std(axis=0, ddof=1) / math.sqrt(drawn)
-            if np.all(stderr <= protocol.rel_threshold * np.abs(arr.mean(axis=0))):
-                return arr, True
+        if np.all(_standard_error(arr) <= protocol.rel_threshold * np.abs(arr.mean(axis=0))):
+            return arr, True
         if drawn >= protocol.max_samples:
             return arr, False
         target = min(drawn + protocol.batch_samples, protocol.max_samples)
@@ -448,19 +445,21 @@ class _GridRows:
 
 
 def _sample(params: ModelParams, subsystem, reduce, protocol: AveragingProtocol | None,
-            mode: PropagationMode | None, stacks: int = 2) -> tuple[np.ndarray, bool, float]:
+            stacks: int = 2) -> tuple[np.ndarray, bool, float]:
     """Sampler behind every average: ``reduce`` of the subsystem's rows on the grid.
 
     ``reduce`` maps a K x 2l x 2N stack of entropy-map rows to K values (a
     scalar or an array each); ``stacks`` is as in _GridRows. Returns the
-    values, whether they converged and the largest anchor gap.
+    values, whether they converged and the largest anchor gap. The route is
+    the one the couplings pick; ``None`` is also the key under which
+    ``build_propagator`` caches it.
     """
     if protocol is None:
         protocol = AveragingProtocol.for_params(params)
     rows = quadrature_indices(subsystem, params.n_sites)
     if rows.size == 0:
         raise ValueError("subsystem must contain at least one site")
-    grid = _GridRows(build_propagator(params, mode), rows, protocol, reduce, stacks)
+    grid = _GridRows(build_propagator(params, None), rows, protocol, reduce, stacks)
     values, converged = _converge_series(grid, protocol)
     grid.close()
     return values, converged, grid.max_discrepancy
@@ -471,14 +470,13 @@ def time_series(
     subsystem,
     reduce,
     protocol: AveragingProtocol | None = None,
-    mode: PropagationMode | None = None,
 ) -> TimeAverageResult:
     """Average of ``reduce`` over the entropy-map rows of ``subsystem`` on the grid.
 
     ``reduce`` maps a K x 2l x 2N stack of rows to K values. Sampling
     follows the protocol; the result says whether it converged.
     """
-    values, converged, gap = _sample(params, subsystem, reduce, protocol, mode)
+    values, converged, gap = _sample(params, subsystem, reduce, protocol)
     return TimeAverageResult(mean=float(values.mean()), stderr=float(_standard_error(values)),
                              n_samples=int(values.size), converged=converged, values=values,
                              anchor_discrepancy=gap)
@@ -488,7 +486,6 @@ def time_averaged_entropy(
     params: ModelParams,
     subsystem,
     protocol: AveragingProtocol | None = None,
-    mode: PropagationMode | None = None,
 ) -> TimeAverageResult:
     """Long-time average of the entanglement entropy of ``subsystem``.
 
@@ -496,7 +493,7 @@ def time_averaged_entropy(
     NonConvergence (with the partial estimate attached) if the sample cap
     is reached first.
     """
-    result = time_series(params, subsystem, subsystem_entropy_from_rows, protocol, mode)
+    result = time_series(params, subsystem, subsystem_entropy_from_rows, protocol)
     if not result.converged:
         raise NonConvergence(
             f"entropy mean not converged after {result.n_samples} samples", result=result
@@ -516,10 +513,9 @@ def fluctuation_ratio(
     params: ModelParams,
     subsystem,
     protocol: AveragingProtocol | None = None,
-    mode: PropagationMode | None = None,
 ) -> float:
     """Relative RMS of the entropy time series on the converged sample set."""
-    result = time_averaged_entropy(params, subsystem, protocol, mode)
+    result = time_averaged_entropy(params, subsystem, protocol)
     return series_fluctuation_ratio(result.values)
 
 
@@ -541,7 +537,6 @@ class PageCurve:
 def page_curve(
     params: ModelParams,
     protocol: AveragingProtocol | None = None,
-    mode: PropagationMode | None = None,
 ) -> PageCurve:
     """Entropy of the leftmost l sites for every cut l = 1..N-1.
 
@@ -559,7 +554,7 @@ def page_curve(
                          for l in lengths], axis=1)
 
     # a chunk holds its rows, their QR copy, R and the per-cut temporaries
-    values, converged, gap = _sample(params, range(n), reduce, protocol, mode, stacks=8)
+    values, converged, gap = _sample(params, range(n), reduce, protocol, stacks=8)
     curve = PageCurve(lengths=lengths, entropies=values.mean(axis=0),
                       stderrs=_standard_error(values), n_samples=values.shape[0],
                       converged=converged, anchor_discrepancy=gap)
@@ -604,7 +599,6 @@ class SiteProfiles:
 def profiles(
     params: ModelParams,
     protocol: AveragingProtocol | None = None,
-    mode: PropagationMode | None = None,
 ) -> SiteProfiles:
     """Single-site entropy and averaged correlators for every site.
 
@@ -622,9 +616,9 @@ def profiles(
         gram_sum[:] += np.einsum("knar,knbr->nab", site_rows, site_rows)
         return subsystem_entropy_from_rows(stack.reshape(-1, 2, 2 * n)).reshape(-1, n)
 
-    values, converged, gap = _sample(params, range(n), reduce, protocol, mode)
+    values, converged, gap = _sample(params, range(n), reduce, protocol)
     mean_blocks = gram_sum / values.shape[0]
-    frame = build_propagator(params, mode).frame
+    frame = build_propagator(params, None).frame
     if frame is not None:
         inverse = frame.inverse_factors()
         mean_blocks = inverse @ mean_blocks @ inverse.transpose(0, 2, 1)

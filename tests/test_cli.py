@@ -130,6 +130,10 @@ def test_collapse_roundtrip_and_missing_reference(tmp_path):
     assert main(["collapse", csv, "--config", page]) == 3
 
 
+def _reject_constant(name):
+    raise ValueError(f"manifest holds {name}, which is not JSON")
+
+
 def test_figures_products_skip_critical_fourpoint(tmp_path):
     cfg = _write_cfg(tmp_path, g="0.2,0.25", n="8", site="0",
                      out=tmp_path / "f", **_FAST)
@@ -144,11 +148,13 @@ def test_figures_products_skip_critical_fourpoint(tmp_path):
     assert four[0] == "g,N,site,epsilon4,one_over_eps4,log_correction"
     assert len(four) == 2  # the critical point cannot be framed, so one row
     assert four[1].startswith("0.20000000000000001,8,0,")
-    manifest = json.loads((tmp_path / "f" / "figures.manifest.json").read_text())
-    skipped = [run for run in manifest["runs"] if run["subsystem"] == "skipped"]
-    assert len(skipped) == 1
-    measured = [run for run in manifest["runs"] if run["subsystem"] != "skipped"]
-    assert len(measured) == 5 and all(run["seconds"] > 0.0 for run in measured)
+    manifest = json.loads((tmp_path / "f" / "figures.manifest.json").read_text(),
+                          parse_constant=_reject_constant)
+    assert [(s["g"], s["N"]) for s in manifest["skipped"]] == [(0.25, 8)]
+    assert manifest["skipped"][0]["reason"]
+    measured = manifest["runs"]
+    assert manifest["rows"] == len(measured) == 5
+    assert all(run["seconds"] > 0.0 for run in measured)
     for product in ("page", "profiles"):
         gaps = {run["route"]: run["anchor_discrepancy"] for run in manifest["runs"]
                 if run["subsystem"] == product}
@@ -191,6 +197,21 @@ def test_bad_sample_cap_env_exits_3(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "BKC_MAX_SAMPLES" in err
     assert "Traceback" not in err
+
+
+def test_malformed_sweep_csv_exits_3(tmp_path, capsys):
+    out = tmp_path / "bad"
+    out.mkdir()
+    csv = out / "sweep.csv"
+    csv.write_text("g,N,subsystem,S_mean,stderr,n_samples\n"
+                   "0.20000000000000001,8,site:4,1.5,0.01,30\n"
+                   "abc,8,site:4,1.5,0.01,30\n")
+    cfg = _write_cfg(tmp_path, g="0.2", n="8", out=out, **_FAST)
+    for argv in (["collapse", str(csv), "--config", cfg], ["sweep", "--config", cfg]):
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{csv}:3:" in err
+        assert "Traceback" not in err
 
 
 def test_anchor_discrepancy_in_manifest_not_csv(tmp_path):

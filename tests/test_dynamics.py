@@ -120,13 +120,14 @@ def test_build_propagator_mode_selection():
 
 
 def test_frame_route_matches_matrix_exponential():
-    for g in (0.0, 0.2, 0.3):
-        p = _params(g, 7)
-        t = 3.7
-        sig_frame = evolve(p, t, PropagationMode.FRAME_EXACT).data
-        sig_lab = lab_exponential_evolve(p, t).data
-        scale = np.max(np.abs(sig_lab))
-        assert np.max(np.abs(sig_frame - sig_lab)) <= 1e-9 * scale
+    for n in (7, 32):
+        for g in (0.0, 0.2, 0.3):
+            p = _params(g, n)
+            t = 3.7
+            sig_frame = evolve(p, t, PropagationMode.FRAME_EXACT).data
+            sig_lab = lab_exponential_evolve(p, t).data
+            scale = np.max(np.abs(sig_lab))
+            assert np.max(np.abs(sig_frame - sig_lab)) <= 1e-9 * scale
 
 
 def test_symplectic_map_basics():
@@ -203,9 +204,20 @@ def test_time_average_same_samples_both_routes():
     p = _params(0.2, 6)
     proto = AveragingProtocol(t_min=60.0, dt=7.3, initial_samples=40,
                               batch_samples=20, max_samples=80, rel_threshold=1.0)
-    r_frame = time_averaged_entropy(p, [0, 1], proto, PropagationMode.FRAME_EXACT)
-    r_lab = time_averaged_entropy(p, [0, 1], proto, PropagationMode.LAB_EXPONENTIAL)
-    assert np.allclose(r_frame.values, r_lab.values, atol=1e-8)
+    r_frame = time_averaged_entropy(p, [0, 1], proto)
+    assert build_propagator(p, None).mode is PropagationMode.FRAME_EXACT
+    lab = build_propagator(p, PropagationMode.LAB_EXPONENTIAL)
+    rows = quadrature_indices([0, 1])
+    r_lab = [subsystem_entropy_from_rows(lab.symplectic(t)[rows])
+             for t in proto.times(0, r_frame.n_samples)]
+    assert np.allclose(r_frame.values, r_lab, atol=1e-8)
+
+
+def test_frame_propagator_holds_one_dense_map():
+    n = 64
+    prop = build_propagator(_params(0.3, n))
+    held = sum(v.nbytes for v in vars(prop).values() if isinstance(v, np.ndarray))
+    assert held <= 1.3 * (2 * n) ** 2 * 8
 
 
 def test_nonconvergence_carries_partial_result():
@@ -553,14 +565,19 @@ def test_entropy_rows_stack_matches_scalar_calls():
     for g in (0.2, 0.25):
         p = _params(g, 10)
         prop = build_propagator(p)
+        lab = build_propagator(p, PropagationMode.LAB_EXPONENTIAL)
+        # the frame route reports F S(t); on g == delta F is the identity
+        frame = np.eye(20) if prop.frame is None else prop.frame.matrix()
         proto = AveragingProtocol.for_params(p)
         times = proto.times(0, 12)
         for cut in ([4], [0, 1, 2]):
             rows = quadrature_indices(cut)
             single = np.stack([prop.entropy_rows(t, rows) for t in times])
+            dense = np.stack([(frame @ lab.symplectic(t))[rows] for t in times])
             stack = prop.entropy_rows(times, rows, proto.dt)
             assert stack.shape == (12, rows.size, 20)
-            assert np.allclose(stack, single, rtol=1e-10, atol=1e-12 * np.abs(single).max())
+            for ref in (single, dense):
+                assert np.allclose(stack, ref, rtol=1e-10, atol=1e-12 * np.abs(ref).max())
     with pytest.raises(ValueError, match="grid spacing"):
         prop.entropy_rows(times, rows)
 
