@@ -517,7 +517,7 @@ def _run_figures(cfg: dict[str, str], names: list[str], command: str) -> int:
 
 def cmd_figures(cfg: dict[str, str]) -> int:
     """Emit the per-figure data products named in the ``figures`` list."""
-    names = [tok for tok in cfg["figures"].split(",") if tok.strip()]
+    names = _parse_list(cfg["figures"], str.strip, "figures")
     unknown = [name for name in names if name not in _FIGURES]
     if unknown:
         raise ConfigError(f"unknown figures {unknown}; choose from {sorted(_FIGURES)}")

@@ -5,8 +5,9 @@ route ``build_propagator`` picks from the couplings:
 
 * ``FRAME_EXACT`` away from g == delta conjugates the exact mode rotation
   through the squeezing frame, S(t) = G^{-1} B(t) G with B(t) block-diagonal
-  rotations at the frequencies J cos(pi n / (N+1)). A propagator keeps one
-  2N x 2N array, Psi2 G.
+  rotations at the frequencies J cos(pi n / (N+1)). Single-site rows come
+  from one GEMM with the N x N modes; block rows need Psi2 G, the one
+  2N x 2N array, built at the first block request.
 * ``LAB_EXPONENTIAL`` on the critical line exponentiates the
   equation-of-motion generator M (Padé-13 scaling and squaring in numpy).
   On the grid t_k = t_min + k dt the rows are stepped, rows(t_{k+1}) =
@@ -201,7 +202,6 @@ class Propagator:
     def __init__(self, params: ModelParams, mode: PropagationMode):
         self.params = params
         self.mode = mode
-        n = params.n_sites
         self.generator: np.ndarray | None = None
         self.frame: SqueezingFrame | None = None
         self._step: tuple[float, np.ndarray] | None = None
@@ -215,11 +215,18 @@ class Propagator:
             self.modes = spectrum.modes
             # +-J cos(pi n / (N+1)) with the frame's hopping sign; halving is exact
             self.frequencies = (-0.5 * frame_hopping_sign(frame)) * spectrum.energies
-            # Psi2 G with Psi2 = modes (x) I2 and G block diagonal: entry
-            # (2i+a, 2j+b) is the single product modes[i, j] G_j[a, b], so this
-            # equals the dense product bit for bit
-            self.mode_map = (self.modes[:, None, :, None]
-                             * frame.site_factors.transpose(1, 0, 2)).reshape(2 * n, 2 * n)
+
+    @functools.cached_property
+    def mode_map(self) -> np.ndarray:
+        """Psi2 G, the one 2N x 2N array of the frame route; built at the first block request.
+
+        With Psi2 = modes (x) I2 and G block diagonal, entry (2i+a, 2j+b) is
+        the single product modes[i, j] G_j[a, b], so this equals the dense
+        product bit for bit.
+        """
+        n = self.params.n_sites
+        return (self.modes[:, None, :, None]
+                * self.frame.site_factors.transpose(1, 0, 2)).reshape(2 * n, 2 * n)
 
     def _step_matrix(self, dt: float) -> np.ndarray:
         """expm(M dt), the lab map across one grid step; built at first use."""
@@ -234,15 +241,33 @@ class Propagator:
         out[np.arange(rows.size), :, rows % 2] = self.modes[:, rows // 2].T
         return out.reshape(rows.size, 2 * n)
 
-    def _rotated_factor(self, factor: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """factor @ B(t) for every time: a K x m x 2N stack of column-pair rotations."""
-        phase = np.multiply.outer(times, self.frequencies)[:, None, :]
-        cos_t, sin_t = np.cos(phase), np.sin(phase)
-        even, odd = factor[:, 0::2], factor[:, 1::2]
-        out = np.empty((times.size,) + factor.shape)
-        out[..., 0::2] = cos_t * even - sin_t * odd
-        out[..., 1::2] = sin_t * even + cos_t * odd
-        return out
+    def _site_rows(self, site: int, times: np.ndarray) -> np.ndarray:
+        """Rows 2j, 2j+1 of W(t) = Psi2^T B(t) G for j = ``site`` at every time: K x 2 x 2N.
+
+        With C_jk, S_jk = sum_i m_ij m_ik (cos, sin)(omega_i t), one GEMM of the
+        weighted mode column with the modes, row 2j holds C_jk G_k[0] +
+        S_jk G_k[1] and row 2j+1 holds C_jk G_k[1] - S_jk G_k[0].
+        """
+        n, k = self.params.n_sites, times.size
+        weights = np.empty((2, k, n))
+        phase = np.multiply.outer(times, self.frequencies, out=weights[1])
+        np.cos(phase, out=weights[0])
+        np.sin(phase, out=weights[1])
+        weights *= self.modes[:, site]
+        cos_part, sin_part = (weights.reshape(2 * k, n) @ self.modes).reshape(2, k, n)
+        # one (K, N) slice per output column keeps the inner loops N long; the
+        # weights are spent, so their two halves serve as the scratch
+        factor = np.ascontiguousarray(self.frame.site_factors.transpose(1, 2, 0))
+        out = np.empty((k, 2, n, 2))
+        left, right = weights
+        for b in range(2):
+            np.multiply(cos_part, factor[0, b], out=left)
+            np.multiply(sin_part, factor[1, b], out=right)
+            np.add(left, right, out=out[:, 0, :, b])
+            np.multiply(cos_part, factor[1, b], out=left)
+            np.multiply(sin_part, factor[0, b], out=right)
+            np.subtract(left, right, out=out[:, 1, :, b])
+        return out.reshape(k, 2, 2 * n)
 
     def _stepped_rows(self, times: np.ndarray, rows: np.ndarray, dt: float | None,
                       start: np.ndarray | None) -> np.ndarray:
@@ -307,20 +332,20 @@ class Propagator:
 
         ``t`` is a time, which gives the 2l x 2N rows, or a 1-D array of K
         times, which gives a K x 2l x 2N stack; a time is a batch of one. On
-        the frame route a single site rotates its 2 x 2N factor Psi2^T[rows]
-        and then takes one product with G for the whole stack; larger blocks
-        keep the per-time order Psi2^T[rows] (B(t) G). On the lab route more
-        than one time must form a grid t[k] = t[0] + k dt with ``dt`` given,
-        and the stack is stepped from ``start``, the rows at t[0], or without
-        it from a fresh expm anchor at t[0].
+        the frame route a single site takes its mode sums C and S for the
+        whole stack from one GEMM with the N x N modes and scales them by
+        the 2 x 2 site factors of G (``_site_rows``); larger blocks keep the
+        per-time order Psi2^T[rows] (B(t) G), which the 1e-12 references fix
+        for the ill-conditioned g = 0 quarter. On the lab route more than one
+        time must form a grid t[k] = t[0] + k dt with ``dt`` given, and the
+        stack is stepped from ``start``, the rows at t[0], or without it from
+        a fresh expm anchor at t[0].
         """
         times = np.atleast_1d(np.asarray(t, dtype=float))
         if self.mode is not PropagationMode.FRAME_EXACT:
             stack = self._stepped_rows(times, rows, dt, start)
-        elif rows.size == 2:
-            rotated = self._rotated_factor(self._mode_rows(rows), times)
-            flat = rotated.reshape(-1, rotated.shape[-1]) @ self.mode_map
-            stack = flat.reshape(rotated.shape)
+        elif rows.size == 2 and rows[0] % 2 == 0 and rows[1] == rows[0] + 1:
+            stack = self._site_rows(rows[0] // 2, times)
         else:
             factor = self._mode_rows(rows)
             stack = np.empty((times.size,) + factor.shape)

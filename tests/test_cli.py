@@ -163,6 +163,15 @@ def test_figures_products_skip_critical_fourpoint(tmp_path):
     assert not list((tmp_path / "f").glob("*.tmp"))
 
 
+def test_figures_list_accepts_spaces(tmp_path):
+    cfg = _write_cfg(tmp_path, g="0.2", n="8", figures="page, profiles",
+                     out=tmp_path / "s", **_FAST)
+    assert main(["figures", "--config", cfg]) == 0
+    assert (tmp_path / "s" / "page.csv").is_file()
+    assert (tmp_path / "s" / "profiles.csv").is_file()
+    assert not (tmp_path / "s" / "fourpoint.csv").exists()
+
+
 def test_exit_codes(tmp_path):
     assert main(["--version"]) == 0
     assert main(["not-a-command"]) == 3
@@ -242,7 +251,8 @@ def test_capped_sweep_stays_unconverged_on_rerun(tmp_path):
 
 
 def test_resume_reuses_rows_only_under_their_protocol(tmp_path, monkeypatch):
-    # one-sample chunks re-anchor the g = Delta rows at every sample
+    # one-sample chunks: inside a draw each g = Delta chunk steps on from the
+    # previous chunk's rows, and only the first chunk of a draw is anchored
     monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 1)
     out = tmp_path / "p"
     short = _write_cfg(tmp_path, name="short.cfg", g="0.1,0.25", n="8", out=out, **_FAST)

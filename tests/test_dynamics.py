@@ -213,11 +213,43 @@ def test_time_average_same_samples_both_routes():
     assert np.allclose(r_frame.values, r_lab, atol=1e-8)
 
 
+def _held_bytes(prop):
+    return sum(v.nbytes for v in vars(prop).values() if isinstance(v, np.ndarray))
+
+
 def test_frame_propagator_holds_one_dense_map():
     n = 64
     prop = build_propagator(_params(0.3, n))
-    held = sum(v.nbytes for v in vars(prop).values() if isinstance(v, np.ndarray))
-    assert held <= 1.3 * (2 * n) ** 2 * 8
+    prop.mode_map  # built at the first block request
+    assert _held_bytes(prop) <= 1.3 * (2 * n) ** 2 * 8
+
+
+def test_site_rows_match_full_map():
+    for g in (0.0, 0.2, 0.3):
+        for n in (8, 64, 512):
+            prop = build_propagator(_params(g, n))
+            proto = AveragingProtocol.for_params(prop.params)
+            times = np.array([proto.t_min, proto.time(777)])
+            full = [prop.entropy_map(t) for t in times]
+            for site in (0, n // 2, n - 1):
+                rows = quadrature_indices([site])
+                stack = prop.entropy_rows(times, rows, proto.dt)
+                for got, ref in zip(stack, full):
+                    ref = ref[rows]
+                    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_site_average_builds_no_mode_map():
+    n = 64
+    p = _params(0.2, n)
+    proto = AveragingProtocol.for_params(p, initial_samples=50, rel_threshold=1.0)
+    build_propagator.cache_clear()
+    time_averaged_entropy(p, [n // 2], proto)
+    prop = build_propagator(p, None)
+    assert "mode_map" not in vars(prop)
+    assert _held_bytes(prop) <= 0.3 * (2 * n) ** 2 * 8
+    time_averaged_entropy(p, range(n // 4), proto)
+    assert "mode_map" in vars(prop)
 
 
 def test_nonconvergence_carries_partial_result():
