@@ -21,8 +21,10 @@ expm(M t) per time in every regime: the single-time oracle for the frame route.
 One sampler draws the grid in chunks of consecutive indices: a chunk holds
 at most ``_CHUNK_BYTES`` of entropy-map rows (and the arrays that reducing
 them needs), never crosses a convergence check, and is one stacked call for
-the rows and one batched factorization for their entropies. Outside the
-lab-route anchors no average builds the full map S(t).
+the rows and one batched factorization for their entropies. Its rows go
+into one buffer that the thread reuses from chunk to chunk and from one
+average to the next. Outside the lab-route anchors no average builds the
+full map S(t).
 
 The covariance of the evolved vacuum is sigma(t) = S(t) S(t)^T.
 """
@@ -32,6 +34,7 @@ import enum
 import functools
 import math
 import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +63,8 @@ _MAX_SAMPLES_ENV = "BKC_MAX_SAMPLES"
 # Memory budget of one chunk of samples: its map rows plus the arrays of the
 # same size that factoring them needs (``stacks`` in _GridRows).
 _CHUNK_BYTES = 4 * 2 ** 20
+# This thread's spare rows buffer, reused by the next average; see _GridRows.
+_spare_rows = threading.local()
 # Largest relative gap allowed between stepped rows and a fresh expm anchor.
 _ANCHOR_RTOL = 1e-8
 
@@ -241,8 +246,9 @@ class Propagator:
         out[np.arange(rows.size), :, rows % 2] = self.modes[:, rows // 2].T
         return out.reshape(rows.size, 2 * n)
 
-    def _site_rows(self, site: int, times: np.ndarray) -> np.ndarray:
-        """Rows 2j, 2j+1 of W(t) = Psi2^T B(t) G for j = ``site`` at every time: K x 2 x 2N.
+    def _site_rows(self, site: int, times: np.ndarray, out: np.ndarray) -> None:
+        """Rows 2j, 2j+1 of W(t) = Psi2^T B(t) G for j = ``site`` at every time, into
+        ``out`` (K x 2 x 2N).
 
         With C_jk, S_jk = sum_i m_ij m_ik (cos, sin)(omega_i t), one GEMM of the
         weighted mode column with the modes, row 2j holds C_jk G_k[0] +
@@ -258,8 +264,8 @@ class Propagator:
         # one (K, N) slice per output column keeps the inner loops N long; the
         # weights are spent, so their two halves serve as the scratch
         factor = np.ascontiguousarray(self.frame.site_factors.transpose(1, 2, 0))
-        out = np.empty((k, 2, n, 2))
         left, right = weights
+        out = out.reshape(k, 2, n, 2)   # a view: out is C-contiguous
         for b in range(2):
             np.multiply(cos_part, factor[0, b], out=left)
             np.multiply(sin_part, factor[1, b], out=right)
@@ -267,21 +273,18 @@ class Propagator:
             np.multiply(cos_part, factor[1, b], out=left)
             np.multiply(sin_part, factor[0, b], out=right)
             np.subtract(left, right, out=out[:, 1, :, b])
-        return out.reshape(k, 2, 2 * n)
 
     def _stepped_rows(self, times: np.ndarray, rows: np.ndarray, dt: float | None,
-                      start: np.ndarray | None) -> np.ndarray:
-        """Lab rows on an arithmetic grid, stepped from ``start`` (the rows at
-        times[0]) or, without it, from a fresh expm anchor at times[0]."""
+                      start: np.ndarray | None, out: np.ndarray) -> None:
+        """Lab rows on an arithmetic grid into ``out``, stepped from ``start`` (the
+        rows at times[0]) or, without it, from a fresh expm anchor at times[0]."""
         if times.size > 1:
             scale = max(1.0, abs(times[0]), abs(times[-1]))
             if dt is None or abs(times[-1] - times[0] - (times.size - 1) * dt) > 1e-9 * scale:
                 raise ValueError(f"lab-route times need their grid spacing dt, got {dt!r}")
-        out = np.empty((times.size, rows.size, 2 * self.params.n_sites))
         out[0] = self.symplectic(times[0])[rows] if start is None else start
         for k in range(1, times.size):
             np.matmul(out[k - 1], self._step_matrix(dt), out=out[k])
-        return out
 
     def _rotated_map(self, t: float) -> np.ndarray:
         """B(t) G without materializing B: paired-row rotation of G, written in place."""
@@ -317,7 +320,8 @@ class Propagator:
         return self.entropy_rows(t, np.arange(2 * self.params.n_sites))
 
     def entropy_rows(self, t, rows: np.ndarray, dt: float | None = None,
-                     start: np.ndarray | None = None) -> np.ndarray:
+                     start: np.ndarray | None = None,
+                     out: np.ndarray | None = None) -> np.ndarray:
         """Rows of a quadrature map whose state has the subsystem entropies of S(t).
 
         The frame route returns rows of W(t) = Psi2^T B(t) G = F S(t), i.e.
@@ -339,16 +343,23 @@ class Propagator:
         for the ill-conditioned g = 0 quarter. On the lab route more than one
         time must form a grid t[k] = t[0] + k dt with ``dt`` given, and the
         stack is stepped from ``start``, the rows at t[0], or without it from
-        a fresh expm anchor at t[0].
+        a fresh expm anchor at t[0]. ``out``, a C-contiguous K x 2l x 2N
+        array, receives the stack instead of a new array.
         """
         times = np.atleast_1d(np.asarray(t, dtype=float))
+        shape = (times.size, rows.size, 2 * self.params.n_sites)
+        if out is None:
+            stack = np.empty(shape)
+        elif out.shape == shape and out.flags.c_contiguous:
+            stack = out
+        else:
+            raise ValueError(f"out must be a C-contiguous {shape} array, got {out.shape}")
         if self.mode is not PropagationMode.FRAME_EXACT:
-            stack = self._stepped_rows(times, rows, dt, start)
+            self._stepped_rows(times, rows, dt, start, stack)
         elif rows.size == 2 and rows[0] % 2 == 0 and rows[1] == rows[0] + 1:
-            stack = self._site_rows(rows[0] // 2, times)
+            self._site_rows(rows[0] // 2, times, stack)
         else:
             factor = self._mode_rows(rows)
-            stack = np.empty((times.size,) + factor.shape)
             for i, s in enumerate(times):
                 np.matmul(factor, self._rotated_map(s), out=stack[i])
         _check_finite(stack, (times[0], times[-1]))
@@ -413,9 +424,16 @@ class _GridRows:
     """``reduce`` of one subsystem's entropy-map rows on grid indices, a draw at a time.
 
     A draw is taken in chunks that fit ``stacks`` arrays of a chunk's size
-    (by default the rows and their QR copy) in _CHUNK_BYTES. On the lab route
-    each draw starts from a fresh expm anchor, and its later chunks step on
-    from the previous chunk's last rows. Where stepped rows reach an anchor
+    (by default the rows and their QR copy) in _CHUNK_BYTES. Every chunk
+    writes its rows into one buffer, which the thread keeps for its next
+    average (``_take_rows_buffer``), and the reduced values are copied out
+    before the next chunk. A new multi-MiB array per chunk or per average,
+    freed before the next, lets the allocator hand its pages back to the
+    system, and faulting them in again is slow, varies with the load on the
+    machine and, through the allocator's state, with the order of the
+    averages. On the lab route each draw starts from a fresh expm anchor,
+    and its later chunks step on from the previous chunk's last rows.
+    Where stepped rows reach an anchor
     (the next draw's first index, or the index after the last sample, which
     ``close`` anchors) they must match it within _ANCHOR_RTOL
     (NumericalFailure otherwise), so every stepped sample lies between two
@@ -433,19 +451,28 @@ class _GridRows:
         self._advanced: tuple[int, np.ndarray] | None = None
 
     def __call__(self, k0: int, k1: int) -> np.ndarray:
-        # each chunk's rows are freed before the next chunk's are built
-        return np.concatenate([self.reduce(self._rows(c0, min(k1, c0 + self.chunk), c0 > k0))
-                               for c0 in range(k0, k1, self.chunk)])
+        buffer = _take_rows_buffer(self.chunk * self.rows.size * 2 * self.prop.params.n_sites)
+        try:
+            # reduce may return a view of the rows, which the next chunk overwrites
+            values = [np.array(self.reduce(self._rows(c0, min(k1, c0 + self.chunk), c0 > k0,
+                                                      buffer)))
+                      for c0 in range(k0, k1, self.chunk)]
+        finally:
+            _keep_rows_buffer(buffer)
+        return np.concatenate(values)
 
-    def _rows(self, k0: int, k1: int, step_on: bool) -> np.ndarray:
-        """Rows at k0 <= k < k1; on the lab route stepped on from the previous
-        chunk if ``step_on``, else from a fresh anchor checked against it."""
+    def _rows(self, k0: int, k1: int, step_on: bool, buffer: np.ndarray) -> np.ndarray:
+        """Rows at k0 <= k < k1, written into ``buffer``; on the lab route stepped
+        on from the previous chunk if ``step_on``, else from a fresh anchor
+        checked against it."""
         dt = self.protocol.dt
         times = self.protocol.times(k0, k1)
+        shape = (k1 - k0, self.rows.size, 2 * self.prop.params.n_sites)
+        out = buffer[:math.prod(shape)].reshape(shape)
         if self.prop.mode is not PropagationMode.LAB_EXPONENTIAL:
-            return self.prop.entropy_rows(times, self.rows, dt)
+            return self.prop.entropy_rows(times, self.rows, dt, out=out)
         stack = self.prop.entropy_rows(times, self.rows, dt,
-                                       self._advanced[1] if step_on else None)
+                                       self._advanced[1] if step_on else None, out)
         if not step_on:
             self._check(k0, stack[0])
         self._advanced = (k1, stack[-1] @ self.prop._step_matrix(dt))
@@ -467,6 +494,25 @@ class _GridRows:
                 f"relative gap {gap:.3e} > {_ANCHOR_RTOL:g}"
             )
         self.max_discrepancy = max(self.max_discrepancy, gap)
+
+
+def _take_rows_buffer(size: int) -> np.ndarray:
+    """A flat float64 buffer of at least ``size`` entries: the thread's spare or a new one.
+
+    The spare is handed out once, so an average run inside a ``reduce``
+    gets a buffer of its own.
+    """
+    buffer = getattr(_spare_rows, "buffer", None)
+    _spare_rows.buffer = None
+    return buffer if buffer is not None and buffer.size >= size else np.empty(size)
+
+
+def _keep_rows_buffer(buffer: np.ndarray) -> None:
+    """Keep ``buffer`` as the thread's spare if it fits the rows share of
+    _CHUNK_BYTES and is larger than the spare already kept."""
+    spare = getattr(_spare_rows, "buffer", None)
+    if 2 * buffer.nbytes <= _CHUNK_BYTES and (spare is None or spare.size < buffer.size):
+        _spare_rows.buffer = buffer
 
 
 def _sample(params: ModelParams, subsystem, reduce, protocol: AveragingProtocol | None,

@@ -614,6 +614,60 @@ def test_entropy_rows_stack_matches_scalar_calls():
         prop.entropy_rows(times, rows)
 
 
+def test_entropy_rows_fill_out_bit_for_bit():
+    for g in (0.2, 0.25):
+        p = _params(g, 10)
+        prop = build_propagator(p, None)
+        proto = AveragingProtocol.for_params(p)
+        times = proto.times(0, 12)
+        for cut in ([4], [0, 1, 2]):
+            rows = quadrature_indices(cut)
+            out = np.full((12, rows.size, 20), np.nan)
+            stack = prop.entropy_rows(times, rows, proto.dt, out=out)
+            assert stack is out
+            assert np.array_equal(out, prop.entropy_rows(times, rows, proto.dt))
+        with pytest.raises(ValueError, match="C-contiguous"):
+            prop.entropy_rows(times, rows, proto.dt, out=np.empty((12, 20, rows.size)).T)
+
+
+def test_averages_share_one_rows_buffer(monkeypatch):
+    # every chunk of every average writes its rows into the same memory, and a
+    # reduce that returns a view of them still gets its own values back
+    monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 16 * 20 * 8 * 2)
+    addresses = set()
+
+    def view(stack):
+        addresses.add(stack.__array_interface__["data"][0])
+        return stack[:, 0, 0]
+
+    for g in (0.2, 0.25):
+        p = _params(g, 10)
+        proto = AveragingProtocol.for_params(p, initial_samples=50, batch_samples=30,
+                                             max_samples=110, rel_threshold=1e-9)
+        for cut in ([4], [0, 1, 2]):
+            shared = time_series(p, cut, view, proto)
+            copied = time_series(p, cut, lambda stack: stack[:, 0, 0].copy(), proto)
+            assert shared.n_samples == copied.n_samples == 110
+            assert np.array_equal(shared.values, copied.values)
+    assert len(addresses) == 1
+
+
+def test_average_inside_reduce_gets_its_own_rows_buffer():
+    p = _params(0.2, 10)
+    proto = AveragingProtocol.for_params(p, initial_samples=40, rel_threshold=1.0)
+    inner = []
+
+    def nested(stack):
+        first = stack[:, 0, 0]
+        inner.append(time_series(p, [1], lambda s: s[:, 1, 3], proto).mean)
+        return first
+
+    got = time_series(p, [4], nested, proto)
+    ref = time_series(p, [4], lambda stack: stack[:, 0, 0], proto)
+    assert np.array_equal(got.values, ref.values)
+    assert inner[0] == time_series(p, [1], lambda s: s[:, 1, 3], proto).mean
+
+
 def test_subsystems_validated():
     p = _params(0.2, 8)
     with pytest.raises(DomainError, match="mode index 8 out of range"):
