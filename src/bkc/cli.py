@@ -43,7 +43,7 @@ from .errors import (
 )
 from .fourpoint import epsilon4, log_correction
 from .gaussian import local_decompose
-from .model import ModelParams, PhaseRegime, classify_phase
+from .model import ModelParams
 
 SWEEP_FIELDS = ("g", "N", "subsystem", "S_mean", "stderr", "n_samples")
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -162,10 +162,6 @@ def _subsystems(cfg: dict[str, str], params: ModelParams) -> list[tuple[str, lis
     raise ConfigError(f"unknown cut {cut!r} (expected site, quarter or page)")
 
 
-def _route(params: ModelParams) -> str:
-    return "lab" if classify_phase(params) is PhaseRegime.CRITICAL else "frame"
-
-
 def _run_average(average, *args) -> tuple[object, bool, float]:
     """``average(*args)``, whether it converged (else the partial result) and its seconds."""
     started = time.perf_counter()
@@ -183,9 +179,8 @@ def _page_rows(params: ModelParams, protocol: AveragingProtocol) -> list[dict]:
         "g": params.g, "N": params.n_sites, "subsystem": f"left:{int(l)}",
         "S_mean": float(s_mean), "stderr": float(err),
         "n_samples": int(curve.n_samples), "converged": converged,
-        "anchor_discrepancy": curve.anchor_discrepancy,
         "protocol": dataclasses.asdict(protocol),
-        "route": _route(params), "seconds": seconds / curve.lengths.size,
+        "route": "frame", "seconds": seconds / curve.lengths.size,
     } for l, s_mean, err in zip(curve.lengths, curve.entropies, curve.stderrs)]
 
 
@@ -203,9 +198,8 @@ def _sweep_point(task) -> list[dict]:
             "g": g, "N": n, "subsystem": label,
             "S_mean": result.mean, "stderr": result.stderr,
             "n_samples": result.n_samples, "converged": converged,
-            "anchor_discrepancy": result.anchor_discrepancy,
             "protocol": dataclasses.asdict(protocol),
-            "route": _route(params), "seconds": seconds,
+            "route": "frame", "seconds": seconds,
         })
     return rows
 
@@ -271,7 +265,7 @@ def _write_manifest(path: Path, command: str, cfg: dict[str, str], rows: list[di
         "rows": len(rows),
         "runs": [
             {k: row[k] for k in ("g", "N", "subsystem", "converged", "route", "seconds",
-                                 "anchor_discrepancy", "protocol")
+                                 "protocol")
              if k in row}
             for row in sorted(rows, key=lambda r: (r["N"], r["g"], r.get("subsystem", "")))
         ],
@@ -315,8 +309,7 @@ def cmd_sweep(cfg: dict[str, str]) -> int:
     Rows of an earlier run in the same directory are reused only where its
     manifest records them as converged under the sampling protocol this
     config resolves for their point; a reused row keeps its recorded
-    protocol and anchor gap. The CSV and manifest are rewritten after every
-    grid point.
+    protocol. The CSV and manifest are rewritten after every grid point.
     """
     started = time.time()
     out = _out_dir(cfg)
@@ -327,7 +320,8 @@ def cmd_sweep(cfg: dict[str, str]) -> int:
     for key, row in rows.items():
         run = recorded.get(key, {})
         row["converged"] = run.get("converged") is True
-        row.update((k, run[k]) for k in ("anchor_discrepancy", "protocol") if k in run)
+        if "protocol" in run:
+            row["protocol"] = run["protocol"]
     tasks = []
     for params in _grid(cfg):
         protocol = dataclasses.asdict(_protocol_for(params, cfg))
@@ -441,8 +435,7 @@ def _figure_profiles(cfg: dict[str, str], out: Path) -> tuple[list[dict], bool]:
                 _fmt(s_thermal), _fmt(decomp.beta), _fmt(decomp.z), str(prof.n_samples),
             ]))
         meta.append({"g": params.g, "N": params.n_sites, "subsystem": "profiles",
-                     "converged": converged, "route": _route(params), "seconds": seconds,
-                     "anchor_discrepancy": prof.anchor_discrepancy})
+                     "converged": converged, "route": "frame", "seconds": seconds})
     _write_atomic(out / "profiles.csv", "\n".join(lines) + "\n")
     return meta, ok
 
@@ -461,8 +454,7 @@ def _figure_page(cfg: dict[str, str], out: Path) -> tuple[list[dict], bool]:
         ok = ok and first["converged"]
         meta.append({"g": params.g, "N": params.n_sites, "subsystem": "page",
                      "converged": first["converged"], "route": first["route"],
-                     "seconds": sum(row["seconds"] for row in rows),
-                     "anchor_discrepancy": first["anchor_discrepancy"]})
+                     "seconds": sum(row["seconds"] for row in rows)})
     _write_atomic(out / "page.csv", "\n".join(lines) + "\n")
     return meta, ok
 

@@ -1,30 +1,38 @@
 """Vacuum-quench propagation and long-time averaging of entanglement data.
 
 Every average (``time_series``, ``page_curve``, ``profiles``) takes the
-route ``build_propagator`` picks from the couplings:
+``FRAME_EXACT`` route, which ``build_propagator(params, None)`` always picks:
 
-* ``FRAME_EXACT`` away from g == delta conjugates the exact mode rotation
-  through the squeezing frame, S(t) = G^{-1} B(t) G with B(t) block-diagonal
-  rotations at the frequencies J cos(pi n / (N+1)). Single-site rows come
-  from one GEMM with the N x N modes; block rows need Psi2 G, the one
-  2N x 2N array, built at the first block request.
-* ``LAB_EXPONENTIAL`` on the critical line exponentiates the
-  equation-of-motion generator M (Padé-13 scaling and squaring in numpy).
-  On the grid t_k = t_min + k dt the rows are stepped, rows(t_{k+1}) =
-  rows(t_k) expm(M dt), from one fresh expm anchor per draw (the initial
-  samples, then each batch); the stepped rows must reach the next draw's
-  anchor, and after the last sample one closing anchor, within 1e-8.
+* Away from g == delta it conjugates the exact mode rotation through the
+  squeezing frame, S(t) = G^{-1} B(t) G with B(t) block-diagonal rotations
+  at the frequencies J cos(pi n / (N+1)). Single-site rows come from one
+  GEMM with the N x N modes; block rows need Psi2 G, the one 2N x 2N array,
+  built at the first block request.
+* On g == delta the bond block delta [[1, 1], [-1, -1]] is nilpotent and
+  the map has a closed form. With Z the shift (Z_{j,j+1} = 1),
+  T_w = (w/2)(Z^T - Z), T_c = (Z + Z^T)/2 and per-site u = (q+p)/sqrt2,
+  v = (q-p)/sqrt2, the chain obeys u' = T_w u and v' = T_w v + 2 delta T_c u,
+  so u(t) = U u(0) and v(t) = V u(0) + U v(0) with
 
-``evolve`` and ``build_propagator`` with ``LAB_EXPONENTIAL`` give a dense
-expm(M t) per time in every regime: the single-time oracle for the frame route.
+      U(t) = D Psi E Psi D*,  V(t) = (2 delta / w) D Psi (E K - K E) Psi D*,
+
+  D = diag(i^j), E = diag(e^{-i w c_n t}), c_n = cos(pi n / (N+1)), Psi the
+  (symmetric) sine modes and K_nm = a_nm / (c_m - c_n), K_nn = 0, with
+  a = Psi (Z - Z^T) Psi / 2. Both stay bounded in t. The rows returned are
+  those of W = S(t) P, P = [[1, 1], [1, -1]] / sqrt2 per site, so
+  W W^T = S S^T: whole-site entropies and Gram blocks are the lab ones.
+
+``LAB_EXPONENTIAL`` exponentiates the equation-of-motion generator M densely
+(Padé-13 scaling and squaring in numpy), one expm per time. ``evolve`` and
+``build_propagator`` use it on request: it is the oracle of the tests, and no
+average reaches it.
 
 One sampler draws the grid in chunks of consecutive indices: a chunk holds
 at most ``_CHUNK_BYTES`` of entropy-map rows (and the arrays that reducing
 them needs), never crosses a convergence check, and is one stacked call for
 the rows and one batched factorization for their entropies. Its rows go
 into one buffer that the thread reuses from chunk to chunk and from one
-average to the next. Outside the lab-route anchors no average builds the
-full map S(t).
+average to the next. No average builds the full map S(t).
 
 The covariance of the evolved vacuum is sigma(t) = S(t) S(t)^T.
 """
@@ -33,13 +41,12 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import os
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, NonConvergence, NumericalFailure, OverflowGuard
+from .errors import OVERFLOW_LIMIT, NonConvergence, OverflowGuard
 from .gaussian import (
     CovarianceMatrix,
     quadrature_indices,
@@ -58,18 +65,23 @@ from .model import (
     tight_binding_spectrum,
 )
 
-_OVERFLOW_LIMIT = 1e300
-_MAX_SAMPLES_ENV = "BKC_MAX_SAMPLES"
 # Memory budget of one chunk of samples: its map rows plus the arrays of the
-# same size that factoring them needs (``stacks`` in _GridRows).
+# same size that factoring them needs (``stacks`` in _sample).
 _CHUNK_BYTES = 4 * 2 ** 20
-# This thread's spare rows buffer, reused by the next average; see _GridRows.
+# This thread's spare rows buffer, reused by the next average; see _sample.
 _spare_rows = threading.local()
-# Largest relative gap allowed between stepped rows and a fresh expm anchor.
-_ANCHOR_RTOL = 1e-8
+# P per site: (q, p) -> (u, v) = ((q+p), (q-p)) / sqrt2, its own inverse.
+_HALF_TURN = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
 class PropagationMode(enum.Enum):
+    """Route of a Propagator.
+
+    ``FRAME_EXACT``: the exact mode rotation in the squeezing frame, or on
+    g == delta the closed form; every average takes it. ``LAB_EXPONENTIAL``:
+    a dense matrix exponential of the generator per time, the oracle.
+    """
+
     FRAME_EXACT = "frame"
     LAB_EXPONENTIAL = "lab"
 
@@ -101,21 +113,9 @@ class AveragingProtocol:
 
     @classmethod
     def for_params(cls, params: ModelParams, **overrides) -> "AveragingProtocol":
-        """Late-time grid scaled by the effective hopping: t_min = 10 N / J, dt = 10 / J.
-
-        The sample cap honours the BKC_MAX_SAMPLES environment variable
-        unless overridden explicitly.
-        """
+        """Late-time grid scaled by the effective hopping: t_min = 10 N / J, dt = 10 / J."""
         hop = params.hopping
         kwargs = {"t_min": 10.0 * params.n_sites / hop, "dt": 10.0 / hop}
-        env_cap = os.environ.get(_MAX_SAMPLES_ENV)
-        if env_cap is not None:
-            try:
-                kwargs["max_samples"] = int(env_cap)
-            except ValueError:
-                raise ConfigError(
-                    f"{_MAX_SAMPLES_ENV} must be an integer, got {env_cap!r}"
-                ) from None
         kwargs.update(overrides)
         return cls(**kwargs)
 
@@ -129,18 +129,13 @@ class AveragingProtocol:
 
 @dataclass(frozen=True, eq=False)
 class TimeAverageResult:
-    """Converged (or capped) time average of a scalar entanglement quantity.
-
-    ``anchor_discrepancy`` is the largest relative gap between stepped rows
-    and a fresh expm anchor (0.0 on the frame route, which steps nothing).
-    """
+    """Converged (or capped) time average of a scalar entanglement quantity."""
 
     mean: float
     stderr: float
     n_samples: int
     converged: bool
     values: np.ndarray = field(repr=False)
-    anchor_discrepancy: float = field(default=0.0, repr=False)
 
 
 # Padé-13 numerator coefficients and the 1-norm up to which r_13(A) is exp(A)
@@ -196,9 +191,29 @@ def _check_finite(arr: np.ndarray, t) -> np.ndarray:
     # max and min propagate NaN, so two reductions cover every entry
     # without a temporary array of the stack's size
     peak = max(float(arr.max()), -float(arr.min()))
-    if not peak <= _OVERFLOW_LIMIT:
-        raise OverflowGuard(f"propagation overflowed float64 range at t = {t!r}")
+    if not peak <= OVERFLOW_LIMIT:
+        raise OverflowGuard(f"propagation overflowed float64 range at t = {t}")
     return arr
+
+
+def _critical_columns(params: ModelParams, modes: np.ndarray,
+                      cosines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The g == delta map's precomputed columns, one N x 2h array per site parity.
+
+    Columns k of parity p (h of them) hold [kappa_k Psi[:, k] | kappa_k Phi[:, k]]
+    with kappa_k = (-1)^floor(k/2) and Phi = (2 delta / w) K Psi. K is
+    symmetric (a is antisymmetric, and so is c_m - c_n), so the second term
+    of V reads Phi as well: (Psi K)_jn = Phi_nj.
+    """
+    n = params.n_sites
+    hop = modes[:, :-1] @ modes[:, 1:].T
+    gap = cosines[None, :] - cosines[:, None]
+    k_mat = np.divide(0.5 * (hop - hop.T), gap, out=np.zeros((n, n)),
+                      where=~np.eye(n, dtype=bool))
+    coupled = (2.0 * params.delta / params.w) * (k_mat @ modes)
+    kappa = 1.0 - 2.0 * (np.arange(n) // 2 % 2)
+    return tuple(np.hstack([modes[:, p::2] * kappa[p::2], coupled[:, p::2] * kappa[p::2]])
+                 for p in (0, 1))
 
 
 class Propagator:
@@ -209,17 +224,21 @@ class Propagator:
         self.mode = mode
         self.generator: np.ndarray | None = None
         self.frame: SqueezingFrame | None = None
-        self._step: tuple[float, np.ndarray] | None = None
         if mode is PropagationMode.LAB_EXPONENTIAL:
             h, omega = bdg_matrices(params)
             self.generator = omega @ h
+            return
+        spectrum = tight_binding_spectrum(params)
+        if classify_phase(params) is PhaseRegime.CRITICAL:
+            n = params.n_sites
+            cosines = np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
+            self.frequencies = params.w * cosines
+            self.columns = _critical_columns(params, spectrum.modes, cosines)
         else:
-            frame = squeezing_frame(params)
-            spectrum = tight_binding_spectrum(params)
-            self.frame = frame
+            self.frame = squeezing_frame(params)
             self.modes = spectrum.modes
             # +-J cos(pi n / (N+1)) with the frame's hopping sign; halving is exact
-            self.frequencies = (-0.5 * frame_hopping_sign(frame)) * spectrum.energies
+            self.frequencies = (-0.5 * frame_hopping_sign(self.frame)) * spectrum.energies
 
     @functools.cached_property
     def mode_map(self) -> np.ndarray:
@@ -232,12 +251,6 @@ class Propagator:
         n = self.params.n_sites
         return (self.modes[:, None, :, None]
                 * self.frame.site_factors.transpose(1, 0, 2)).reshape(2 * n, 2 * n)
-
-    def _step_matrix(self, dt: float) -> np.ndarray:
-        """expm(M dt), the lab map across one grid step; built at first use."""
-        if self._step is None or self._step[0] != dt:
-            self._step = (dt, _check_finite(_expm(self.generator * dt), dt))
-        return self._step[1]
 
     def _mode_rows(self, rows: np.ndarray) -> np.ndarray:
         """Rows of Psi2^T: row 2j+b holds modes[i, j] at column 2i+b, zeros elsewhere."""
@@ -274,17 +287,51 @@ class Propagator:
             np.multiply(sin_part, factor[0, b], out=right)
             np.subtract(left, right, out=out[:, 1, :, b])
 
-    def _stepped_rows(self, times: np.ndarray, rows: np.ndarray, dt: float | None,
-                      start: np.ndarray | None, out: np.ndarray) -> None:
-        """Lab rows on an arithmetic grid into ``out``, stepped from ``start`` (the
-        rows at times[0]) or, without it, from a fresh expm anchor at times[0]."""
-        if times.size > 1:
-            scale = max(1.0, abs(times[0]), abs(times[-1]))
-            if dt is None or abs(times[-1] - times[0] - (times.size - 1) * dt) > 1e-9 * scale:
-                raise ValueError(f"lab-route times need their grid spacing dt, got {dt!r}")
-        out[0] = self.symplectic(times[0])[rows] if start is None else start
-        for k in range(1, times.size):
-            np.matmul(out[k - 1], self._step_matrix(dt), out=out[k])
+    def _critical_rows(self, sites: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
+        """Rows 2j, 2j+1 of W(t) = S(t) P for every j in ``sites`` at every time, into
+        ``out`` (K x 2l x 2N), on g == delta.
+
+        U_jk = kappa_j kappa_k times C_jk if j = k mod 2, +S_jk if j is odd and
+        k even, -S_jk if j is even and k odd, with (C, S)_jk = sum_n psi_nj
+        psi_nk (cos, sin)(w c_n t); V follows the same rule with psi_nj Phi_nk
+        - Phi_nj psi_nk in the sums. So the columns of parity p take the cosine
+        weights of the sites of parity p and the +-sine weights of the others:
+        per parity one GEMM with [kappa Psi_p | kappa Phi_p] gives U and the
+        first term of V, one with kappa Psi_p the second. Row 2j is
+        (U_jk + V_jk, U_jk) / sqrt2 and row 2j+1 (U_jk - V_jk, -U_jk) / sqrt2 in
+        the per-site (u, v) columns.
+        """
+        n, k, l = self.params.n_sites, times.size, sites.size
+        parity = sites % 2
+        # each site's psi and Phi columns, with the 1/sqrt2 of the rows folded in
+        scale = 1.0 / math.sqrt(2.0)
+        psi_w, phi_w = np.empty((l, n)), np.empty((l, n))
+        for p, cols in enumerate(self.columns):
+            half, idx = cols.shape[1] // 2, sites[parity == p] // 2
+            psi_w[parity == p] = scale * cols[:, idx].T
+            phi_w[parity == p] = scale * cols[:, half + idx].T
+        trig = np.empty((k, 3, n))   # cos, sin, -sin
+        np.multiply.outer(times, self.frequencies, out=trig[:, 2])
+        np.cos(trig[:, 2], out=trig[:, 0])
+        np.sin(trig[:, 2], out=trig[:, 1])
+        np.negative(trig[:, 1], out=trig[:, 2])
+        weights = np.empty((2, k, l, n))
+        out = out.reshape(k, l, 2, n, 2)   # a view: out is C-contiguous
+        for p, cols in enumerate(self.columns):
+            half = cols.shape[1] // 2
+            # own parity: cos; an odd site into even columns: +sin; even into odd: -sin
+            np.take(trig, np.where(parity == p, 0, 2 - parity), axis=1, out=weights[0])
+            np.multiply(weights[0], phi_w, out=weights[1])
+            weights[0] *= psi_w
+            u_v1 = weights[0].reshape(k * l, n) @ cols
+            v_part = u_v1[:, half:]
+            v_part -= weights[1].reshape(k * l, n) @ cols[:, :half]
+            u_part = u_v1[:, :half].reshape(k, l, half)
+            v_part = v_part.reshape(k, l, half)
+            np.add(u_part, v_part, out=out[:, :, 0, p::2, 0])
+            out[:, :, 0, p::2, 1] = u_part
+            np.subtract(u_part, v_part, out=out[:, :, 1, p::2, 0])
+            np.negative(u_part, out=out[:, :, 1, p::2, 1])
 
     def _rotated_map(self, t: float) -> np.ndarray:
         """B(t) G without materializing B: paired-row rotation of G, written in place."""
@@ -306,10 +353,15 @@ class Propagator:
         if t == 0.0:
             return np.eye(2 * n)
         if self.mode is PropagationMode.LAB_EXPONENTIAL:
-            return _check_finite(_expm(self.generator * t), t)
+            return _check_finite(_expm(self.generator * t), float(t))
+        w_map = self.entropy_map(t)
+        if self.frame is None:
+            # S = W P, and P is its own inverse
+            return (w_map.reshape(-1, 2) @ _HALF_TURN).reshape(2 * n, 2 * n)
         # S = F^-1 W(t), one 2 x 2 site factor per pair of rows
-        w_rows = self.entropy_map(t).reshape(n, 2, 2 * n)
-        return _check_finite((self.frame.inverse_factors() @ w_rows).reshape(2 * n, 2 * n), t)
+        w_rows = w_map.reshape(n, 2, 2 * n)
+        return _check_finite((self.frame.inverse_factors() @ w_rows).reshape(2 * n, 2 * n),
+                             float(t))
 
     def subsystem_rows(self, t: float, rows: np.ndarray) -> np.ndarray:
         """Rows of S(t) for the quadratures listed in ``rows``."""
@@ -319,20 +371,20 @@ class Propagator:
         """Every row of entropy_rows(t); see that method for the frame choice."""
         return self.entropy_rows(t, np.arange(2 * self.params.n_sites))
 
-    def entropy_rows(self, t, rows: np.ndarray, dt: float | None = None,
-                     start: np.ndarray | None = None,
-                     out: np.ndarray | None = None) -> np.ndarray:
+    def entropy_rows(self, t, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Rows of a quadrature map whose state has the subsystem entropies of S(t).
 
-        The frame route returns rows of W(t) = Psi2^T B(t) G = F S(t), i.e.
-        the evolved state written in the squeezing frame F. Site blocks of
-        W W^T differ from the lab ones only by per-site symplectic factors,
-        which leave every whole-site subsystem entropy unchanged but strip
-        the e^{r (j - j0)} local-squeezing amplification. Without that
-        rescaling the lab-frame site blocks at large N carry entries so far
-        above the symplectic eigenvalues that the eigensolver's
-        floating-point floor swallows the entropy entirely. The lab route
-        returns rows of S(t) itself.
+        Away from g == delta the frame route returns rows of
+        W(t) = Psi2^T B(t) G = F S(t), i.e. the evolved state written in the
+        squeezing frame F. Site blocks of W W^T differ from the lab ones only
+        by per-site symplectic factors, which leave every whole-site
+        subsystem entropy unchanged but strip the e^{r (j - j0)}
+        local-squeezing amplification. Without that rescaling the lab-frame
+        site blocks at large N carry entries so far above the symplectic
+        eigenvalues that the eigensolver's floating-point floor swallows the
+        entropy entirely. On g == delta it returns rows of W = S(t) P, whose
+        site blocks of W W^T are the lab ones (module docstring). The lab
+        route returns rows of S(t) itself, one expm per time.
 
         ``t`` is a time, which gives the 2l x 2N rows, or a 1-D array of K
         times, which gives a K x 2l x 2N stack; a time is a batch of one. On
@@ -340,11 +392,8 @@ class Propagator:
         whole stack from one GEMM with the N x N modes and scales them by
         the 2 x 2 site factors of G (``_site_rows``); larger blocks keep the
         per-time order Psi2^T[rows] (B(t) G), which the 1e-12 references fix
-        for the ill-conditioned g = 0 quarter. On the lab route more than one
-        time must form a grid t[k] = t[0] + k dt with ``dt`` given, and the
-        stack is stepped from ``start``, the rows at t[0], or without it from
-        a fresh expm anchor at t[0]. ``out``, a C-contiguous K x 2l x 2N
-        array, receives the stack instead of a new array.
+        for the ill-conditioned g = 0 quarter. ``out``, a C-contiguous
+        K x 2l x 2N array, receives the stack instead of a new array.
         """
         times = np.atleast_1d(np.asarray(t, dtype=float))
         shape = (times.size, rows.size, 2 * self.params.n_sites)
@@ -354,15 +403,25 @@ class Propagator:
             stack = out
         else:
             raise ValueError(f"out must be a C-contiguous {shape} array, got {out.shape}")
-        if self.mode is not PropagationMode.FRAME_EXACT:
-            self._stepped_rows(times, rows, dt, start, stack)
+        if self.mode is PropagationMode.LAB_EXPONENTIAL:
+            for i, s in enumerate(times):
+                stack[i] = self.symplectic(s)[rows]
+        elif self.frame is None:
+            sites = rows[::2] // 2
+            if np.array_equal(rows, (2 * sites[:, None] + [0, 1]).ravel()):
+                self._critical_rows(sites, times, stack)
+            else:
+                # rows that are not whole sites: take them from their sites' pairs
+                pairs = np.empty((times.size, 2 * rows.size, shape[2]))
+                self._critical_rows(rows // 2, times, pairs)
+                stack[:] = pairs[:, 2 * np.arange(rows.size) + rows % 2]
         elif rows.size == 2 and rows[0] % 2 == 0 and rows[1] == rows[0] + 1:
             self._site_rows(rows[0] // 2, times, stack)
         else:
             factor = self._mode_rows(rows)
             for i, s in enumerate(times):
                 np.matmul(factor, self._rotated_map(s), out=stack[i])
-        _check_finite(stack, (times[0], times[-1]))
+        _check_finite(stack, (float(times[0]), float(times[-1])))
         return stack if np.ndim(t) else stack[0]
 
 
@@ -370,15 +429,9 @@ class Propagator:
 def build_propagator(params: ModelParams, mode: PropagationMode | None = None) -> Propagator:
     """Construct (and memoize) the propagator for these couplings.
 
-    With ``mode=None`` the frame route is used away from the critical line
-    and the matrix-exponential route exactly on it.
+    ``mode=None`` is ``FRAME_EXACT``, which covers every regime.
     """
-    if mode is None:
-        if classify_phase(params) is PhaseRegime.CRITICAL:
-            mode = PropagationMode.LAB_EXPONENTIAL
-        else:
-            mode = PropagationMode.FRAME_EXACT
-    return Propagator(params, mode)
+    return Propagator(params, mode or PropagationMode.FRAME_EXACT)
 
 
 def evolve(params: ModelParams, t: float, mode: PropagationMode | None = None) -> CovarianceMatrix:
@@ -420,82 +473,6 @@ def _converge_series(sample, protocol: AveragingProtocol) -> tuple[np.ndarray, b
         target = min(drawn + protocol.batch_samples, protocol.max_samples)
 
 
-class _GridRows:
-    """``reduce`` of one subsystem's entropy-map rows on grid indices, a draw at a time.
-
-    A draw is taken in chunks that fit ``stacks`` arrays of a chunk's size
-    (by default the rows and their QR copy) in _CHUNK_BYTES. Every chunk
-    writes its rows into one buffer, which the thread keeps for its next
-    average (``_take_rows_buffer``), and the reduced values are copied out
-    before the next chunk. A new multi-MiB array per chunk or per average,
-    freed before the next, lets the allocator hand its pages back to the
-    system, and faulting them in again is slow, varies with the load on the
-    machine and, through the allocator's state, with the order of the
-    averages. On the lab route each draw starts from a fresh expm anchor,
-    and its later chunks step on from the previous chunk's last rows.
-    Where stepped rows reach an anchor
-    (the next draw's first index, or the index after the last sample, which
-    ``close`` anchors) they must match it within _ANCHOR_RTOL
-    (NumericalFailure otherwise), so every stepped sample lies between two
-    anchors that agree; ``max_discrepancy`` keeps the largest relative gap.
-    """
-
-    def __init__(self, prop: Propagator, rows: np.ndarray, protocol: AveragingProtocol,
-                 reduce, stacks: int = 2):
-        self.prop = prop
-        self.rows = rows
-        self.protocol = protocol
-        self.reduce = reduce
-        self.chunk = max(1, _CHUNK_BYTES // (stacks * rows.size * 2 * prop.params.n_sites * 8))
-        self.max_discrepancy = 0.0
-        self._advanced: tuple[int, np.ndarray] | None = None
-
-    def __call__(self, k0: int, k1: int) -> np.ndarray:
-        buffer = _take_rows_buffer(self.chunk * self.rows.size * 2 * self.prop.params.n_sites)
-        try:
-            # reduce may return a view of the rows, which the next chunk overwrites
-            values = [np.array(self.reduce(self._rows(c0, min(k1, c0 + self.chunk), c0 > k0,
-                                                      buffer)))
-                      for c0 in range(k0, k1, self.chunk)]
-        finally:
-            _keep_rows_buffer(buffer)
-        return np.concatenate(values)
-
-    def _rows(self, k0: int, k1: int, step_on: bool, buffer: np.ndarray) -> np.ndarray:
-        """Rows at k0 <= k < k1, written into ``buffer``; on the lab route stepped
-        on from the previous chunk if ``step_on``, else from a fresh anchor
-        checked against it."""
-        dt = self.protocol.dt
-        times = self.protocol.times(k0, k1)
-        shape = (k1 - k0, self.rows.size, 2 * self.prop.params.n_sites)
-        out = buffer[:math.prod(shape)].reshape(shape)
-        if self.prop.mode is not PropagationMode.LAB_EXPONENTIAL:
-            return self.prop.entropy_rows(times, self.rows, dt, out=out)
-        stack = self.prop.entropy_rows(times, self.rows, dt,
-                                       self._advanced[1] if step_on else None, out)
-        if not step_on:
-            self._check(k0, stack[0])
-        self._advanced = (k1, stack[-1] @ self.prop._step_matrix(dt))
-        return stack
-
-    def close(self) -> None:
-        """Check the last stepped rows against one more fresh anchor."""
-        if self._advanced is not None:
-            k = self._advanced[0]
-            self._check(k, self.prop.entropy_rows(self.protocol.time(k), self.rows))
-
-    def _check(self, k: int, anchor: np.ndarray) -> None:
-        if self._advanced is None:
-            return
-        gap = float(np.linalg.norm(self._advanced[1] - anchor) / np.linalg.norm(anchor))
-        if not gap <= _ANCHOR_RTOL:
-            raise NumericalFailure(
-                f"stepped rows drift from the expm anchor at grid index {k}: "
-                f"relative gap {gap:.3e} > {_ANCHOR_RTOL:g}"
-            )
-        self.max_discrepancy = max(self.max_discrepancy, gap)
-
-
 def _take_rows_buffer(size: int) -> np.ndarray:
     """A flat float64 buffer of at least ``size`` entries: the thread's spare or a new one.
 
@@ -516,24 +493,48 @@ def _keep_rows_buffer(buffer: np.ndarray) -> None:
 
 
 def _sample(params: ModelParams, subsystem, reduce, protocol: AveragingProtocol | None,
-            stacks: int = 2) -> tuple[np.ndarray, bool, float]:
+            stacks: int = 2) -> tuple[np.ndarray, bool]:
     """Sampler behind every average: ``reduce`` of the subsystem's rows on the grid.
 
     ``reduce`` maps a K x 2l x 2N stack of entropy-map rows to K values (a
-    scalar or an array each); ``stacks`` is as in _GridRows. Returns the
-    values, whether they converged and the largest anchor gap. The route is
-    the one the couplings pick; ``None`` is also the key under which
-    ``build_propagator`` caches it.
+    scalar or an array each). Returns the values and whether they
+    converged. The propagator is ``build_propagator(params, None)``, the
+    key under which it is cached.
+
+    A draw is taken in chunks that fit ``stacks`` arrays of a chunk's size
+    (by default the rows and their QR copy) in _CHUNK_BYTES. Every chunk
+    writes its rows into one buffer, which the thread keeps for its next
+    average (``_take_rows_buffer``), and the reduced values are copied out
+    before the next chunk. A new multi-MiB array per chunk or per average,
+    freed before the next, lets the allocator hand its pages back to the
+    system, and faulting them in again is slow, varies with the load on the
+    machine and, through the allocator's state, with the order of the
+    averages.
     """
     if protocol is None:
         protocol = AveragingProtocol.for_params(params)
     rows = quadrature_indices(subsystem, params.n_sites)
     if rows.size == 0:
         raise ValueError("subsystem must contain at least one site")
-    grid = _GridRows(build_propagator(params, None), rows, protocol, reduce, stacks)
-    values, converged = _converge_series(grid, protocol)
-    grid.close()
-    return values, converged, grid.max_discrepancy
+    prop = build_propagator(params, None)
+    width = rows.size * 2 * params.n_sites
+    chunk = max(1, _CHUNK_BYTES // (stacks * width * 8))
+
+    def draw(k0: int, k1: int) -> np.ndarray:
+        buffer = _take_rows_buffer(chunk * width)
+        values = []
+        try:
+            for c0 in range(k0, k1, chunk):
+                c1 = min(k1, c0 + chunk)
+                out = buffer[:(c1 - c0) * width].reshape(c1 - c0, rows.size, -1)
+                stack = prop.entropy_rows(protocol.times(c0, c1), rows, out=out)
+                # reduce may return a view of the rows, which the next chunk overwrites
+                values.append(np.array(reduce(stack)))
+        finally:
+            _keep_rows_buffer(buffer)
+        return np.concatenate(values)
+
+    return _converge_series(draw, protocol)
 
 
 def time_series(
@@ -547,10 +548,9 @@ def time_series(
     ``reduce`` maps a K x 2l x 2N stack of rows to K values. Sampling
     follows the protocol; the result says whether it converged.
     """
-    values, converged, gap = _sample(params, subsystem, reduce, protocol)
+    values, converged = _sample(params, subsystem, reduce, protocol)
     return TimeAverageResult(mean=float(values.mean()), stderr=float(_standard_error(values)),
-                             n_samples=int(values.size), converged=converged, values=values,
-                             anchor_discrepancy=gap)
+                             n_samples=int(values.size), converged=converged, values=values)
 
 
 def time_averaged_entropy(
@@ -592,17 +592,13 @@ def fluctuation_ratio(
 
 @dataclass(frozen=True, eq=False)
 class PageCurve:
-    """Time-averaged entropy of every left block, sharing one sample grid.
-
-    ``anchor_discrepancy`` is as on TimeAverageResult.
-    """
+    """Time-averaged entropy of every left block, sharing one sample grid."""
 
     lengths: np.ndarray
     entropies: np.ndarray
     stderrs: np.ndarray
     n_samples: int
     converged: bool
-    anchor_discrepancy: float = field(default=0.0, repr=False)
 
 
 def page_curve(
@@ -625,10 +621,10 @@ def page_curve(
                          for l in lengths], axis=1)
 
     # a chunk holds its rows, their QR copy, R and the per-cut temporaries
-    values, converged, gap = _sample(params, range(n), reduce, protocol, stacks=8)
+    values, converged = _sample(params, range(n), reduce, protocol, stacks=8)
     curve = PageCurve(lengths=lengths, entropies=values.mean(axis=0),
                       stderrs=_standard_error(values), n_samples=values.shape[0],
-                      converged=converged, anchor_discrepancy=gap)
+                      converged=converged)
     if not converged:
         raise NonConvergence(
             f"page curve not converged after {values.shape[0]} samples", result=curve
@@ -642,7 +638,6 @@ class SiteProfiles:
 
     ``occupations`` and ``pair_amplitudes`` are the site correlators of the
     time-averaged covariance; ``mean_blocks`` holds its 2x2 site blocks.
-    ``anchor_discrepancy`` is as on TimeAverageResult.
     """
 
     entropies: np.ndarray
@@ -652,7 +647,6 @@ class SiteProfiles:
     mean_blocks: np.ndarray
     n_samples: int
     converged: bool
-    anchor_discrepancy: float = field(default=0.0, repr=False)
 
     def thermal_entropies(self) -> np.ndarray:
         """Thermal proxy per site: entropy of a thermal mode at the same density.
@@ -674,10 +668,11 @@ def profiles(
     """Single-site entropy and averaged correlators for every site.
 
     Each chunk of entropy maps W gives the site entropies in one batched
-    factorization and adds its site Gram blocks W_j W_j^T into one sum. On
-    the frame route W = F S, so the averaged lab blocks F_j^-1 Xbar_j F_j^-T
+    factorization and adds its site Gram blocks W_j W_j^T into one sum. Away
+    from g == delta W = F S, so the averaged lab blocks F_j^-1 Xbar_j F_j^-T
     are mapped once from the averaged Gram Xbar_j, which keeps more digits
-    than mapping every sample's rows to the lab frame first.
+    than mapping every sample's rows to the lab frame first. On g == delta
+    W = S P and the Gram blocks are the lab ones.
     """
     n = params.n_sites
     gram_sum = np.zeros((n, 2, 2))
@@ -687,7 +682,7 @@ def profiles(
         gram_sum[:] += np.einsum("knar,knbr->nab", site_rows, site_rows)
         return subsystem_entropy_from_rows(stack.reshape(-1, 2, 2 * n)).reshape(-1, n)
 
-    values, converged, gap = _sample(params, range(n), reduce, protocol)
+    values, converged = _sample(params, range(n), reduce, protocol)
     mean_blocks = gram_sum / values.shape[0]
     frame = build_propagator(params, None).frame
     if frame is not None:
@@ -699,8 +694,7 @@ def profiles(
         occs[j], pairs[j] = site_correlators(mean_blocks[j], 0)
     result = SiteProfiles(entropies=values.mean(axis=0), stderrs=_standard_error(values),
                           occupations=occs, pair_amplitudes=pairs, mean_blocks=mean_blocks,
-                          n_samples=values.shape[0], converged=converged,
-                          anchor_discrepancy=gap)
+                          n_samples=values.shape[0], converged=converged)
     if not converged:
         raise NonConvergence(
             f"site profiles not converged after {values.shape[0]} samples", result=result

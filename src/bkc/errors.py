@@ -22,8 +22,12 @@ class NumericalFailure(BkcError, RuntimeError):
     """An eigensolver or matrix routine failed to converge."""
 
 
+# Largest magnitude a propagated map or a squeezing-frame factor may reach.
+OVERFLOW_LIMIT = 1e300
+
+
 class OverflowGuard(BkcError, RuntimeError):
-    """Matrix-exponential propagation produced entries beyond 1e300."""
+    """A propagated map, or the squeezing frame of the couplings, would pass OVERFLOW_LIMIT."""
 
 
 class NonConvergence(BkcError, RuntimeError):

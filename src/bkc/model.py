@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CriticalFrameUndefined, DomainError
+from .errors import OVERFLOW_LIMIT, CriticalFrameUndefined, DomainError, OverflowGuard
 from .gaussian import OMEGA2, symplectic_form
 
 
@@ -205,7 +205,8 @@ def squeezing_frame(params: ModelParams, j0: float | None = None) -> SqueezingFr
     """Construct the squeezing frame centred at j0 (1-based, default (N+1)/2).
 
     Raises CriticalFrameUndefined exactly at g == delta, where the frame
-    parameters diverge.
+    parameters diverge, and OverflowGuard where a site factor
+    e^{r |j - j0|} would pass OVERFLOW_LIMIT.
     """
     regime = classify_phase(params)
     if regime is PhaseRegime.CRITICAL:
@@ -229,6 +230,11 @@ def squeezing_frame(params: ModelParams, j0: float | None = None) -> SqueezingFr
         r = 0.0
         phi = math.atan2(params.w, kappa)
         cos_j, sin_j = np.cos(phi * jays), np.sin(phi * jays)
+    if r * max(j0 - 1.0, n - j0) > math.log(OVERFLOW_LIMIT):
+        raise OverflowGuard(
+            f"squeezing frame factors pass {OVERFLOW_LIMIT:g} for w={params.w!r}, "
+            f"delta={params.delta!r}, g={params.g!r}, N={n}"
+        )
     rot = np.empty((n, 2, 2))
     rot[:, 0, 0] = cos_j
     rot[:, 0, 1] = sin_j

@@ -23,7 +23,7 @@ from bkc.dynamics import (
     time_averaged_entropy,
     time_series,
 )
-from bkc.errors import DomainError, NonConvergence, NumericalFailure, OverflowGuard
+from bkc.errors import DomainError, NonConvergence, OverflowGuard
 from bkc.gaussian import (
     quadrature_indices,
     site_correlators,
@@ -104,18 +104,10 @@ def test_protocol_validation():
         AveragingProtocol(t_min=0.0, dt=1.0, rel_threshold=0.0)
 
 
-def test_protocol_env_cap(monkeypatch):
-    p = _params(0.1, 12)
-    monkeypatch.setenv("BKC_MAX_SAMPLES", "7777")
-    assert AveragingProtocol.for_params(p).max_samples == 7777
-    assert AveragingProtocol.for_params(p, max_samples=2000).max_samples == 2000
-    monkeypatch.delenv("BKC_MAX_SAMPLES")
-    assert AveragingProtocol.for_params(p).max_samples == 20000
-
-
 def test_build_propagator_mode_selection():
     assert build_propagator(_params(0.2, 8)).mode is PropagationMode.FRAME_EXACT
-    assert build_propagator(_params(0.25, 8)).mode is PropagationMode.LAB_EXPONENTIAL
+    assert build_propagator(_params(0.25, 8)).mode is PropagationMode.FRAME_EXACT
+    assert build_propagator(_params(0.25, 8)).frame is None
     assert build_propagator(_params(0.2, 8)) is build_propagator(_params(0.2, 8))
 
 
@@ -233,7 +225,7 @@ def test_site_rows_match_full_map():
             full = [prop.entropy_map(t) for t in times]
             for site in (0, n // 2, n - 1):
                 rows = quadrature_indices([site])
-                stack = prop.entropy_rows(times, rows, proto.dt)
+                stack = prop.entropy_rows(times, rows)
                 for got, ref in zip(stack, full):
                     ref = ref[rows]
                     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -330,7 +322,6 @@ def test_page_curve_samples_match_per_cut_rows(monkeypatch, n):
                     for w_map in map(prop.entropy_map, proto.times(0, curve.n_samples))])
     assert values.shape == (40, n - 1)
     assert np.max(np.abs(values - ref) / np.abs(ref)) <= 1e-13
-    assert curve.anchor_discrepancy == 0.0
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -338,8 +329,7 @@ def test_critical_page_curve_matches_dense_expm(n):
     p = _params(0.25, n)
     proto = AveragingProtocol.for_params(p, initial_samples=120, batch_samples=60,
                                          max_samples=240, rel_threshold=1e-3)
-    prop = build_propagator(p)
-    assert prop.mode is PropagationMode.LAB_EXPONENTIAL
+    prop = build_propagator(p, PropagationMode.LAB_EXPONENTIAL)
     dense = np.array([[subsystem_entropy_from_rows(lab_map[:2 * l]) for l in range(1, n)]
                       for lab_map in map(prop.symplectic, proto.times(0, proto.max_samples))])
     ref, ref_converged = dynamics._converge_series(lambda k0, k1: dense[k0:k1], proto)
@@ -348,11 +338,10 @@ def test_critical_page_curve_matches_dense_expm(n):
     except NonConvergence as exc:
         curve = exc.result
     assert curve.n_samples == ref.shape[0] and curve.converged == ref_converged
-    # relative to the curve's peak: the stepping error enters through the
-    # near-pure modes of a block, so it is absolute and largest at l = N - 1
+    # relative to the curve's peak: a map error enters through the near-pure
+    # modes of a block, so it is absolute and largest at l = N - 1
     mean = ref.mean(axis=0)
     assert np.max(np.abs(curve.entropies - mean)) <= 1e-10 * mean.max()
-    assert 0.0 < curve.anchor_discrepancy <= 1e-8
 
 
 def test_profiles_against_exact_dephasing():
@@ -402,7 +391,6 @@ def test_profiles_match_per_time_maps(n):
     assert np.max(np.abs(prof.stderrs - err) / err) <= 1e-13
     lab_blocks = _lab_block_mean([prop.symplectic(t) for t in times])
     assert _block_gap(prof.mean_blocks, lab_blocks) <= 1e-13
-    assert prof.anchor_discrepancy == 0.0
 
 
 @pytest.mark.parametrize("n", [8, 16])
@@ -410,7 +398,7 @@ def test_critical_profiles_match_dense_expm(n):
     p = _params(0.25, n)
     proto = AveragingProtocol.for_params(p, initial_samples=120, batch_samples=60,
                                          max_samples=240, rel_threshold=1e-3)
-    prop = build_propagator(p)
+    prop = build_propagator(p, PropagationMode.LAB_EXPONENTIAL)
     maps = [prop.symplectic(t) for t in proto.times(0, proto.max_samples)]
     dense = np.array([subsystem_entropy_from_rows(s.reshape(n, 2, 2 * n)) for s in maps])
     ref, ref_converged = dynamics._converge_series(lambda k0, k1: dense[k0:k1], proto)
@@ -421,7 +409,6 @@ def test_critical_profiles_match_dense_expm(n):
     assert prof.n_samples == ref.shape[0] and prof.converged == ref_converged
     assert np.max(np.abs(prof.entropies - ref.mean(axis=0)) / ref.mean(axis=0)) <= 1e-10
     assert _block_gap(prof.mean_blocks, _lab_block_mean(maps[:ref.shape[0]])) <= 1e-10
-    assert 0.0 < prof.anchor_discrepancy <= 1e-8
 
 
 def test_frame_route_averages_never_build_the_lab_map(monkeypatch):
@@ -444,13 +431,12 @@ def test_evolve_at_time_zero_is_vacuum():
 
 @pytest.mark.parametrize("n", [32, 64])
 def test_critical_stepped_rows_match_dense_expm(n):
-    # g == delta: the chunked route steps rows from one expm anchor per
-    # draw; the oracle takes a dense expm at every grid time
+    # g == delta: the averages take the closed-form rows; the oracle takes a
+    # dense expm at every grid time
     p = _params(0.25, n)
     proto = AveragingProtocol.for_params(p, initial_samples=120, batch_samples=60,
                                          max_samples=240, rel_threshold=2e-3)
-    prop = build_propagator(p)
-    assert prop.mode is PropagationMode.LAB_EXPONENTIAL
+    prop = build_propagator(p, PropagationMode.LAB_EXPONENTIAL)
     cuts = ([n // 2], list(range(n // 4)))
     dense = np.array([
         [subsystem_entropy_from_rows(lab_map[quadrature_indices(cut)]) for cut in cuts]
@@ -462,38 +448,6 @@ def test_critical_stepped_rows_match_dense_expm(n):
         got = time_series(p, cut, subsystem_entropy_from_rows, proto)
         assert got.n_samples == ref.size and got.converged == ref_converged
         assert np.max(np.abs(got.values - ref) / np.abs(ref)) <= 1e-10
-        # every lab average ends with a closing anchor check
-        assert 0.0 < got.anchor_discrepancy <= 1e-8
-
-
-def test_corrupted_step_matrix_fails_at_next_anchor(monkeypatch):
-    p = _params(0.25, 8)
-    proto = AveragingProtocol.for_params(p, initial_samples=30, batch_samples=30,
-                                         max_samples=90, rel_threshold=1e-12)
-    with pytest.raises(NonConvergence):
-        time_averaged_entropy(p, [3], proto)
-    exact = Propagator._step_matrix
-    monkeypatch.setattr(Propagator, "_step_matrix",
-                        lambda self, dt: exact(self, dt) * (1.0 + 1e-6))
-    with pytest.raises(NumericalFailure, match="grid index 30"):
-        time_averaged_entropy(p, [3], proto)
-    with pytest.raises(NumericalFailure, match="grid index 30"):
-        page_curve(p, proto)
-    with pytest.raises(NumericalFailure, match="grid index 30"):
-        profiles(p, proto)
-
-
-def test_corrupted_step_matrix_fails_at_closing_anchor(monkeypatch):
-    # one draw and no convergence check inside it: only the closing anchor
-    # after the last sample can see the corrupted steps
-    p = _params(0.25, 32)
-    proto = AveragingProtocol.for_params(p, initial_samples=300, max_samples=300,
-                                         rel_threshold=1e-12)
-    exact = Propagator._step_matrix
-    monkeypatch.setattr(Propagator, "_step_matrix",
-                        lambda self, dt: exact(self, dt) * (1.0 + 1e-6))
-    with pytest.raises(NumericalFailure, match="grid index 300"):
-        time_series(p, [16], subsystem_entropy_from_rows, proto)
 
 
 @pytest.mark.parametrize("n", [8, 32, 96])
@@ -501,7 +455,7 @@ def test_expm_matches_scipy(n):
     import scipy.linalg
 
     p = _params(0.25, n)
-    prop = build_propagator(p)
+    prop = build_propagator(p, PropagationMode.LAB_EXPONENTIAL)
     proto = AveragingProtocol.for_params(p)
     for t in (proto.dt, proto.t_min, proto.time(1000)):
         mine = dynamics._expm(prop.generator * t)
@@ -510,10 +464,38 @@ def test_expm_matches_scipy(n):
         assert symplectic_residual(mine) <= 1e-12
 
 
+@pytest.mark.parametrize("n", [8, 32, 96])
+def test_critical_map_matches_expm(n):
+    import scipy.linalg
+
+    p = _params(0.25, n)
+    prop = build_propagator(p)
+    generator = build_propagator(p, PropagationMode.LAB_EXPONENTIAL).generator
+    proto = AveragingProtocol.for_params(p)
+    for t in (proto.dt, proto.t_min, proto.time(1000)):
+        mine = prop.symplectic(t)
+        ref = scipy.linalg.expm(generator * t)
+        assert np.linalg.norm(mine - ref) / np.linalg.norm(ref) <= 1e-10
+        assert symplectic_residual(mine) <= 1e-12
+
+
+def test_critical_averages_never_exponentiate(monkeypatch):
+    def refuse(mat):
+        raise AssertionError("matrix exponential on the sampling path")
+
+    monkeypatch.setattr(dynamics, "_expm", refuse)
+    p = _params(0.25, 12)
+    proto = AveragingProtocol.for_params(p, initial_samples=20, rel_threshold=1.0)
+    for cut in ([6], [0, 1, 2]):
+        assert time_series(p, cut, subsystem_entropy_from_rows, proto).n_samples == 20
+    assert page_curve(p, proto).n_samples == 20
+    assert profiles(p, proto).n_samples == 20
+
+
 def test_step_matrix_at_512_sites_has_no_subnormals():
     p = _params(0.25, 512)
-    step = Propagator(p, PropagationMode.LAB_EXPONENTIAL)._step_matrix(
-        AveragingProtocol.for_params(p).dt)
+    generator = Propagator(p, PropagationMode.LAB_EXPONENTIAL).generator
+    step = dynamics._expm(generator * AveragingProtocol.for_params(p).dt)
     magnitude = np.abs(step)
     assert np.count_nonzero((magnitude > 0) & (magnitude < np.finfo(float).tiny)) == 0
 
@@ -524,7 +506,7 @@ def test_critical_line_average_imports_no_scipy():
             "from bkc.model import ModelParams\n"
             "p = ModelParams(w=1.0, delta=0.25, g=0.25, n_sites=8)\n"
             "proto = AveragingProtocol.for_params(p, initial_samples=50, rel_threshold=1.0)\n"
-            "assert time_averaged_entropy(p, [4], proto).anchor_discrepancy > 0\n"
+            "assert time_averaged_entropy(p, [4], proto).n_samples == 50\n"
             "assert 'scipy' not in sys.modules, 'scipy imported'\n")
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ,
@@ -564,11 +546,8 @@ def test_chunk_budget_of_one_sample_changes_nothing(monkeypatch):
     assert one_page.n_samples == page.n_samples
     assert np.max(np.abs(one_page.entropies - page.entropies) / page.entropies) <= 1e-14
     assert np.max(np.abs(one_page.stderrs - page.stderrs) / page.stderrs) <= 1e-14
-    # on g == delta the anchors sit at the draw boundaries whatever the chunk
-    # size, and a one-sample chunk steps on from the previous chunk's rows
     for (g, one), (_, ref) in zip(_site_profiles_at_16(proto_kw), chunked_profiles):
         assert one.n_samples == ref.n_samples
-        assert (one.anchor_discrepancy > 0.0) is (g == 0.25)
         assert np.max(np.abs(one.entropies - ref.entropies) / ref.entropies) <= 1e-14
         assert np.max(np.abs(one.stderrs - ref.stderrs) / ref.stderrs) <= 1e-14
         assert _block_gap(one.mean_blocks, ref.mean_blocks) <= 1e-14
@@ -576,7 +555,6 @@ def test_chunk_budget_of_one_sample_changes_nothing(monkeypatch):
         proto = AveragingProtocol.for_params(p, **proto_kw)
         one = time_series(p, cut, subsystem_entropy_from_rows, proto)
         assert one.n_samples == ref.n_samples
-        assert (one.anchor_discrepancy > 0.0) is (p.g == p.delta)
         assert np.max(np.abs(one.values - ref.values) / np.abs(ref.values)) <= 1e-14
 
 
@@ -598,20 +576,25 @@ def test_entropy_rows_stack_matches_scalar_calls():
         p = _params(g, 10)
         prop = build_propagator(p)
         lab = build_propagator(p, PropagationMode.LAB_EXPONENTIAL)
-        # the frame route reports F S(t); on g == delta F is the identity
-        frame = np.eye(20) if prop.frame is None else prop.frame.matrix()
         proto = AveragingProtocol.for_params(p)
         times = proto.times(0, 12)
-        for cut in ([4], [0, 1, 2]):
+        for cut in ([4], [0, 1, 2], [2, 5]):
             rows = quadrature_indices(cut)
             single = np.stack([prop.entropy_rows(t, rows) for t in times])
-            dense = np.stack([(frame @ lab.symplectic(t))[rows] for t in times])
-            stack = prop.entropy_rows(times, rows, proto.dt)
+            if prop.frame is None:
+                # on g == delta the rows are S(t) P
+                half_turns = np.kron(np.eye(10), [[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+                dense = np.stack([lab.symplectic(t) @ half_turns for t in times])[:, rows]
+            else:
+                # elsewhere they are F S(t)
+                dense = np.stack([prop.frame.matrix() @ lab.symplectic(t) for t in times])[:, rows]
+            stack = prop.entropy_rows(times, rows)
             assert stack.shape == (12, rows.size, 20)
             for ref in (single, dense):
                 assert np.allclose(stack, ref, rtol=1e-10, atol=1e-12 * np.abs(ref).max())
-    with pytest.raises(ValueError, match="grid spacing"):
-        prop.entropy_rows(times, rows)
+            # rows out of site order are the same rows, reordered
+            flipped = prop.entropy_rows(times, rows[::-1].copy())
+            assert np.allclose(flipped, stack[:, ::-1], rtol=0, atol=1e-13 * np.abs(stack).max())
 
 
 def test_entropy_rows_fill_out_bit_for_bit():
@@ -623,11 +606,11 @@ def test_entropy_rows_fill_out_bit_for_bit():
         for cut in ([4], [0, 1, 2]):
             rows = quadrature_indices(cut)
             out = np.full((12, rows.size, 20), np.nan)
-            stack = prop.entropy_rows(times, rows, proto.dt, out=out)
+            stack = prop.entropy_rows(times, rows, out=out)
             assert stack is out
-            assert np.array_equal(out, prop.entropy_rows(times, rows, proto.dt))
+            assert np.array_equal(out, prop.entropy_rows(times, rows))
         with pytest.raises(ValueError, match="C-contiguous"):
-            prop.entropy_rows(times, rows, proto.dt, out=np.empty((12, 20, rows.size)).T)
+            prop.entropy_rows(times, rows, out=np.empty((12, 20, rows.size)).T)
 
 
 def test_averages_share_one_rows_buffer(monkeypatch):
@@ -677,10 +660,3 @@ def test_subsystems_validated():
     with pytest.raises(DomainError, match="mode index -1"):
         time_averaged_entropy(p, [-1, 2])
 
-
-def test_bad_sample_cap_env_is_a_config_error(monkeypatch):
-    from bkc.errors import ConfigError
-
-    monkeypatch.setenv("BKC_MAX_SAMPLES", "lots")
-    with pytest.raises(ConfigError, match="BKC_MAX_SAMPLES"):
-        AveragingProtocol.for_params(_params(0.2, 8))
