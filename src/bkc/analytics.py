@@ -301,7 +301,7 @@ def scaling_collapse(
         raise ValueError("empty collapse dataset")
     gs, ns, vals = arr[:, 0], arr[:, 1], arr[:, 2]
     refs = {}
-    for n in np.unique(ns):
+    for n in sorted(set(ns.tolist())):
         match = (ns == n) & (gs == float(delta))
         if not match.any():
             raise MissingReference(f"no g == {delta!r} reference row for N = {int(n)}")
@@ -315,7 +315,7 @@ def scaling_collapse(
     variances = []
     for b in range(len(edges) - 1):
         members = which == b
-        if members.sum() >= 2 and len(np.unique(ns[members])) >= 2:
+        if members.sum() >= 2 and len(set(ns[members].tolist())) >= 2:
             variances.append(float(np.var(y[members])))
     quality = float(np.mean(variances)) if variances else 0.0
     return CollapseResult(

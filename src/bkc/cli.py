@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -521,6 +522,7 @@ def cmd_fourpoint(cfg: dict[str, str]) -> int:
     return _run_figures(cfg, ["fourpoint"], "fourpoint")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bkc",

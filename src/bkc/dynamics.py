@@ -5,9 +5,10 @@ Every average (``time_series``, ``page_curve``, ``profiles``) takes the
 
 * Away from g == delta it conjugates the exact mode rotation through the
   squeezing frame, S(t) = G^{-1} B(t) G with B(t) block-diagonal rotations
-  at the frequencies J cos(pi n / (N+1)). Single-site rows come from one
-  GEMM with the N x N modes; block rows need Psi2 G, the one 2N x 2N array,
-  built at the first block request.
+  at the frequencies J cos(pi n / (N+1)). Single-site rows take one phase
+  per +-omega pair of this chiral spectrum and two GEMMs with halves of the
+  N x N modes; block rows keep one phase per mode and need Psi2 G, the one
+  2N x 2N array, built at the first block request.
 * On g == delta the bond block delta [[1, 1], [-1, -1]] is nilpotent and
   the map has a closed form. With Z the shift (Z_{j,j+1} = 1),
   T_w = (w/2)(Z^T - Z), T_c = (Z + Z^T)/2 and per-site u = (q+p)/sqrt2,
@@ -263,29 +264,32 @@ class Propagator:
         """Rows 2j, 2j+1 of W(t) = Psi2^T B(t) G for j = ``site`` at every time, into
         ``out`` (K x 2 x 2N).
 
-        With C_jk, S_jk = sum_i m_ij m_ik (cos, sin)(omega_i t), one GEMM of the
-        weighted mode column with the modes, row 2j holds C_jk G_k[0] +
-        S_jk G_k[1] and row 2j+1 holds C_jk G_k[1] - S_jk G_k[0].
+        With C_jk, S_jk = sum_i m_ij m_ik (cos, sin)(omega_i t), row 2j holds
+        C_jk G_k[0] + S_jk G_k[1] and row 2j+1 holds C_jk G_k[1] - S_jk G_k[0].
+        As omega_{N-1-i} = -omega_i, m_{N-1-i,j} = (-1)^j m_ij and an odd N's
+        middle omega is 0, C_jk = 0 unless j = k mod 2 and S_jk = 0 unless not:
+        the sums run over the h = N // 2 lowest modes with weights 2 m_ij and
+        one phase fl(t omega_i) per pair, and the zero ones come out exactly 0.
         """
-        n, k = self.params.n_sites, times.size
-        weights = np.empty((2, k, n))
-        phase = np.multiply.outer(times, self.frequencies, out=weights[1])
+        n, k, h = self.params.n_sites, times.size, self.params.n_sites // 2
+        own, other = site % 2, 1 - site % 2
+        weights = np.empty((2, k, h))
+        phase = np.multiply.outer(times, self.frequencies[:h], out=weights[1])
         np.cos(phase, out=weights[0])
         np.sin(phase, out=weights[1])
-        weights *= self.modes[:, site]
-        cos_part, sin_part = (weights.reshape(2 * k, n) @ self.modes).reshape(2, k, n)
-        # one (K, N) slice per output column keeps the inner loops N long; the
-        # weights are spent, so their two halves serve as the scratch
-        factor = np.ascontiguousarray(self.frame.site_factors.transpose(1, 2, 0))
-        left, right = weights
+        weights *= 2.0 * self.modes[:h, site]
+        cos_part = weights[0] @ self.modes[:h, own::2]
+        sin_part = weights[1] @ self.modes[:h, other::2]
+        if n % 2:
+            cos_part += self.modes[h, site] * self.modes[h, own::2]
+        # one (K, N/2) slice per output column keeps the inner loops long
+        factor = self.frame.site_factors.transpose(1, 2, 0)
         out = out.reshape(k, 2, n, 2)   # a view: out is C-contiguous
         for b in range(2):
-            np.multiply(cos_part, factor[0, b], out=left)
-            np.multiply(sin_part, factor[1, b], out=right)
-            np.add(left, right, out=out[:, 0, :, b])
-            np.multiply(cos_part, factor[1, b], out=left)
-            np.multiply(sin_part, factor[0, b], out=right)
-            np.subtract(left, right, out=out[:, 1, :, b])
+            np.multiply(cos_part, factor[0, b, own::2], out=out[:, 0, own::2, b])
+            np.multiply(sin_part, factor[1, b, other::2], out=out[:, 0, other::2, b])
+            np.multiply(cos_part, factor[1, b, own::2], out=out[:, 1, own::2, b])
+            np.multiply(sin_part, -factor[0, b, other::2], out=out[:, 1, other::2, b])
 
     def _critical_rows(self, sites: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
         """Rows 2j, 2j+1 of W(t) = S(t) P for every j in ``sites`` at every time, into
@@ -388,12 +392,14 @@ class Propagator:
 
         ``t`` is a time, which gives the 2l x 2N rows, or a 1-D array of K
         times, which gives a K x 2l x 2N stack; a time is a batch of one. On
-        the frame route a single site takes its mode sums C and S for the
-        whole stack from one GEMM with the N x N modes and scales them by
-        the 2 x 2 site factors of G (``_site_rows``); larger blocks keep the
-        per-time order Psi2^T[rows] (B(t) G), which the 1e-12 references fix
-        for the ill-conditioned g = 0 quarter. ``out``, a C-contiguous
-        K x 2l x 2N array, receives the stack instead of a new array.
+        the frame route a single site takes its mode sums C and S from one
+        phase per +-omega pair (``_site_rows``); its rows differ from the full
+        map's by the rounding of the pairs, fl(t omega) + fl(-t omega), up to
+        about 5e-12 rad at N = 512. Larger blocks keep one phase per mode and
+        the per-time order Psi2^T[rows] (B(t) G), which the 1e-12 references
+        fix for the ill-conditioned g = 0 quarter (pairing moved its N = 256
+        value by 1.8e-5 relative). ``out``, a C-contiguous K x 2l x 2N array,
+        receives the stack instead of a new array.
         """
         times = np.atleast_1d(np.asarray(t, dtype=float))
         shape = (times.size, rows.size, 2 * self.params.n_sites)

@@ -1,6 +1,8 @@
 """Command-line runner: config parsing, determinism, resume, exit codes."""
 import json
 import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -128,6 +130,22 @@ def test_collapse_roundtrip_and_missing_reference(tmp_path):
     assert main(["collapse", str(tmp_path / "nowhere.csv"), "--config", cfg]) == 3
     page = _write_cfg(tmp_path, name="page.cfg", cut="page", out=tmp_path / "e")
     assert main(["collapse", csv, "--config", page]) == 3
+
+
+def test_collapse_imports_no_numpy_ma(tmp_path):
+    cfg = _write_cfg(tmp_path, g="0.25,0.3", n="8,16", out=tmp_path / "c")
+    assert main(["analytic", "--config", cfg]) == 0
+    code = ("import sys\n"
+            "from bkc.cli import main\n"
+            f"assert main(['collapse', {str(tmp_path / 'c' / 'analytic.csv')!r}, "
+            f"'--config', {cfg!r}]) == 0\n"
+            "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def _reject_constant(name):

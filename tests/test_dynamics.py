@@ -216,9 +216,31 @@ def test_frame_propagator_holds_one_dense_map():
     assert _held_bytes(prop) <= 1.3 * (2 * n) ** 2 * 8
 
 
+def _longdouble_site_rows(prop, site, t):
+    """Rows 2j, 2j+1 of W(t) in long double from the analytic sine modes.
+
+    The phases are the float64 fl(t omega_i) of the h = N // 2 lowest modes,
+    mirrored to -fl(t omega_i) for their partners and 0 for an odd N's middle
+    mode; every other step, the mode sums included, runs in long double.
+    """
+    n, h = prop.params.n_sites, prop.params.n_sites // 2
+    ld = np.longdouble
+    labels = np.arange(1, n + 1, dtype=ld)
+    angles = 4 * np.arctan(ld(1)) * np.outer(labels, labels) / (n + 1)
+    modes = np.sqrt(ld(2) / (n + 1)) * np.sin(angles)
+    phase = np.zeros(n, dtype=ld)
+    phase[:h] = t * prop.frequencies[:h]
+    phase[n - h:] = -phase[h - 1::-1]
+    cos_part = (modes[:, site] * np.cos(phase)) @ modes
+    sin_part = (modes[:, site] * np.sin(phase)) @ modes
+    g = prop.frame.site_factors.astype(ld)
+    return np.stack([cos_part[:, None] * g[:, 0] + sin_part[:, None] * g[:, 1],
+                     cos_part[:, None] * g[:, 1] - sin_part[:, None] * g[:, 0]]).reshape(2, 2 * n)
+
+
 def test_site_rows_match_full_map():
     for g in (0.0, 0.2, 0.3):
-        for n in (8, 64, 512):
+        for n in (7, 8, 9, 64, 512):
             prop = build_propagator(_params(g, n))
             proto = AveragingProtocol.for_params(prop.params)
             times = np.array([proto.t_min, proto.time(777)])
@@ -226,9 +248,14 @@ def test_site_rows_match_full_map():
             for site in (0, n // 2, n - 1):
                 rows = quadrature_indices([site])
                 stack = prop.entropy_rows(times, rows)
-                for got, ref in zip(stack, full):
-                    ref = ref[rows]
+                for got, t, dense in zip(stack, times, full):
+                    ref = _longdouble_site_rows(prop, site, t)
                     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+                    # the dense map rounds each phase of a +-omega pair on its own
+                    phase = t * prop.frequencies
+                    slip = np.max(np.abs(phase + phase[::-1]))
+                    dense = dense[rows]
+                    assert np.max(np.abs(got - dense)) <= slip * np.max(np.abs(dense))
 
 
 def test_site_average_builds_no_mode_map():
