@@ -27,6 +27,7 @@ from .gaussian import (
     CovarianceMatrix,
     LocalDecomposition,
     apply_symplectic,
+    entropy_from_factor,
     entropy_kernel,
     local_decompose,
     single_site_nu,
@@ -99,7 +100,7 @@ __all__ = [
     "BkcError", "ConfigError", "CriticalFrameUndefined", "DegenerateSpectrum",
     "DomainError", "MissingReference", "NonConvergence", "NotSymplectic",
     "NumericalFailure", "OverflowGuard",
-    "CovarianceMatrix", "LocalDecomposition", "apply_symplectic",
+    "CovarianceMatrix", "LocalDecomposition", "apply_symplectic", "entropy_from_factor",
     "entropy_kernel", "local_decompose", "single_site_nu", "site_correlators",
     "subsystem_entropy", "subsystem_entropy_from_rows",
     "symplectic_eigenvalues", "symplectic_eigenvalues_from_rows",

@@ -313,6 +313,9 @@ def cmd_sweep(cfg: dict[str, str]) -> int:
     protocol. The CSV and manifest are rewritten after every grid point.
     """
     started = time.time()
+    jobs = _scalar(cfg, "jobs", int)
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     out = _out_dir(cfg)
     csv_path = out / "sweep.csv"
     manifest_path = out / "sweep.manifest.json"
@@ -341,7 +344,6 @@ def cmd_sweep(cfg: dict[str, str]) -> int:
             rows.update(((r["g"], r["N"], r["subsystem"]), r) for r in batch)
             save()
 
-    jobs = _scalar(cfg, "jobs", int)
     if not tasks:
         save()
     elif jobs > 1 and len(tasks) > 1:

@@ -50,6 +50,7 @@ import numpy as np
 from .errors import OVERFLOW_LIMIT, NonConvergence, OverflowGuard
 from .gaussian import (
     CovarianceMatrix,
+    entropy_from_factor,
     quadrature_indices,
     site_correlators,
     subsystem_entropy_from_rows,
@@ -105,12 +106,12 @@ class AveragingProtocol:
     rel_threshold: float = 1e-3
 
     def __post_init__(self):
-        if self.t_min < 0 or self.dt <= 0:
-            raise ValueError("need t_min >= 0 and dt > 0")
+        if not (0 <= self.t_min < math.inf and 0 < self.dt < math.inf):
+            raise ValueError("need finite t_min >= 0 and finite dt > 0")
         if not 0 < self.initial_samples <= self.max_samples:
             raise ValueError("initial_samples must be in (0, max_samples]")
-        if self.batch_samples <= 0 or self.rel_threshold <= 0:
-            raise ValueError("batch_samples and rel_threshold must be positive")
+        if self.batch_samples <= 0 or not 0 < self.rel_threshold < math.inf:
+            raise ValueError("need batch_samples > 0 and finite rel_threshold > 0")
 
     @classmethod
     def for_params(cls, params: ModelParams, **overrides) -> "AveragingProtocol":
@@ -615,16 +616,16 @@ def page_curve(
 
     All cuts share the same deterministic time grid; sampling stops when
     every cut individually meets the protocol target. One QR per sample,
-    W^T = Q R, serves every cut: R[:2l, :2l]^T has the Gram matrix of W[:2l]
-    (QR column-prefix property), and its own QR returns it unchanged.
+    W^T = Q T, serves every cut: the leading 2l x 2l block of T is the
+    factor of W[:2l]^T (QR column-prefix property), and cut l reads its
+    spectrum off it in ``entropy_from_factor``, with no second factorization.
     """
     n = params.n_sites
     lengths = np.arange(1, n)
 
     def reduce(stack: np.ndarray) -> np.ndarray:
         r_mat = np.linalg.qr(np.swapaxes(stack, -1, -2), mode="r")
-        return np.stack([subsystem_entropy_from_rows(np.swapaxes(r_mat[:, :2 * l, :2 * l], -1, -2))
-                         for l in lengths], axis=1)
+        return np.stack([entropy_from_factor(r_mat[:, :2 * l, :2 * l]) for l in lengths], axis=1)
 
     # a chunk holds its rows, their QR copy, R and the per-cut temporaries
     values, converged = _sample(params, range(n), reduce, protocol, stacks=8)

@@ -118,6 +118,7 @@ def symplectic_eigenvalues(sigma, modes=None) -> np.ndarray:
 def symplectic_eigenvalues_from_rows(rows) -> np.ndarray:
     """Symplectic spectrum of the block sigma_A = R R^T given its map rows R.
 
+    The row route runs rows -> T -> nu -> S; this entry takes rows -> nu.
     R holds the 2l quadrature rows of a symplectic map applied to the vacuum,
     so sigma_A is never formed: R^T is QR-factored as Q T and the nu values
     are the paired singular values of T Omega T^T. Squaring R into R R^T
@@ -127,19 +128,21 @@ def symplectic_eigenvalues_from_rows(rows) -> np.ndarray:
     modes inside strongly amplified blocks.
 
     ``rows`` may also be a K x 2l x 2N stack; the result is then K x l and
-    the whole stack is factored in one batched QR. For a single mode T is
-    2 x 2 upper triangular and T Omega T^T = det(T) Omega, so nu = |T00 T11|
-    without an SVD.
+    the whole stack is factored in one batched QR.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim not in (2, 3) or rows.shape[-2] % 2 or rows.shape[-2] > rows.shape[-1]:
         raise ValueError("expected a 2l x 2N row block (or a stack of them) with 2l <= 2N")
-    n_rows = rows.shape[-2]
-    if n_rows == 0:
+    if rows.shape[-2] == 0:
         return np.zeros(rows.shape[:-1])
+    return _factor_spectrum(np.linalg.qr(np.swapaxes(rows, -1, -2), mode="r"))
+
+
+def _factor_spectrum(t_mat: np.ndarray) -> np.ndarray:
+    """T -> nu. For a single mode T is 2 x 2 upper triangular and
+    T Omega T^T = det(T) Omega, so nu = |T00 T11| without an SVD."""
     try:
-        t_mat = np.linalg.qr(np.swapaxes(rows, -1, -2), mode="r")
-        if n_rows == 2:
+        if t_mat.shape[-1] == 2:
             return np.abs(t_mat[..., 0, 0] * t_mat[..., 1, 1])[..., None]
         # T Omega swaps and negates column pairs; every entry of the product
         # has one nonzero term, so this is T @ Omega bit for bit
@@ -152,25 +155,39 @@ def symplectic_eigenvalues_from_rows(rows) -> np.ndarray:
     return np.sort((vals[..., 0::2] + vals[..., 1::2]) / 2.0, axis=-1)
 
 
+def _entropy_from_spectrum(nus: np.ndarray, scale):
+    """nu -> S: the clamped kernel sum, its noise floor widened by the block ``scale``."""
+    floor = 1.0 - (_NU_TOL + _NU_SCALE_TOL * np.maximum(1.0, scale))
+    if np.any(nus < floor[..., None]):
+        raise DomainError(f"subsystem spectrum dips below 1 beyond noise floor: "
+                          f"min {nus.min()!r}")
+    return np.sum(entropy_kernel(np.maximum(nus, 1.0)), axis=-1)
+
+
 def subsystem_entropy_from_rows(rows):
     """Entanglement entropy of the block sigma_A = R R^T from its map rows.
 
-    Same clamping policy as subsystem_entropy, with the noise floor scaled
-    by the block norm ||R||^2. A K x 2l x 2N stack gives an array of K
-    entropies, each checked against its own floor.
+    Runs the whole row route, rows -> T -> nu -> S. Same clamping policy as
+    subsystem_entropy, with the noise floor scaled by the block norm
+    ||R||^2. A K x 2l x 2N stack gives an array of K entropies, each
+    checked against its own floor.
     """
     rows = np.asarray(rows, dtype=float)
-    nus = symplectic_eigenvalues_from_rows(rows)
-    if nus.shape[-1] == 0:
-        return 0.0 if rows.ndim == 2 else np.zeros(rows.shape[0])
-    scale = np.einsum("...ij,...ij->...", rows, rows)
-    floor = 1.0 - (_NU_TOL + _NU_SCALE_TOL * np.maximum(1.0, scale))
-    if np.any(nus < floor[..., None]):
-        raise DomainError(
-            f"subsystem spectrum dips below 1 beyond noise floor: min {nus.min()!r}"
-        )
-    out = np.sum(entropy_kernel(np.maximum(nus, 1.0)), axis=-1)
+    out = _entropy_from_spectrum(symplectic_eigenvalues_from_rows(rows),
+                                 np.einsum("...ij,...ij->...", rows, rows))
     return float(out) if rows.ndim == 2 else out
+
+
+def entropy_from_factor(t_mat) -> np.ndarray:
+    """Entropies of a K x 2l x 2l stack of upper-triangular factors T.
+
+    Enters the row route at T, T -> nu -> S, for a caller that already holds
+    the factor of R^T = Q T: sigma_A = R R^T = T^T T, and the noise floor
+    scales with ||T||^2 = ||R||^2.
+    """
+    t_mat = np.asarray(t_mat, dtype=float)
+    return _entropy_from_spectrum(_factor_spectrum(t_mat),
+                                  np.einsum("...ij,...ij->...", t_mat, t_mat))
 
 
 def entropy_kernel(x):
@@ -211,14 +228,8 @@ def subsystem_entropy(sigma, modes=None) -> float:
     if modes is not None:
         idx = quadrature_indices(modes, arr.shape[0] // 2)
         arr = arr[np.ix_(idx, idx)]
-    nus = symplectic_eigenvalues(arr)
     scale = float(np.max(np.abs(arr))) if arr.size else 1.0
-    floor = 1.0 - (_NU_TOL + _NU_SCALE_TOL * max(1.0, scale))
-    if np.any(nus < floor):
-        raise DomainError(
-            f"subsystem spectrum dips below 1 beyond noise floor: min {nus.min()!r}"
-        )
-    return float(np.sum(entropy_kernel(np.maximum(nus, 1.0))))
+    return float(_entropy_from_spectrum(symplectic_eigenvalues(arr), scale))
 
 
 def site_correlators(sigma, j: int) -> tuple[float, complex]:

@@ -186,7 +186,7 @@ def test_figures_list_accepts_spaces(tmp_path):
     assert not (tmp_path / "s" / "fourpoint.csv").exists()
 
 
-def test_exit_codes(tmp_path):
+def test_exit_codes(tmp_path, capsys):
     assert main(["--version"]) == 0
     assert main(["not-a-command"]) == 3
     unknown_fig = _write_cfg(tmp_path, figures="profiles,nope", out=tmp_path / "g")
@@ -211,6 +211,20 @@ def test_exit_codes(tmp_path):
         warnings.simplefilter("always")
         assert main(["sweep", "--config", blowup]) == 4
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+
+    # non-finite sampling values and fewer than one job are configuration errors
+    base = {"g": "0.1", "n": "8", "out": tmp_path / "j", **_FAST}
+    bad = [({"protocol_t_min": "nan"}, []), ({"protocol_dt": "inf"}, []),
+           ({"protocol_rel_threshold": "nan"}, []), ({}, ["--jobs", "0"]), ({}, ["--jobs", "-4"])]
+    capsys.readouterr()
+    for i, (keys, extra) in enumerate(bad):
+        cfg = _write_cfg(tmp_path, name=f"bad{i}.cfg", **{**base, **keys})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["sweep", "--config", cfg, *extra]) == 3
+        assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_malformed_sweep_csv_exits_3(tmp_path, capsys):

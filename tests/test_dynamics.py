@@ -102,6 +102,10 @@ def test_protocol_validation():
         AveragingProtocol(t_min=0.0, dt=1.0, initial_samples=30, max_samples=20)
     with pytest.raises(ValueError):
         AveragingProtocol(t_min=0.0, dt=1.0, rel_threshold=0.0)
+    for bad in ({"t_min": math.nan}, {"t_min": math.inf}, {"dt": math.nan}, {"dt": math.inf},
+                {"rel_threshold": math.nan}, {"rel_threshold": math.inf}):
+        with pytest.raises(ValueError):
+            AveragingProtocol(**{"t_min": 0.0, "dt": 1.0, **bad})
 
 
 def test_build_propagator_mode_selection():
@@ -349,6 +353,54 @@ def test_page_curve_samples_match_per_cut_rows(monkeypatch, n):
                     for w_map in map(prop.entropy_map, proto.times(0, curve.n_samples))])
     assert values.shape == (40, n - 1)
     assert np.max(np.abs(values - ref) / np.abs(ref)) <= 1e-13
+
+
+def test_page_curve_factors_each_chunk_once(monkeypatch):
+    # N = 8 fits the whole draw in one chunk: one QR serves every cut
+    p = _params(0.2, 8)
+    proto = AveragingProtocol.for_params(p, initial_samples=40, max_samples=40,
+                                         rel_threshold=1.0)
+    qr, calls = np.linalg.qr, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted)
+    page_curve(p, proto)
+    assert calls == [(40, 16, 16)]
+
+
+@pytest.mark.parametrize("g, n", [(0.2, 32), (0.25, 16)])
+def test_page_curve_samples_match_refactored_cut_blocks(monkeypatch, g, n):
+    # cut l reads the leading 2l x 2l block of R off the one QR; passing its
+    # transpose back through the row route factors it again and must agree
+    # bit for bit (frame route at g = 0.2, closed form at g = Delta)
+    p = _params(g, n)
+    proto = AveragingProtocol.for_params(p, initial_samples=40, batch_samples=20,
+                                         max_samples=80, rel_threshold=1.0)
+    loop, seen, stacks = dynamics._converge_series, [], []
+    entropy_rows = Propagator.entropy_rows
+
+    def keep(*args):
+        seen.append(loop(*args))
+        return seen[-1]
+
+    def keep_rows(*args, **kwargs):
+        stack = entropy_rows(*args, **kwargs)
+        stacks.append(stack.copy())
+        return stack
+
+    monkeypatch.setattr(dynamics, "_converge_series", keep)
+    monkeypatch.setattr(Propagator, "entropy_rows", keep_rows)
+    page_curve(p, proto)
+    ref = []
+    for stack in stacks:
+        r_mat = np.linalg.qr(np.swapaxes(stack, -1, -2), mode="r")
+        ref.append(np.stack([subsystem_entropy_from_rows(np.swapaxes(r_mat[:, :2 * l, :2 * l],
+                                                                      -1, -2))
+                             for l in range(1, n)], axis=1))
+    assert np.array_equal(seen[0][0], np.concatenate(ref))
 
 
 @pytest.mark.parametrize("n", [8, 16])

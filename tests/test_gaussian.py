@@ -10,6 +10,7 @@ from bkc.gaussian import (
     CovarianceMatrix,
     LocalDecomposition,
     apply_symplectic,
+    entropy_from_factor,
     entropy_kernel,
     local_decompose,
     single_site_nu,
@@ -351,6 +352,18 @@ def test_rows_entropy_empty_and_validation():
 def test_rows_entropy_rejects_unphysical():
     with pytest.raises(DomainError):
         subsystem_entropy_from_rows(0.5 * np.eye(2))
+
+
+def test_factor_entropy_matches_rows_and_checks_floor():
+    rows = np.stack([random_symplectic(4, RNG)[:4] for _ in range(5)])
+    t_mat = np.linalg.qr(np.swapaxes(rows, -1, -2), mode="r")
+    # the QR of T^T returns T unchanged, so both entries see the same factor
+    assert np.array_equal(entropy_from_factor(t_mat),
+                          subsystem_entropy_from_rows(np.swapaxes(t_mat, -1, -2)))
+    assert np.allclose(entropy_from_factor(t_mat), subsystem_entropy_from_rows(rows),
+                       rtol=1e-13, atol=0.0)
+    with pytest.raises(DomainError):
+        entropy_from_factor(0.5 * np.eye(4)[None])
 
 
 def test_stacked_rows_entropy_matches_per_block_calls():
