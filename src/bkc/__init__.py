@@ -28,6 +28,7 @@ from .gaussian import (
     LocalDecomposition,
     apply_symplectic,
     entropy_from_factor,
+    entropy_from_gram,
     entropy_kernel,
     local_decompose,
     single_site_nu,
@@ -101,7 +102,7 @@ __all__ = [
     "DomainError", "MissingReference", "NonConvergence", "NotSymplectic",
     "NumericalFailure", "OverflowGuard",
     "CovarianceMatrix", "LocalDecomposition", "apply_symplectic", "entropy_from_factor",
-    "entropy_kernel", "local_decompose", "single_site_nu", "site_correlators",
+    "entropy_from_gram", "entropy_kernel", "local_decompose", "single_site_nu", "site_correlators",
     "subsystem_entropy", "subsystem_entropy_from_rows",
     "symplectic_eigenvalues", "symplectic_eigenvalues_from_rows",
     "symplectic_form", "symplectic_residual", "thermal_entropy",

@@ -5,10 +5,11 @@ Every average (``time_series``, ``page_curve``, ``profiles``) takes the
 
 * Away from g == delta it conjugates the exact mode rotation through the
   squeezing frame, S(t) = G^{-1} B(t) G with B(t) block-diagonal rotations
-  at the frequencies J cos(pi n / (N+1)). Single-site rows take one phase
-  per +-omega pair of this chiral spectrum and two GEMMs with halves of the
-  N x N modes; block rows keep one phase per mode and need Psi2 G, the one
-  2N x 2N array, built at the first block request.
+  at the frequencies J cos(pi n / (N+1)). A single site takes its mode sums
+  from one phase per +-omega pair of this chiral spectrum and two GEMMs with
+  halves of the N x N modes; its averages square them into the site's 2 x 2
+  Gram block (no rows, no QR). Block rows keep one phase per mode and need
+  Psi2 G, the one 2N x 2N array, built at the first block request.
 * On g == delta the bond block delta [[1, 1], [-1, -1]] is nilpotent and
   the map has a closed form. With Z the shift (Z_{j,j+1} = 1),
   T_w = (w/2)(Z^T - Z), T_c = (Z + Z^T)/2 and per-site u = (q+p)/sqrt2,
@@ -31,9 +32,10 @@ average reaches it.
 One sampler draws the grid in chunks of consecutive indices: a chunk holds
 at most ``_CHUNK_BYTES`` of entropy-map rows (and the arrays that reducing
 them needs), never crosses a convergence check, and is one stacked call for
-the rows and one batched factorization for their entropies. Its rows go
-into one buffer that the thread reuses from chunk to chunk and from one
-average to the next. No average builds the full map S(t).
+the rows and one batched factorization for their entropies, or one call for
+a single site's Gram blocks. Its rows go into one buffer that the thread
+reuses from chunk to chunk and from one average to the next. No average
+builds the full map S(t).
 
 The covariance of the evolved vacuum is sigma(t) = S(t) S(t)^T.
 """
@@ -49,8 +51,10 @@ import numpy as np
 
 from .errors import OVERFLOW_LIMIT, NonConvergence, OverflowGuard
 from .gaussian import (
+    OMEGA2,
     CovarianceMatrix,
     entropy_from_factor,
+    entropy_from_gram,
     quadrature_indices,
     site_correlators,
     subsystem_entropy_from_rows,
@@ -261,16 +265,14 @@ class Propagator:
         out[np.arange(rows.size), :, rows % 2] = self.modes[:, rows // 2].T
         return out.reshape(rows.size, 2 * n)
 
-    def _site_rows(self, site: int, times: np.ndarray, out: np.ndarray) -> None:
-        """Rows 2j, 2j+1 of W(t) = Psi2^T B(t) G for j = ``site`` at every time, into
-        ``out`` (K x 2 x 2N).
+    def _site_sums(self, site: int, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Mode sums C_jk, S_jk = sum_i m_ij m_ik (cos, sin)(omega_i t) of j = ``site``.
 
-        With C_jk, S_jk = sum_i m_ij m_ik (cos, sin)(omega_i t), row 2j holds
-        C_jk G_k[0] + S_jk G_k[1] and row 2j+1 holds C_jk G_k[1] - S_jk G_k[0].
         As omega_{N-1-i} = -omega_i, m_{N-1-i,j} = (-1)^j m_ij and an odd N's
         middle omega is 0, C_jk = 0 unless j = k mod 2 and S_jk = 0 unless not:
         the sums run over the h = N // 2 lowest modes with weights 2 m_ij and
-        one phase fl(t omega_i) per pair, and the zero ones come out exactly 0.
+        one phase fl(t omega_i) per pair. Returns C for the columns k of the
+        site's parity and S for the others, K x N/2 each.
         """
         n, k, h = self.params.n_sites, times.size, self.params.n_sites // 2
         own, other = site % 2, 1 - site % 2
@@ -283,6 +285,15 @@ class Propagator:
         sin_part = weights[1] @ self.modes[:h, other::2]
         if n % 2:
             cos_part += self.modes[h, site] * self.modes[h, own::2]
+        return cos_part, sin_part
+
+    def _site_rows(self, site: int, times: np.ndarray, out: np.ndarray) -> None:
+        """Rows 2j, 2j+1 of W(t) = Psi2^T B(t) G for j = ``site`` at every time, into
+        ``out`` (K x 2 x 2N): C_jk G_k[0] + S_jk G_k[1] and C_jk G_k[1] - S_jk G_k[0]
+        with the ``_site_sums``, exactly 0 where the model makes them zero."""
+        n, k = self.params.n_sites, times.size
+        own, other = site % 2, 1 - site % 2
+        cos_part, sin_part = self._site_sums(site, times)
         # one (K, N/2) slice per output column keeps the inner loops long
         factor = self.frame.site_factors.transpose(1, 2, 0)
         out = out.reshape(k, 2, n, 2)   # a view: out is C-contiguous
@@ -291,6 +302,23 @@ class Propagator:
             np.multiply(sin_part, factor[1, b, other::2], out=out[:, 0, other::2, b])
             np.multiply(cos_part, factor[1, b, own::2], out=out[:, 1, own::2, b])
             np.multiply(sin_part, -factor[0, b, other::2], out=out[:, 1, other::2, b])
+
+    def _site_gram(self, site: int, times: np.ndarray) -> np.ndarray:
+        """Gram blocks W_j W_j^T of the ``_site_rows`` of j = ``site``, K x 2 x 2.
+
+        Site k's 2 x 2 part of the rows is C_jk G_k (own parity) or
+        S_jk Omega G_k (other parity), so the blocks are two (K x N/2) by
+        (N/2 x 4) products, of C^2 with G_k G_k^T and of S^2 with
+        Omega G_k G_k^T Omega^T. The overflow guard checks the blocks.
+        """
+        own, other = site % 2, 1 - site % 2
+        cos_part, sin_part = self._site_sums(site, times)
+        with np.errstate(over="ignore", invalid="ignore"):
+            grams = self.frame.site_factors @ self.frame.site_factors.transpose(0, 2, 1)
+            turned = OMEGA2 @ grams @ OMEGA2.T
+            blocks = (np.square(cos_part, out=cos_part) @ grams[own::2].reshape(-1, 4)
+                      + np.square(sin_part, out=sin_part) @ turned[other::2].reshape(-1, 4))
+        return _check_finite(blocks.reshape(-1, 2, 2), (float(times[0]), float(times[-1])))
 
     def _critical_rows(self, sites: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
         """Rows 2j, 2j+1 of W(t) = S(t) P for every j in ``sites`` at every time, into
@@ -393,13 +421,13 @@ class Propagator:
 
         ``t`` is a time, which gives the 2l x 2N rows, or a 1-D array of K
         times, which gives a K x 2l x 2N stack; a time is a batch of one. On
-        the frame route a single site takes its mode sums C and S from one
-        phase per +-omega pair (``_site_rows``); its rows differ from the full
-        map's by the rounding of the pairs, fl(t omega) + fl(-t omega), up to
-        about 5e-12 rad at N = 512. Larger blocks keep one phase per mode and
-        the per-time order Psi2^T[rows] (B(t) G), which the 1e-12 references
-        fix for the ill-conditioned g = 0 quarter (pairing moved its N = 256
-        value by 1.8e-5 relative). ``out``, a C-contiguous K x 2l x 2N array,
+        the frame route a single site's rows come from paired phases
+        (``_site_rows``; single-site averages take ``_site_gram`` instead and
+        never call this), off the full map's by fl(t omega) + fl(-t omega), up
+        to about 5e-12 rad at N = 512. Larger blocks keep one phase per mode
+        and the per-time order Psi2^T[rows] (B(t) G), which the 1e-12
+        references fix for the ill-conditioned g = 0 quarter (pairing moved its
+        N = 256 value by 1.8e-5). ``out``, a C-contiguous K x 2l x 2N array,
         receives the stack instead of a new array.
         """
         times = np.atleast_1d(np.asarray(t, dtype=float))
@@ -500,13 +528,15 @@ def _keep_rows_buffer(buffer: np.ndarray) -> None:
 
 
 def _sample(params: ModelParams, subsystem, reduce, protocol: AveragingProtocol | None,
-            stacks: int = 2) -> tuple[np.ndarray, bool]:
+            stacks: int = 2, site_reduce=None) -> tuple[np.ndarray, bool]:
     """Sampler behind every average: ``reduce`` of the subsystem's rows on the grid.
 
     ``reduce`` maps a K x 2l x 2N stack of entropy-map rows to K values (a
     scalar or an array each). Returns the values and whether they
     converged. The propagator is ``build_propagator(params, None)``, the
-    key under which it is cached.
+    key under which it is cached. ``site_reduce``, if given, replaces
+    ``reduce`` for a single site away from g == delta: it maps the K x 2 x 2
+    stack of ``Propagator._site_gram`` blocks, drawn in the rows' chunks.
 
     A draw is taken in chunks that fit ``stacks`` arrays of a chunk's size
     (by default the rows and their QR copy) in _CHUNK_BYTES. Every chunk
@@ -526,6 +556,10 @@ def _sample(params: ModelParams, subsystem, reduce, protocol: AveragingProtocol 
     prop = build_propagator(params, None)
     width = rows.size * 2 * params.n_sites
     chunk = max(1, _CHUNK_BYTES // (stacks * width * 8))
+    if site_reduce is not None and rows.size == 2 and prop.frame is not None:
+        return _converge_series(lambda k0, k1: np.concatenate([
+            site_reduce(prop._site_gram(rows[0] // 2, protocol.times(c0, min(k1, c0 + chunk))))
+            for c0 in range(k0, k1, chunk)]), protocol)
 
     def draw(k0: int, k1: int) -> np.ndarray:
         buffer = _take_rows_buffer(chunk * width)
@@ -544,6 +578,11 @@ def _sample(params: ModelParams, subsystem, reduce, protocol: AveragingProtocol 
     return _converge_series(draw, protocol)
 
 
+def _series_result(values: np.ndarray, converged: bool) -> TimeAverageResult:
+    return TimeAverageResult(mean=float(values.mean()), stderr=float(_standard_error(values)),
+                             n_samples=int(values.size), converged=converged, values=values)
+
+
 def time_series(
     params: ModelParams,
     subsystem,
@@ -555,9 +594,7 @@ def time_series(
     ``reduce`` maps a K x 2l x 2N stack of rows to K values. Sampling
     follows the protocol; the result says whether it converged.
     """
-    values, converged = _sample(params, subsystem, reduce, protocol)
-    return TimeAverageResult(mean=float(values.mean()), stderr=float(_standard_error(values)),
-                             n_samples=int(values.size), converged=converged, values=values)
+    return _series_result(*_sample(params, subsystem, reduce, protocol))
 
 
 def time_averaged_entropy(
@@ -569,9 +606,11 @@ def time_averaged_entropy(
 
     ``subsystem`` is an iterable of 0-based site indices. Raises
     NonConvergence (with the partial estimate attached) if the sample cap
-    is reached first.
+    is reached first. A single site away from g == delta takes nu = sqrt(det)
+    of its Gram block (``entropy_from_gram``); other cuts take rows and QR.
     """
-    result = time_series(params, subsystem, subsystem_entropy_from_rows, protocol)
+    result = _series_result(*_sample(params, subsystem, subsystem_entropy_from_rows, protocol,
+                                     site_reduce=entropy_from_gram))
     if not result.converged:
         raise NonConvergence(
             f"entropy mean not converged after {result.n_samples} samples", result=result

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import AveragingProtocol, time_series
+from .dynamics import AveragingProtocol, _sample
 from .errors import DegenerateSpectrum, DomainError
 from .gaussian import symplectic_eigenvalues_from_rows
 from .model import ModelParams, PhaseRegime, squeezing_frame
@@ -264,9 +264,10 @@ def log_correction(
         protocol = AveragingProtocol.for_params(params)
     # a cap equal to the initial batch draws exactly that batch
     batch = dataclasses.replace(protocol, max_samples=protocol.initial_samples)
-    nu_sq = time_series(
-        params, [site], lambda rows: symplectic_eigenvalues_from_rows(rows)[:, 0] ** 2, batch
-    ).values
+    # nu^2 = det sigma_j of the site's Gram block; rows and QR on g == delta
+    nu_sq, _ = _sample(
+        params, [site], lambda rows: symplectic_eigenvalues_from_rows(rows)[:, 0] ** 2, batch,
+        site_reduce=lambda b: b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0])
     mean_sq = float(np.mean(nu_sq))
     return float(np.mean(nu_sq ** 2) - mean_sq ** 2) / mean_sq ** 2
 

@@ -148,6 +148,19 @@ def test_collapse_imports_no_numpy_ma(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_module_entry_point_runs_the_cli():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "bkc", "--version"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip()
+    bad = subprocess.run([sys.executable, "-m", "bkc", "not-a-command"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert bad.returncode == 3
+
+
 def _reject_constant(name):
     raise ValueError(f"manifest holds {name}, which is not JSON")
 

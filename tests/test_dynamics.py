@@ -24,6 +24,7 @@ from bkc.dynamics import (
     time_series,
 )
 from bkc.errors import DomainError, NonConvergence, OverflowGuard
+from bkc.fourpoint import log_correction
 from bkc.gaussian import (
     quadrature_indices,
     site_correlators,
@@ -33,6 +34,7 @@ from bkc.gaussian import (
 )
 from bkc.model import (
     ModelParams,
+    bdg_matrices,
     frame_hopping_sign,
     squeezing_frame,
     tight_binding_spectrum,
@@ -273,6 +275,77 @@ def test_site_average_builds_no_mode_map():
     assert _held_bytes(prop) <= 0.3 * (2 * n) ** 2 * 8
     time_averaged_entropy(p, range(n // 4), proto)
     assert "mode_map" in vars(prop)
+
+
+def test_site_gram_matches_longdouble_rows():
+    # twice the rows bound: each entry sums products of two rows
+    for g in (0.0, 0.2, 0.3):
+        for n in (7, 8, 9, 64, 512):
+            prop = build_propagator(_params(g, n))
+            proto = AveragingProtocol.for_params(prop.params)
+            times = np.array([proto.t_min, proto.time(777)])
+            for site in (0, n // 2, n - 1):
+                blocks = prop._site_gram(site, times)
+                assert blocks.shape == (2, 2, 2)
+                for got, t in zip(blocks, times):
+                    rows = _longdouble_site_rows(prop, site, t)
+                    ref = (rows @ rows.T).astype(float)
+                    assert np.max(np.abs(got - ref)) <= 2e-13 * np.max(np.abs(ref))
+
+
+def test_site_average_matches_row_route():
+    for g in (0.0, 0.2, 0.3):
+        for n in (64, 512):
+            p = _params(g, n)
+            proto = AveragingProtocol.for_params(p, initial_samples=200, rel_threshold=1.0)
+            got = time_averaged_entropy(p, [n // 2], proto)
+            ref = time_series(p, [n // 2], subsystem_entropy_from_rows, proto)
+            assert got.n_samples == ref.n_samples == 200
+            assert np.max(np.abs(got.values - ref.values) / ref.values) <= 1e-14
+
+
+@pytest.mark.parametrize("n", [16, 64])
+def test_site_gram_near_criticality_matches_dense_expm(n):
+    import scipy.linalg
+
+    for g in (0.25 - 1e-6, 0.25 + 1e-6):
+        p = _params(g, n)
+        proto = AveragingProtocol.for_params(p, initial_samples=40, rel_threshold=1.0)
+        h_mat, omega = bdg_matrices(p)
+        for site in (0, n // 2):
+            got = time_averaged_entropy(p, [site], proto)
+            rows = quadrature_indices([site])
+            ref = [subsystem_entropy_from_rows(scipy.linalg.expm(omega @ h_mat * t)[rows])
+                   for t in proto.times(0, got.n_samples)]
+            assert got.n_samples == 40
+            assert np.max(np.abs(got.values - ref)) <= 1e-9
+
+
+def test_site_average_takes_gram_blocks(monkeypatch):
+    calls = {"qr": 0, "rows": 0}
+    qr, entropy_rows = np.linalg.qr, Propagator.entropy_rows
+
+    def counted_qr(*args, **kwargs):
+        calls["qr"] += 1
+        return qr(*args, **kwargs)
+
+    def counted_rows(self, *args, **kwargs):
+        calls["rows"] += 1
+        return entropy_rows(self, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "qr", counted_qr)
+    monkeypatch.setattr(Propagator, "entropy_rows", counted_rows)
+    n = 64
+    p = _params(0.2, n)
+    proto = AveragingProtocol.for_params(p, initial_samples=50, rel_threshold=1.0)
+    build_propagator.cache_clear()
+    assert time_averaged_entropy(p, [n // 2], proto).n_samples == 50
+    assert log_correction(p, n // 2, proto) > 0.0
+    assert calls == {"qr": 0, "rows": 0}
+    assert "mode_map" not in vars(build_propagator(p, None))
+    # the critical line keeps rows and QR
+    time_averaged_entropy(_params(0.25, n), [n // 2], proto)
+    assert calls["qr"] > 0 and calls["rows"] > 0
 
 
 def test_nonconvergence_carries_partial_result():

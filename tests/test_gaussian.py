@@ -11,6 +11,7 @@ from bkc.gaussian import (
     LocalDecomposition,
     apply_symplectic,
     entropy_from_factor,
+    entropy_from_gram,
     entropy_kernel,
     local_decompose,
     single_site_nu,
@@ -364,6 +365,15 @@ def test_factor_entropy_matches_rows_and_checks_floor():
                        rtol=1e-13, atol=0.0)
     with pytest.raises(DomainError):
         entropy_from_factor(0.5 * np.eye(4)[None])
+
+
+def test_gram_entropy_matches_rows_and_checks_floor():
+    rows = np.stack([random_symplectic(3, RNG)[2:4] for _ in range(5)])
+    blocks = rows @ np.swapaxes(rows, -1, -2)
+    assert np.allclose(entropy_from_gram(blocks), subsystem_entropy_from_rows(rows),
+                       rtol=1e-13, atol=0.0)
+    with pytest.raises(DomainError):
+        entropy_from_gram(np.stack([0.25 * np.eye(2)] * 3))
 
 
 def test_stacked_rows_entropy_matches_per_block_calls():
