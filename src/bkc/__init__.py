@@ -63,7 +63,6 @@ from .dynamics import (
     build_propagator,
     evolve,
     fluctuation_ratio,
-    lab_exponential_evolve,
     page_curve,
     profiles,
     series_fluctuation_ratio,
@@ -112,7 +111,7 @@ __all__ = [
     "tight_binding_spectrum", "validate_frame",
     "AveragingProtocol", "PageCurve", "PropagationMode", "Propagator",
     "SiteProfiles", "TimeAverageResult", "build_propagator", "evolve",
-    "fluctuation_ratio", "lab_exponential_evolve", "page_curve", "profiles",
+    "fluctuation_ratio", "page_curve", "profiles",
     "series_fluctuation_ratio", "time_averaged_entropy", "time_series",
     "CollapseResult", "ContinuumParams", "GgeSpectrum", "avg_site_correlators",
     "conserved_correlators", "continuum_mode_nu", "continuum_params",

@@ -17,7 +17,6 @@ import contextlib
 import dataclasses
 import functools
 import json
-import math
 import os
 import sys
 import time
@@ -42,7 +41,7 @@ from .errors import (
     MissingReference,
     NonConvergence,
 )
-from .fourpoint import epsilon4, log_correction
+from .fourpoint import fourpoint_report
 from .gaussian import local_decompose
 from .model import ModelParams
 
@@ -470,15 +469,13 @@ def _figure_fourpoint(cfg: dict[str, str], out: Path) -> tuple[list[dict], bool]
         site = _resolve_site(cfg, params)
         started = time.perf_counter()
         try:
-            eps = epsilon4(params, site)
-            corr = log_correction(params, site, _protocol_for(params, cfg))
+            report = fourpoint_report(params, site, _protocol_for(params, cfg))
         except (CriticalFrameUndefined, DomainError) as exc:
             meta.append({"g": params.g, "N": params.n_sites, "reason": str(exc)})
             continue
-        inv = math.inf if eps == 0.0 else 1.0 / eps
         lines.append(",".join([
-            _fmt(params.g), str(params.n_sites), str(site),
-            _fmt(eps), _fmt(inv), _fmt(corr),
+            _fmt(params.g), str(params.n_sites), str(site), _fmt(report.epsilon4),
+            _fmt(report.one_over_eps4), _fmt(report.log_correction),
         ]))
         meta.append({"g": params.g, "N": params.n_sites, "subsystem": f"site:{site}",
                      "converged": True, "route": "sums",

@@ -24,10 +24,8 @@ Every average (``time_series``, ``page_curve``, ``profiles``) takes the
   those of W = S(t) P, P = [[1, 1], [1, -1]] / sqrt2 per site, so
   W W^T = S S^T: whole-site entropies and Gram blocks are the lab ones.
 
-``LAB_EXPONENTIAL`` exponentiates the equation-of-motion generator M densely
-(Padé-13 scaling and squaring in numpy), one expm per time. ``evolve`` and
-``build_propagator`` use it on request: it is the oracle of the tests, and no
-average reaches it.
+The package has no matrix exponential: the tests check both forms against
+``scipy.linalg.expm`` of the generator Omega h.
 
 One sampler draws the grid in chunks of consecutive indices: a chunk holds
 at most ``_CHUNK_BYTES`` of entropy-map rows (and the arrays that reducing
@@ -49,7 +47,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OVERFLOW_LIMIT, NonConvergence, OverflowGuard
+from .errors import NonConvergence, within_limit
 from .gaussian import (
     OMEGA2,
     CovarianceMatrix,
@@ -64,7 +62,6 @@ from .model import (
     ModelParams,
     PhaseRegime,
     SqueezingFrame,
-    bdg_matrices,
     classify_phase,
     frame_hopping_sign,
     squeezing_frame,
@@ -81,15 +78,13 @@ _HALF_TURN = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
 
 class PropagationMode(enum.Enum):
-    """Route of a Propagator.
+    """Route of a Propagator; ``FRAME_EXACT`` is the only one.
 
-    ``FRAME_EXACT``: the exact mode rotation in the squeezing frame, or on
-    g == delta the closed form; every average takes it. ``LAB_EXPONENTIAL``:
-    a dense matrix exponential of the generator per time, the oracle.
+    It is the exact mode rotation in the squeezing frame, or on g == delta
+    the closed form. ``Propagator.mode`` names it for the run records.
     """
 
     FRAME_EXACT = "frame"
-    LAB_EXPONENTIAL = "lab"
 
 
 @dataclass(frozen=True)
@@ -144,64 +139,6 @@ class TimeAverageResult:
     values: np.ndarray = field(repr=False)
 
 
-# Padé-13 numerator coefficients and the 1-norm up to which r_13(A) is exp(A)
-# to double precision (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).
-_PADE_13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-            1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-            33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0)
-_THETA_13 = 5.371920351148152
-# Entries below this are flushed to zero. A GEMM slows by an order of
-# magnitude on subnormal operands and on products that underflow into the
-# subnormal range; the product of two entries above 2^-511 never does. The
-# maps exponentiated here are symplectic (norm >= 1), so what is dropped lies
-# far below rounding.
-_FLUSH_BELOW = 2.0 ** -511
-
-
-def _flush_small(mat: np.ndarray) -> np.ndarray:
-    mag = np.abs(mat)
-    mat[mag < _FLUSH_BELOW] = 0.0
-    return mag
-
-
-def _expm(mat: np.ndarray) -> np.ndarray:
-    """exp(mat) by Padé-13 scaling and squaring, with tiny entries flushed to zero.
-
-    Overflow is left as inf or NaN entries, which _check_finite rejects.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        norm = float(np.linalg.norm(mat, 1))
-        if not norm < math.inf:
-            return np.full_like(mat, math.inf)
-        squarings = math.ceil(math.log2(norm / _THETA_13)) if norm > _THETA_13 else 0
-        a = mat / 2.0 ** squarings
-        b = _PADE_13
-        ident = np.eye(a.shape[0])
-        a2 = a @ a
-        a4 = a2 @ a2
-        a6 = a2 @ a4
-        u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-                 + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * ident)
-        v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-             + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * ident)
-        out = np.linalg.solve(v - u, v + u)
-        for _ in range(squarings):
-            if not _flush_small(out).max() < math.inf:
-                break
-            out = out @ out
-        _flush_small(out)
-    return out
-
-
-def _check_finite(arr: np.ndarray, t) -> np.ndarray:
-    # max and min propagate NaN, so two reductions cover every entry
-    # without a temporary array of the stack's size
-    peak = max(float(arr.max()), -float(arr.min()))
-    if not peak <= OVERFLOW_LIMIT:
-        raise OverflowGuard(f"propagation overflowed float64 range at t = {t}")
-    return arr
-
-
 def _critical_columns(params: ModelParams, modes: np.ndarray,
                       cosines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The g == delta map's precomputed columns, one N x 2h array per site parity.
@@ -225,15 +162,11 @@ def _critical_columns(params: ModelParams, modes: np.ndarray,
 class Propagator:
     """Symplectic map of the quench, sampled at arbitrary times."""
 
-    def __init__(self, params: ModelParams, mode: PropagationMode):
+    mode = PropagationMode.FRAME_EXACT
+
+    def __init__(self, params: ModelParams):
         self.params = params
-        self.mode = mode
-        self.generator: np.ndarray | None = None
         self.frame: SqueezingFrame | None = None
-        if mode is PropagationMode.LAB_EXPONENTIAL:
-            h, omega = bdg_matrices(params)
-            self.generator = omega @ h
-            return
         spectrum = tight_binding_spectrum(params)
         if classify_phase(params) is PhaseRegime.CRITICAL:
             n = params.n_sites
@@ -318,7 +251,7 @@ class Propagator:
             turned = OMEGA2 @ grams @ OMEGA2.T
             blocks = (np.square(cos_part, out=cos_part) @ grams[own::2].reshape(-1, 4)
                       + np.square(sin_part, out=sin_part) @ turned[other::2].reshape(-1, 4))
-        return _check_finite(blocks.reshape(-1, 2, 2), (float(times[0]), float(times[-1])))
+        return within_limit(blocks.reshape(-1, 2, 2), f"propagation to t = {times[0]}..{times[-1]}")
 
     def _critical_rows(self, sites: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
         """Rows 2j, 2j+1 of W(t) = S(t) P for every j in ``sites`` at every time, into
@@ -385,16 +318,14 @@ class Propagator:
         n = self.params.n_sites
         if t == 0.0:
             return np.eye(2 * n)
-        if self.mode is PropagationMode.LAB_EXPONENTIAL:
-            return _check_finite(_expm(self.generator * t), float(t))
         w_map = self.entropy_map(t)
         if self.frame is None:
             # S = W P, and P is its own inverse
             return (w_map.reshape(-1, 2) @ _HALF_TURN).reshape(2 * n, 2 * n)
         # S = F^-1 W(t), one 2 x 2 site factor per pair of rows
         w_rows = w_map.reshape(n, 2, 2 * n)
-        return _check_finite((self.frame.inverse_factors() @ w_rows).reshape(2 * n, 2 * n),
-                             float(t))
+        return within_limit((self.frame.inverse_factors() @ w_rows).reshape(2 * n, 2 * n),
+                            f"propagation to t = {t}")
 
     def subsystem_rows(self, t: float, rows: np.ndarray) -> np.ndarray:
         """Rows of S(t) for the quadratures listed in ``rows``."""
@@ -416,8 +347,7 @@ class Propagator:
         site blocks at large N carry entries so far above the symplectic
         eigenvalues that the eigensolver's floating-point floor swallows the
         entropy entirely. On g == delta it returns rows of W = S(t) P, whose
-        site blocks of W W^T are the lab ones (module docstring). The lab
-        route returns rows of S(t) itself, one expm per time.
+        site blocks of W W^T are the lab ones (module docstring).
 
         ``t`` is a time, which gives the 2l x 2N rows, or a 1-D array of K
         times, which gives a K x 2l x 2N stack; a time is a batch of one. On
@@ -438,10 +368,7 @@ class Propagator:
             stack = out
         else:
             raise ValueError(f"out must be a C-contiguous {shape} array, got {out.shape}")
-        if self.mode is PropagationMode.LAB_EXPONENTIAL:
-            for i, s in enumerate(times):
-                stack[i] = self.symplectic(s)[rows]
-        elif self.frame is None:
+        if self.frame is None:
             sites = rows[::2] // 2
             if np.array_equal(rows, (2 * sites[:, None] + [0, 1]).ravel()):
                 self._critical_rows(sites, times, stack)
@@ -456,28 +383,26 @@ class Propagator:
             factor = self._mode_rows(rows)
             for i, s in enumerate(times):
                 np.matmul(factor, self._rotated_map(s), out=stack[i])
-        _check_finite(stack, (float(times[0]), float(times[-1])))
+        within_limit(stack, f"propagation to t = {times[0]}..{times[-1]}")
         return stack if np.ndim(t) else stack[0]
 
 
 @functools.lru_cache(maxsize=32)
-def build_propagator(params: ModelParams, mode: PropagationMode | None = None) -> Propagator:
+def build_propagator(params: ModelParams, mode: None = None) -> Propagator:
     """Construct (and memoize) the propagator for these couplings.
 
-    ``mode=None`` is ``FRAME_EXACT``, which covers every regime.
+    Callers pass ``(params, None)``, the key under which the averages find
+    it cached; ``mode`` takes no other value (ValueError).
     """
-    return Propagator(params, mode or PropagationMode.FRAME_EXACT)
+    if mode is not None:
+        raise ValueError(f"build_propagator takes mode=None only, got {mode!r}")
+    return Propagator(params)
 
 
-def evolve(params: ModelParams, t: float, mode: PropagationMode | None = None) -> CovarianceMatrix:
+def evolve(params: ModelParams, t: float) -> CovarianceMatrix:
     """Covariance of the evolved vacuum at time t."""
-    s_mat = build_propagator(params, mode).symplectic(t)
+    s_mat = build_propagator(params, None).symplectic(t)
     return CovarianceMatrix(s_mat @ s_mat.T)
-
-
-def lab_exponential_evolve(params: ModelParams, t: float) -> CovarianceMatrix:
-    """Covariance at time t computed through expm only; works in every regime."""
-    return evolve(params, t, PropagationMode.LAB_EXPONENTIAL)
 
 
 def _standard_error(values: np.ndarray) -> np.ndarray:

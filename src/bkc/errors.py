@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception and warning types shared across the package, and the overflow guard."""
 from __future__ import annotations
 
 
@@ -27,7 +27,17 @@ OVERFLOW_LIMIT = 1e300
 
 
 class OverflowGuard(BkcError, RuntimeError):
-    """A propagated map, or the squeezing frame of the couplings, would pass OVERFLOW_LIMIT."""
+    """A propagated map, a subsystem spectrum, or the squeezing frame of the
+    couplings would pass OVERFLOW_LIMIT."""
+
+
+def within_limit(arr, what: str):
+    """``arr`` if no entry passes +-OVERFLOW_LIMIT or is NaN; else OverflowGuard."""
+    # max and min propagate NaN, so two reductions cover every entry
+    # without a temporary array of the array's size
+    if not max(float(arr.max()), -float(arr.min())) <= OVERFLOW_LIMIT:
+        raise OverflowGuard(f"{what} overflowed float64 range")
+    return arr
 
 
 class NonConvergence(BkcError, RuntimeError):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotSymplectic, NumericalFailure
+from .errors import DomainError, NotSymplectic, NumericalFailure, within_limit
 
 OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -143,16 +143,21 @@ def symplectic_eigenvalues_from_rows(rows) -> np.ndarray:
 
 def _factor_spectrum(t_mat: np.ndarray) -> np.ndarray:
     """T -> nu. For a single mode T is 2 x 2 upper triangular and
-    T Omega T^T = det(T) Omega, so nu = |T00 T11| without an SVD."""
+    T Omega T^T = det(T) Omega, so nu = |T00 T11| without an SVD. Where nu,
+    or an entry of T Omega T^T, passes OVERFLOW_LIMIT: OverflowGuard, before
+    any SVD sees an inf."""
     try:
-        if t_mat.shape[-1] == 2:
-            return np.abs(t_mat[..., 0, 0] * t_mat[..., 1, 1])[..., None]
-        # T Omega swaps and negates column pairs; every entry of the product
-        # has one nonzero term, so this is T @ Omega bit for bit
-        t_omega = np.empty_like(t_mat)
-        t_omega[..., 0::2] = -t_mat[..., 1::2]
-        t_omega[..., 1::2] = t_mat[..., 0::2]
-        vals = np.linalg.svd(t_omega @ np.swapaxes(t_mat, -1, -2), compute_uv=False)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if t_mat.shape[-1] == 2:
+                return within_limit(np.abs(t_mat[..., 0, 0] * t_mat[..., 1, 1])[..., None],
+                                    "subsystem spectrum")
+            # T Omega swaps and negates column pairs; every entry of the product
+            # has one nonzero term, so this is T @ Omega bit for bit
+            t_omega = np.empty_like(t_mat)
+            t_omega[..., 0::2] = -t_mat[..., 1::2]
+            t_omega[..., 1::2] = t_mat[..., 0::2]
+            product = within_limit(t_omega @ np.swapaxes(t_mat, -1, -2), "subsystem spectrum")
+        vals = np.linalg.svd(product, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"row-block symplectic spectrum failed: {exc}") from exc
     return np.sort((vals[..., 0::2] + vals[..., 1::2]) / 2.0, axis=-1)
@@ -196,13 +201,16 @@ def entropy_from_factor(t_mat) -> np.ndarray:
 def entropy_from_gram(blocks) -> np.ndarray:
     """Entropies of a K x 2 x 2 stack of single-mode blocks sigma_j = R_j R_j^T.
 
-    For one mode nu = sqrt(det sigma_j), and the noise floor scales with
-    tr sigma_j = ||R_j||^2; ``symplectic_eigenvalues_from_rows`` bounds its error.
+    For one mode nu = sqrt(det sigma_j), taken as tr sqrt(det(sigma_j / tr))
+    with tr = tr sigma_j, so that det never squares the entries out of float
+    range; the noise floor scales with tr = ||R_j||^2.
+    ``symplectic_eigenvalues_from_rows`` bounds its error.
     """
     blocks = np.asarray(blocks, dtype=float)
-    det = blocks[..., 0, 0] * blocks[..., 1, 1] - blocks[..., 0, 1] * blocks[..., 1, 0]
-    return _entropy_from_spectrum(np.sqrt(np.maximum(det, 0.0))[..., None],
-                                  blocks[..., 0, 0] + blocks[..., 1, 1])
+    trace = blocks[..., 0, 0] + blocks[..., 1, 1]
+    unit = blocks / trace[..., None, None]
+    det = unit[..., 0, 0] * unit[..., 1, 1] - unit[..., 0, 1] * unit[..., 1, 0]
+    return _entropy_from_spectrum((trace * np.sqrt(np.maximum(det, 0.0)))[..., None], trace)
 
 
 def entropy_kernel(x):

@@ -12,10 +12,8 @@ import numpy as np
 from bkc.analytics import nu_bar_squared, s1_prediction, scaling_collapse
 from bkc.dynamics import (
     AveragingProtocol,
-    PropagationMode,
     build_propagator,
     evolve,
-    lab_exponential_evolve,
     page_curve,
     profiles,
     series_fluctuation_ratio,
@@ -186,13 +184,14 @@ def test_log_correction_plateau_and_decay():
         assert nxt < prev
 
 
-def test_route_equivalence_and_purity():
+def test_route_equivalence_and_purity(dense_map):
     # frame rotations against the raw matrix exponential
     for g in (0.1, 0.4):
         p = _params(g, 6)
         for t in (1.3, 7.7, 20.0 / p.hopping):
-            sig_frame = evolve(p, t, PropagationMode.FRAME_EXACT).data
-            sig_lab = lab_exponential_evolve(p, t).data
+            sig_frame = evolve(p, t).data
+            s_lab = dense_map(p, t)
+            sig_lab = s_lab @ s_lab.T
             assert np.max(np.abs(sig_frame - sig_lab)) <= 1e-8
 
     # trajectories stay pure

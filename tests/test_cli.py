@@ -199,7 +199,7 @@ def test_figures_list_accepts_spaces(tmp_path):
     assert not (tmp_path / "s" / "fourpoint.csv").exists()
 
 
-def test_exit_codes(tmp_path, capsys):
+def test_exit_codes(tmp_path, capfd):
     assert main(["--version"]) == 0
     assert main(["not-a-command"]) == 3
     unknown_fig = _write_cfg(tmp_path, figures="profiles,nope", out=tmp_path / "g")
@@ -225,18 +225,33 @@ def test_exit_codes(tmp_path, capsys):
         assert main(["sweep", "--config", blowup]) == 4
     assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
 
+    # a block spectrum past float range is a numerical failure too, stopped
+    # before the SVD: no floating-point warnings and no LAPACK messages
+    wide = _write_cfg(
+        tmp_path, name="wide.cfg", w="1", delta="0.99", g="0", n="300", cut="quarter",
+        protocol_initial_samples="200", protocol_max_samples="400", out=tmp_path / "k",
+    )
+    capfd.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sweep", "--config", wide]) == 4
+    assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    out, err = capfd.readouterr()
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "DLASCL" not in out + err
+
     # non-finite sampling values and fewer than one job are configuration errors
     base = {"g": "0.1", "n": "8", "out": tmp_path / "j", **_FAST}
     bad = [({"protocol_t_min": "nan"}, []), ({"protocol_dt": "inf"}, []),
            ({"protocol_rel_threshold": "nan"}, []), ({}, ["--jobs", "0"]), ({}, ["--jobs", "-4"])]
-    capsys.readouterr()
+    capfd.readouterr()
     for i, (keys, extra) in enumerate(bad):
         cfg = _write_cfg(tmp_path, name=f"bad{i}.cfg", **{**base, **keys})
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert main(["sweep", "--config", cfg, *extra]) == 3
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
-        err = capsys.readouterr().err
+        err = capfd.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
 
 

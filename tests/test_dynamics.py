@@ -3,7 +3,6 @@ import math
 import os
 import subprocess
 import sys
-import warnings
 
 import numpy as np
 import pytest
@@ -16,14 +15,13 @@ from bkc.dynamics import (
     build_propagator,
     evolve,
     fluctuation_ratio,
-    lab_exponential_evolve,
     page_curve,
     profiles,
     series_fluctuation_ratio,
     time_averaged_entropy,
     time_series,
 )
-from bkc.errors import DomainError, NonConvergence, OverflowGuard
+from bkc.errors import DomainError, NonConvergence
 from bkc.fourpoint import log_correction
 from bkc.gaussian import (
     quadrature_indices,
@@ -34,7 +32,6 @@ from bkc.gaussian import (
 )
 from bkc.model import (
     ModelParams,
-    bdg_matrices,
     frame_hopping_sign,
     squeezing_frame,
     tight_binding_spectrum,
@@ -115,15 +112,18 @@ def test_build_propagator_mode_selection():
     assert build_propagator(_params(0.25, 8)).mode is PropagationMode.FRAME_EXACT
     assert build_propagator(_params(0.25, 8)).frame is None
     assert build_propagator(_params(0.2, 8)) is build_propagator(_params(0.2, 8))
+    with pytest.raises(ValueError, match="mode=None only"):
+        build_propagator(_params(0.2, 8), PropagationMode.FRAME_EXACT)
 
 
-def test_frame_route_matches_matrix_exponential():
+def test_frame_route_matches_matrix_exponential(dense_map):
     for n in (7, 32):
         for g in (0.0, 0.2, 0.3):
             p = _params(g, n)
             t = 3.7
-            sig_frame = evolve(p, t, PropagationMode.FRAME_EXACT).data
-            sig_lab = lab_exponential_evolve(p, t).data
+            sig_frame = evolve(p, t).data
+            s_lab = dense_map(p, t)
+            sig_lab = s_lab @ s_lab.T
             scale = np.max(np.abs(sig_lab))
             assert np.max(np.abs(sig_frame - sig_lab)) <= 1e-9 * scale
 
@@ -153,20 +153,10 @@ def test_entropy_map_reproduces_lab_entropies():
 
 
 def test_evolved_state_stays_pure():
-    crit = _params(0.25, 16)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        nus = symplectic_eigenvalues(evolve(crit, 50.0).data)
+    nus = symplectic_eigenvalues(evolve(_params(0.25, 16), 50.0).data)
     assert np.max(np.abs(nus - 1.0)) <= 1e-9
     nus = symplectic_eigenvalues(evolve(_params(0.2, 11), 30.0).data)
     assert np.max(np.abs(nus - 1.0)) <= 1e-9
-
-
-def test_overflow_guard_on_extreme_times():
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        with pytest.raises(OverflowGuard):
-            lab_exponential_evolve(_params(0.25, 16), 1e30)
 
 
 def test_mode_occupations_conserved_after_quench():
@@ -198,15 +188,14 @@ def test_time_average_deterministic_grid():
     assert r1.stderr > 0.0
 
 
-def test_time_average_same_samples_both_routes():
+def test_time_average_same_samples_both_routes(dense_map):
     p = _params(0.2, 6)
     proto = AveragingProtocol(t_min=60.0, dt=7.3, initial_samples=40,
                               batch_samples=20, max_samples=80, rel_threshold=1.0)
     r_frame = time_averaged_entropy(p, [0, 1], proto)
     assert build_propagator(p, None).mode is PropagationMode.FRAME_EXACT
-    lab = build_propagator(p, PropagationMode.LAB_EXPONENTIAL)
     rows = quadrature_indices([0, 1])
-    r_lab = [subsystem_entropy_from_rows(lab.symplectic(t)[rows])
+    r_lab = [subsystem_entropy_from_rows(dense_map(p, t)[rows])
              for t in proto.times(0, r_frame.n_samples)]
     assert np.allclose(r_frame.values, r_lab, atol=1e-8)
 
@@ -294,28 +283,28 @@ def test_site_gram_matches_longdouble_rows():
 
 
 def test_site_average_matches_row_route():
-    for g in (0.0, 0.2, 0.3):
-        for n in (64, 512):
-            p = _params(g, n)
-            proto = AveragingProtocol.for_params(p, initial_samples=200, rel_threshold=1.0)
-            got = time_averaged_entropy(p, [n // 2], proto)
-            ref = time_series(p, [n // 2], subsystem_entropy_from_rows, proto)
-            assert got.n_samples == ref.n_samples == 200
-            assert np.max(np.abs(got.values - ref.values) / ref.values) <= 1e-14
+    # at delta = 0.9 and 0.99 the Gram entries pass 1e155, so det sigma_j = nu^2
+    # would overflow; the rows and det(sigma_j / tr) stay in range
+    cases = [(_params(g, n), 200) for g in (0.0, 0.2, 0.3) for n in (64, 512)]
+    cases += [(_params(0.0, 256, delta=0.9), 50), (_params(0.0, 140, delta=0.99), 50)]
+    for p, samples in cases:
+        n = p.n_sites
+        proto = AveragingProtocol.for_params(p, initial_samples=samples, rel_threshold=1.0)
+        got = time_averaged_entropy(p, [n // 2], proto)
+        ref = time_series(p, [n // 2], subsystem_entropy_from_rows, proto)
+        assert got.n_samples == ref.n_samples == samples
+        assert np.max(np.abs(got.values - ref.values) / ref.values) <= 1e-14
 
 
 @pytest.mark.parametrize("n", [16, 64])
-def test_site_gram_near_criticality_matches_dense_expm(n):
-    import scipy.linalg
-
+def test_site_gram_near_criticality_matches_dense_expm(n, dense_map):
     for g in (0.25 - 1e-6, 0.25 + 1e-6):
         p = _params(g, n)
         proto = AveragingProtocol.for_params(p, initial_samples=40, rel_threshold=1.0)
-        h_mat, omega = bdg_matrices(p)
         for site in (0, n // 2):
             got = time_averaged_entropy(p, [site], proto)
             rows = quadrature_indices([site])
-            ref = [subsystem_entropy_from_rows(scipy.linalg.expm(omega @ h_mat * t)[rows])
+            ref = [subsystem_entropy_from_rows(dense_map(p, t)[rows])
                    for t in proto.times(0, got.n_samples)]
             assert got.n_samples == 40
             assert np.max(np.abs(got.values - ref)) <= 1e-9
@@ -477,13 +466,12 @@ def test_page_curve_samples_match_refactored_cut_blocks(monkeypatch, g, n):
 
 
 @pytest.mark.parametrize("n", [8, 16])
-def test_critical_page_curve_matches_dense_expm(n):
+def test_critical_page_curve_matches_dense_expm(n, dense_map):
     p = _params(0.25, n)
     proto = AveragingProtocol.for_params(p, initial_samples=120, batch_samples=60,
                                          max_samples=240, rel_threshold=1e-3)
-    prop = build_propagator(p, PropagationMode.LAB_EXPONENTIAL)
     dense = np.array([[subsystem_entropy_from_rows(lab_map[:2 * l]) for l in range(1, n)]
-                      for lab_map in map(prop.symplectic, proto.times(0, proto.max_samples))])
+                      for lab_map in (dense_map(p, t) for t in proto.times(0, proto.max_samples))])
     ref, ref_converged = dynamics._converge_series(lambda k0, k1: dense[k0:k1], proto)
     try:
         curve = page_curve(p, proto)
@@ -546,12 +534,11 @@ def test_profiles_match_per_time_maps(n):
 
 
 @pytest.mark.parametrize("n", [8, 16])
-def test_critical_profiles_match_dense_expm(n):
+def test_critical_profiles_match_dense_expm(n, dense_map):
     p = _params(0.25, n)
     proto = AveragingProtocol.for_params(p, initial_samples=120, batch_samples=60,
                                          max_samples=240, rel_threshold=1e-3)
-    prop = build_propagator(p, PropagationMode.LAB_EXPONENTIAL)
-    maps = [prop.symplectic(t) for t in proto.times(0, proto.max_samples)]
+    maps = [dense_map(p, t) for t in proto.times(0, proto.max_samples)]
     dense = np.array([subsystem_entropy_from_rows(s.reshape(n, 2, 2 * n)) for s in maps])
     ref, ref_converged = dynamics._converge_series(lambda k0, k1: dense[k0:k1], proto)
     try:
@@ -582,17 +569,16 @@ def test_evolve_at_time_zero_is_vacuum():
 
 
 @pytest.mark.parametrize("n", [32, 64])
-def test_critical_stepped_rows_match_dense_expm(n):
+def test_critical_rows_match_dense_expm(n, dense_map):
     # g == delta: the averages take the closed-form rows; the oracle takes a
     # dense expm at every grid time
     p = _params(0.25, n)
     proto = AveragingProtocol.for_params(p, initial_samples=120, batch_samples=60,
                                          max_samples=240, rel_threshold=2e-3)
-    prop = build_propagator(p, PropagationMode.LAB_EXPONENTIAL)
     cuts = ([n // 2], list(range(n // 4)))
     dense = np.array([
         [subsystem_entropy_from_rows(lab_map[quadrature_indices(cut)]) for cut in cuts]
-        for lab_map in map(prop.symplectic, proto.times(0, proto.max_samples))
+        for lab_map in (dense_map(p, t) for t in proto.times(0, proto.max_samples))
     ])
     for i, cut in enumerate(cuts):
         ref, ref_converged = dynamics._converge_series(
@@ -603,53 +589,15 @@ def test_critical_stepped_rows_match_dense_expm(n):
 
 
 @pytest.mark.parametrize("n", [8, 32, 96])
-def test_expm_matches_scipy(n):
-    import scipy.linalg
-
-    p = _params(0.25, n)
-    prop = build_propagator(p, PropagationMode.LAB_EXPONENTIAL)
-    proto = AveragingProtocol.for_params(p)
-    for t in (proto.dt, proto.t_min, proto.time(1000)):
-        mine = dynamics._expm(prop.generator * t)
-        ref = scipy.linalg.expm(prop.generator * t)
-        assert np.linalg.norm(mine - ref) / np.linalg.norm(ref) <= 1e-10
-        assert symplectic_residual(mine) <= 1e-12
-
-
-@pytest.mark.parametrize("n", [8, 32, 96])
-def test_critical_map_matches_expm(n):
-    import scipy.linalg
-
+def test_critical_map_matches_expm(n, dense_map):
     p = _params(0.25, n)
     prop = build_propagator(p)
-    generator = build_propagator(p, PropagationMode.LAB_EXPONENTIAL).generator
     proto = AveragingProtocol.for_params(p)
     for t in (proto.dt, proto.t_min, proto.time(1000)):
         mine = prop.symplectic(t)
-        ref = scipy.linalg.expm(generator * t)
+        ref = dense_map(p, t)
         assert np.linalg.norm(mine - ref) / np.linalg.norm(ref) <= 1e-10
         assert symplectic_residual(mine) <= 1e-12
-
-
-def test_critical_averages_never_exponentiate(monkeypatch):
-    def refuse(mat):
-        raise AssertionError("matrix exponential on the sampling path")
-
-    monkeypatch.setattr(dynamics, "_expm", refuse)
-    p = _params(0.25, 12)
-    proto = AveragingProtocol.for_params(p, initial_samples=20, rel_threshold=1.0)
-    for cut in ([6], [0, 1, 2]):
-        assert time_series(p, cut, subsystem_entropy_from_rows, proto).n_samples == 20
-    assert page_curve(p, proto).n_samples == 20
-    assert profiles(p, proto).n_samples == 20
-
-
-def test_step_matrix_at_512_sites_has_no_subnormals():
-    p = _params(0.25, 512)
-    generator = Propagator(p, PropagationMode.LAB_EXPONENTIAL).generator
-    step = dynamics._expm(generator * AveragingProtocol.for_params(p).dt)
-    magnitude = np.abs(step)
-    assert np.count_nonzero((magnitude > 0) & (magnitude < np.finfo(float).tiny)) == 0
 
 
 def test_critical_line_average_imports_no_scipy():
@@ -723,11 +671,10 @@ def test_rotated_map_matches_paired_row_formula(n):
         assert np.array_equal(prop._rotated_map(t), expected)
 
 
-def test_entropy_rows_stack_matches_scalar_calls():
+def test_entropy_rows_stack_matches_scalar_calls(dense_map):
     for g in (0.2, 0.25):
         p = _params(g, 10)
         prop = build_propagator(p)
-        lab = build_propagator(p, PropagationMode.LAB_EXPONENTIAL)
         proto = AveragingProtocol.for_params(p)
         times = proto.times(0, 12)
         for cut in ([4], [0, 1, 2], [2, 5]):
@@ -736,10 +683,10 @@ def test_entropy_rows_stack_matches_scalar_calls():
             if prop.frame is None:
                 # on g == delta the rows are S(t) P
                 half_turns = np.kron(np.eye(10), [[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-                dense = np.stack([lab.symplectic(t) @ half_turns for t in times])[:, rows]
+                dense = np.stack([dense_map(p, t) @ half_turns for t in times])[:, rows]
             else:
                 # elsewhere they are F S(t)
-                dense = np.stack([prop.frame.matrix() @ lab.symplectic(t) for t in times])[:, rows]
+                dense = np.stack([prop.frame.matrix() @ dense_map(p, t) for t in times])[:, rows]
             stack = prop.entropy_rows(times, rows)
             assert stack.shape == (12, rows.size, 20)
             for ref in (single, dense):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from bkc.errors import DomainError, NotSymplectic
+from bkc.errors import DomainError, NotSymplectic, OverflowGuard
 from bkc.gaussian import (
     CovarianceMatrix,
     LocalDecomposition,
@@ -374,6 +374,20 @@ def test_gram_entropy_matches_rows_and_checks_floor():
                        rtol=1e-13, atol=0.0)
     with pytest.raises(DomainError):
         entropy_from_gram(np.stack([0.25 * np.eye(2)] * 3))
+
+
+def test_spectra_past_sqrt_of_float_range():
+    # nu = 1e200: det sigma = nu^2 is past float range, det(sigma / tr) is not
+    assert entropy_from_gram(1e200 * np.eye(2)[None]) == pytest.approx(
+        [entropy_kernel(1e200)], rel=1e-14)
+    # nu = 1e280 per mode stays in range on the row route
+    wide = 1e140 * np.eye(4)
+    assert subsystem_entropy_from_rows(wide) == pytest.approx(
+        2 * entropy_kernel(1e280), rel=1e-14)
+    # past it the row route stops before the SVD, with no floating-point warning
+    for rows in (1e200 * np.eye(2, 4), 1e160 * np.eye(4), 1e160 * np.eye(4)[None]):
+        with pytest.raises(OverflowGuard, match="spectrum overflowed"):
+            subsystem_entropy_from_rows(rows)
 
 
 def test_stacked_rows_entropy_matches_per_block_calls():
