@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, MissingReference
-from .gaussian import _NU_SCALE_TOL, _NU_TOL, entropy_kernel
+from .gaussian import entropy_kernel, single_site_nu
 from .model import (
     ModelParams,
     PhaseRegime,
@@ -197,14 +197,6 @@ def s1_prediction(params: ModelParams) -> float:
     return entropy_kernel(sat)
 
 
-def _clamped_nu(nu_sq: np.ndarray) -> np.ndarray:
-    scale = np.maximum(1.0, np.max(np.abs(nu_sq))) if nu_sq.size else 1.0
-    floor = 1.0 - (2 * _NU_TOL + _NU_SCALE_TOL * scale)
-    if np.any(nu_sq < floor):
-        raise DomainError(f"mode spectrum dips below 1: min nu^2 = {nu_sq.min()!r}")
-    return np.sqrt(np.maximum(nu_sq, 1.0))
-
-
 @dataclass(frozen=True, eq=False)
 class GgeSpectrum:
     """Per-mode data of the dephased (time-averaged) ensemble."""
@@ -229,13 +221,8 @@ def gge_spectrum(params: ModelParams, j0: float = 0.0) -> GgeSpectrum:
     occ, pair = conserved_correlators(params, j0)
     n = params.n_sites
     momenta = np.pi * np.arange(1, n + 1) / (n + 1)
-    nu_sq = (2.0 * occ + 1.0) ** 2 - 4.0 * np.abs(pair) ** 2
-    return GgeSpectrum(
-        momenta=momenta,
-        occupations=occ,
-        pair_amplitudes=pair,
-        nus=_clamped_nu(nu_sq),
-    )
+    return GgeSpectrum(momenta=momenta, occupations=occ, pair_amplitudes=pair,
+                       nus=single_site_nu(occ, pair))
 
 
 def continuum_mode_nu(params: ModelParams, p) -> np.ndarray:

@@ -7,8 +7,12 @@ byte-identical across repeated runs: the sampling protocol is
 deterministic, rows are sorted by (N, g, subsystem) and floats are
 printed with 17 significant digits.
 
+Every table goes through ``_write_csv``; ``_run_figures`` runs each figure
+product over the grid, one point at a time.
+
 Exit codes: 0 success, 2 convergence failure (partial CSV retained),
-3 configuration error, 4 numerical failure.
+3 configuration error (also couplings that ModelParams rejects and a
+collapse ``nu`` that is not finite and positive), 4 numerical failure.
 """
 from __future__ import annotations
 
@@ -46,6 +50,7 @@ from .gaussian import local_decompose
 from .model import ModelParams
 
 SWEEP_FIELDS = ("g", "N", "subsystem", "S_mean", "stderr", "n_samples")
+_SWEEP_CASTS = (float, int, str, float, float, int)
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _DEFAULTS = {
@@ -123,7 +128,7 @@ def _grid(cfg: dict[str, str]) -> list[ModelParams]:
         for g in sorted(gs):
             try:
                 points.append(ModelParams(w=w, delta=delta, g=g, n_sites=n))
-            except DomainError as exc:
+            except ValueError as exc:
                 raise ConfigError(f"invalid grid point (g={g}, N={n}): {exc}") from exc
     return points
 
@@ -172,16 +177,19 @@ def _run_average(average, *args) -> tuple[object, bool, float]:
     return result, converged, time.perf_counter() - started
 
 
+def _sweep_row(values, **meta) -> dict:
+    """A sweep row: the ``SWEEP_FIELDS`` ``values`` plus manifest ``meta``."""
+    return dict(zip(SWEEP_FIELDS, values, strict=True), **meta)
+
+
 def _page_rows(params: ModelParams, protocol: AveragingProtocol) -> list[dict]:
     """Page curve of one grid point as sweep rows, one per cut l = 1..N-1."""
     curve, converged, seconds = _run_average(page_curve, params, protocol)
-    return [{
-        "g": params.g, "N": params.n_sites, "subsystem": f"left:{int(l)}",
-        "S_mean": float(s_mean), "stderr": float(err),
-        "n_samples": int(curve.n_samples), "converged": converged,
-        "protocol": dataclasses.asdict(protocol),
-        "route": "frame", "seconds": seconds / curve.lengths.size,
-    } for l, s_mean, err in zip(curve.lengths, curve.entropies, curve.stderrs)]
+    return [_sweep_row((params.g, params.n_sites, f"left:{int(l)}", float(s_mean), float(err),
+                        int(curve.n_samples)),
+                       converged=converged, protocol=dataclasses.asdict(protocol),
+                       route="frame", seconds=seconds / curve.lengths.size)
+            for l, s_mean, err in zip(curve.lengths, curve.entropies, curve.stderrs)]
 
 
 def _sweep_point(task) -> list[dict]:
@@ -194,13 +202,9 @@ def _sweep_point(task) -> list[dict]:
     rows = []
     for label, sites in _subsystems(cfg, params):
         result, converged, seconds = _run_average(time_averaged_entropy, params, sites, protocol)
-        rows.append({
-            "g": g, "N": n, "subsystem": label,
-            "S_mean": result.mean, "stderr": result.stderr,
-            "n_samples": result.n_samples, "converged": converged,
-            "protocol": dataclasses.asdict(protocol),
-            "route": "frame", "seconds": seconds,
-        })
+        rows.append(_sweep_row((g, n, label, result.mean, result.stderr, result.n_samples),
+                               converged=converged, protocol=dataclasses.asdict(protocol),
+                               route="frame", seconds=seconds))
     return rows
 
 
@@ -217,12 +221,9 @@ def _existing_rows(path: Path) -> dict[tuple, dict]:
         return rows
     for lineno, line in enumerate(lines[1:], start=2):
         try:
-            g, n, label, s_mean, stderr, n_samples = line.split(",")
-            row = {
-                "g": float(g), "N": int(n), "subsystem": label,
-                "S_mean": float(s_mean), "stderr": float(stderr),
-                "n_samples": int(n_samples), "route": "resumed", "seconds": 0.0,
-            }
+            row = _sweep_row((cast(cell) for cast, cell in
+                              zip(_SWEEP_CASTS, line.split(","), strict=True)),
+                             route="resumed", seconds=0.0)
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: malformed sweep row {line!r}: {exc}") from exc
         rows[(row["g"], row["N"], row["subsystem"])] = row
@@ -245,15 +246,16 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
+def _write_csv(path: Path, header: str, rows) -> None:
+    """``header`` and one line per row: floats through _fmt, every other cell through str."""
+    lines = [header] + [",".join(_fmt(cell) if isinstance(cell, float) else str(cell)
+                                 for cell in row) for row in rows]
+    _write_atomic(path, "\n".join(lines) + "\n")
+
+
 def _write_sweep_csv(path: Path, rows) -> None:
     rows = sorted(rows, key=lambda r: (r["N"], r["g"], r["subsystem"]))
-    lines = [",".join(SWEEP_FIELDS)]
-    for r in rows:
-        lines.append(",".join([
-            _fmt(r["g"]), str(r["N"]), r["subsystem"],
-            _fmt(r["S_mean"]), _fmt(r["stderr"]), str(r["n_samples"]),
-        ]))
-    _write_atomic(path, "\n".join(lines) + "\n")
+    _write_csv(path, ",".join(SWEEP_FIELDS), ([r[k] for k in SWEEP_FIELDS] for r in rows))
 
 
 def _write_manifest(path: Path, command: str, cfg: dict[str, str], rows: list[dict],
@@ -368,13 +370,9 @@ def cmd_analytic(cfg: dict[str, str]) -> int:
         for label, sites in _subsystems(cfg, params):
             l = len(sites)
             value = s1 if cfg["cut"] == "site" else min(l, params.n_sites - l) * s1
-            rows.append({
-                "g": params.g, "N": params.n_sites, "subsystem": label,
-                "S_mean": value, "stderr": 0.0, "n_samples": 0,
-                "converged": True, "route": "analytic", "seconds": 0.0,
-            })
-    csv_path = out / "analytic.csv"
-    _write_sweep_csv(csv_path, rows)
+            rows.append(_sweep_row((params.g, params.n_sites, label, value, 0.0, 0),
+                                   converged=True, route="analytic", seconds=0.0))
+    _write_sweep_csv(out / "analytic.csv", rows)
     _write_manifest(out / "analytic.manifest.json", "analytic", cfg, rows, started)
     return 0
 
@@ -394,6 +392,8 @@ def cmd_collapse(cfg: dict[str, str], input_csv: str) -> int:
     out = _out_dir(cfg)
     delta = _scalar(cfg, "delta", float)
     nu_exp = _scalar(cfg, "nu", float)
+    if not 0.0 < nu_exp < np.inf:
+        raise ConfigError(f"nu must be finite and positive, got {cfg['nu']!r}")
     cut = cfg["cut"]
     if cut not in ("site", "quarter"):
         raise ConfigError(f"collapse supports cut=site or cut=quarter, got {cut!r}")
@@ -405,106 +405,76 @@ def cmd_collapse(cfg: dict[str, str], input_csv: str) -> int:
         raise ConfigError(f"no {prefix}* rows in {input_csv}")
     points = [(r["g"], r["N"], r["S_mean"]) for r in rows]
     result = scaling_collapse(points, delta=delta, nu_exp=nu_exp, kind=kind)
-    csv_path = out / "collapse.csv"
-    lines = ["x,y,g,N"]
-    order = np.argsort(result.x, kind="stable")
-    for i in order:
-        lines.append(",".join([
-            _fmt(result.x[i]), _fmt(result.y[i]),
-            _fmt(result.g_values[i]), str(int(result.n_values[i])),
-        ]))
-    _write_atomic(csv_path, "\n".join(lines) + "\n")
-    _write_manifest(
-        out / "collapse.manifest.json", "collapse", cfg, [], started,
-        extra={"input": str(input_csv), "nu_exp": nu_exp, "kind": kind,
-               "quality": result.quality},
-    )
+    _write_csv(out / "collapse.csv", "x,y,g,N",
+               ((result.x[i], result.y[i], result.g_values[i], int(result.n_values[i]))
+                for i in np.argsort(result.x, kind="stable")))
+    _write_manifest(out / "collapse.manifest.json", "collapse", cfg, [], started,
+                    extra={"input": str(input_csv), "nu_exp": nu_exp, "kind": kind,
+                           "quality": result.quality})
     return 0
 
 
-def _figure_profiles(cfg: dict[str, str], out: Path) -> tuple[list[dict], bool]:
-    lines = ["g,N,site,entropy,stderr,occupation,pair_abs,s_thermal,beta,z,n_samples"]
-    meta, ok = [], True
-    for params in _grid(cfg):
-        prof, converged, seconds = _run_average(profiles, params, _protocol_for(params, cfg))
-        ok = ok and converged
-        for j, s_thermal in enumerate(prof.thermal_entropies()):
-            decomp = local_decompose(prof.mean_blocks[j])
-            lines.append(",".join([
-                _fmt(params.g), str(params.n_sites), str(j),
-                _fmt(prof.entropies[j]), _fmt(prof.stderrs[j]),
-                _fmt(prof.occupations[j]), _fmt(abs(prof.pair_amplitudes[j])),
-                _fmt(s_thermal), _fmt(decomp.beta), _fmt(decomp.z), str(prof.n_samples),
-            ]))
-        meta.append({"g": params.g, "N": params.n_sites, "subsystem": "profiles",
-                     "converged": converged, "route": "frame", "seconds": seconds})
-    _write_atomic(out / "profiles.csv", "\n".join(lines) + "\n")
-    return meta, ok
+def _figure_profiles(params: ModelParams, cfg: dict[str, str]) -> tuple[list, dict]:
+    prof, converged, seconds = _run_average(profiles, params, _protocol_for(params, cfg))
+    rows = []
+    for j, s_thermal in enumerate(prof.thermal_entropies()):
+        decomp = local_decompose(prof.mean_blocks[j])
+        rows.append((params.g, params.n_sites, j, prof.entropies[j], prof.stderrs[j],
+                     prof.occupations[j], abs(prof.pair_amplitudes[j]), s_thermal,
+                     decomp.beta, decomp.z, prof.n_samples))
+    return rows, {"subsystem": "profiles", "converged": converged, "route": "frame",
+                  "seconds": seconds}
 
 
-def _figure_page(cfg: dict[str, str], out: Path) -> tuple[list[dict], bool]:
-    lines = ["g,N,l,S_mean,stderr,n_samples"]
-    meta, ok = [], True
-    for params in _grid(cfg):
-        rows = _page_rows(params, _protocol_for(params, cfg))
-        for l, row in enumerate(rows, start=1):
-            lines.append(",".join([
-                _fmt(row["g"]), str(row["N"]), str(l),
-                _fmt(row["S_mean"]), _fmt(row["stderr"]), str(row["n_samples"]),
-            ]))
-        first = rows[0]
-        ok = ok and first["converged"]
-        meta.append({"g": params.g, "N": params.n_sites, "subsystem": "page",
-                     "converged": first["converged"], "route": first["route"],
-                     "seconds": sum(row["seconds"] for row in rows)})
-    _write_atomic(out / "page.csv", "\n".join(lines) + "\n")
-    return meta, ok
+def _figure_page(params: ModelParams, cfg: dict[str, str]) -> tuple[list, dict]:
+    curve, converged, seconds = _run_average(page_curve, params, _protocol_for(params, cfg))
+    rows = [(params.g, params.n_sites, int(l), float(s_mean), float(err), int(curve.n_samples))
+            for l, s_mean, err in zip(curve.lengths, curve.entropies, curve.stderrs)]
+    return rows, {"subsystem": "page", "converged": converged, "route": "frame",
+                  "seconds": seconds}
 
 
-def _figure_fourpoint(cfg: dict[str, str], out: Path) -> tuple[list[dict], bool]:
-    """Four-point table; a point it cannot evaluate enters ``meta`` with a ``reason``."""
-    lines = ["g,N,site,epsilon4,one_over_eps4,log_correction"]
-    meta = []
-    for params in _grid(cfg):
-        site = _resolve_site(cfg, params)
-        started = time.perf_counter()
-        try:
-            report = fourpoint_report(params, site, _protocol_for(params, cfg))
-        except (CriticalFrameUndefined, DomainError) as exc:
-            meta.append({"g": params.g, "N": params.n_sites, "reason": str(exc)})
-            continue
-        lines.append(",".join([
-            _fmt(params.g), str(params.n_sites), str(site), _fmt(report.epsilon4),
-            _fmt(report.one_over_eps4), _fmt(report.log_correction),
-        ]))
-        meta.append({"g": params.g, "N": params.n_sites, "subsystem": f"site:{site}",
-                     "converged": True, "route": "sums",
-                     "seconds": time.perf_counter() - started})
-    _write_atomic(out / "fourpoint.csv", "\n".join(lines) + "\n")
-    return meta, True
+def _figure_fourpoint(params: ModelParams, cfg: dict[str, str]) -> tuple[list, dict]:
+    """Four-point row; a point it cannot evaluate gives no row and an entry with a ``reason``."""
+    site = _resolve_site(cfg, params)
+    started = time.perf_counter()
+    try:
+        report = fourpoint_report(params, site, _protocol_for(params, cfg))
+    except (CriticalFrameUndefined, DomainError) as exc:
+        return [], {"reason": str(exc)}
+    row = (params.g, params.n_sites, site, report.epsilon4, report.one_over_eps4,
+           report.log_correction)
+    return [row], {"subsystem": f"site:{site}", "converged": True, "route": "sums",
+                   "seconds": time.perf_counter() - started}
 
 
 _FIGURES = {
-    "profiles": _figure_profiles,
-    "page": _figure_page,
-    "fourpoint": _figure_fourpoint,
+    "profiles": (_figure_profiles,
+                 "g,N,site,entropy,stderr,occupation,pair_abs,s_thermal,beta,z,n_samples"),
+    "page": (_figure_page, "g,N,l,S_mean,stderr,n_samples"),
+    "fourpoint": (_figure_fourpoint, "g,N,site,epsilon4,one_over_eps4,log_correction"),
 }
 
 
 def _run_figures(cfg: dict[str, str], names: list[str], command: str) -> int:
-    """Write the named products and ``<command>.manifest.json``, whose ``runs``
-    are the measured entries; entries with a ``reason`` go under ``skipped``."""
+    """Write each named product's CSV and ``<command>.manifest.json``: entries with a
+    ``reason`` go under ``skipped``, the rest under ``runs``, and exit 2 if one of
+    those did not converge."""
     started = time.time()
     out = _out_dir(cfg)
-    all_meta, all_ok = [], True
+    entries = []
     for name in names:
-        meta, ok = _FIGURES[name](cfg, out)
-        all_meta.extend(meta)
-        all_ok = all_ok and ok
-    _write_manifest(out / f"{command}.manifest.json", command, cfg,
-                    [m for m in all_meta if "reason" not in m], started,
-                    extra={"skipped": [m for m in all_meta if "reason" in m]})
-    return 0 if all_ok else 2
+        figure, header = _FIGURES[name]
+        rows = []
+        for params in _grid(cfg):
+            point_rows, entry = figure(params, cfg)
+            rows.extend(point_rows)
+            entries.append({"g": params.g, "N": params.n_sites, **entry})
+        _write_csv(out / f"{name}.csv", header, rows)
+    runs = [entry for entry in entries if "reason" not in entry]
+    _write_manifest(out / f"{command}.manifest.json", command, cfg, runs, started,
+                    extra={"skipped": [entry for entry in entries if "reason" in entry]})
+    return 2 if any(not run["converged"] for run in runs) else 0
 
 
 def cmd_figures(cfg: dict[str, str]) -> int:
@@ -555,6 +525,15 @@ def _apply_overrides(cfg: dict[str, str], args: argparse.Namespace) -> None:
             cfg[key] = str(value)
 
 
+_COMMANDS = {
+    "sweep": lambda cfg, args: cmd_sweep(cfg),
+    "analytic": lambda cfg, args: cmd_analytic(cfg),
+    "collapse": lambda cfg, args: cmd_collapse(cfg, args.input_csv),
+    "figures": lambda cfg, args: cmd_figures(cfg),
+    "fourpoint": lambda cfg, args: cmd_fourpoint(cfg),
+}
+
+
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
@@ -564,17 +543,7 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
         _apply_overrides(cfg, args)
-        if args.command == "sweep":
-            return cmd_sweep(cfg)
-        if args.command == "analytic":
-            return cmd_analytic(cfg)
-        if args.command == "collapse":
-            return cmd_collapse(cfg, args.input_csv)
-        if args.command == "figures":
-            return cmd_figures(cfg)
-        if args.command == "fourpoint":
-            return cmd_fourpoint(cfg)
-        raise ConfigError(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](cfg, args)
     except (ConfigError, MissingReference) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

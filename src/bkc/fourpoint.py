@@ -26,7 +26,7 @@ import numpy as np
 
 from .dynamics import AveragingProtocol, _sample
 from .errors import DegenerateSpectrum, DomainError
-from .gaussian import symplectic_eigenvalues_from_rows
+from .gaussian import _gram_nu, symplectic_eigenvalues_from_rows
 from .model import ModelParams, PhaseRegime, squeezing_frame
 
 _RESONANCE_TOL = 1e-9
@@ -185,6 +185,12 @@ def selection_sums(params: ModelParams, site: int = 0) -> SelectionSums:
     averaged density, the mirror set of the pairing; the exchange set
     duplicates them through the symmetry of the correlator matrices.
     """
+    return _selection_sums(params, site, normalize=False)
+
+
+def _selection_sums(params: ModelParams, site: int, normalize: bool) -> SelectionSums:
+    """selection_sums; ``normalize`` takes the correlators in units of a power of two near
+    the largest, so no product overflows and, the sums being quadratic, ratios keep every bit."""
     n = params.n_sites
     if not 0 <= site < n:
         raise DomainError(f"site {site} out of range for {n} sites")
@@ -198,6 +204,9 @@ def selection_sums(params: ModelParams, site: int = 0) -> SelectionSums:
     weight = np.outer(t2, t2)
     nm = corr.normal
     am = corr.anomalous
+    if normalize:
+        unit = 2.0 ** -int(np.frexp(max(np.abs(nm).max(), np.abs(am).max()))[1])
+        nm, am = nm * unit, am * unit
     nm_mirror = nm[::-1, ::-1]
     anti_n = np.diag(nm[:, ::-1]).copy()
     anti_a = np.diag(am[:, ::-1]).copy()
@@ -238,7 +247,7 @@ def epsilon4(params: ModelParams, site: int = 0) -> float:
     (avg<d^dag d>^2 - avg|<dd>|^2) over ((avg<d^dag d>)^2 - |avg<dd>|^2),
     minus one. Vanishes as O(1/N) in the non-reciprocal phase.
     """
-    sums = selection_sums(params, site)
+    sums = _selection_sums(params, site, normalize=True)
     numerator = sums.union_normal - sums.union_anomalous
     denominator = sums.i_a_r - sums.i_b_a
     if denominator == 0.0:
@@ -255,7 +264,8 @@ def log_correction(
 
     Sampled on the protocol time grid with the fixed initial batch size.
     Small values justify replacing the average of ln nu_t^2 by the log of
-    the averaged nu_t^2.
+    the averaged nu_t^2. The ratio is taken on x = (nu_t / max nu_t)^2, so
+    that no power of nu leaves float range.
     """
     n = params.n_sites
     if not 0 <= site < n:
@@ -264,12 +274,13 @@ def log_correction(
         protocol = AveragingProtocol.for_params(params)
     # a cap equal to the initial batch draws exactly that batch
     batch = dataclasses.replace(protocol, max_samples=protocol.initial_samples)
-    # nu^2 = det sigma_j of the site's Gram block; rows and QR on g == delta
-    nu_sq, _ = _sample(
-        params, [site], lambda rows: symplectic_eigenvalues_from_rows(rows)[:, 0] ** 2, batch,
-        site_reduce=lambda b: b[:, 0, 0] * b[:, 1, 1] - b[:, 0, 1] * b[:, 1, 0])
-    mean_sq = float(np.mean(nu_sq))
-    return float(np.mean(nu_sq ** 2) - mean_sq ** 2) / mean_sq ** 2
+    # nu of the site's Gram block, rows and QR on g == delta, in units of 2^500 (which
+    # leaves x unchanged) so that the sampler's variance check of nu stays in float range
+    nu, _ = _sample(
+        params, [site], lambda rows: symplectic_eigenvalues_from_rows(rows)[:, 0] * 2.0 ** -500,
+        batch, site_reduce=lambda blocks: _gram_nu(blocks)[0] * 2.0 ** -500)
+    x = (nu / nu.max()) ** 2
+    return float(np.var(x) / np.mean(x) ** 2)
 
 
 @dataclass(frozen=True)
@@ -290,12 +301,6 @@ def fourpoint_report(
 ) -> FourPointReport:
     """Evaluate epsilon4 and the log correction at one site."""
     eps = epsilon4(params, site)
-    inv = math.inf if eps == 0.0 else 1.0 / eps
-    corr = log_correction(params, site, protocol)
-    return FourPointReport(
-        params=params,
-        site=site,
-        epsilon4=eps,
-        one_over_eps4=inv,
-        log_correction=corr,
-    )
+    return FourPointReport(params=params, site=site, epsilon4=eps,
+                           one_over_eps4=math.inf if eps == 0.0 else 1.0 / eps,
+                           log_correction=log_correction(params, site, protocol))

@@ -206,11 +206,17 @@ def entropy_from_gram(blocks) -> np.ndarray:
     range; the noise floor scales with tr = ||R_j||^2.
     ``symplectic_eigenvalues_from_rows`` bounds its error.
     """
+    nu, trace = _gram_nu(blocks)
+    return _entropy_from_spectrum(nu[..., None], trace)
+
+
+def _gram_nu(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """nu = tr sqrt(det(sigma_j / tr)) and tr = tr sigma_j of a K x 2 x 2 stack."""
     blocks = np.asarray(blocks, dtype=float)
     trace = blocks[..., 0, 0] + blocks[..., 1, 1]
     unit = blocks / trace[..., None, None]
     det = unit[..., 0, 0] * unit[..., 1, 1] - unit[..., 0, 1] * unit[..., 1, 0]
-    return _entropy_from_spectrum((trace * np.sqrt(np.maximum(det, 0.0)))[..., None], trace)
+    return trace * np.sqrt(np.maximum(det, 0.0)), trace
 
 
 def entropy_kernel(x):
@@ -268,13 +274,15 @@ def site_correlators(sigma, j: int) -> tuple[float, complex]:
     return float(n), complex(m)
 
 
-def single_site_nu(n: float, m: complex) -> float:
-    """Symplectic eigenvalue of a single mode from its (n, m) correlators."""
-    nu_sq = (2.0 * n + 1.0) ** 2 - 4.0 * abs(m) ** 2
-    scale = max(1.0, (2.0 * n + 1.0) ** 2)
-    if nu_sq < 1.0 - (2.0 * _NU_TOL + _NU_SCALE_TOL * scale):
-        raise DomainError(f"unphysical single-mode correlators: nu^2 = {nu_sq!r}")
-    return math.sqrt(max(nu_sq, 1.0))
+def single_site_nu(n, m):
+    """Symplectic eigenvalue of a single mode from its (n, m) correlators; arrays of
+    modes give an array, each nu^2 checked against its own floor, scaled by (2n + 1)^2."""
+    diag = (2.0 * np.asarray(n, dtype=float) + 1.0) ** 2
+    nu_sq = diag - 4.0 * np.abs(m) ** 2
+    if np.any(nu_sq < 1.0 - (2.0 * _NU_TOL + _NU_SCALE_TOL * np.maximum(1.0, diag))):
+        raise DomainError(f"unphysical single-mode correlators: min nu^2 = {nu_sq.min()!r}")
+    nu = np.sqrt(np.maximum(nu_sq, 1.0))
+    return float(nu) if nu.ndim == 0 else nu
 
 
 def thermal_entropy(nbar: float) -> float:

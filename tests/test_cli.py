@@ -190,6 +190,29 @@ def test_figures_products_skip_critical_fourpoint(tmp_path):
     assert not list((tmp_path / "f").glob("*.tmp"))
 
 
+def test_unconverged_figures_exit_2_and_skips_are_no_failure(tmp_path):
+    out = tmp_path / "cap"
+    capped = {"g": "0.2,0.25", "n": "8", "out": out, "protocol_initial_samples": "20",
+              "protocol_max_samples": "20", "protocol_rel_threshold": "1e-12"}
+    cfg = _write_cfg(tmp_path, **capped)
+    assert main(["figures", "--config", cfg]) == 2
+    names = ("profiles.csv", "page.csv", "fourpoint.csv")
+    first = {name: (out / name).read_bytes() for name in names}
+    assert [len(first[name].splitlines()) for name in names] == [1 + 2 * 8, 1 + 2 * 7, 2]
+    manifest = json.loads((out / "figures.manifest.json").read_text())
+    assert sorted((run["subsystem"], run["g"], run["converged"]) for run in manifest["runs"]) == [
+        ("page", 0.2, False), ("page", 0.25, False),
+        ("profiles", 0.2, False), ("profiles", 0.25, False), ("site:4", 0.2, True)]
+    assert [(s["g"], s["N"]) for s in manifest["skipped"]] == [(0.25, 8)]
+    # the same grid with only the four-point table: its skipped critical point is no failure
+    four = _write_cfg(tmp_path, name="four.cfg", **{**capped, "out": tmp_path / "four"},
+                      figures="fourpoint")
+    assert main(["figures", "--config", four]) == 0
+    assert main(["fourpoint", "--config", four]) == 0
+    assert main(["figures", "--config", cfg]) == 2
+    assert {name: (out / name).read_bytes() for name in names} == first
+
+
 def test_figures_list_accepts_spaces(tmp_path):
     cfg = _write_cfg(tmp_path, g="0.2", n="8", figures="page, profiles",
                      out=tmp_path / "s", **_FAST)
@@ -253,6 +276,29 @@ def test_exit_codes(tmp_path, capfd):
         assert [w for w in caught if issubclass(w.category, RuntimeWarning)] == []
         err = capfd.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    # couplings that ModelParams rejects are configuration errors, not tracebacks
+    for i, keys in enumerate([{"n": "1"}, {"w": "0.2"}, {"g": "-0.1"}, {"delta": "-1"},
+                              {"w": "nan"}]):
+        cfg = _write_cfg(tmp_path, name=f"coupling{i}.cfg", **{**base, **keys})
+        assert main(["sweep", "--config", cfg]) == 3
+        err = capfd.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_collapse_exponent_must_be_finite_and_positive(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, g="0.25,0.26", n="8,16", out=tmp_path / "c")
+    assert main(["analytic", "--config", cfg]) == 0
+    csv = str(tmp_path / "c" / "analytic.csv")
+    assert main(["collapse", csv, "--config", cfg, "--nu", "1"]) == 0
+    capsys.readouterr()
+    for nu in ("0", "nan", "-1", "inf"):
+        assert main(["collapse", csv, "--config", cfg, "--nu", nu]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+    bad = _write_cfg(tmp_path, name="bad.cfg", g="0.25,0.26", n="8,16", out=tmp_path / "c",
+                     nu="nan")
+    assert main(["collapse", csv, "--config", bad]) == 3
 
 
 def test_malformed_sweep_csv_exits_3(tmp_path, capsys):

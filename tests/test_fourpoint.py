@@ -1,4 +1,5 @@
 """Four-point selection sums: kernels, resonant sets, epsilon4 checks."""
+import dataclasses
 import math
 import warnings
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from bkc.analytics import avg_site_correlators
-from bkc.dynamics import AveragingProtocol, build_propagator
+from bkc.dynamics import AveragingProtocol, build_propagator, time_series
 from bkc.errors import CriticalFrameUndefined, DegenerateSpectrum, DomainError
 from bkc.fourpoint import (
     a_kernel,
@@ -16,6 +17,7 @@ from bkc.fourpoint import (
     momentum_correlators,
     selection_sums,
 )
+from bkc.gaussian import symplectic_eigenvalues_from_rows
 from bkc.model import ModelParams, squeezing_frame, tight_binding_spectrum
 
 
@@ -198,3 +200,20 @@ def test_log_correction_and_report():
     assert rep.log_correction >= 0.0
     assert rep.site == 0
     assert rep.params is p
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_log_correction_past_the_square_root_of_float_range(n):
+    # nu reaches about 1e77 at N = 128 and 1e161 at N = 256, so nu^4 and nu^2 overflow
+    p = _params(0.0, n, delta=0.9)
+    proto = AveragingProtocol.for_params(p, initial_samples=200)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        rep = fourpoint_report(p, n // 2, proto)
+    assert np.isfinite([rep.epsilon4, rep.one_over_eps4, rep.log_correction]).all()
+    # the same ratio from the row route's nu; its sampler's variance check may overflow
+    with np.errstate(over="ignore"):
+        nu = time_series(p, [n // 2], lambda rows: symplectic_eigenvalues_from_rows(rows)[:, 0],
+                         dataclasses.replace(proto, max_samples=200)).values
+    x = (nu / nu.max()) ** 2
+    assert rep.log_correction == pytest.approx(np.var(x) / np.mean(x) ** 2, rel=1e-12)
