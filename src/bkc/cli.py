@@ -240,7 +240,9 @@ def _recorded_runs(manifest_path: Path) -> dict[tuple, dict]:
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    """Replace ``path`` in one step, so a killed run never leaves it half written."""
+    """Replace ``path`` in one step, so a killed run never leaves it half written.
+    The first write makes the output directory: a config that fails validation makes none."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
@@ -278,12 +280,6 @@ def _write_manifest(path: Path, command: str, cfg: dict[str, str], rows: list[di
     _write_atomic(path, json.dumps(manifest, indent=2, default=float) + "\n")
 
 
-def _out_dir(cfg: dict[str, str]) -> Path:
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 @contextlib.contextmanager
 def _worker_pool(jobs: int):
     """Spawned pool whose workers start with one BLAS thread each.
@@ -317,7 +313,7 @@ def cmd_sweep(cfg: dict[str, str]) -> int:
     jobs = _scalar(cfg, "jobs", int)
     if jobs < 1:
         raise ConfigError(f"jobs must be at least 1, got {jobs}")
-    out = _out_dir(cfg)
+    out = Path(cfg["out"])
     csv_path = out / "sweep.csv"
     manifest_path = out / "sweep.manifest.json"
     rows = _existing_rows(csv_path)
@@ -363,7 +359,7 @@ def cmd_analytic(cfg: dict[str, str]) -> int:
     for page output).
     """
     started = time.time()
-    out = _out_dir(cfg)
+    out = Path(cfg["out"])
     rows = []
     for params in _grid(cfg):
         s1 = s1_prediction(params)
@@ -389,7 +385,7 @@ def _read_sweep_rows(path: Path) -> list[dict]:
 def cmd_collapse(cfg: dict[str, str], input_csv: str) -> int:
     """Rescale a sweep CSV onto the critical scaling axes."""
     started = time.time()
-    out = _out_dir(cfg)
+    out = Path(cfg["out"])
     delta = _scalar(cfg, "delta", float)
     nu_exp = _scalar(cfg, "nu", float)
     if not 0.0 < nu_exp < np.inf:
@@ -461,7 +457,7 @@ def _run_figures(cfg: dict[str, str], names: list[str], command: str) -> int:
     ``reason`` go under ``skipped``, the rest under ``runs``, and exit 2 if one of
     those did not converge."""
     started = time.time()
-    out = _out_dir(cfg)
+    out = Path(cfg["out"])
     entries = []
     for name in names:
         figure, header = _FIGURES[name]

@@ -23,6 +23,12 @@ Every average (``time_series``, ``page_curve``, ``profiles``) takes the
   a = Psi (Z - Z^T) Psi / 2. Both stay bounded in t. The rows returned are
   those of W = S(t) P, P = [[1, 1], [1, -1]] / sqrt2 per site, so
   W W^T = S S^T: whole-site entropies and Gram blocks are the lab ones.
+  Entropies need no rows: in (u, v), S = [[U, 0], [V, U]] with U orthogonal,
+  and S J S^T = J makes H = V U^T symmetric. A block A has
+  sigma_A = [[I, H_AA], [H_AA, I + V_A V_A^T]], and the shear
+  v_A -> v_A - H_AA u_A, symplectic as H_AA is symmetric, takes it to
+  diag(I, I + Y Y^T) with Y = V_A - H_AA U_A. So nu^2 = 1 + eig(Y Y^T), one
+  l x l eigensolve (``Propagator.critical_spectrum``).
 
 The package has no matrix exponential: the tests check both forms against
 ``scipy.linalg.expm`` of the generator Omega h.
@@ -31,9 +37,9 @@ One sampler draws the grid in chunks of consecutive indices: a chunk holds
 at most ``_CHUNK_BYTES`` of entropy-map rows (and the arrays that reducing
 them needs), never crosses a convergence check, and is one stacked call for
 the rows and one batched factorization for their entropies, or one call for
-a single site's Gram blocks. Its rows go into one buffer that the thread
-reuses from chunk to chunk and from one average to the next. No average
-builds the full map S(t).
+the spectra of a single site's Gram blocks or of a cut on g == delta. Its
+rows (or U and V) go into one buffer that the thread reuses from chunk to
+chunk and from one average to the next. No average builds the full map S(t).
 
 The covariance of the evolved vacuum is sigma(t) = S(t) S(t)^T.
 """
@@ -51,8 +57,9 @@ from .errors import NonConvergence, within_limit
 from .gaussian import (
     OMEGA2,
     CovarianceMatrix,
+    _entropy_from_spectrum,
+    _gram_nu,
     entropy_from_factor,
-    entropy_from_gram,
     quadrature_indices,
     site_correlators,
     subsystem_entropy_from_rows,
@@ -140,13 +147,12 @@ class TimeAverageResult:
 
 
 def _critical_columns(params: ModelParams, modes: np.ndarray,
-                      cosines: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The g == delta map's precomputed columns, one N x 2h array per site parity.
+                      cosines: np.ndarray) -> np.ndarray:
+    """The g == delta map's precomputed columns, one row per site: N x 2N.
 
-    Columns k of parity p (h of them) hold [kappa_k Psi[:, k] | kappa_k Phi[:, k]]
-    with kappa_k = (-1)^floor(k/2) and Phi = (2 delta / w) K Psi. K is
-    symmetric (a is antisymmetric, and so is c_m - c_n), so the second term
-    of V reads Phi as well: (Psi K)_jn = Phi_nj.
+    Row k holds kappa_k [Psi[:, k] | Phi[:, k]] with kappa_k = (-1)^floor(k/2)
+    and Phi = (2 delta / w) K Psi. K is symmetric (a is antisymmetric, and so
+    is c_m - c_n), so the second term of V reads Phi as well: (Psi K)_jn = Phi_nj.
     """
     n = params.n_sites
     hop = modes[:, :-1] @ modes[:, 1:].T
@@ -155,8 +161,7 @@ def _critical_columns(params: ModelParams, modes: np.ndarray,
                       where=~np.eye(n, dtype=bool))
     coupled = (2.0 * params.delta / params.w) * (k_mat @ modes)
     kappa = 1.0 - 2.0 * (np.arange(n) // 2 % 2)
-    return tuple(np.hstack([modes[:, p::2] * kappa[p::2], coupled[:, p::2] * kappa[p::2]])
-                 for p in (0, 1))
+    return np.ascontiguousarray((np.vstack([modes, coupled]) * kappa).T)
 
 
 class Propagator:
@@ -253,51 +258,83 @@ class Propagator:
                       + np.square(sin_part, out=sin_part) @ turned[other::2].reshape(-1, 4))
         return within_limit(blocks.reshape(-1, 2, 2), f"propagation to t = {times[0]}..{times[-1]}")
 
-    def _critical_rows(self, sites: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
-        """Rows 2j, 2j+1 of W(t) = S(t) P for every j in ``sites`` at every time, into
-        ``out`` (K x 2l x 2N), on g == delta.
+    def _critical_uv(self, sites: np.ndarray, times: np.ndarray, scale: float,
+                     work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``scale`` times the rows ``sites`` of U(t) and V(t) at every time, on g == delta:
+        K x l x N each, even sites' columns first, in ``work`` (4 K l N floats)
+        with the GEMM weights after them.
 
         U_jk = kappa_j kappa_k times C_jk if j = k mod 2, +S_jk if j is odd and
         k even, -S_jk if j is even and k odd, with (C, S)_jk = sum_n psi_nj
         psi_nk (cos, sin)(w c_n t); V follows the same rule with psi_nj Phi_nk
         - Phi_nj psi_nk in the sums. So the columns of parity p take the cosine
-        weights of the sites of parity p and the +-sine weights of the others:
-        per parity one GEMM with [kappa Psi_p | kappa Phi_p] gives U and the
-        first term of V, one with kappa Psi_p the second. Row 2j is
-        (U_jk + V_jk, U_jk) / sqrt2 and row 2j+1 (U_jk - V_jk, -U_jk) / sqrt2 in
-        the per-site (u, v) columns.
+        weights of the sites of parity p and the +-sine weights of the others.
+        Per parity p, the weighted [-kappa Phi | kappa psi] site rows times
+        kappa Psi_p give U and times [kappa Psi_p; kappa Phi_p] give V.
         """
         n, k, l = self.params.n_sites, times.size, sites.size
+        size = k * l * n
+        u_mat, v_mat = work[:size].reshape(k * l, n), work[size:2 * size].reshape(k * l, n)
+        weights = work[2 * size:4 * size].reshape(k, l, 2 * n)
         parity = sites % 2
-        # each site's psi and Phi columns, with the 1/sqrt2 of the rows folded in
-        scale = 1.0 / math.sqrt(2.0)
-        psi_w, phi_w = np.empty((l, n)), np.empty((l, n))
-        for p, cols in enumerate(self.columns):
-            half, idx = cols.shape[1] // 2, sites[parity == p] // 2
-            psi_w[parity == p] = scale * cols[:, idx].T
-            phi_w[parity == p] = scale * cols[:, half + idx].T
-        trig = np.empty((k, 3, n))   # cos, sin, -sin
-        np.multiply.outer(times, self.frequencies, out=trig[:, 2])
-        np.cos(trig[:, 2], out=trig[:, 0])
-        np.sin(trig[:, 2], out=trig[:, 1])
-        np.negative(trig[:, 1], out=trig[:, 2])
-        weights = np.empty((2, k, l, n))
-        out = out.reshape(k, l, 2, n, 2)   # a view: out is C-contiguous
-        for p, cols in enumerate(self.columns):
-            half = cols.shape[1] // 2
+        site_rows = scale * np.hstack([-self.columns[sites, n:], self.columns[sites, :n]])
+        phase = np.multiply.outer(times, self.frequencies)
+        sin = np.sin(phase)
+        # cos, sin, -sin, each over both halves of a site row
+        trig = np.tile(np.stack([np.cos(phase), sin, -sin], axis=1), 2)
+        for p, part in enumerate((slice(None, (n + 1) // 2), slice((n + 1) // 2, None))):
             # own parity: cos; an odd site into even columns: +sin; even into odd: -sin
-            np.take(trig, np.where(parity == p, 0, 2 - parity), axis=1, out=weights[0])
-            np.multiply(weights[0], phi_w, out=weights[1])
-            weights[0] *= psi_w
-            u_v1 = weights[0].reshape(k * l, n) @ cols
-            v_part = u_v1[:, half:]
-            v_part -= weights[1].reshape(k * l, n) @ cols[:, :half]
-            u_part = u_v1[:, :half].reshape(k, l, half)
-            v_part = v_part.reshape(k, l, half)
+            np.take(trig, np.where(parity == p, 0, 2 - parity), axis=1, out=weights, mode="clip")
+            weights *= site_rows
+            cols = self.columns[p::2].T   # [kappa Psi_p; kappa Phi_p]
+            np.matmul(weights.reshape(k * l, 2 * n)[:, n:], cols[:n], out=u_mat[:, part])
+            np.matmul(weights.reshape(k * l, 2 * n), cols, out=v_mat[:, part])
+        return u_mat.reshape(k, l, n), v_mat.reshape(k, l, n)
+
+    def _critical_rows(self, sites: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
+        """Rows 2j, 2j+1 of W(t) = S(t) P for every j in ``sites`` at every time, into
+        ``out`` (K x 2l x 2N), on g == delta: row 2j is (U_jk + V_jk, U_jk) / sqrt2
+        and row 2j+1 (U_jk - V_jk, -U_jk) / sqrt2 in the per-site (u, v) columns."""
+        k, l, n = times.size, sites.size, self.params.n_sites
+        work = np.empty(4 * k * l * n)
+        u_mat, v_mat = self._critical_uv(sites, times, 1.0 / math.sqrt(2.0), work)
+        out = out.reshape(k, l, 2, n, 2)   # a view: out is C-contiguous
+        for p, part in enumerate((slice(None, (n + 1) // 2), slice((n + 1) // 2, None))):
+            u_part, v_part = u_mat[..., part], v_mat[..., part]
             np.add(u_part, v_part, out=out[:, :, 0, p::2, 0])
             out[:, :, 0, p::2, 1] = u_part
             np.subtract(u_part, v_part, out=out[:, :, 1, p::2, 0])
             np.negative(u_part, out=out[:, :, 1, p::2, 1])
+
+    def critical_spectrum(self, sites: np.ndarray, times: np.ndarray,
+                          work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """nu (K x l) of the whole sites ``sites`` at every time on g == delta, without rows,
+        and its floor scale ||W_A||^2 = tr sigma_A = 2l + ||V_A||^2 (K).
+
+        nu^2 = 1 + eig(Y Y^T) (module docstring), unclamped: the caller's floor
+        check sees every nu below 1 (nu = 0 for an eigenvalue below -1). A cut of
+        more than half the chain takes its complement B's nu, noise and scale,
+        and 2l - N more nu at exactly 1 (the state is pure): A's rank-(N - l)
+        Y Y^T adds 2l - N eigenvalues near eps ||Y||^2, 1e-11 to S at N = 256.
+        """
+        n, l, k = self.params.n_sites, sites.size, times.size
+        if 2 * l > n:
+            ones = np.ones((k, 2 * l - n))
+            if l == n:
+                return ones, np.zeros(k)
+            nu, scale = self.critical_spectrum(np.setdiff1d(np.arange(n), sites), times, work)
+            return np.hstack([ones, nu]), scale
+        what = f"propagation to t = {times[0]}..{times[-1]}"
+        work = np.empty(4 * k * l * n) if work is None else work
+        u_mat, v_mat = self._critical_uv(sites, times, 1.0, work)
+        within_limit(work[:2 * u_mat.size], what)   # U_A and V_A
+        scale = 2.0 * l + np.einsum("kij,kij->k", v_mat, v_mat)
+        with np.errstate(over="ignore", invalid="ignore"):
+            # Y = V_A - H_AA U_A in place of V_A; the weights' space takes H_AA U_A
+            v_mat -= np.matmul(v_mat @ u_mat.transpose(0, 2, 1), u_mat,
+                               out=work[2 * u_mat.size:3 * u_mat.size].reshape(u_mat.shape))
+            gram = within_limit(v_mat @ v_mat.transpose(0, 2, 1), what)
+        return np.sqrt(np.maximum(1.0 + np.linalg.eigvalsh(gram), 0.0)), scale
 
     def _rotated_map(self, t: float) -> np.ndarray:
         """B(t) G without materializing B: paired-row rotation of G, written in place."""
@@ -350,10 +387,12 @@ class Propagator:
         site blocks of W W^T are the lab ones (module docstring).
 
         ``t`` is a time, which gives the 2l x 2N rows, or a 1-D array of K
-        times, which gives a K x 2l x 2N stack; a time is a batch of one. On
-        the frame route a single site's rows come from paired phases
-        (``_site_rows``; single-site averages take ``_site_gram`` instead and
-        never call this), off the full map's by fl(t omega) + fl(-t omega), up
+        times, which gives a K x 2l x 2N stack; a time is a batch of one.
+        Entropy averages of a single site away from g == delta and of every cut
+        on it take no rows (``_site_gram``, ``critical_spectrum``); Page curves,
+        profiles and ``time_series`` do. On the frame route a single site's
+        rows come from paired phases (``_site_rows``), off the full map's by
+        fl(t omega) + fl(-t omega), up
         to about 5e-12 rad at N = 512. Larger blocks keep one phase per mode
         and the per-time order Psi2^T[rows] (B(t) G), which the 1e-12
         references fix for the ill-conditioned g = 0 quarter (pairing moved its
@@ -453,25 +492,25 @@ def _keep_rows_buffer(buffer: np.ndarray) -> None:
 
 
 def _sample(params: ModelParams, subsystem, reduce, protocol: AveragingProtocol | None,
-            stacks: int = 2, site_reduce=None) -> tuple[np.ndarray, bool]:
+            stacks: int = 2, spectrum_reduce=None) -> tuple[np.ndarray, bool]:
     """Sampler behind every average: ``reduce`` of the subsystem's rows on the grid.
 
     ``reduce`` maps a K x 2l x 2N stack of entropy-map rows to K values (a
     scalar or an array each). Returns the values and whether they
     converged. The propagator is ``build_propagator(params, None)``, the
-    key under which it is cached. ``site_reduce``, if given, replaces
-    ``reduce`` for a single site away from g == delta: it maps the K x 2 x 2
-    stack of ``Propagator._site_gram`` blocks, drawn in the rows' chunks.
+    key under which it is cached. ``spectrum_reduce``, if given, replaces
+    ``reduce`` where no rows are needed: it maps nu (K x l) and its floor
+    scale (K), from the ``_gram_nu`` of a single site's ``_site_gram`` blocks
+    away from g == delta and from ``critical_spectrum`` for any cut on it.
 
     A draw is taken in chunks that fit ``stacks`` arrays of a chunk's size
-    (by default the rows and their QR copy) in _CHUNK_BYTES. Every chunk
-    writes its rows into one buffer, which the thread keeps for its next
-    average (``_take_rows_buffer``), and the reduced values are copied out
-    before the next chunk. A new multi-MiB array per chunk or per average,
-    freed before the next, lets the allocator hand its pages back to the
-    system, and faulting them in again is slow, varies with the load on the
-    machine and, through the allocator's state, with the order of the
-    averages.
+    (by default the rows and their QR copy, or U, V and their weights) in
+    _CHUNK_BYTES. Every chunk writes its rows (or U, V) into one buffer,
+    which the thread keeps for its next average (``_take_rows_buffer``), and
+    the reduced values are copied out before the next chunk. A new multi-MiB
+    array per chunk or per average lets the allocator hand its pages back,
+    and faulting them in again is slow and varies with the machine's load
+    and, through the allocator's state, with the order of the averages.
     """
     if protocol is None:
         protocol = AveragingProtocol.for_params(params)
@@ -481,10 +520,17 @@ def _sample(params: ModelParams, subsystem, reduce, protocol: AveragingProtocol 
     prop = build_propagator(params, None)
     width = rows.size * 2 * params.n_sites
     chunk = max(1, _CHUNK_BYTES // (stacks * width * 8))
-    if site_reduce is not None and rows.size == 2 and prop.frame is not None:
-        return _converge_series(lambda k0, k1: np.concatenate([
-            site_reduce(prop._site_gram(rows[0] // 2, protocol.times(c0, min(k1, c0 + chunk))))
-            for c0 in range(k0, k1, chunk)]), protocol)
+    sites = rows[::2] // 2
+
+    def evaluate(times: np.ndarray, work: np.ndarray) -> np.ndarray:
+        if spectrum_reduce is None or (prop.frame is not None and sites.size > 1):
+            # reduce may return a view of the rows, which the next chunk overwrites
+            return np.array(reduce(prop.entropy_rows(
+                times, rows, out=work.reshape(times.size, rows.size, -1))))
+        if prop.frame is None:
+            return spectrum_reduce(*prop.critical_spectrum(sites, times, work))
+        nu, trace = _gram_nu(prop._site_gram(sites[0], times))
+        return spectrum_reduce(nu[:, None], trace)
 
     def draw(k0: int, k1: int) -> np.ndarray:
         buffer = _take_rows_buffer(chunk * width)
@@ -492,10 +538,7 @@ def _sample(params: ModelParams, subsystem, reduce, protocol: AveragingProtocol 
         try:
             for c0 in range(k0, k1, chunk):
                 c1 = min(k1, c0 + chunk)
-                out = buffer[:(c1 - c0) * width].reshape(c1 - c0, rows.size, -1)
-                stack = prop.entropy_rows(protocol.times(c0, c1), rows, out=out)
-                # reduce may return a view of the rows, which the next chunk overwrites
-                values.append(np.array(reduce(stack)))
+                values.append(evaluate(protocol.times(c0, c1), buffer[:(c1 - c0) * width]))
         finally:
             _keep_rows_buffer(buffer)
         return np.concatenate(values)
@@ -532,10 +575,11 @@ def time_averaged_entropy(
     ``subsystem`` is an iterable of 0-based site indices. Raises
     NonConvergence (with the partial estimate attached) if the sample cap
     is reached first. A single site away from g == delta takes nu = sqrt(det)
-    of its Gram block (``entropy_from_gram``); other cuts take rows and QR.
+    of its Gram block, every cut on g == delta the shear-reduced spectrum
+    (``critical_spectrum``); other cuts take rows and QR.
     """
     result = _series_result(*_sample(params, subsystem, subsystem_entropy_from_rows, protocol,
-                                     site_reduce=entropy_from_gram))
+                                     spectrum_reduce=_entropy_from_spectrum))
     if not result.converged:
         raise NonConvergence(
             f"entropy mean not converged after {result.n_samples} samples", result=result

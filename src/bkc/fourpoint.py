@@ -26,7 +26,6 @@ import numpy as np
 
 from .dynamics import AveragingProtocol, _sample
 from .errors import DegenerateSpectrum, DomainError
-from .gaussian import _gram_nu, symplectic_eigenvalues_from_rows
 from .model import ModelParams, PhaseRegime, squeezing_frame
 
 _RESONANCE_TOL = 1e-9
@@ -274,11 +273,10 @@ def log_correction(
         protocol = AveragingProtocol.for_params(params)
     # a cap equal to the initial batch draws exactly that batch
     batch = dataclasses.replace(protocol, max_samples=protocol.initial_samples)
-    # nu of the site's Gram block, rows and QR on g == delta, in units of 2^500 (which
-    # leaves x unchanged) so that the sampler's variance check of nu stays in float range
-    nu, _ = _sample(
-        params, [site], lambda rows: symplectic_eigenvalues_from_rows(rows)[:, 0] * 2.0 ** -500,
-        batch, site_reduce=lambda blocks: _gram_nu(blocks)[0] * 2.0 ** -500)
+    # nu of the sampler's spectrum, in units of 2^500 (which leaves x unchanged)
+    # so that the sampler's variance check of nu stays in float range
+    nu, _ = _sample(params, [site], None, batch,
+                    spectrum_reduce=lambda nus, scale: nus[:, 0] * 2.0 ** -500)
     x = (nu / nu.max()) ** 2
     return float(np.var(x) / np.mean(x) ** 2)
 

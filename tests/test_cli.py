@@ -301,6 +301,21 @@ def test_collapse_exponent_must_be_finite_and_positive(tmp_path, capsys):
     assert main(["collapse", csv, "--config", bad]) == 3
 
 
+def test_rejected_config_leaves_no_output_directory(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, g="0.25,0.26", n="8,16", out=tmp_path / "c")
+    assert main(["analytic", "--config", cfg]) == 0
+    csv = str(tmp_path / "c" / "analytic.csv")
+    bad_sweep = _write_cfg(tmp_path, name="nan.cfg", w="nan", out=tmp_path / "s", **_FAST)
+    runs = [["collapse", csv, "--config", cfg, "--nu", "0", "--out", str(tmp_path / "n")],
+            ["sweep", "--config", bad_sweep],
+            ["analytic", "--config", bad_sweep],
+            ["figures", "--config", bad_sweep, "--out", str(tmp_path / "f")]]
+    for argv in runs:
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("error:")
+    assert sorted(p.name for p in tmp_path.iterdir() if p.is_dir()) == ["c"]
+
+
 def test_malformed_sweep_csv_exits_3(tmp_path, capsys):
     out = tmp_path / "bad"
     out.mkdir()

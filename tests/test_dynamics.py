@@ -332,9 +332,51 @@ def test_site_average_takes_gram_blocks(monkeypatch):
     assert log_correction(p, n // 2, proto) > 0.0
     assert calls == {"qr": 0, "rows": 0}
     assert "mode_map" not in vars(build_propagator(p, None))
-    # the critical line keeps rows and QR
+    # the critical line takes the shear-reduced spectrum: no rows, no QR either
     time_averaged_entropy(_params(0.25, n), [n // 2], proto)
-    assert calls["qr"] > 0 and calls["rows"] > 0
+    assert calls == {"qr": 0, "rows": 0}
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_critical_spectrum_matches_dense_expm(n, dense_map):
+    p = _params(0.25, n)
+    proto = AveragingProtocol.for_params(p, initial_samples=40, rel_threshold=1.0)
+    for sites in ([n // 2], range(n // 4)):
+        got = time_averaged_entropy(p, sites, proto)
+        rows = quadrature_indices(sites)
+        ref = np.array([subsystem_entropy_from_rows(dense_map(p, t)[rows])
+                        for t in proto.times(0, got.n_samples)])
+        assert got.n_samples == 40
+        assert np.max(np.abs(got.values - ref) / ref) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [128, 256])
+def test_critical_spectrum_matches_row_route(n):
+    p = _params(0.25, n)
+    proto = AveragingProtocol.for_params(p, initial_samples=30, rel_threshold=1.0)
+    # a site, the quarter, the even sites, and a cut of 7N/8 sites against the rows
+    # of its complement: its own rows carry 3N/4 spurious nu near 1, which move
+    # S by 1.5e-11 relative at N = 256
+    for sites, ref_sites in (([n // 2],) * 2, (range(n // 4),) * 2, (range(0, n, 2),) * 2,
+                             (range(n // 8, n), range(n // 8))):
+        got = time_averaged_entropy(p, sites, proto)
+        ref = time_series(p, ref_sites, subsystem_entropy_from_rows, proto)
+        assert np.max(np.abs(got.values - ref.values) / ref.values) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [64, 128])
+def test_critical_spectrum_mirror_and_whole_chain(n):
+    p = _params(0.25, n)
+    proto = AveragingProtocol.for_params(p, initial_samples=30, rel_threshold=1.0)
+    for sites, bound in ((range(n // 4), 1e-12), ([n // 3], 1e-10)):
+        rest = sorted(set(range(n)) - set(sites))
+        got = time_averaged_entropy(p, sites, proto).values
+        mirror = time_averaged_entropy(p, rest, proto).values
+        assert np.max(np.abs(got - mirror)) <= bound
+    # the whole chain is pure: every nu is exactly 1 and S exactly 0
+    nu, _ = build_propagator(p, None).critical_spectrum(np.arange(n), proto.times(0, 3))
+    assert np.array_equal(nu, np.ones((3, n)))
+    assert not time_averaged_entropy(p, range(n), proto).values.any()
 
 
 def test_nonconvergence_carries_partial_result():
