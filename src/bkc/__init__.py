@@ -18,7 +18,6 @@ from .errors import (
     DomainError,
     MissingReference,
     NonConvergence,
-    NotSymplectic,
     NumericalFailure,
     OverflowGuard,
 )
@@ -26,7 +25,6 @@ from .gaussian import (
     vacuum,
     CovarianceMatrix,
     LocalDecomposition,
-    apply_symplectic,
     entropy_from_factor,
     entropy_from_gram,
     entropy_kernel,
@@ -38,8 +36,6 @@ from .gaussian import (
     symplectic_eigenvalues,
     symplectic_eigenvalues_from_rows,
     symplectic_form,
-    symplectic_residual,
-    thermal_entropy,
 )
 from .model import (
     ModelParams,
@@ -48,10 +44,8 @@ from .model import (
     TightBindingSpectrum,
     bdg_matrices,
     classify_phase,
-    dynamical_spectrum,
     squeezing_frame,
     tight_binding_spectrum,
-    validate_frame,
 )
 from .dynamics import (
     AveragingProtocol,
@@ -62,7 +56,6 @@ from .dynamics import (
     TimeAverageResult,
     build_propagator,
     evolve,
-    fluctuation_ratio,
     page_curve,
     profiles,
     series_fluctuation_ratio,
@@ -71,12 +64,10 @@ from .dynamics import (
 )
 from .analytics import (
     CollapseResult,
-    ContinuumParams,
     GgeSpectrum,
     avg_site_correlators,
     conserved_correlators,
     continuum_mode_nu,
-    continuum_params,
     gge_entropy,
     gge_spectrum,
     nu_bar_squared,
@@ -98,23 +89,21 @@ from .fourpoint import (
 __all__ = [
     "__version__",
     "BkcError", "ConfigError", "CriticalFrameUndefined", "DegenerateSpectrum",
-    "DomainError", "MissingReference", "NonConvergence", "NotSymplectic",
-    "NumericalFailure", "OverflowGuard",
-    "CovarianceMatrix", "LocalDecomposition", "apply_symplectic", "entropy_from_factor",
+    "DomainError", "MissingReference", "NonConvergence", "NumericalFailure",
+    "OverflowGuard",
+    "CovarianceMatrix", "LocalDecomposition", "entropy_from_factor",
     "entropy_from_gram", "entropy_kernel", "local_decompose", "single_site_nu", "site_correlators",
     "subsystem_entropy", "subsystem_entropy_from_rows",
     "symplectic_eigenvalues", "symplectic_eigenvalues_from_rows",
-    "symplectic_form", "symplectic_residual", "thermal_entropy",
-    "vacuum",
+    "symplectic_form", "vacuum",
     "ModelParams", "PhaseRegime", "SqueezingFrame", "TightBindingSpectrum",
-    "bdg_matrices", "classify_phase", "dynamical_spectrum", "squeezing_frame",
-    "tight_binding_spectrum", "validate_frame",
+    "bdg_matrices", "classify_phase", "squeezing_frame", "tight_binding_spectrum",
     "AveragingProtocol", "PageCurve", "PropagationMode", "Propagator",
     "SiteProfiles", "TimeAverageResult", "build_propagator", "evolve",
-    "fluctuation_ratio", "page_curve", "profiles",
-    "series_fluctuation_ratio", "time_averaged_entropy", "time_series",
-    "CollapseResult", "ContinuumParams", "GgeSpectrum", "avg_site_correlators",
-    "conserved_correlators", "continuum_mode_nu", "continuum_params",
+    "page_curve", "profiles", "series_fluctuation_ratio", "time_averaged_entropy",
+    "time_series",
+    "CollapseResult", "GgeSpectrum", "avg_site_correlators",
+    "conserved_correlators", "continuum_mode_nu",
     "gge_entropy", "gge_spectrum", "nu_bar_squared", "s1_prediction",
     "scaling_collapse",
     "FourPointReport", "InitialMomentumCorrelators", "SelectionSums",

@@ -23,30 +23,6 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class ContinuumParams:
-    """Continuum description of the squeezing profile (lattice constant a = 1)."""
-
-    xi: float
-    length: float
-    x0: float
-    regime: PhaseRegime
-
-
-def continuum_params(params: ModelParams, j0: float | None = None) -> ContinuumParams:
-    """Localization length xi = 1/r, chain length L = N+1, and profile centre."""
-    n = params.n_sites
-    if j0 is None:
-        j0 = (n + 1) / 2.0
-    regime = classify_phase(params)
-    if regime is PhaseRegime.NONRECIPROCAL:
-        kappa = math.sqrt(params.delta ** 2 - params.g ** 2)
-        xi = 1.0 / math.atanh(kappa / params.w)
-    else:
-        xi = math.inf
-    return ContinuumParams(xi=xi, length=float(n + 1), x0=float(j0), regime=regime)
-
-
 def conserved_correlators(params: ModelParams, j0: float | None = None):
     """Time-invariant mode correlators of the post-quench state.
 

@@ -124,8 +124,9 @@ def _grid(cfg: dict[str, str]) -> list[ModelParams]:
     if not gs or not ns:
         raise ConfigError("empty parameter grid")
     points = []
-    for n in sorted(ns):
-        for g in sorted(gs):
+    # a value listed twice (0.2 and 0.20) is one grid point
+    for n in sorted(set(ns)):
+        for g in sorted(set(gs)):
             try:
                 points.append(ModelParams(w=w, delta=delta, g=g, n_sites=n))
             except ValueError as exc:

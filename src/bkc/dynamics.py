@@ -60,10 +60,10 @@ from .gaussian import (
     _entropy_from_spectrum,
     _gram_nu,
     entropy_from_factor,
+    entropy_kernel,
     quadrature_indices,
     site_correlators,
     subsystem_entropy_from_rows,
-    thermal_entropy,
 )
 from .model import (
     ModelParams,
@@ -595,16 +595,6 @@ def series_fluctuation_ratio(values) -> float:
     return float(arr.std(ddof=0) / abs(arr.mean()))
 
 
-def fluctuation_ratio(
-    params: ModelParams,
-    subsystem,
-    protocol: AveragingProtocol | None = None,
-) -> float:
-    """Relative RMS of the entropy time series on the converged sample set."""
-    result = time_averaged_entropy(params, subsystem, protocol)
-    return series_fluctuation_ratio(result.values)
-
-
 @dataclass(frozen=True, eq=False)
 class PageCurve:
     """Time-averaged entropy of every left block, sharing one sample grid."""
@@ -673,7 +663,7 @@ class SiteProfiles:
         phase the occupations follow the e^(2r|j - j0|) squeezing profile
         and the proxy rises by 2r per site away from the frame centre j0.
         """
-        return np.array([thermal_entropy(max(n, 0.0)) for n in self.occupations])
+        return entropy_kernel(2.0 * np.maximum(self.occupations, 0.0) + 1.0)
 
 
 def profiles(

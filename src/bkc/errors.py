@@ -14,10 +14,6 @@ class CriticalFrameUndefined(BkcError, ValueError):
     """The squeezing frame does not exist exactly at g = delta."""
 
 
-class NotSymplectic(BkcError, ValueError):
-    """A matrix expected to preserve the symplectic form does not."""
-
-
 class NumericalFailure(BkcError, RuntimeError):
     """An eigensolver or matrix routine failed to converge."""
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NotSymplectic, NumericalFailure, within_limit
+from .errors import DomainError, NumericalFailure, within_limit
 
 OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
@@ -286,15 +286,6 @@ def single_site_nu(n, m):
     return float(nu) if nu.ndim == 0 else nu
 
 
-def thermal_entropy(nbar: float) -> float:
-    """Entropy of a thermal mode with mean occupation nbar."""
-    if nbar < -_NU_TOL:
-        raise DomainError(f"negative occupation {nbar!r}")
-    if nbar <= 0.0:
-        return 0.0
-    return nbar * math.log1p(1.0 / nbar) + math.log1p(nbar)
-
-
 @dataclass(frozen=True)
 class LocalDecomposition:
     """Single-mode block factored as a rotated squeezed thermal state.
@@ -341,25 +332,3 @@ def local_decompose(block) -> LocalDecomposition:
     if resid > 1e-9 * max(1.0, hi):
         raise NumericalFailure(f"local decomposition reconstruction off by {resid:.3e}")
     return dec
-
-
-def symplectic_residual(s_mat: np.ndarray) -> float:
-    """Scaled violation of S Omega S^T = Omega, entrywise relative to row norms."""
-    s_mat = np.asarray(s_mat, dtype=float)
-    omega = symplectic_form(s_mat.shape[0] // 2)
-    diff = s_mat @ omega @ s_mat.T - omega
-    rows = np.linalg.norm(s_mat, axis=1)
-    scale = 1.0 + np.outer(rows, rows)
-    return float(np.max(np.abs(diff) / scale))
-
-
-def apply_symplectic(sigma, s_mat) -> CovarianceMatrix:
-    """Transform a covariance matrix by a symplectic map: S sigma S^T."""
-    arr = _as_array(sigma)
-    s_mat = np.asarray(s_mat, dtype=float)
-    if s_mat.shape != arr.shape:
-        raise ValueError("shape mismatch between transform and covariance")
-    resid = symplectic_residual(s_mat)
-    if resid > 1e-10:
-        raise NotSymplectic(f"transform violates the symplectic form (residual {resid:.3e})")
-    return CovarianceMatrix(s_mat @ arr @ s_mat.T)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import OVERFLOW_LIMIT, CriticalFrameUndefined, DomainError, OverflowGuard
-from .gaussian import OMEGA2, symplectic_form
+from .gaussian import symplectic_form
 
 
 class PhaseRegime(enum.Enum):
@@ -87,24 +87,19 @@ def classify_phase(params: ModelParams) -> PhaseRegime:
     return PhaseRegime.CRITICAL
 
 
-def bdg_matrices(params: ModelParams, boundary: str = "open"):
-    """Quadratic-form matrix h and symplectic form Omega.
+def bdg_matrices(params: ModelParams):
+    """Quadratic-form matrix h and symplectic form Omega of the open chain.
 
-    H = 1/2 r^T h r in the ordering r = (q_1, p_1, ..., q_N, p_N); the
-    equation-of-motion generator is M = Omega h. ``boundary`` is "open" or
-    "periodic" (adds the bond from site N back to site 1).
+    H = 1/2 r^T h r in the ordering r = (q_1, p_1, ..., q_N, p_N), with one
+    bond block per pair of neighbours j, j+1 and none from site N back to
+    site 1; the equation-of-motion generator is M = Omega h.
     """
-    if boundary not in ("open", "periodic"):
-        raise ValueError(f"boundary must be 'open' or 'periodic', got {boundary!r}")
     n = params.n_sites
     h = np.zeros((2 * n, 2 * n))
     bond = _bond_block(params)
-    bonds = [(j, j + 1) for j in range(n - 1)]
-    if boundary == "periodic":
-        bonds.append((n - 1, 0))
-    for a, b in bonds:
-        h[2 * a:2 * a + 2, 2 * b:2 * b + 2] = bond
-        h[2 * b:2 * b + 2, 2 * a:2 * a + 2] = bond.T
+    for a in range(n - 1):
+        h[2 * a:2 * a + 2, 2 * a + 2:2 * a + 4] = bond
+        h[2 * a + 2:2 * a + 4, 2 * a:2 * a + 2] = bond.T
     return h, symplectic_form(n)
 
 
@@ -113,12 +108,6 @@ def _bond_block(params: ModelParams) -> np.ndarray:
     g, w, delta = params.g, params.w, params.delta
     return np.array([[g / 2.0, (w + delta) / 2.0],
                      [(delta - w) / 2.0, g / 2.0]])
-
-
-def dynamical_spectrum(params: ModelParams, boundary: str = "open") -> np.ndarray:
-    """Eigenvalues of the quadrature equation-of-motion generator Omega h."""
-    h, omega = bdg_matrices(params, boundary)
-    return np.sort_complex(np.linalg.eigvals(omega @ h))
 
 
 def _quarter_turn(jays: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -157,38 +146,9 @@ class SqueezingFrame:
     phi: float
     site_factors: np.ndarray = field(repr=False)
 
-    @property
-    def n_sites(self) -> int:
-        return self.params.n_sites
-
-    @property
-    def coefficients(self) -> tuple[np.ndarray, np.ndarray]:
-        """(abar_j, bbar_j) recovered from the stored quadrature factors."""
-        s = self.site_factors
-        abar = ((s[:, 0, 0] + s[:, 1, 1]) + 1j * (s[:, 1, 0] - s[:, 0, 1])) / 2.0
-        bbar = ((s[:, 0, 0] - s[:, 1, 1]) + 1j * (s[:, 1, 0] + s[:, 0, 1])) / 2.0
-        return abar, bbar
-
-    def matrix(self) -> np.ndarray:
-        """Block-diagonal map F with r_frame = F r_lab."""
-        n = self.n_sites
-        f = np.zeros((2 * n, 2 * n))
-        for j in range(n):
-            f[2 * j:2 * j + 2, 2 * j:2 * j + 2] = self.site_factors[j]
-        return f
-
     def inverse_factors(self) -> np.ndarray:
         """Exact inverse -Omega2 S^T Omega2 of each unit-determinant site factor."""
         return _factor_inverse(self.site_factors)
-
-    def inverse_matrix(self) -> np.ndarray:
-        """Block-diagonal inverse F^{-1}, built from ``inverse_factors``."""
-        n = self.n_sites
-        inverses = self.inverse_factors()
-        f = np.zeros((2 * n, 2 * n))
-        for j in range(n):
-            f[2 * j:2 * j + 2, 2 * j:2 * j + 2] = inverses[j]
-        return f
 
 
 def _factor_inverse(factors: np.ndarray) -> np.ndarray:
@@ -274,24 +234,6 @@ def tight_binding_spectrum(params: ModelParams) -> TightBindingSpectrum:
         np.pi * np.outer(labels, labels) / (n + 1)
     )
     return TightBindingSpectrum(hopping=hop, energies=energies, modes=modes)
-
-
-def validate_frame(frame: SqueezingFrame, params: ModelParams | None = None) -> float:
-    """Largest deviation of the transformed quadratic form from pure hopping.
-
-    With H = 1/2 r^T h r, the frame maps h onto (J/2) (q_j q_{j+1} + p_j p_{j+1})
-    bonds, whose quadrature rotation frequencies are J cos(pi n / (N+1)).
-    Returns max |h_frame - expected| over all entries.
-    """
-    if params is None:
-        params = frame.params
-    h, _ = bdg_matrices(params)
-    f_inv = frame.inverse_matrix()
-    h_frame = f_inv.T @ h @ f_inv
-    n = params.n_sites
-    coupling = np.eye(n, k=1) + np.eye(n, k=-1)
-    expected = (params.hopping / 2.0) * np.kron(coupling, np.eye(2))
-    return float(np.max(np.abs(h_frame - expected)))
 
 
 def frame_hopping_sign(frame: SqueezingFrame) -> float:

@@ -1,11 +1,10 @@
-"""Shared fixtures: memoized long-time averages reused across the suite, and
-the dense matrix-exponential oracle of the quench map."""
+"""Shared fixture: memoized long-time averages reused across the suite."""
 from __future__ import annotations
 
 import pytest
 
 from bkc.dynamics import AveragingProtocol, TimeAverageResult, time_averaged_entropy
-from bkc.model import ModelParams, bdg_matrices
+from bkc.model import ModelParams
 
 # The acceptance sweeps never needed more than ~20k samples to converge;
 # the raised cap keeps the harsh 1e-3 criterion attainable at every grid
@@ -44,16 +43,3 @@ class AverageStore:
 @pytest.fixture(scope="session")
 def averages() -> AverageStore:
     return AverageStore()
-
-
-@pytest.fixture(scope="session")
-def dense_map():
-    """The oracle S(t) = scipy.linalg.expm(Omega h t) of the lab quench map,
-    with h and Omega from ``bdg_matrices``; called as ``dense_map(params, t)``."""
-    import scipy.linalg
-
-    def oracle(params: ModelParams, t: float):
-        h_mat, omega = bdg_matrices(params)
-        return scipy.linalg.expm(omega @ h_mat * t)
-
-    return oracle

@@ -1,0 +1,136 @@
+"""Independent oracles of the test suite, each written once.
+
+The package computes its maps, spectra and averages by fast routes; these
+are the slow, direct forms the tests compare them with:
+
+* ``dense_map``: the lab quench map S(t) = expm(Omega h t) by scipy;
+* ``symplectic_residual``: how far a matrix is from preserving Omega;
+* ``frame_matrix``, ``frame_inverse_matrix`` and ``validate_frame``: the
+  block-diagonal squeezing frame F and the hopping form it must produce;
+* ``periodic_bdg`` and ``dynamical_spectrum``: the generator with the
+  bond from site N back to site 1, and the eigenvalues of Omega h;
+* ``mode_covariance``, ``dephased_mode_covariance`` and
+  ``dephased_covariance``: the initial covariance X = G G^T in the normal
+  modes, and its exact infinite-time average by the stationary-block rules.
+"""
+from __future__ import annotations
+
+import numpy as np
+import scipy.linalg
+
+from bkc.gaussian import OMEGA2, symplectic_form
+from bkc.model import (
+    ModelParams,
+    SqueezingFrame,
+    _bond_block,
+    bdg_matrices,
+    frame_hopping_sign,
+    squeezing_frame,
+    tight_binding_spectrum,
+)
+
+
+def dense_map(params: ModelParams, t: float) -> np.ndarray:
+    """S(t) = scipy.linalg.expm(Omega h t) of the lab quench map (open chain)."""
+    h_mat, omega = bdg_matrices(params)
+    return scipy.linalg.expm(omega @ h_mat * t)
+
+
+def symplectic_residual(s_mat) -> float:
+    """Scaled violation of S Omega S^T = Omega, entrywise relative to row norms."""
+    s_mat = np.asarray(s_mat, dtype=float)
+    omega = symplectic_form(s_mat.shape[0] // 2)
+    diff = s_mat @ omega @ s_mat.T - omega
+    rows = np.linalg.norm(s_mat, axis=1)
+    return float(np.max(np.abs(diff) / (1.0 + np.outer(rows, rows))))
+
+
+def _block_diagonal(blocks: np.ndarray) -> np.ndarray:
+    n = blocks.shape[0]
+    out = np.zeros((2 * n, 2 * n))
+    for j in range(n):
+        out[2 * j:2 * j + 2, 2 * j:2 * j + 2] = blocks[j]
+    return out
+
+
+def frame_matrix(frame: SqueezingFrame) -> np.ndarray:
+    """Block-diagonal map F with r_frame = F r_lab."""
+    return _block_diagonal(frame.site_factors)
+
+
+def frame_inverse_matrix(frame: SqueezingFrame) -> np.ndarray:
+    """Block-diagonal F^{-1} from the frame's exact ``inverse_factors``."""
+    return _block_diagonal(frame.inverse_factors())
+
+
+def validate_frame(frame: SqueezingFrame) -> float:
+    """Largest entry of |F^{-T} h F^{-1} - (J/2) hopping form| over the chain.
+
+    The frame must map h onto (J/2) (q_j q_{j+1} + p_j p_{j+1}) bonds, whose
+    quadrature rotation frequencies are J cos(pi n / (N+1)).
+    """
+    params = frame.params
+    h, _ = bdg_matrices(params)
+    f_inv = frame_inverse_matrix(frame)
+    coupling = np.eye(params.n_sites, k=1) + np.eye(params.n_sites, k=-1)
+    expected = (params.hopping / 2.0) * np.kron(coupling, np.eye(2))
+    return float(np.max(np.abs(f_inv.T @ h @ f_inv - expected)))
+
+
+def periodic_bdg(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """``bdg_matrices`` of the ring: the open chain plus the bond from site N to site 1."""
+    h, omega = bdg_matrices(params)
+    bond = _bond_block(params)
+    h[-2:, :2] = bond
+    h[:2, -2:] = bond.T
+    return h, omega
+
+
+def dynamical_spectrum(params: ModelParams, periodic: bool = False) -> np.ndarray:
+    """Sorted eigenvalues of the equation-of-motion generator Omega h."""
+    h, omega = periodic_bdg(params) if periodic else bdg_matrices(params)
+    return np.sort_complex(np.linalg.eigvals(omega @ h))
+
+
+def mode_covariance(params: ModelParams) -> np.ndarray:
+    """Initial (vacuum) covariance in the normal-mode frame, X = G G^T with G = Psi2 F."""
+    psi2 = np.kron(tight_binding_spectrum(params).modes, np.eye(2))
+    g_mat = psi2 @ frame_matrix(squeezing_frame(params))
+    return g_mat @ g_mat.T
+
+
+def dephased_mode_covariance(params: ModelParams) -> np.ndarray:
+    """Exact infinite-time average of B(t) X B(t)^T in the normal-mode frame.
+
+    B(t) rotates each mode's (q, p) pair at its tight-binding frequency, so
+    averaging kills every 2x2 block of X except the stationary ones: both
+    frequencies zero, equal frequencies (a == b), and opposite frequencies
+    (the mirror pair a + b == N - 1).
+    """
+    n = params.n_sites
+    x = mode_covariance(params)
+    freqs = frame_hopping_sign(squeezing_frame(params)) * params.hopping * np.cos(
+        np.pi * np.arange(1, n + 1) / (n + 1)
+    )
+    tiny = 1e-12 * params.hopping
+    avg = np.zeros_like(x)
+    for a in range(n):
+        for b in range(n):
+            blk = x[2 * a:2 * a + 2, 2 * b:2 * b + 2]
+            if abs(freqs[a]) < tiny and abs(freqs[b]) < tiny:
+                kept = blk
+            elif a == b:
+                kept = (blk - OMEGA2 @ blk @ OMEGA2) / 2.0
+            elif a + b == n - 1:
+                kept = (blk + OMEGA2 @ blk @ OMEGA2) / 2.0
+            else:
+                continue
+            avg[2 * a:2 * a + 2, 2 * b:2 * b + 2] = kept
+    return avg
+
+
+def dephased_covariance(params: ModelParams) -> np.ndarray:
+    """Exact infinite-time average of the lab covariance sigma(t), G^-1 Xbar G^-T."""
+    psi2 = np.kron(tight_binding_spectrum(params).modes, np.eye(2))
+    g_inv = frame_inverse_matrix(squeezing_frame(params)) @ psi2.T
+    return g_inv @ dephased_mode_covariance(params) @ g_inv.T

@@ -21,6 +21,7 @@ from bkc.dynamics import (
 from bkc.fourpoint import a_kernel, epsilon4, log_correction
 from bkc.gaussian import entropy_kernel, symplectic_eigenvalues
 from bkc.model import ModelParams
+from oracles import dense_map
 
 GRID_GS = (0.0, 0.2, 0.24, 0.245, 0.249, 0.25, 0.251, 0.255, 0.26)
 GRID_NS = (16, 32, 48, 64, 96, 128)
@@ -184,7 +185,7 @@ def test_log_correction_plateau_and_decay():
         assert nxt < prev
 
 
-def test_route_equivalence_and_purity(dense_map):
+def test_route_equivalence_and_purity():
     # frame rotations against the raw matrix exponential
     for g in (0.1, 0.4):
         p = _params(g, 6)

@@ -8,7 +8,6 @@ from bkc.analytics import (
     avg_site_correlators,
     conserved_correlators,
     continuum_mode_nu,
-    continuum_params,
     gge_entropy,
     gge_spectrum,
     nu_bar_squared,
@@ -17,52 +16,12 @@ from bkc.analytics import (
 )
 from bkc.errors import CriticalFrameUndefined, DomainError, MissingReference
 from bkc.gaussian import entropy_kernel
-from bkc.model import (
-    ModelParams,
-    frame_hopping_sign,
-    squeezing_frame,
-    tight_binding_spectrum,
-)
-
-OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+from bkc.model import ModelParams, squeezing_frame, tight_binding_spectrum
+from oracles import dephased_mode_covariance, mode_covariance
 
 
 def _params(g, n, w=1.0, delta=0.25):
     return ModelParams(w=w, delta=delta, g=g, n_sites=n)
-
-
-def _mode_covariance(params):
-    """Initial covariance in the normal-mode frame, X = G G^T."""
-    frame = squeezing_frame(params)
-    spec = tight_binding_spectrum(params)
-    psi2 = np.kron(spec.modes, np.eye(2))
-    g_mat = psi2 @ frame.matrix()
-    return g_mat @ g_mat.T
-
-
-def _dephased_mode_avg(params):
-    """Infinite-time average of B(t) X B(t)^T by the stationary-block rules."""
-    n = params.n_sites
-    x = _mode_covariance(params)
-    frame = squeezing_frame(params)
-    freqs = frame_hopping_sign(frame) * params.hopping * np.cos(
-        np.pi * np.arange(1, n + 1) / (n + 1)
-    )
-    tiny = 1e-12 * params.hopping
-    avg = np.zeros_like(x)
-    for a in range(n):
-        for b in range(n):
-            blk = x[2 * a:2 * a + 2, 2 * b:2 * b + 2]
-            if abs(freqs[a]) < tiny and abs(freqs[b]) < tiny:
-                kept = blk
-            elif a == b:
-                kept = (blk - OMEGA2 @ blk @ OMEGA2) / 2.0
-            elif a + b == n - 1:
-                kept = (blk + OMEGA2 @ blk @ OMEGA2) / 2.0
-            else:
-                continue
-            avg[2 * a:2 * a + 2, 2 * b:2 * b + 2] = kept
-    return avg
 
 
 def _occ_of(blk):
@@ -77,7 +36,7 @@ def test_conserved_correlators_match_mode_blocks():
     for g, n in [(0.0, 9), (0.2, 12), (0.1, 8), (0.3, 12), (0.4, 9)]:
         p = _params(g, n)
         occ, pair = conserved_correlators(p)
-        x = _mode_covariance(p)
+        x = mode_covariance(p)
         occ_ref = np.array([_occ_of(x[2 * a:2 * a + 2, 2 * a:2 * a + 2]) for a in range(n)])
         pair_ref = np.array([
             _pair_of(x[2 * (n - 1 - a):2 * (n - 1 - a) + 2, 2 * a:2 * a + 2])
@@ -101,7 +60,7 @@ def test_avg_site_matches_dephased_blocks():
         p = _params(g, n)
         spec = tight_binding_spectrum(p)
         psi2 = np.kron(spec.modes, np.eye(2))
-        site_avg = psi2.T @ _dephased_mode_avg(p) @ psi2
+        site_avg = psi2.T @ dephased_mode_covariance(p) @ psi2
         for j in range(n):
             blk = site_avg[2 * j:2 * j + 2, 2 * j:2 * j + 2]
             nbar, mbar = avg_site_correlators(p, j)
@@ -218,13 +177,14 @@ def test_continuum_mode_nu_tracks_discrete():
 
 
 def test_continuum_params_fields():
-    cp = continuum_params(_params(0.2, 32))
-    assert cp.xi == pytest.approx(1.0 / math.atanh(0.15), rel=1e-14)
-    assert cp.xi == pytest.approx(6.616363078510365, rel=1e-13)
-    assert cp.length == 33.0
-    assert cp.x0 == 16.5
-    assert continuum_params(_params(0.2, 32), j0=4.0).x0 == 4.0
-    assert math.isinf(continuum_params(_params(0.3, 32)).xi)
+    # xi = 1/r, L = N + 1 and x0 = j0 of the continuum forms, read off the frame
+    frame = squeezing_frame(_params(0.2, 32))
+    assert 1.0 / frame.r == pytest.approx(1.0 / math.atanh(0.15), rel=1e-14)
+    assert 1.0 / frame.r == pytest.approx(6.616363078510365, rel=1e-13)
+    assert frame.params.n_sites + 1 == 33
+    assert frame.j0 == 16.5
+    assert squeezing_frame(_params(0.2, 32), j0=4.0).j0 == 4.0
+    assert squeezing_frame(_params(0.3, 32)).r == 0.0   # xi = inf
 
 
 def test_scaling_collapse_expansion_slope():

@@ -98,6 +98,20 @@ def test_analytic_matches_predictions(tmp_path):
         assert float(err_txt) == 0.0 and cnt_txt == "0"
 
 
+def test_repeated_grid_values_give_one_row_per_point(tmp_path):
+    # 0.2 and 0.20 are one coupling, and N = 8 listed twice is one size
+    repeated = {"g": "0.2,0.20", "n": "8,8", **_FAST}
+    for command, csv in (("analytic", "analytic.csv"), ("sweep", "sweep.csv"),
+                         ("figures", "page.csv")):
+        out = tmp_path / command
+        cfg = _write_cfg(tmp_path, name=f"{command}.cfg", out=out, figures="page", **repeated)
+        assert main([command, "--config", cfg]) == 0
+        lines = (out / csv).read_text().splitlines()
+        assert len(lines) == 1 + (7 if command == "figures" else 1)
+        manifest = json.loads((out / f"{command}.manifest.json").read_text())
+        assert manifest["rows"] == 1 and len(manifest["runs"]) == 1
+
+
 def test_analytic_block_cuts(tmp_path):
     cfg = _write_cfg(tmp_path, g="0.2", n="8", cut="quarter", out=tmp_path / "q")
     assert main(["analytic", "--config", cfg]) == 0

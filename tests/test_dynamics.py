@@ -14,7 +14,6 @@ from bkc.dynamics import (
     Propagator,
     build_propagator,
     evolve,
-    fluctuation_ratio,
     page_curve,
     profiles,
     series_fluctuation_ratio,
@@ -28,56 +27,13 @@ from bkc.gaussian import (
     site_correlators,
     subsystem_entropy_from_rows,
     symplectic_eigenvalues,
-    symplectic_residual,
 )
-from bkc.model import (
-    ModelParams,
-    frame_hopping_sign,
-    squeezing_frame,
-    tight_binding_spectrum,
-)
-
-OMEGA2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+from bkc.model import ModelParams, tight_binding_spectrum
+from oracles import dense_map, dephased_covariance, frame_matrix, symplectic_residual
 
 
 def _params(g, n, w=1.0, delta=0.25):
     return ModelParams(w=w, delta=delta, g=g, n_sites=n)
-
-
-def _dephased_covariance(params):
-    """Exact infinite-time average of sigma(t): drop all oscillating blocks.
-
-    In the normal-mode frame the evolved covariance is B(t) X B(t)^T with
-    X = G G^T and B(t) independent 2x2 rotations at the tight-binding
-    frequencies. Averaging kills every block except the stationary
-    combinations: both frequencies zero, equal frequencies (a == b), and
-    opposite frequencies (the mirror pair a + b == n - 1).
-    """
-    n = params.n_sites
-    frame = squeezing_frame(params)
-    spec = tight_binding_spectrum(params)
-    psi2 = np.kron(spec.modes, np.eye(2))
-    g_mat = psi2 @ frame.matrix()
-    g_inv = frame.inverse_matrix() @ psi2.T
-    x = g_mat @ g_mat.T
-    freqs = frame_hopping_sign(frame) * params.hopping * np.cos(
-        np.pi * np.arange(1, n + 1) / (n + 1)
-    )
-    tiny = 1e-12 * params.hopping
-    avg = np.zeros_like(x)
-    for a in range(n):
-        for b in range(n):
-            blk = x[2 * a:2 * a + 2, 2 * b:2 * b + 2]
-            if abs(freqs[a]) < tiny and abs(freqs[b]) < tiny:
-                kept = blk
-            elif a == b:
-                kept = (blk - OMEGA2 @ blk @ OMEGA2) / 2.0
-            elif a + b == n - 1:
-                kept = (blk + OMEGA2 @ blk @ OMEGA2) / 2.0
-            else:
-                continue
-            avg[2 * a:2 * a + 2, 2 * b:2 * b + 2] = kept
-    return g_inv @ avg @ g_inv.T
 
 
 def test_protocol_grid_scales_with_hopping():
@@ -116,7 +72,7 @@ def test_build_propagator_mode_selection():
         build_propagator(_params(0.2, 8), PropagationMode.FRAME_EXACT)
 
 
-def test_frame_route_matches_matrix_exponential(dense_map):
+def test_frame_route_matches_matrix_exponential():
     for n in (7, 32):
         for g in (0.0, 0.2, 0.3):
             p = _params(g, n)
@@ -188,7 +144,7 @@ def test_time_average_deterministic_grid():
     assert r1.stderr > 0.0
 
 
-def test_time_average_same_samples_both_routes(dense_map):
+def test_time_average_same_samples_both_routes():
     p = _params(0.2, 6)
     proto = AveragingProtocol(t_min=60.0, dt=7.3, initial_samples=40,
                               batch_samples=20, max_samples=80, rel_threshold=1.0)
@@ -297,7 +253,7 @@ def test_site_average_matches_row_route():
 
 
 @pytest.mark.parametrize("n", [16, 64])
-def test_site_gram_near_criticality_matches_dense_expm(n, dense_map):
+def test_site_gram_near_criticality_matches_dense_expm(n):
     for g in (0.25 - 1e-6, 0.25 + 1e-6):
         p = _params(g, n)
         proto = AveragingProtocol.for_params(p, initial_samples=40, rel_threshold=1.0)
@@ -338,7 +294,7 @@ def test_site_average_takes_gram_blocks(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [32, 64])
-def test_critical_spectrum_matches_dense_expm(n, dense_map):
+def test_critical_spectrum_matches_dense_expm(n):
     p = _params(0.25, n)
     proto = AveragingProtocol.for_params(p, initial_samples=40, rel_threshold=1.0)
     for sites in ([n // 2], range(n // 4)):
@@ -401,16 +357,6 @@ def test_series_fluctuation_ratio_sinusoid():
         series_fluctuation_ratio([])
     with pytest.raises(ValueError):
         series_fluctuation_ratio([1.0, -1.0])
-
-
-def test_fluctuation_ratio_matches_series():
-    p = _params(0.2, 6)
-    proto = AveragingProtocol(t_min=60.0, dt=7.3, initial_samples=50,
-                              batch_samples=20, max_samples=100, rel_threshold=1.0)
-    result = time_averaged_entropy(p, [0], proto)
-    assert fluctuation_ratio(p, [0], proto) == pytest.approx(
-        series_fluctuation_ratio(result.values), rel=1e-12
-    )
 
 
 def test_page_curve_complement_symmetric():
@@ -508,7 +454,7 @@ def test_page_curve_samples_match_refactored_cut_blocks(monkeypatch, g, n):
 
 
 @pytest.mark.parametrize("n", [8, 16])
-def test_critical_page_curve_matches_dense_expm(n, dense_map):
+def test_critical_page_curve_matches_dense_expm(n):
     p = _params(0.25, n)
     proto = AveragingProtocol.for_params(p, initial_samples=120, batch_samples=60,
                                          max_samples=240, rel_threshold=1e-3)
@@ -531,7 +477,7 @@ def test_profiles_against_exact_dephasing():
     proto = AveragingProtocol.for_params(p, rel_threshold=5e-3, max_samples=60000)
     prof = profiles(p, proto)
     assert prof.converged
-    sig_bar = _dephased_covariance(p)
+    sig_bar = dephased_covariance(p)
     for j in range(10):
         occ_exact, _ = site_correlators(sig_bar, j)
         assert prof.occupations[j] == pytest.approx(occ_exact, rel=0.06)
@@ -576,7 +522,7 @@ def test_profiles_match_per_time_maps(n):
 
 
 @pytest.mark.parametrize("n", [8, 16])
-def test_critical_profiles_match_dense_expm(n, dense_map):
+def test_critical_profiles_match_dense_expm(n):
     p = _params(0.25, n)
     proto = AveragingProtocol.for_params(p, initial_samples=120, batch_samples=60,
                                          max_samples=240, rel_threshold=1e-3)
@@ -611,7 +557,7 @@ def test_evolve_at_time_zero_is_vacuum():
 
 
 @pytest.mark.parametrize("n", [32, 64])
-def test_critical_rows_match_dense_expm(n, dense_map):
+def test_critical_rows_match_dense_expm(n):
     # g == delta: the averages take the closed-form rows; the oracle takes a
     # dense expm at every grid time
     p = _params(0.25, n)
@@ -631,7 +577,7 @@ def test_critical_rows_match_dense_expm(n, dense_map):
 
 
 @pytest.mark.parametrize("n", [8, 32, 96])
-def test_critical_map_matches_expm(n, dense_map):
+def test_critical_map_matches_expm(n):
     p = _params(0.25, n)
     prop = build_propagator(p)
     proto = AveragingProtocol.for_params(p)
@@ -713,7 +659,7 @@ def test_rotated_map_matches_paired_row_formula(n):
         assert np.array_equal(prop._rotated_map(t), expected)
 
 
-def test_entropy_rows_stack_matches_scalar_calls(dense_map):
+def test_entropy_rows_stack_matches_scalar_calls():
     for g in (0.2, 0.25):
         p = _params(g, 10)
         prop = build_propagator(p)
@@ -728,7 +674,7 @@ def test_entropy_rows_stack_matches_scalar_calls(dense_map):
                 dense = np.stack([dense_map(p, t) @ half_turns for t in times])[:, rows]
             else:
                 # elsewhere they are F S(t)
-                dense = np.stack([prop.frame.matrix() @ dense_map(p, t) for t in times])[:, rows]
+                dense = np.stack([frame_matrix(prop.frame) @ dense_map(p, t) for t in times])[:, rows]
             stack = prop.entropy_rows(times, rows)
             assert stack.shape == (12, rows.size, 20)
             for ref in (single, dense):

@@ -18,19 +18,12 @@ from bkc.fourpoint import (
     selection_sums,
 )
 from bkc.gaussian import symplectic_eigenvalues_from_rows
-from bkc.model import ModelParams, squeezing_frame, tight_binding_spectrum
+from bkc.model import ModelParams, squeezing_frame
+from oracles import mode_covariance
 
 
 def _params(g, n, w=1.0, delta=0.25):
     return ModelParams(w=w, delta=delta, g=g, n_sites=n)
-
-
-def _mode_covariance(params):
-    frame = squeezing_frame(params)
-    spec = tight_binding_spectrum(params)
-    psi2 = np.kron(spec.modes, np.eye(2))
-    g_mat = psi2 @ frame.matrix()
-    return g_mat @ g_mat.T
 
 
 def _normal_of(x, k, q):
@@ -50,7 +43,7 @@ def test_momentum_correlators_match_mode_blocks():
     for g, n in [(0.0, 8), (0.2, 9), (0.1, 12)]:
         p = _params(g, n)
         corr = momentum_correlators(p)
-        x = _mode_covariance(p)
+        x = mode_covariance(p)
         nm_ref = np.array([[_normal_of(x, k, q) for q in range(n)] for k in range(n)])
         am_ref = np.array([[_anomalous_of(x, k, q) for q in range(n)] for k in range(n)])
         assert np.max(np.abs(corr.normal - nm_ref)) < 5e-15

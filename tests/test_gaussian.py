@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from bkc.errors import DomainError, NotSymplectic, OverflowGuard
+from bkc.dynamics import SiteProfiles
+from bkc.errors import DomainError, OverflowGuard
 from bkc.gaussian import (
     CovarianceMatrix,
     LocalDecomposition,
-    apply_symplectic,
     entropy_from_factor,
     entropy_from_gram,
     entropy_kernel,
@@ -21,10 +21,9 @@ from bkc.gaussian import (
     symplectic_eigenvalues,
     symplectic_eigenvalues_from_rows,
     symplectic_form,
-    symplectic_residual,
-    thermal_entropy,
     vacuum,
 )
+from oracles import symplectic_residual
 
 RNG = np.random.default_rng(20260814)
 
@@ -181,12 +180,18 @@ def test_single_site_nu_rejects_unphysical():
 
 
 def test_thermal_entropy_values():
-    assert thermal_entropy(0.0) == 0.0
-    assert thermal_entropy(1.0) == pytest.approx(2 * math.log(2), rel=1e-14)
-    for nbar in (0.1, 1.0, 10.0):
-        assert thermal_entropy(nbar) == pytest.approx(
-            entropy_kernel(2 * nbar + 1), rel=1e-12
-        )
+    # SiteProfiles' thermal proxy at n = 0, 1, 10 and a rounding-negative occupation
+    occupations = np.array([0.0, 1.0, 10.0, -1e-6])
+    prof = SiteProfiles(entropies=np.zeros(4), stderrs=np.zeros(4), occupations=occupations,
+                        pair_amplitudes=np.zeros(4, dtype=complex),
+                        mean_blocks=np.zeros((4, 2, 2)), n_samples=1, converged=True)
+    s_thermal = prof.thermal_entropies()
+    assert s_thermal[0] == 0.0
+    assert s_thermal[1] == pytest.approx(2 * math.log(2), rel=1e-14)
+    nbar = 10.0
+    assert s_thermal[2] == pytest.approx(nbar * math.log1p(1 / nbar) + math.log1p(nbar),
+                                         rel=1e-14)
+    assert s_thermal[3] == 0.0
 
 
 def test_local_decompose_identity():
@@ -226,24 +231,13 @@ def test_local_decompose_rejects_non_positive():
         local_decompose(np.diag([1.0, -1.0]))
 
 
-def test_apply_symplectic_identity_noop():
-    sig = vacuum(3)
-    out = apply_symplectic(sig, np.eye(6))
-    assert np.array_equal(out.data, sig.data)
-
-
 def test_local_squeezer_keeps_vacuum_sites_pure():
     r = 1.1
     sq = np.eye(6)
     sq[2:4, 2:4] = np.diag([math.exp(-r), math.exp(r)])
-    out = apply_symplectic(vacuum(3), sq)
+    out = CovarianceMatrix(sq @ vacuum(3).data @ sq.T)
     for j in range(3):
         assert subsystem_entropy(out, [j]) == pytest.approx(0.0, abs=1e-9)
-
-
-def test_apply_symplectic_rejects_non_symplectic():
-    with pytest.raises(NotSymplectic):
-        apply_symplectic(vacuum(2), 2.0 * np.eye(4))
 
 
 def test_symplectic_spectrum_invariance():
@@ -252,7 +246,7 @@ def test_symplectic_spectrum_invariance():
         sig = s0 @ s0.T
         ref = symplectic_eigenvalues(sig)
         s = random_symplectic(3, RNG)
-        moved = apply_symplectic(sig, s)
+        moved = CovarianceMatrix(s @ sig @ s.T)
         assert np.allclose(symplectic_eigenvalues(moved), ref, atol=1e-9 * ref.max())
         assert symplectic_residual(s) <= 1e-10
 
@@ -267,7 +261,7 @@ def test_local_symplectic_invariance_of_entropy():
     for j in range(4):
         sj = random_symplectic(1, RNG, scale=0.6)
         local[2 * j:2 * j + 2, 2 * j:2 * j + 2] = sj
-    moved = apply_symplectic(sig, local)
+    moved = CovarianceMatrix(local @ sig @ local.T)
     assert subsystem_entropy(moved, cut) == pytest.approx(ref, abs=1e-9 * max(1.0, ref))
 
 
