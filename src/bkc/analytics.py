@@ -150,7 +150,13 @@ def s1_prediction(params: ModelParams) -> float:
     ln nu_bar omits an O(1) remainder (+0.22 at g = 0.24), so crossing it
     drops the value by 0.40, 0.44, 0.46 and 0.49 at N = 64, 96, 128 and 256
     while the measured entropy is smooth in g.
+
+    At delta == 0 the chain is passive (it conserves the boson number), so
+    the vacuum stays the vacuum and the entropy is exactly 0; the expansion
+    would take ln 0 there.
     """
+    if params.delta == 0.0:
+        return 0.0
     n = params.n_sites
     window = abs(params.g ** 2 - params.delta ** 2) * n ** 2 / params.w ** 2
     regime = classify_phase(params)

@@ -231,13 +231,24 @@ def _existing_rows(path: Path) -> dict[tuple, dict]:
     return rows
 
 
-def _recorded_runs(manifest_path: Path) -> dict[tuple, dict]:
-    """Run entries of a previous sweep manifest by (g, N, subsystem); empty if unreadable."""
+def _recorded_runs(manifest_path: Path, cfg: dict[str, str]) -> dict[tuple, dict]:
+    """Run entries of a previous sweep manifest by (g, N, subsystem); empty if unreadable.
+
+    The CSV has no w or delta column, so a manifest that records other
+    couplings than ``cfg`` is a ConfigError: one directory holds one (w, delta).
+    """
     try:
-        runs = json.loads(manifest_path.read_text())["runs"]
-        return {(run["g"], run["N"], run["subsystem"]): run for run in runs}
+        manifest = json.loads(manifest_path.read_text())
+        runs = {(run["g"], run["N"], run["subsystem"]): run for run in manifest["runs"]}
+        recorded = {key: float(manifest["config"][key]) for key in ("w", "delta")}
     except (OSError, ValueError, KeyError, TypeError):
         return {}
+    for key, value in recorded.items():
+        wanted = _scalar(cfg, key, float)
+        if value != wanted:
+            raise ConfigError(f"{manifest_path} records {key} = {value!r}, not {wanted!r}; "
+                              "use another out directory")
+    return runs
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -317,8 +328,8 @@ def cmd_sweep(cfg: dict[str, str]) -> int:
     out = Path(cfg["out"])
     csv_path = out / "sweep.csv"
     manifest_path = out / "sweep.manifest.json"
+    recorded = _recorded_runs(manifest_path, cfg)
     rows = _existing_rows(csv_path)
-    recorded = _recorded_runs(manifest_path)
     for key, row in rows.items():
         run = recorded.get(key, {})
         row["converged"] = run.get("converged") is True
@@ -477,6 +488,8 @@ def _run_figures(cfg: dict[str, str], names: list[str], command: str) -> int:
 def cmd_figures(cfg: dict[str, str]) -> int:
     """Emit the per-figure data products named in the ``figures`` list."""
     names = _parse_list(cfg["figures"], str.strip, "figures")
+    if not names:
+        raise ConfigError("empty figures list; choose from " + ", ".join(sorted(_FIGURES)))
     unknown = [name for name in names if name not in _FIGURES]
     if unknown:
         raise ConfigError(f"unknown figures {unknown}; choose from {sorted(_FIGURES)}")

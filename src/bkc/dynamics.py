@@ -37,9 +37,8 @@ One sampler draws the grid in chunks of consecutive indices: a chunk holds
 at most ``_CHUNK_BYTES`` of entropy-map rows (and the arrays that reducing
 them needs), never crosses a convergence check, and is one stacked call for
 the rows and one batched factorization for their entropies, or one call for
-the spectra of a single site's Gram blocks or of a cut on g == delta. Its
-rows (or U and V) go into one buffer that the thread reuses from chunk to
-chunk and from one average to the next. No average builds the full map S(t).
+the spectra of a single site's Gram blocks or of a cut on g == delta. No
+average builds the full map S(t).
 
 The covariance of the evolved vacuum is sigma(t) = S(t) S(t)^T.
 """
@@ -48,7 +47,6 @@ from __future__ import annotations
 import enum
 import functools
 import math
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,8 +76,6 @@ from .model import (
 # Memory budget of one chunk of samples: its map rows plus the arrays of the
 # same size that factoring them needs (``stacks`` in _sample).
 _CHUNK_BYTES = 4 * 2 ** 20
-# This thread's spare rows buffer, reused by the next average; see _sample.
-_spare_rows = threading.local()
 # P per site: (q, p) -> (u, v) = ((q+p), (q-p)) / sqrt2, its own inverse.
 _HALF_TURN = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 
@@ -261,8 +257,8 @@ class Propagator:
     def _critical_uv(self, sites: np.ndarray, times: np.ndarray, scale: float,
                      work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``scale`` times the rows ``sites`` of U(t) and V(t) at every time, on g == delta:
-        K x l x N each, even sites' columns first, in ``work`` (4 K l N floats)
-        with the GEMM weights after them.
+        K x l x N each, even sites' columns first, in ``work`` (4 K l N floats, one
+        allocation rather than one per GEMM) with the GEMM weights after them.
 
         U_jk = kappa_j kappa_k times C_jk if j = k mod 2, +S_jk if j is odd and
         k even, -S_jk if j is even and k odd, with (C, S)_jk = sum_n psi_nj
@@ -306,8 +302,8 @@ class Propagator:
             np.subtract(u_part, v_part, out=out[:, :, 1, p::2, 0])
             np.negative(u_part, out=out[:, :, 1, p::2, 1])
 
-    def critical_spectrum(self, sites: np.ndarray, times: np.ndarray,
-                          work: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def critical_spectrum(self, sites: np.ndarray,
+                          times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """nu (K x l) of the whole sites ``sites`` at every time on g == delta, without rows,
         and its floor scale ||W_A||^2 = tr sigma_A = 2l + ||V_A||^2 (K).
 
@@ -322,10 +318,10 @@ class Propagator:
             ones = np.ones((k, 2 * l - n))
             if l == n:
                 return ones, np.zeros(k)
-            nu, scale = self.critical_spectrum(np.setdiff1d(np.arange(n), sites), times, work)
+            nu, scale = self.critical_spectrum(np.setdiff1d(np.arange(n), sites), times)
             return np.hstack([ones, nu]), scale
         what = f"propagation to t = {times[0]}..{times[-1]}"
-        work = np.empty(4 * k * l * n) if work is None else work
+        work = np.empty(4 * k * l * n)
         u_mat, v_mat = self._critical_uv(sites, times, 1.0, work)
         within_limit(work[:2 * u_mat.size], what)   # U_A and V_A
         scale = 2.0 * l + np.einsum("kij,kij->k", v_mat, v_mat)
@@ -372,7 +368,7 @@ class Propagator:
         """Every row of entropy_rows(t); see that method for the frame choice."""
         return self.entropy_rows(t, np.arange(2 * self.params.n_sites))
 
-    def entropy_rows(self, t, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def entropy_rows(self, t, rows: np.ndarray) -> np.ndarray:
         """Rows of a quadrature map whose state has the subsystem entropies of S(t).
 
         Away from g == delta the frame route returns rows of
@@ -396,17 +392,11 @@ class Propagator:
         to about 5e-12 rad at N = 512. Larger blocks keep one phase per mode
         and the per-time order Psi2^T[rows] (B(t) G), which the 1e-12
         references fix for the ill-conditioned g = 0 quarter (pairing moved its
-        N = 256 value by 1.8e-5). ``out``, a C-contiguous K x 2l x 2N array,
-        receives the stack instead of a new array.
+        N = 256 value by 1.8e-5).
         """
         times = np.atleast_1d(np.asarray(t, dtype=float))
         shape = (times.size, rows.size, 2 * self.params.n_sites)
-        if out is None:
-            stack = np.empty(shape)
-        elif out.shape == shape and out.flags.c_contiguous:
-            stack = out
-        else:
-            raise ValueError(f"out must be a C-contiguous {shape} array, got {out.shape}")
+        stack = np.empty(shape)
         if self.frame is None:
             sites = rows[::2] // 2
             if np.array_equal(rows, (2 * sites[:, None] + [0, 1]).ravel()):
@@ -472,25 +462,6 @@ def _converge_series(sample, protocol: AveragingProtocol) -> tuple[np.ndarray, b
         target = min(drawn + protocol.batch_samples, protocol.max_samples)
 
 
-def _take_rows_buffer(size: int) -> np.ndarray:
-    """A flat float64 buffer of at least ``size`` entries: the thread's spare or a new one.
-
-    The spare is handed out once, so an average run inside a ``reduce``
-    gets a buffer of its own.
-    """
-    buffer = getattr(_spare_rows, "buffer", None)
-    _spare_rows.buffer = None
-    return buffer if buffer is not None and buffer.size >= size else np.empty(size)
-
-
-def _keep_rows_buffer(buffer: np.ndarray) -> None:
-    """Keep ``buffer`` as the thread's spare if it fits the rows share of
-    _CHUNK_BYTES and is larger than the spare already kept."""
-    spare = getattr(_spare_rows, "buffer", None)
-    if 2 * buffer.nbytes <= _CHUNK_BYTES and (spare is None or spare.size < buffer.size):
-        _spare_rows.buffer = buffer
-
-
 def _sample(params: ModelParams, subsystem, reduce, protocol: AveragingProtocol | None,
             stacks: int = 2, spectrum_reduce=None) -> tuple[np.ndarray, bool]:
     """Sampler behind every average: ``reduce`` of the subsystem's rows on the grid.
@@ -505,12 +476,7 @@ def _sample(params: ModelParams, subsystem, reduce, protocol: AveragingProtocol 
 
     A draw is taken in chunks that fit ``stacks`` arrays of a chunk's size
     (by default the rows and their QR copy, or U, V and their weights) in
-    _CHUNK_BYTES. Every chunk writes its rows (or U, V) into one buffer,
-    which the thread keeps for its next average (``_take_rows_buffer``), and
-    the reduced values are copied out before the next chunk. A new multi-MiB
-    array per chunk or per average lets the allocator hand its pages back,
-    and faulting them in again is slow and varies with the machine's load
-    and, through the allocator's state, with the order of the averages.
+    _CHUNK_BYTES; each chunk allocates its own arrays.
     """
     if protocol is None:
         protocol = AveragingProtocol.for_params(params)
@@ -518,30 +484,21 @@ def _sample(params: ModelParams, subsystem, reduce, protocol: AveragingProtocol 
     if rows.size == 0:
         raise ValueError("subsystem must contain at least one site")
     prop = build_propagator(params, None)
-    width = rows.size * 2 * params.n_sites
-    chunk = max(1, _CHUNK_BYTES // (stacks * width * 8))
+    chunk = max(1, _CHUNK_BYTES // (stacks * rows.size * 2 * params.n_sites * 8))
     sites = rows[::2] // 2
 
-    def evaluate(times: np.ndarray, work: np.ndarray) -> np.ndarray:
+    def evaluate(times: np.ndarray) -> np.ndarray:
         if spectrum_reduce is None or (prop.frame is not None and sites.size > 1):
-            # reduce may return a view of the rows, which the next chunk overwrites
-            return np.array(reduce(prop.entropy_rows(
-                times, rows, out=work.reshape(times.size, rows.size, -1))))
+            # a copy: a view of the rows would keep the whole chunk alive
+            return np.array(reduce(prop.entropy_rows(times, rows)))
         if prop.frame is None:
-            return spectrum_reduce(*prop.critical_spectrum(sites, times, work))
+            return spectrum_reduce(*prop.critical_spectrum(sites, times))
         nu, trace = _gram_nu(prop._site_gram(sites[0], times))
         return spectrum_reduce(nu[:, None], trace)
 
     def draw(k0: int, k1: int) -> np.ndarray:
-        buffer = _take_rows_buffer(chunk * width)
-        values = []
-        try:
-            for c0 in range(k0, k1, chunk):
-                c1 = min(k1, c0 + chunk)
-                values.append(evaluate(protocol.times(c0, c1), buffer[:(c1 - c0) * width]))
-        finally:
-            _keep_rows_buffer(buffer)
-        return np.concatenate(values)
+        return np.concatenate([evaluate(protocol.times(c0, min(k1, c0 + chunk)))
+                               for c0 in range(k0, k1, chunk)])
 
     return _converge_series(draw, protocol)
 

@@ -132,6 +132,12 @@ def test_s1_prediction_branches():
     assert s1_prediction(_params(0.26, 96)) == pytest.approx(1.5861672909269182, rel=1e-13)
 
 
+def test_s1_prediction_is_zero_without_pairing():
+    # a passive chain keeps the vacuum: expansion window, reciprocal saturation
+    for g, n in ((0.0, 16), (0.01, 16), (0.0, 128), (0.5, 64)):
+        assert s1_prediction(_params(g, n, delta=0.0)) == 0.0
+
+
 def test_s1_prediction_tracks_converged_averages():
     # reference values are converged protocol outputs (rel <= 5e-3),
     # one per dispatcher branch

@@ -112,6 +112,15 @@ def test_repeated_grid_values_give_one_row_per_point(tmp_path):
         assert manifest["rows"] == 1 and len(manifest["runs"]) == 1
 
 
+def test_analytic_at_zero_delta_is_zero(tmp_path):
+    # g = 0 and g = 0.01 at N = 16 lie inside the expansion window
+    cfg = _write_cfg(tmp_path, delta="0", g="0,0.01", n="16", out=tmp_path / "z")
+    assert main(["analytic", "--config", cfg]) == 0
+    lines = (tmp_path / "z" / "analytic.csv").read_text().splitlines()[1:]
+    assert len(lines) == 2
+    assert [float(line.split(",")[3]) for line in lines] == [0.0, 0.0]
+
+
 def test_analytic_block_cuts(tmp_path):
     cfg = _write_cfg(tmp_path, g="0.2", n="8", cut="quarter", out=tmp_path / "q")
     assert main(["analytic", "--config", cfg]) == 0
@@ -234,6 +243,14 @@ def test_figures_list_accepts_spaces(tmp_path):
     assert (tmp_path / "s" / "page.csv").is_file()
     assert (tmp_path / "s" / "profiles.csv").is_file()
     assert not (tmp_path / "s" / "fourpoint.csv").exists()
+
+
+def test_empty_figures_list_exits_3(tmp_path, capsys):
+    for i, names in enumerate(("", " , ")):
+        cfg = _write_cfg(tmp_path, name=f"empty{i}.cfg", figures=names, out=tmp_path / "e")
+        assert main(["figures", "--config", cfg]) == 3
+        assert capsys.readouterr().err.startswith("error: empty figures list")
+    assert not (tmp_path / "e").exists()
 
 
 def test_exit_codes(tmp_path, capfd):
@@ -376,6 +393,29 @@ def test_resume_reuses_rows_only_under_their_protocol(tmp_path):
     assert [run["route"] for run in resumed] == ["resumed", "resumed"]
     for run, before in zip(resumed, runs):
         assert run["protocol"] == before["protocol"]
+
+
+def test_sweep_directory_holds_one_pair_of_couplings(tmp_path, capsys):
+    # with t_min and dt fixed the protocol does not depend on the couplings,
+    # and the CSV has no w or delta column: only the manifest tells them apart
+    out = tmp_path / "d"
+    keys = dict(g="0.2", n="8", out=out, protocol_t_min="80", protocol_dt="10", **_FAST)
+    first = _write_cfg(tmp_path, name="first.cfg", w="1", delta="0.25", **keys)
+    assert main(["sweep", "--config", first]) == 0
+    written = {path.name: path.read_bytes() for path in out.iterdir()}
+    for i, (key, recorded, asked) in enumerate([("delta", "0.25", "0.1"), ("w", "1.0", "2")]):
+        other = _write_cfg(tmp_path, name=f"other{i}.cfg",
+                           **{"w": "1", "delta": "0.25", **keys, key: asked})
+        assert main(["sweep", "--config", other]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"records {key} = {recorded}, not {float(asked)!r}" in err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == written
+    # the same couplings written another way are the same directory
+    same = _write_cfg(tmp_path, name="same.cfg", w="1.0", delta="0.250", **keys)
+    assert main(["sweep", "--config", same]) == 0
+    runs = json.loads((out / "sweep.manifest.json").read_text())["runs"]
+    assert [run["route"] for run in runs] == ["resumed"]
 
 
 def test_interrupted_sweep_keeps_finished_points(tmp_path, monkeypatch):

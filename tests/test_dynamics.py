@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -684,45 +685,37 @@ def test_entropy_rows_stack_matches_scalar_calls():
             assert np.allclose(flipped, stack[:, ::-1], rtol=0, atol=1e-13 * np.abs(stack).max())
 
 
-def test_entropy_rows_fill_out_bit_for_bit():
-    for g in (0.2, 0.25):
-        p = _params(g, 10)
-        prop = build_propagator(p, None)
-        proto = AveragingProtocol.for_params(p)
-        times = proto.times(0, 12)
-        for cut in ([4], [0, 1, 2]):
-            rows = quadrature_indices(cut)
-            out = np.full((12, rows.size, 20), np.nan)
-            stack = prop.entropy_rows(times, rows, out=out)
-            assert stack is out
-            assert np.array_equal(out, prop.entropy_rows(times, rows))
-        with pytest.raises(ValueError, match="C-contiguous"):
-            prop.entropy_rows(times, rows, out=np.empty((12, 20, rows.size)).T)
-
-
-def test_averages_share_one_rows_buffer(monkeypatch):
-    # every chunk of every average writes its rows into the same memory, and a
-    # reduce that returns a view of them still gets its own values back
-    monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 16 * 20 * 8 * 2)
-    addresses = set()
-
-    def view(stack):
-        addresses.add(stack.__array_interface__["data"][0])
+def test_chunk_memory_is_bounded_and_views_are_copied(monkeypatch):
+    def first(stack):
         return stack[:, 0, 0]
 
+    # a reduce that returns a view of the rows keeps no chunk alive: 1,000
+    # samples of 32 KiB rows stay within two chunk budgets
+    p = _params(0.2, 64)
+    build_propagator(p, None).mode_map   # the cached propagator is built before tracing
+    proto = AveragingProtocol.for_params(p, initial_samples=1000, max_samples=1000)
+    tracemalloc.start()
+    try:
+        result = time_series(p, range(16), first, proto)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.n_samples == 1000
+    assert peak <= 2 * dynamics._CHUNK_BYTES
+    # and gets the values of a copying one
+    monkeypatch.setattr(dynamics, "_CHUNK_BYTES", 16 * 20 * 8 * 2)
     for g in (0.2, 0.25):
         p = _params(g, 10)
         proto = AveragingProtocol.for_params(p, initial_samples=50, batch_samples=30,
                                              max_samples=110, rel_threshold=1e-9)
         for cut in ([4], [0, 1, 2]):
-            shared = time_series(p, cut, view, proto)
+            shared = time_series(p, cut, first, proto)
             copied = time_series(p, cut, lambda stack: stack[:, 0, 0].copy(), proto)
             assert shared.n_samples == copied.n_samples == 110
             assert np.array_equal(shared.values, copied.values)
-    assert len(addresses) == 1
 
 
-def test_average_inside_reduce_gets_its_own_rows_buffer():
+def test_average_inside_reduce_gets_its_own_values():
     p = _params(0.2, 10)
     proto = AveragingProtocol.for_params(p, initial_samples=40, rel_threshold=1.0)
     inner = []
