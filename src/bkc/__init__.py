@@ -22,8 +22,6 @@ from .errors import (
     OverflowGuard,
 )
 from .gaussian import (
-    vacuum,
-    CovarianceMatrix,
     LocalDecomposition,
     entropy_from_factor,
     entropy_from_gram,
@@ -31,9 +29,7 @@ from .gaussian import (
     local_decompose,
     single_site_nu,
     site_correlators,
-    subsystem_entropy,
     subsystem_entropy_from_rows,
-    symplectic_eigenvalues,
     symplectic_eigenvalues_from_rows,
     symplectic_form,
 )
@@ -91,11 +87,9 @@ __all__ = [
     "BkcError", "ConfigError", "CriticalFrameUndefined", "DegenerateSpectrum",
     "DomainError", "MissingReference", "NonConvergence", "NumericalFailure",
     "OverflowGuard",
-    "CovarianceMatrix", "LocalDecomposition", "entropy_from_factor",
-    "entropy_from_gram", "entropy_kernel", "local_decompose", "single_site_nu", "site_correlators",
-    "subsystem_entropy", "subsystem_entropy_from_rows",
-    "symplectic_eigenvalues", "symplectic_eigenvalues_from_rows",
-    "symplectic_form", "vacuum",
+    "LocalDecomposition", "entropy_from_factor", "entropy_from_gram", "entropy_kernel",
+    "local_decompose", "single_site_nu", "site_correlators", "subsystem_entropy_from_rows",
+    "symplectic_eigenvalues_from_rows", "symplectic_form",
     "ModelParams", "PhaseRegime", "SqueezingFrame", "TightBindingSpectrum",
     "bdg_matrices", "classify_phase", "squeezing_frame", "tight_binding_spectrum",
     "AveragingProtocol", "PageCurve", "PropagationMode", "Propagator",

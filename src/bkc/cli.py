@@ -145,26 +145,24 @@ def _protocol_for(params: ModelParams, cfg: dict[str, str]) -> AveragingProtocol
         raise ConfigError(f"invalid sampling protocol: {exc}") from exc
 
 
-def _resolve_site(cfg: dict[str, str], params: ModelParams) -> int:
-    if cfg.get("site", "") != "":
-        site = _scalar(cfg, "site", int)
-    else:
-        site = params.n_sites // 2
-    if not 0 <= site < params.n_sites:
-        raise ConfigError(f"site {site} out of range for N={params.n_sites}")
+def _resolve_site(cfg: dict[str, str], n: int) -> int:
+    site = _scalar(cfg, "site", int) if cfg.get("site", "") != "" else n // 2
+    if not 0 <= site < n:
+        raise ConfigError(f"site {site} out of range for N={n}")
     return site
 
 
-def _subsystems(cfg: dict[str, str], params: ModelParams) -> list[tuple[str, list[int]]]:
+def _subsystems(cfg: dict[str, str], n: int) -> list[tuple[str, list[int]]]:
+    """(label, sites) of every subsystem the configured cut takes on a chain of N = n."""
     cut = cfg["cut"]
     if cut == "site":
-        j = _resolve_site(cfg, params)
+        j = _resolve_site(cfg, n)
         return [(f"site:{j}", [j])]
     if cut == "quarter":
-        l = max(1, params.n_sites // 4)
+        l = max(1, n // 4)
         return [(f"left:{l}", list(range(l)))]
     if cut == "page":
-        return [(f"left:{l}", list(range(l))) for l in range(1, params.n_sites)]
+        return [(f"left:{l}", list(range(l))) for l in range(1, n)]
     raise ConfigError(f"unknown cut {cut!r} (expected site, quarter or page)")
 
 
@@ -201,7 +199,7 @@ def _sweep_point(task) -> list[dict]:
     if cfg["cut"] == "page":
         return _page_rows(params, protocol)
     rows = []
-    for label, sites in _subsystems(cfg, params):
+    for label, sites in _subsystems(cfg, n):
         result, converged, seconds = _run_average(time_averaged_entropy, params, sites, protocol)
         rows.append(_sweep_row((g, n, label, result.mean, result.stderr, result.n_samples),
                                converged=converged, protocol=dataclasses.asdict(protocol),
@@ -338,7 +336,8 @@ def cmd_sweep(cfg: dict[str, str]) -> int:
     tasks = []
     for params in _grid(cfg):
         protocol = dataclasses.asdict(_protocol_for(params, cfg))
-        wanted = [(params.g, params.n_sites, label) for label, _ in _subsystems(cfg, params)]
+        wanted = [(params.g, params.n_sites, label)
+                  for label, _ in _subsystems(cfg, params.n_sites)]
         if all(key in rows and rows[key]["converged"] and rows[key].get("protocol") == protocol
                for key in wanted):
             continue
@@ -375,7 +374,7 @@ def cmd_analytic(cfg: dict[str, str]) -> int:
     rows = []
     for params in _grid(cfg):
         s1 = s1_prediction(params)
-        for label, sites in _subsystems(cfg, params):
+        for label, sites in _subsystems(cfg, params.n_sites):
             l = len(sites)
             value = s1 if cfg["cut"] == "site" else min(l, params.n_sites - l) * s1
             rows.append(_sweep_row((params.g, params.n_sites, label, value, 0.0, 0),
@@ -405,19 +404,18 @@ def cmd_collapse(cfg: dict[str, str], input_csv: str) -> int:
     cut = cfg["cut"]
     if cut not in ("site", "quarter"):
         raise ConfigError(f"collapse supports cut=site or cut=quarter, got {cut!r}")
-    kind = "site" if cut == "site" else "quarter"
-    prefix = "site:" if cut == "site" else "left:"
+    # the one row per (g, N) that sweep and analytic write for this cut
     rows = [r for r in _read_sweep_rows(Path(input_csv))
-            if r["subsystem"].startswith(prefix)]
+            if r["subsystem"] == _subsystems(cfg, r["N"])[0][0]]
     if not rows:
-        raise ConfigError(f"no {prefix}* rows in {input_csv}")
+        raise ConfigError(f"no rows of cut={cut} in {input_csv}")
     points = [(r["g"], r["N"], r["S_mean"]) for r in rows]
-    result = scaling_collapse(points, delta=delta, nu_exp=nu_exp, kind=kind)
+    result = scaling_collapse(points, delta=delta, nu_exp=nu_exp, kind=cut)
     _write_csv(out / "collapse.csv", "x,y,g,N",
                ((result.x[i], result.y[i], result.g_values[i], int(result.n_values[i]))
                 for i in np.argsort(result.x, kind="stable")))
     _write_manifest(out / "collapse.manifest.json", "collapse", cfg, [], started,
-                    extra={"input": str(input_csv), "nu_exp": nu_exp, "kind": kind,
+                    extra={"input": str(input_csv), "nu_exp": nu_exp, "kind": cut,
                            "quality": result.quality})
     return 0
 
@@ -444,7 +442,7 @@ def _figure_page(params: ModelParams, cfg: dict[str, str]) -> tuple[list, dict]:
 
 def _figure_fourpoint(params: ModelParams, cfg: dict[str, str]) -> tuple[list, dict]:
     """Four-point row; a point it cannot evaluate gives no row and an entry with a ``reason``."""
-    site = _resolve_site(cfg, params)
+    site = _resolve_site(cfg, params.n_sites)
     started = time.perf_counter()
     try:
         report = fourpoint_report(params, site, _protocol_for(params, cfg))
@@ -487,7 +485,8 @@ def _run_figures(cfg: dict[str, str], names: list[str], command: str) -> int:
 
 def cmd_figures(cfg: dict[str, str]) -> int:
     """Emit the per-figure data products named in the ``figures`` list."""
-    names = _parse_list(cfg["figures"], str.strip, "figures")
+    # a product named twice runs once
+    names = list(dict.fromkeys(_parse_list(cfg["figures"], str.strip, "figures")))
     if not names:
         raise ConfigError("empty figures list; choose from " + ", ".join(sorted(_FIGURES)))
     unknown = [name for name in names if name not in _FIGURES]

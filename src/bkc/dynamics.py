@@ -54,7 +54,6 @@ import numpy as np
 from .errors import NonConvergence, within_limit
 from .gaussian import (
     OMEGA2,
-    CovarianceMatrix,
     _entropy_from_spectrum,
     _gram_nu,
     entropy_from_factor,
@@ -428,10 +427,10 @@ def build_propagator(params: ModelParams, mode: None = None) -> Propagator:
     return Propagator(params)
 
 
-def evolve(params: ModelParams, t: float) -> CovarianceMatrix:
-    """Covariance of the evolved vacuum at time t."""
+def evolve(params: ModelParams, t: float) -> np.ndarray:
+    """Covariance sigma(t) = S S^T of the evolved vacuum at time t."""
     s_mat = build_propagator(params, None).symplectic(t)
-    return CovarianceMatrix(s_mat @ s_mat.T)
+    return s_mat @ s_mat.T
 
 
 def _standard_error(values: np.ndarray) -> np.ndarray:
@@ -650,10 +649,7 @@ def profiles(
     if frame is not None:
         inverse = frame.inverse_factors()
         mean_blocks = inverse @ mean_blocks @ inverse.transpose(0, 2, 1)
-    occs = np.empty(n)
-    pairs = np.empty(n, dtype=complex)
-    for j in range(n):
-        occs[j], pairs[j] = site_correlators(mean_blocks[j], 0)
+    occs, pairs = site_correlators(mean_blocks)
     result = SiteProfiles(entropies=values.mean(axis=0), stderrs=_standard_error(values),
                           occupations=occs, pair_amplitudes=pairs, mean_blocks=mean_blocks,
                           n_samples=values.shape[0], converged=converged)

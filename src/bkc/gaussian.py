@@ -1,8 +1,11 @@
-"""Gaussian-state toolkit on quadrature covariance matrices.
+"""Symplectic spectra and entropies of map rows and single-mode blocks.
 
 Conventions: N modes with quadratures ordered r = (q_1, p_1, ..., q_N, p_N),
 hbar = 1, and sigma_ij = <{r_i, r_j}>, so the vacuum covariance is the
 identity and every physical symplectic eigenvalue satisfies nu >= 1.
+Entropies start from the rows R of the quench map (sigma_A = R R^T), from
+their triangular factor, or from a single mode's 2x2 block; the eigenvalues
+of Omega_A sigma_A are the tests' oracle, not a route of the package.
 """
 from __future__ import annotations
 
@@ -41,78 +44,6 @@ def quadrature_indices(modes, n_modes: int | None = None) -> np.ndarray:
     if repeated.size:
         raise DomainError(f"mode index {repeated[0]} listed more than once")
     return np.stack([2 * modes, 2 * modes + 1], axis=1).reshape(-1)
-
-
-@dataclass(frozen=True, eq=False)
-class CovarianceMatrix:
-    """Validated covariance matrix of a zero-mean Gaussian state.
-
-    Parameters
-    ----------
-    data:
-        Real square array of even dimension. Symmetry is checked relative to
-        the matrix scale and the stored copy is symmetrized exactly.
-    """
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.data, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2:
-            raise ValueError("covariance matrix must be square with even dimension")
-        scale = max(1.0, float(np.max(np.abs(arr))) if arr.size else 1.0)
-        asym = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
-        if asym > 1e-10 * scale:
-            raise ValueError(f"covariance matrix is not symmetric (residual {asym:.3e})")
-        object.__setattr__(self, "data", (arr + arr.T) / 2.0)
-
-    @property
-    def n_modes(self) -> int:
-        return self.data.shape[0] // 2
-
-    def site_block(self, j: int) -> np.ndarray:
-        """2x2 quadrature block of mode j (0-based)."""
-        if not 0 <= j < self.n_modes:
-            raise DomainError(f"mode index {j} out of range for {self.n_modes} modes")
-        return self.data[2 * j:2 * j + 2, 2 * j:2 * j + 2]
-
-
-def vacuum(n_modes: int) -> CovarianceMatrix:
-    """Covariance of the N-mode vacuum: the identity in these conventions."""
-    if n_modes < 1:
-        raise DomainError(f"need at least one mode, got {n_modes}")
-    return CovarianceMatrix(np.eye(2 * n_modes))
-
-
-def _as_array(sigma) -> np.ndarray:
-    if isinstance(sigma, CovarianceMatrix):
-        return sigma.data
-    return np.asarray(sigma, dtype=float)
-
-
-def symplectic_eigenvalues(sigma, modes=None) -> np.ndarray:
-    """Symplectic spectrum of a covariance matrix restricted to ``modes``.
-
-    Eigenvalues of Omega_A sigma_A come in pairs +/- i nu; the returned array
-    holds the nu values sorted ascending, one per retained mode. Raw values
-    are returned without clamping; callers decide how to treat eigenvalues
-    that dip below 1 through floating-point noise.
-    """
-    arr = _as_array(sigma)
-    if modes is not None:
-        idx = quadrature_indices(modes, arr.shape[0] // 2)
-        arr = arr[np.ix_(idx, idx)]
-    if arr.size == 0:
-        return np.zeros(0)
-    omega = symplectic_form(arr.shape[0] // 2)
-    try:
-        vals = np.linalg.eigvals(omega @ arr)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailure(f"symplectic eigensolve failed: {exc}") from exc
-    vals = np.sort(np.abs(vals.imag))
-    if vals.size % 2:
-        raise NumericalFailure("symplectic spectrum did not pair up")
-    return (vals[0::2] + vals[1::2]) / 2.0
 
 
 def symplectic_eigenvalues_from_rows(rows) -> np.ndarray:
@@ -176,10 +107,10 @@ def _entropy_from_spectrum(nus: np.ndarray, scale):
 def subsystem_entropy_from_rows(rows):
     """Entanglement entropy of the block sigma_A = R R^T from its map rows.
 
-    Runs the whole row route, rows -> T -> nu -> S. Same clamping policy as
-    subsystem_entropy, with the noise floor scaled by the block norm
-    ||R||^2. A K x 2l x 2N stack gives an array of K entropies, each
-    checked against its own floor.
+    Runs the whole row route, rows -> T -> nu -> S. nu below 1 by no more
+    than a noise floor scaled by the block norm ||R||^2 is clamped to 1; a
+    lower one raises DomainError. A K x 2l x 2N stack gives an array of K
+    entropies, each checked against its own floor.
     """
     rows = np.asarray(rows, dtype=float)
     out = _entropy_from_spectrum(symplectic_eigenvalues_from_rows(rows),
@@ -248,31 +179,17 @@ def entropy_kernel(x):
     return out
 
 
-def subsystem_entropy(sigma, modes=None) -> float:
-    """Entanglement entropy of ``modes``: sum of s(nu) over the block spectrum.
-
-    Eigenvalues below 1 by no more than the scale-aware noise floor are
-    clamped to 1; a genuinely unphysical block raises DomainError.
-    """
-    arr = _as_array(sigma)
-    if modes is not None:
-        idx = quadrature_indices(modes, arr.shape[0] // 2)
-        arr = arr[np.ix_(idx, idx)]
-    scale = float(np.max(np.abs(arr))) if arr.size else 1.0
-    return float(_entropy_from_spectrum(symplectic_eigenvalues(arr), scale))
-
-
-def site_correlators(sigma, j: int) -> tuple[float, complex]:
-    """Occupation n = <a_j^dag a_j> and pair amplitude m = <a_j a_j> of mode j."""
-    if isinstance(sigma, CovarianceMatrix):
-        block = sigma.site_block(j)
-    else:
-        arr = np.asarray(sigma, dtype=float)
-        block = arr[2 * j:2 * j + 2, 2 * j:2 * j + 2]
-    qq, pp, qp = block[0, 0], block[1, 1], (block[0, 1] + block[1, 0]) / 2.0
+def site_correlators(block):
+    """Occupation n = <a^dag a> and pair amplitude m = <a a> of a single-mode 2x2
+    block; a K x 2 x 2 stack gives arrays of K values."""
+    block = np.asarray(block, dtype=float)
+    if block.shape[-2:] != (2, 2):
+        raise ValueError("site_correlators expects a 2x2 block or a stack of them")
+    qq, pp = block[..., 0, 0], block[..., 1, 1]
+    qp = (block[..., 0, 1] + block[..., 1, 0]) / 2.0
     n = (qq + pp - 2.0) / 4.0
     m = (qq - pp + 2.0j * qp) / 4.0
-    return float(n), complex(m)
+    return (float(n), complex(m)) if block.ndim == 2 else (n, m)
 
 
 def single_site_nu(n, m):

@@ -11,14 +11,17 @@ are the slow, direct forms the tests compare them with:
   bond from site N back to site 1, and the eigenvalues of Omega h;
 * ``mode_covariance``, ``dephased_mode_covariance`` and
   ``dephased_covariance``: the initial covariance X = G G^T in the normal
-  modes, and its exact infinite-time average by the stationary-block rules.
+  modes, and its exact infinite-time average by the stationary-block rules;
+* ``symplectic_eigenvalues`` and ``subsystem_entropy``: the covariance
+  eigen-route, the paired eigenvalues of Omega_A sigma_A of a block sigma_A
+  and the clamped entropy sum over them.
 """
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
 
-from bkc.gaussian import OMEGA2, symplectic_form
+from bkc.gaussian import OMEGA2, _entropy_from_spectrum, quadrature_indices, symplectic_form
 from bkc.model import (
     ModelParams,
     SqueezingFrame,
@@ -134,3 +137,33 @@ def dephased_covariance(params: ModelParams) -> np.ndarray:
     psi2 = np.kron(tight_binding_spectrum(params).modes, np.eye(2))
     g_inv = frame_inverse_matrix(squeezing_frame(params)) @ psi2.T
     return g_inv @ dephased_mode_covariance(params) @ g_inv.T
+
+
+def _block(sigma, modes) -> np.ndarray:
+    arr = np.asarray(sigma, dtype=float)
+    if modes is None:
+        return arr
+    idx = quadrature_indices(modes, arr.shape[0] // 2)
+    return arr[np.ix_(idx, idx)]
+
+
+def symplectic_eigenvalues(sigma, modes=None) -> np.ndarray:
+    """Symplectic spectrum of the covariance ``sigma`` restricted to ``modes``.
+
+    Eigenvalues of Omega_A sigma_A come in pairs +/- i nu; the result holds
+    the nu sorted ascending, one per mode, raw (not clamped at 1).
+    """
+    arr = _block(sigma, modes)
+    if arr.size == 0:
+        return np.zeros(0)
+    vals = np.sort(np.abs(np.linalg.eigvals(symplectic_form(arr.shape[0] // 2) @ arr).imag))
+    assert vals.size % 2 == 0, "symplectic spectrum did not pair up"
+    return (vals[0::2] + vals[1::2]) / 2.0
+
+
+def subsystem_entropy(sigma, modes=None) -> float:
+    """Entropy of ``modes`` from the block spectrum, with the package's noise floor
+    (``_entropy_from_spectrum``) scaled by the block's largest entry."""
+    arr = _block(sigma, modes)
+    scale = float(np.max(np.abs(arr))) if arr.size else 1.0
+    return float(_entropy_from_spectrum(symplectic_eigenvalues(arr), scale))

@@ -19,9 +19,9 @@ from bkc.dynamics import (
     series_fluctuation_ratio,
 )
 from bkc.fourpoint import a_kernel, epsilon4, log_correction
-from bkc.gaussian import entropy_kernel, symplectic_eigenvalues
+from bkc.gaussian import entropy_kernel
 from bkc.model import ModelParams
-from oracles import dense_map
+from oracles import dense_map, symplectic_eigenvalues
 
 GRID_GS = (0.0, 0.2, 0.24, 0.245, 0.249, 0.25, 0.251, 0.255, 0.26)
 GRID_NS = (16, 32, 48, 64, 96, 128)
@@ -190,7 +190,7 @@ def test_route_equivalence_and_purity():
     for g in (0.1, 0.4):
         p = _params(g, 6)
         for t in (1.3, 7.7, 20.0 / p.hopping):
-            sig_frame = evolve(p, t).data
+            sig_frame = evolve(p, t)
             s_lab = dense_map(p, t)
             sig_lab = s_lab @ s_lab.T
             assert np.max(np.abs(sig_frame - sig_lab)) <= 1e-8

@@ -10,6 +10,7 @@ import pytest
 from bkc import cli
 from bkc.analytics import s1_prediction
 from bkc.cli import main, parse_config
+from bkc.dynamics import AveragingProtocol, page_curve
 from bkc.errors import ConfigError
 from bkc.model import ModelParams
 
@@ -155,6 +156,64 @@ def test_collapse_roundtrip_and_missing_reference(tmp_path):
     assert main(["collapse", csv, "--config", page]) == 3
 
 
+def test_collapse_takes_only_the_rows_of_its_cut(tmp_path, capsys):
+    # a Page-curve CSV holds every cut; a quarter collapse takes left:N//4 at each N
+    page = _write_cfg(tmp_path, name="page.cfg", g="0.2,0.25", n="8,16", cut="page",
+                      out=tmp_path / "p")
+    assert main(["analytic", "--config", page]) == 0
+    quarter = _write_cfg(tmp_path, name="quarter.cfg", g="0.2,0.25", n="8,16",
+                         cut="quarter", out=tmp_path / "q")
+    assert main(["collapse", str(tmp_path / "p" / "analytic.csv"), "--config", quarter]) == 0
+    lines = (tmp_path / "q" / "collapse.csv").read_text().splitlines()[1:]
+    assert len(lines) == 4
+    for line in lines:
+        _, y, g, n = line.split(",")
+        n = int(n)
+        s1 = {gv: s1_prediction(ModelParams(w=1.0, delta=0.25, g=gv, n_sites=n))
+              for gv in (0.2, 0.25)}
+        expected = (n // 4) * (s1[float(g)] - s1[0.25]) / n
+        assert float(y) == pytest.approx(expected, rel=1e-12, abs=1e-15)
+
+    # two sites in one CSV: the configured one, or exit 3 naming the cut
+    csv = tmp_path / "sites.csv"
+    csv.write_text("g,N,subsystem,S_mean,stderr,n_samples\n"
+                   "0.25,8,site:0,1.0,0,0\n0.25,8,site:3,2.0,0,0\n"
+                   "0.3,8,site:0,0.5,0,0\n0.3,8,site:3,1.0,0,0\n")
+    for site, y_ref in (("0", -0.5), ("3", -1.0)):
+        cfg = _write_cfg(tmp_path, name=f"site{site}.cfg", site=site, out=tmp_path / site)
+        assert main(["collapse", str(csv), "--config", cfg]) == 0
+        lines = (tmp_path / site / "collapse.csv").read_text().splitlines()[1:]
+        assert [float(line.split(",")[1]) for line in lines] == [0.0, y_ref]
+    default = _write_cfg(tmp_path, name="default.cfg", out=tmp_path / "d")
+    capsys.readouterr()
+    assert main(["collapse", str(csv), "--config", default]) == 3
+    assert "cut=site" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
+def test_page_cut_sweep_and_analytic(tmp_path):
+    p = ModelParams(w=1.0, delta=0.25, g=0.2, n_sites=8)
+    cfg = _write_cfg(tmp_path, g="0.2", n="8", cut="page", out=tmp_path / "s", **_FAST)
+    assert main(["sweep", "--config", cfg]) == 0
+    rows = [line.split(",") for line in
+            (tmp_path / "s" / "sweep.csv").read_text().splitlines()[1:]]
+    assert [row[2] for row in rows] == [f"left:{l}" for l in range(1, 8)]
+    assert len({row[5] for row in rows}) == 1
+    curve = page_curve(p, AveragingProtocol.for_params(p, initial_samples=30,
+                                                       rel_threshold=1.0))
+    assert [float(row[3]) for row in rows] == list(curve.entropies)
+    assert int(rows[0][5]) == curve.n_samples
+    assert main(["sweep", "--config", cfg]) == 0
+    manifest = json.loads((tmp_path / "s" / "sweep.manifest.json").read_text())
+    assert [run["route"] for run in manifest["runs"]] == ["resumed"] * 7
+
+    assert main(["analytic", "--config", cfg]) == 0
+    s1 = s1_prediction(p)
+    for line in (tmp_path / "s" / "analytic.csv").read_text().splitlines()[1:]:
+        l = int(line.split(",")[2].removeprefix("left:"))
+        assert float(line.split(",")[3]) == min(l, 8 - l) * s1
+
+
 def test_collapse_imports_no_numpy_ma(tmp_path):
     cfg = _write_cfg(tmp_path, g="0.25,0.3", n="8,16", out=tmp_path / "c")
     assert main(["analytic", "--config", cfg]) == 0
@@ -243,6 +302,15 @@ def test_figures_list_accepts_spaces(tmp_path):
     assert (tmp_path / "s" / "page.csv").is_file()
     assert (tmp_path / "s" / "profiles.csv").is_file()
     assert not (tmp_path / "s" / "fourpoint.csv").exists()
+
+
+def test_figure_named_twice_runs_once(tmp_path):
+    cfg = _write_cfg(tmp_path, g="0.2", n="8", figures="page, page", out=tmp_path / "f",
+                     **_FAST)
+    assert main(["figures", "--config", cfg]) == 0
+    assert len((tmp_path / "f" / "page.csv").read_text().splitlines()) == 1 + 7
+    manifest = json.loads((tmp_path / "f" / "figures.manifest.json").read_text())
+    assert [run["subsystem"] for run in manifest["runs"]] == ["page"]
 
 
 def test_empty_figures_list_exits_3(tmp_path, capsys):

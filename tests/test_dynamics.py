@@ -27,10 +27,15 @@ from bkc.gaussian import (
     quadrature_indices,
     site_correlators,
     subsystem_entropy_from_rows,
-    symplectic_eigenvalues,
 )
 from bkc.model import ModelParams, tight_binding_spectrum
-from oracles import dense_map, dephased_covariance, frame_matrix, symplectic_residual
+from oracles import (
+    dense_map,
+    dephased_covariance,
+    frame_matrix,
+    symplectic_eigenvalues,
+    symplectic_residual,
+)
 
 
 def _params(g, n, w=1.0, delta=0.25):
@@ -78,7 +83,7 @@ def test_frame_route_matches_matrix_exponential():
         for g in (0.0, 0.2, 0.3):
             p = _params(g, n)
             t = 3.7
-            sig_frame = evolve(p, t).data
+            sig_frame = evolve(p, t)
             s_lab = dense_map(p, t)
             sig_lab = s_lab @ s_lab.T
             scale = np.max(np.abs(sig_lab))
@@ -110,9 +115,9 @@ def test_entropy_map_reproduces_lab_entropies():
 
 
 def test_evolved_state_stays_pure():
-    nus = symplectic_eigenvalues(evolve(_params(0.25, 16), 50.0).data)
+    nus = symplectic_eigenvalues(evolve(_params(0.25, 16), 50.0))
     assert np.max(np.abs(nus - 1.0)) <= 1e-9
-    nus = symplectic_eigenvalues(evolve(_params(0.2, 11), 30.0).data)
+    nus = symplectic_eigenvalues(evolve(_params(0.2, 11), 30.0))
     assert np.max(np.abs(nus - 1.0)) <= 1e-9
 
 
@@ -125,7 +130,7 @@ def test_mode_occupations_conserved_after_quench():
     for t in (0.0, 3.1, 17.9, 64.2):
         bg = psi2 @ prop.entropy_map(t)
         occs.append(
-            [site_correlators(bg[2 * k:2 * k + 2] @ bg[2 * k:2 * k + 2].T, 0)[0]
+            [site_correlators(bg[2 * k:2 * k + 2] @ bg[2 * k:2 * k + 2].T)[0]
              for k in range(9)]
         )
     occs = np.array(occs)
@@ -480,9 +485,9 @@ def test_profiles_against_exact_dephasing():
     assert prof.converged
     sig_bar = dephased_covariance(p)
     for j in range(10):
-        occ_exact, _ = site_correlators(sig_bar, j)
-        assert prof.occupations[j] == pytest.approx(occ_exact, rel=0.06)
         blk_exact = sig_bar[2 * j:2 * j + 2, 2 * j:2 * j + 2]
+        occ_exact, _ = site_correlators(blk_exact)
+        assert prof.occupations[j] == pytest.approx(occ_exact, rel=0.06)
         assert np.max(np.abs(prof.mean_blocks[j] - blk_exact)) <= 0.06 * np.max(
             np.abs(blk_exact)
         )
@@ -554,7 +559,7 @@ def test_frame_route_averages_never_build_the_lab_map(monkeypatch):
 
 def test_evolve_at_time_zero_is_vacuum():
     sig = evolve(_params(0.2, 5), 0.0)
-    assert np.array_equal(sig.data, np.eye(10))
+    assert np.array_equal(sig, np.eye(10))
 
 
 @pytest.mark.parametrize("n", [32, 64])

@@ -1,4 +1,4 @@
-"""Covariance-matrix toolkit: spectra, entropies, local decompositions."""
+"""Spectra and entropies of map rows and single-mode blocks, local decompositions."""
 import math
 
 import numpy as np
@@ -8,7 +8,6 @@ from scipy.linalg import expm
 from bkc.dynamics import SiteProfiles
 from bkc.errors import DomainError, OverflowGuard
 from bkc.gaussian import (
-    CovarianceMatrix,
     LocalDecomposition,
     entropy_from_factor,
     entropy_from_gram,
@@ -16,14 +15,11 @@ from bkc.gaussian import (
     local_decompose,
     single_site_nu,
     site_correlators,
-    subsystem_entropy,
     subsystem_entropy_from_rows,
-    symplectic_eigenvalues,
     symplectic_eigenvalues_from_rows,
     symplectic_form,
-    vacuum,
 )
-from oracles import symplectic_residual
+from oracles import subsystem_entropy, symplectic_eigenvalues, symplectic_residual
 
 RNG = np.random.default_rng(20260814)
 
@@ -45,18 +41,13 @@ def two_mode_squeezed(r):
     return s @ s.T
 
 
-def test_vacuum_is_identity():
-    assert np.array_equal(vacuum(1).data, np.eye(2))
-    assert np.array_equal(vacuum(4).data, np.eye(8))
-
-
 def test_vacuum_spectrum_all_ones():
-    nus = symplectic_eigenvalues(vacuum(4))
+    nus = symplectic_eigenvalues(np.eye(8))
     assert np.allclose(nus, 1.0, atol=1e-12)
 
 
 def test_vacuum_subsystem_entropy_zero():
-    sig = vacuum(5)
+    sig = np.eye(10)
     for cut in ([0], [1, 3], [0, 1, 2, 3, 4]):
         assert subsystem_entropy(sig, cut) == pytest.approx(0.0, abs=1e-10)
 
@@ -127,7 +118,7 @@ def test_chain_of_pairs_entropy_adds():
 
 
 def test_site_correlators_vacuum():
-    n, m = site_correlators(vacuum(3), 1)
+    n, m = site_correlators(np.eye(2))
     assert n == 0.0
     assert m == 0.0
 
@@ -135,7 +126,7 @@ def test_site_correlators_vacuum():
 def test_site_correlators_squeezed_vacuum():
     r = 0.6
     sig = np.diag([math.exp(-2 * r), math.exp(2 * r)])
-    n, m = site_correlators(sig, 0)
+    n, m = site_correlators(sig)
     assert n == pytest.approx(math.sinh(r) ** 2, rel=1e-12)
     assert abs(m) == pytest.approx(0.5 * math.sinh(2 * r), rel=1e-12)
 
@@ -143,7 +134,7 @@ def test_site_correlators_squeezed_vacuum():
 def test_site_correlators_thermal_block():
     nbar = 2.5
     sig = np.diag([2 * nbar + 1, 2 * nbar + 1])
-    n, m = site_correlators(sig, 0)
+    n, m = site_correlators(sig)
     assert n == pytest.approx(nbar, rel=1e-12)
     assert m == 0.0
 
@@ -151,8 +142,21 @@ def test_site_correlators_thermal_block():
 def test_site_correlators_phase_convention():
     # off-diagonal qp element feeds the imaginary part of m
     sig = np.array([[2.0, 0.5], [0.5, 2.0]])
-    _, m = site_correlators(sig, 0)
+    _, m = site_correlators(sig)
     assert m.imag == pytest.approx(0.25, rel=1e-12)
+
+
+def test_site_correlators_take_a_stack_of_blocks():
+    s = random_symplectic(3, RNG)
+    sig = s @ s.T
+    blocks = np.stack([sig[2 * j:2 * j + 2, 2 * j:2 * j + 2] for j in range(3)])
+    occs, pairs = site_correlators(blocks)
+    for j in range(3):
+        n, m = site_correlators(blocks[j])
+        assert occs[j] == n and pairs[j] == m
+    for bad in (np.eye(4), np.ones(2), np.ones((3, 2, 3))):
+        with pytest.raises(ValueError):
+            site_correlators(bad)
 
 
 def test_single_site_nu_pure_and_thermal():
@@ -169,7 +173,7 @@ def test_single_site_nu_matches_block_spectrum():
         s = random_symplectic(3, RNG)
         sig = s @ s.T
         for j in range(3):
-            n, m = site_correlators(sig, j)
+            n, m = site_correlators(sig[2 * j:2 * j + 2, 2 * j:2 * j + 2])
             direct = symplectic_eigenvalues(sig, [j])[0]
             assert single_site_nu(n, m) == pytest.approx(direct, abs=1e-10 * direct)
 
@@ -235,7 +239,7 @@ def test_local_squeezer_keeps_vacuum_sites_pure():
     r = 1.1
     sq = np.eye(6)
     sq[2:4, 2:4] = np.diag([math.exp(-r), math.exp(r)])
-    out = CovarianceMatrix(sq @ vacuum(3).data @ sq.T)
+    out = sq @ np.eye(6) @ sq.T
     for j in range(3):
         assert subsystem_entropy(out, [j]) == pytest.approx(0.0, abs=1e-9)
 
@@ -246,7 +250,7 @@ def test_symplectic_spectrum_invariance():
         sig = s0 @ s0.T
         ref = symplectic_eigenvalues(sig)
         s = random_symplectic(3, RNG)
-        moved = CovarianceMatrix(s @ sig @ s.T)
+        moved = s @ sig @ s.T
         assert np.allclose(symplectic_eigenvalues(moved), ref, atol=1e-9 * ref.max())
         assert symplectic_residual(s) <= 1e-10
 
@@ -261,17 +265,8 @@ def test_local_symplectic_invariance_of_entropy():
     for j in range(4):
         sj = random_symplectic(1, RNG, scale=0.6)
         local[2 * j:2 * j + 2, 2 * j:2 * j + 2] = sj
-    moved = CovarianceMatrix(local @ sig @ local.T)
+    moved = local @ sig @ local.T
     assert subsystem_entropy(moved, cut) == pytest.approx(ref, abs=1e-9 * max(1.0, ref))
-
-
-def test_covariance_matrix_validation():
-    with pytest.raises(ValueError):
-        CovarianceMatrix(np.zeros((3, 3)))
-    bad = np.eye(4)
-    bad[0, 1] = 0.5
-    with pytest.raises(ValueError):
-        CovarianceMatrix(bad)
 
 
 def test_uncertainty_floor_on_constructed_states():

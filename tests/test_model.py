@@ -87,8 +87,8 @@ def test_generator_matches_finite_difference_derivative():
     h, omega = bdg_matrices(p)
     m = omega @ h
     eps = 1e-5
-    plus = evolve(p, eps).data
-    minus = evolve(p, -eps).data
+    plus = evolve(p, eps)
+    minus = evolve(p, -eps)
     dot = (plus - minus) / (2 * eps)
     expected = m + m.T  # sigma(0) = identity
     assert np.max(np.abs(dot - expected)) < 1e-6
