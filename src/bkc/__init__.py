@@ -14,7 +14,6 @@ from .errors import (
     BkcError,
     ConfigError,
     CriticalFrameUndefined,
-    DegenerateSpectrum,
     DomainError,
     MissingReference,
     NonConvergence,
@@ -73,20 +72,17 @@ from .analytics import (
 from .fourpoint import (
     FourPointReport,
     InitialMomentumCorrelators,
-    SelectionSums,
     a_kernel,
     epsilon4,
     fourpoint_report,
     log_correction,
     momentum_correlators,
-    selection_sums,
 )
 
 __all__ = [
     "__version__",
-    "BkcError", "ConfigError", "CriticalFrameUndefined", "DegenerateSpectrum",
-    "DomainError", "MissingReference", "NonConvergence", "NumericalFailure",
-    "OverflowGuard",
+    "BkcError", "ConfigError", "CriticalFrameUndefined", "DomainError",
+    "MissingReference", "NonConvergence", "NumericalFailure", "OverflowGuard",
     "LocalDecomposition", "entropy_from_factor", "entropy_from_gram", "entropy_kernel",
     "local_decompose", "single_site_nu", "site_correlators", "subsystem_entropy_from_rows",
     "symplectic_eigenvalues_from_rows", "symplectic_form",
@@ -100,7 +96,6 @@ __all__ = [
     "conserved_correlators", "continuum_mode_nu",
     "gge_entropy", "gge_spectrum", "nu_bar_squared", "s1_prediction",
     "scaling_collapse",
-    "FourPointReport", "InitialMomentumCorrelators", "SelectionSums",
-    "a_kernel", "epsilon4", "fourpoint_report", "log_correction",
-    "momentum_correlators", "selection_sums",
+    "FourPointReport", "InitialMomentumCorrelators", "a_kernel", "epsilon4",
+    "fourpoint_report", "log_correction", "momentum_correlators",
 ]

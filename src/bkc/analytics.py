@@ -51,12 +51,7 @@ def conserved_correlators(params: ModelParams, j0: float | None = None):
     return occ, pair
 
 
-def avg_site_correlators(
-    params: ModelParams,
-    site: int,
-    j0: float | None = None,
-    continuum: bool = False,
-):
+def avg_site_correlators(params: ModelParams, site: int, continuum: bool = False):
     """Long-time averages (nbar, mbar) of the on-site correlators at a site.
 
     The averages are taken in the hopping frame (the locally squeezed
@@ -72,7 +67,7 @@ def avg_site_correlators(
     n = params.n_sites
     if not 0 <= site < n:
         raise DomainError(f"site {site} out of range for {n} sites")
-    frame = squeezing_frame(params, j0)
+    frame = squeezing_frame(params)
     jj = site + 1
     ch0, sh0 = math.cosh(2 * frame.r0), math.sinh(2 * frame.r0)
     sign = 1.0 if jj % 2 else -1.0  # (-1)^(j+1): mirror-mode fold parity
@@ -193,14 +188,14 @@ class GgeSpectrum:
         return entropy_kernel(self.nus)
 
 
-def gge_spectrum(params: ModelParams, j0: float = 0.0) -> GgeSpectrum:
+def gge_spectrum(params: ModelParams) -> GgeSpectrum:
     """Mode-resolved symplectic eigenvalues of the dephased ensemble.
 
     nu_n^2 = (2 n_n + 1)^2 - 4 |m_n|^2 from the conserved correlators in
-    the frame centred at j0 (default 0, the convention of the continuum
-    mode formulas).
+    the frame centred at j0 = 0, the convention of the continuum mode
+    formulas.
     """
-    occ, pair = conserved_correlators(params, j0)
+    occ, pair = conserved_correlators(params, 0.0)
     n = params.n_sites
     momenta = np.pi * np.arange(1, n + 1) / (n + 1)
     return GgeSpectrum(momenta=momenta, occupations=occ, pair_amplitudes=pair,
@@ -226,15 +221,18 @@ def continuum_mode_nu(params: ModelParams, p) -> np.ndarray:
     return np.sqrt(np.maximum(nu_sq, 1.0))
 
 
-def gge_entropy(params: ModelParams, l: int, j0: float = 0.0) -> float:
+def gge_entropy(params: ModelParams, l: int) -> float:
     """Dephased-ensemble prediction for a block of l sites: (l/N) sum_n s(nu_n)."""
     n = params.n_sites
     if not 0 <= l <= n:
         raise DomainError(f"block length {l} out of range for {n} sites")
     if l == 0:
         return 0.0
-    spectrum = gge_spectrum(params, j0)
+    spectrum = gge_spectrum(params)
     return float(l / n * np.sum(spectrum.entropies))
+
+
+_COLLAPSE_BINS = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,16 +248,14 @@ class CollapseResult:
     quality: float
 
 
-def scaling_collapse(
-    points, delta: float, nu_exp: float, kind: str = "site", bins: int = 10
-) -> CollapseResult:
+def scaling_collapse(points, delta: float, nu_exp: float, kind: str = "site") -> CollapseResult:
     """Collapse entropy data onto x = (g^2 - delta^2) N^(1/nu_exp).
 
     ``points`` holds rows (g, N, value). For every N present the row with
     g == delta (exact float match) supplies the reference; missing
     references raise MissingReference. y is value minus reference, divided
     by N for ``kind="quarter"``. The quality metric partitions the x axis
-    into ``bins`` equal-width bins and averages the y variance over bins
+    into ten equal-width bins and averages the y variance over bins
     holding at least two points from at least two system sizes. Lower is
     better; a dataset with a single N always scores zero.
     """
@@ -279,7 +275,7 @@ def scaling_collapse(
     if kind == "quarter":
         y = y / ns
     x = (gs ** 2 - float(delta) ** 2) * ns ** (1.0 / nu_exp)
-    edges = np.linspace(x.min(), x.max(), max(1, int(bins)) + 1)
+    edges = np.linspace(x.min(), x.max(), _COLLAPSE_BINS + 1)
     which = np.clip(np.digitize(x, edges) - 1, 0, len(edges) - 2)
     variances = []
     for b in range(len(edges) - 1):

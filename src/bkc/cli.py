@@ -47,7 +47,7 @@ from .errors import (
 )
 from .fourpoint import fourpoint_report
 from .gaussian import local_decompose
-from .model import ModelParams
+from .model import ModelParams, PhaseRegime, classify_phase
 
 SWEEP_FIELDS = ("g", "N", "subsystem", "S_mean", "stderr", "n_samples")
 _SWEEP_CASTS = (float, int, str, float, float, int)
@@ -176,6 +176,11 @@ def _run_average(average, *args) -> tuple[object, bool, float]:
     return result, converged, time.perf_counter() - started
 
 
+def _route(params: ModelParams) -> str:
+    """Propagation route for the run records: the closed form on g == delta, else the frame."""
+    return "closed-form" if classify_phase(params) is PhaseRegime.CRITICAL else "frame"
+
+
 def _sweep_row(values, **meta) -> dict:
     """A sweep row: the ``SWEEP_FIELDS`` ``values`` plus manifest ``meta``."""
     return dict(zip(SWEEP_FIELDS, values, strict=True), **meta)
@@ -187,7 +192,7 @@ def _page_rows(params: ModelParams, protocol: AveragingProtocol) -> list[dict]:
     return [_sweep_row((params.g, params.n_sites, f"left:{int(l)}", float(s_mean), float(err),
                         int(curve.n_samples)),
                        converged=converged, protocol=dataclasses.asdict(protocol),
-                       route="frame", seconds=seconds / curve.lengths.size)
+                       route=_route(params), seconds=seconds / curve.lengths.size)
             for l, s_mean, err in zip(curve.lengths, curve.entropies, curve.stderrs)]
 
 
@@ -203,7 +208,7 @@ def _sweep_point(task) -> list[dict]:
         result, converged, seconds = _run_average(time_averaged_entropy, params, sites, protocol)
         rows.append(_sweep_row((g, n, label, result.mean, result.stderr, result.n_samples),
                                converged=converged, protocol=dataclasses.asdict(protocol),
-                               route="frame", seconds=seconds))
+                               route=_route(params), seconds=seconds))
     return rows
 
 
@@ -428,7 +433,7 @@ def _figure_profiles(params: ModelParams, cfg: dict[str, str]) -> tuple[list, di
         rows.append((params.g, params.n_sites, j, prof.entropies[j], prof.stderrs[j],
                      prof.occupations[j], abs(prof.pair_amplitudes[j]), s_thermal,
                      decomp.beta, decomp.z, prof.n_samples))
-    return rows, {"subsystem": "profiles", "converged": converged, "route": "frame",
+    return rows, {"subsystem": "profiles", "converged": converged, "route": _route(params),
                   "seconds": seconds}
 
 
@@ -436,7 +441,7 @@ def _figure_page(params: ModelParams, cfg: dict[str, str]) -> tuple[list, dict]:
     curve, converged, seconds = _run_average(page_curve, params, _protocol_for(params, cfg))
     rows = [(params.g, params.n_sites, int(l), float(s_mean), float(err), int(curve.n_samples))
             for l, s_mean, err in zip(curve.lengths, curve.entropies, curve.stderrs)]
-    return rows, {"subsystem": "page", "converged": converged, "route": "frame",
+    return rows, {"subsystem": "page", "converged": converged, "route": _route(params),
                   "seconds": seconds}
 
 

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package, and the overflow guard."""
+"""Exception types shared across the package, and the overflow guard."""
 from __future__ import annotations
 
 
@@ -53,7 +53,3 @@ class MissingReference(BkcError, ValueError):
 
 class ConfigError(BkcError, ValueError):
     """A sweep configuration file or CLI override is malformed."""
-
-
-class DegenerateSpectrum(UserWarning):
-    """Extra four-point resonances exist beyond the generic selection sets."""

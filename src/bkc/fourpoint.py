@@ -8,10 +8,12 @@ log_correction measures the variance term dropped when the average moves
 inside the logarithm. Both are expected to fade as 1/N deep in the
 non-reciprocal phase.
 
-Sums run over resonant quadruples of the hopping band. For generic N the
-resonances are exhausted by three index sets (diagonal, mirror, exchange)
-plus their overlaps; accidental extra resonances trigger a
-DegenerateSpectrum warning.
+Both averages are exact. In the hopping frame the on-site density is a
+sum of terms e^{i (eps_k - eps_q) t} and the pairing of terms
+e^{-i (eps_k + eps_q) t}. The infinite-time average of |sum_x c_x
+e^{i f_x t}|^2 is sum_w |sum_{f_x = w} c_x|^2, so the coefficients are
+added per distinct frequency first. This takes every resonance, also the
+accidental ones of composite N + 1.
 
 Public ``site`` arguments are 0-based; mode labels n = 1..N.
 """
@@ -19,13 +21,12 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .dynamics import AveragingProtocol, _sample
-from .errors import DegenerateSpectrum, DomainError
+from .errors import DomainError
 from .model import ModelParams, PhaseRegime, squeezing_frame
 
 _RESONANCE_TOL = 1e-9
@@ -48,18 +49,16 @@ class InitialMomentumCorrelators:
         return self.normal.shape[0]
 
 
-def momentum_correlators(
-    params: ModelParams, j0: float | None = None
-) -> InitialMomentumCorrelators:
+def momentum_correlators(params: ModelParams) -> InitialMomentumCorrelators:
     """Full mode-space correlator matrices of the post-quench vacuum.
 
     Built from the site-profile kernels of the squeezing frame: the
     normal part folds a cosh profile, the anomalous part a sinh profile
-    with an alternating sign. The default gauge centres the profile at
-    (N+1)/2, which makes both matrices invariant under mirroring every
-    index n -> N+1-n. Non-reciprocal regime only.
+    with an alternating sign. The profile is centred at (N+1)/2, which
+    makes both matrices invariant under mirroring every index
+    n -> N+1-n. Non-reciprocal regime only.
     """
-    frame = squeezing_frame(params, j0)
+    frame = squeezing_frame(params)
     if frame.regime is not PhaseRegime.NONRECIPROCAL:
         raise DomainError("momentum correlator profiles require the non-reciprocal regime")
     n = params.n_sites
@@ -98,160 +97,49 @@ def a_kernel(n: int, l: int, n_sites: int) -> float:
     return 0.0
 
 
-def _warn_on_extra_resonances(n_sites: int) -> None:
-    """Scan pair sums of the hopping band for accidental resonances.
+def _dephased_sums(freqs: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, complex]:
+    """Coefficient sums of sum_x c_x e^{i f_x t} over each distinct frequency.
 
-    A quadruple resonance eps_q + eps_q' = eps_k + eps_k' is a collision
-    between two unordered pair sums. The generic collisions are the same
-    pair twice and the zero-sum mirror pairs; anything else is flagged.
+    Frequencies closer than ``_RESONANCE_TOL`` to their sorted neighbour
+    count as one. Returns the sum for every distinct frequency and the sum
+    at f = 0; the infinite-time average of |.|^2 is the summed squared
+    moduli of the first.
     """
-    eps = np.cos(np.pi * np.arange(1, n_sites + 1) / (n_sites + 1))
-    qs, ks = np.triu_indices(n_sites)
-    sums = eps[qs] + eps[ks]
-    order = np.argsort(sums)
-    sums, qs, ks = sums[order], qs[order], ks[order]
-    is_mirror = qs + ks == n_sites - 1
-    start = 0
-    for stop in range(1, len(sums) + 1):
-        if stop < len(sums) and sums[stop] - sums[stop - 1] < _RESONANCE_TOL:
-            continue
-        group = slice(start, stop)
-        start = stop
-        if stop - group.start < 2:
-            continue
-        near_zero = np.all(np.abs(sums[group]) < _RESONANCE_TOL)
-        if near_zero and bool(np.all(is_mirror[group])):
-            continue
-        if not near_zero and bool(np.all(qs[group] == qs[group.start])) and bool(
-            np.all(ks[group] == ks[group.start])
-        ):
-            continue
-        warnings.warn(
-            f"accidental resonance among hopping-band pair sums near "
-            f"{sums[group.start]:.6f} for N = {n_sites}; selection sums "
-            f"omit its contribution",
-            DegenerateSpectrum,
-            stacklevel=3,
-        )
-        return
-
-
-@dataclass(frozen=True)
-class SelectionSums:
-    """Resonant-set contributions to the averaged four-point functions.
-
-    i_a_r/i_b_r/i_c_r are the diagonal, mirror and exchange sums for the
-    squared density; i_a_a/i_b_a/i_c_a the same sets for the squared
-    pairing. The pairwise and triple overlap sums let the exact union be
-    assembled by inclusion-exclusion instead of the O(1/N) bookkeeping
-    being waved away.
-    """
-
-    i_a_r: float
-    i_b_r: float
-    i_c_r: float
-    i_a_a: float
-    i_b_a: float
-    i_c_a: float
-    ab_r: float
-    ac_r: float
-    bc_r: float
-    abc_r: float
-    ab_a: float
-    ac_a: float
-    bc_a: float
-    abc_a: float
-
-    @property
-    def union_normal(self) -> float:
-        return (
-            self.i_a_r + self.i_b_r + self.i_c_r
-            - self.ab_r - self.ac_r - self.bc_r + self.abc_r
-        )
-
-    @property
-    def union_anomalous(self) -> float:
-        return (
-            self.i_a_a + self.i_b_a + self.i_c_a
-            - self.ab_a - self.ac_a - self.bc_a + self.abc_a
-        )
-
-
-def selection_sums(params: ModelParams, site: int = 0) -> SelectionSums:
-    """Evaluate all resonant-set sums for the on-site four-point averages.
-
-    ``site`` is 0-based. The diagonal set reproduces the square of the
-    averaged density, the mirror set of the pairing; the exchange set
-    duplicates them through the symmetry of the correlator matrices.
-    """
-    return _selection_sums(params, site, normalize=False)
-
-
-def _selection_sums(params: ModelParams, site: int, normalize: bool) -> SelectionSums:
-    """selection_sums; ``normalize`` takes the correlators in units of a power of two near
-    the largest, so no product overflows and, the sums being quadratic, ratios keep every bit."""
-    n = params.n_sites
-    if not 0 <= site < n:
-        raise DomainError(f"site {site} out of range for {n} sites")
-    corr = momentum_correlators(params)
-    _warn_on_extra_resonances(n)
-    jj = site + 1
-    labels = np.arange(1, n + 1, dtype=float)
-    t = np.sin(np.pi * labels * jj / (n + 1))
-    t2 = t * t
-    pref2 = (2.0 / (n + 1)) ** 2
-    weight = np.outer(t2, t2)
-    nm = corr.normal
-    am = corr.anomalous
-    if normalize:
-        unit = 2.0 ** -int(np.frexp(max(np.abs(nm).max(), np.abs(am).max()))[1])
-        nm, am = nm * unit, am * unit
-    nm_mirror = nm[::-1, ::-1]
-    anti_n = np.diag(nm[:, ::-1]).copy()
-    anti_a = np.diag(am[:, ::-1]).copy()
-
-    i_a_r = pref2 * float(np.sum(weight * np.outer(np.diag(nm), np.diag(nm))))
-    i_b_r = pref2 * float(np.real(np.sum(weight * nm * nm_mirror)))
-    i_c_r = pref2 * float(np.real(np.sum(weight * nm * nm.T.conj())))
-    i_a_a = pref2 * float(np.sum(weight * np.abs(am) ** 2))
-    mirror_fold = (2.0 / (n + 1)) * complex(np.sum(t2 * anti_a))
-    i_b_a = abs(mirror_fold) ** 2
-    i_c_a = pref2 * float(np.real(np.sum(weight * am.T * am.conj())))
-
-    t4 = t2 * t2
-    diag_n = np.diag(nm)
-    ab_r = pref2 * float(np.real(np.sum(t4 * diag_n * diag_n[::-1])))
-    ac_r = pref2 * float(np.sum(t4 * diag_n ** 2))
-    bc_r = pref2 * float(np.sum(t4 * np.abs(anti_n) ** 2))
-    ab_a = pref2 * float(np.sum(t4 * np.abs(anti_a) ** 2))
-    ac_a = pref2 * float(np.sum(t4 * np.abs(np.diag(am)) ** 2))
-    bc_a = ab_a
-    if n % 2:
-        mid = (n - 1) // 2
-        abc_r = pref2 * float(t4[mid] * diag_n[mid] ** 2)
-        abc_a = pref2 * float(t4[mid] * abs(am[mid, mid]) ** 2)
-    else:
-        abc_r = abc_a = 0.0
-    return SelectionSums(
-        i_a_r=i_a_r, i_b_r=i_b_r, i_c_r=i_c_r,
-        i_a_a=i_a_a, i_b_a=i_b_a, i_c_a=i_c_a,
-        ab_r=ab_r, ac_r=ac_r, bc_r=bc_r, abc_r=abc_r,
-        ab_a=ab_a, ac_a=ac_a, bc_a=bc_a, abc_a=abc_a,
-    )
+    order = np.argsort(freqs, axis=None, kind="stable")
+    f = freqs.ravel()[order]
+    c = coeffs.ravel()[order]
+    runs = np.concatenate(([0], np.cumsum(np.diff(f) >= _RESONANCE_TOL)))
+    sums = np.bincount(runs, c.real) + 1j * np.bincount(runs, c.imag)
+    return sums, complex(sums[runs[np.abs(f).argmin()]])
 
 
 def epsilon4(params: ModelParams, site: int = 0) -> float:
     """Relative error of squaring the averages instead of averaging squares.
 
     (avg<d^dag d>^2 - avg|<dd>|^2) over ((avg<d^dag d>)^2 - |avg<dd>|^2),
-    minus one. Vanishes as O(1/N) in the non-reciprocal phase.
+    minus one. Vanishes as O(1/N) in the non-reciprocal phase. ``site``
+    is 0-based.
     """
-    sums = _selection_sums(params, site, normalize=True)
-    numerator = sums.union_normal - sums.union_anomalous
-    denominator = sums.i_a_r - sums.i_b_a
+    n = params.n_sites
+    if not 0 <= site < n:
+        raise DomainError(f"site {site} out of range for {n} sites")
+    corr = momentum_correlators(params)
+    labels = np.arange(1, n + 1, dtype=float)
+    eps = np.cos(np.pi * labels / (n + 1))
+    t = np.sin(np.pi * labels * (site + 1) / (n + 1))
+    # the ratio is blind to a common factor of the coefficients: the weights
+    # carry (2/(N+1))^2 rather than 2/(N+1), and the correlators are taken
+    # in a power-of-two unit near the largest so that no product overflows
+    weight = (2.0 / (n + 1)) ** 2 * np.outer(t, t)
+    nm, am = corr.normal, corr.anomalous
+    unit = 2.0 ** -int(np.frexp(max(np.abs(nm).max(), np.abs(am).max()))[1])
+    density, density0 = _dephased_sums(np.subtract.outer(eps, eps), weight * (nm * unit))
+    pairing, pairing0 = _dephased_sums(np.add.outer(eps, eps), weight * (am * unit))
+    denominator = abs(density0) ** 2 - abs(pairing0) ** 2
     if denominator == 0.0:
         raise DomainError("degenerate denominator in epsilon4")
-    return numerator / denominator - 1.0
+    numerator = np.sum(np.abs(density) ** 2) - np.sum(np.abs(pairing) ** 2)
+    return float(numerator / denominator - 1.0)
 
 
 def log_correction(

@@ -85,6 +85,14 @@ def test_sweep_deterministic_and_resumable(tmp_path):
     assert manifest["command"] == "sweep"
 
 
+def test_sweep_records_the_closed_form_route_on_the_critical_line(tmp_path):
+    cfg = _write_cfg(tmp_path, g="0.2,0.25", n="8", out=tmp_path / "r", **_FAST)
+    assert main(["sweep", "--config", cfg]) == 0
+    manifest = json.loads((tmp_path / "r" / "sweep.manifest.json").read_text())
+    assert {run["g"]: run["route"] for run in manifest["runs"]} == {
+        0.2: "frame", 0.25: "closed-form"}
+
+
 def test_analytic_matches_predictions(tmp_path):
     cfg = _write_cfg(tmp_path, g="0,0.2", n="8,16", out=tmp_path / "out")
     assert main(["analytic", "--config", cfg]) == 0
@@ -268,7 +276,8 @@ def test_figures_products_skip_critical_fourpoint(tmp_path):
     measured = manifest["runs"]
     assert manifest["rows"] == len(measured) == 5
     assert all(run["seconds"] > 0.0 for run in measured)
-    assert {run["route"] for run in measured} == {"frame", "sums"}
+    assert {(run["g"], run["route"]) for run in measured} == {
+        (0.2, "frame"), (0.2, "sums"), (0.25, "closed-form")}
     assert not list((tmp_path / "f").glob("*.tmp"))
 
 
@@ -453,7 +462,7 @@ def test_resume_reuses_rows_only_under_their_protocol(tmp_path):
     lines = (out / "sweep.csv").read_text().splitlines()[1:]
     assert [line.split(",")[-1] for line in lines] == ["60", "60"]
     runs = json.loads((out / "sweep.manifest.json").read_text())["runs"]
-    assert [run["route"] for run in runs] == ["frame", "frame"]
+    assert [run["route"] for run in runs] == ["frame", "closed-form"]
     assert [run["protocol"]["initial_samples"] for run in runs] == [60, 60]
     # the same protocol again: both rows are reused with what they recorded
     assert main(["sweep", "--config", longer]) == 0

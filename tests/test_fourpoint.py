@@ -1,4 +1,4 @@
-"""Four-point selection sums: kernels, resonant sets, epsilon4 checks."""
+"""Four-point averages: correlators, kernels, epsilon4 against oracles."""
 import dataclasses
 import math
 import warnings
@@ -8,14 +8,13 @@ import pytest
 
 from bkc.analytics import avg_site_correlators
 from bkc.dynamics import AveragingProtocol, build_propagator, time_series
-from bkc.errors import CriticalFrameUndefined, DegenerateSpectrum, DomainError
+from bkc.errors import CriticalFrameUndefined, DomainError
 from bkc.fourpoint import (
     a_kernel,
     epsilon4,
     fourpoint_report,
     log_correction,
     momentum_correlators,
-    selection_sums,
 )
 from bkc.gaussian import symplectic_eigenvalues_from_rows
 from bkc.model import ModelParams, squeezing_frame
@@ -85,47 +84,50 @@ def test_a_kernel_matches_lattice_sum():
         a_kernel(1, 10, 9)
 
 
+def _site_weights(n, site=0):
+    """2/(N+1) sin(pi k j/(N+1)) sin(pi q j/(N+1)) for 1-based j = site + 1."""
+    t = np.sin(np.pi * np.arange(1, n + 1) * (site + 1) / (n + 1))
+    return 2.0 / (n + 1) * np.outer(t, t)
+
+
 def test_selection_set_invariants():
+    # the f = 0 sums: the density's diagonal k = q, the pairing's mirror q = N+1-k
     for g, n in [(0.0, 16), (0.2, 16), (0.245, 48)]:
         p = _params(g, n)
-        s = selection_sums(p)
-        scale = max(1.0, abs(s.i_b_r))
-        assert abs(s.i_b_r - s.i_c_r) < 1e-12 * scale
-        assert abs(s.i_a_a - s.i_c_a) < 1e-12 * scale
-        assert s.ab_a == s.bc_a
+        corr = momentum_correlators(p)
+        weight = _site_weights(n)
+        density0 = np.sum(np.diag(weight * corr.normal))
+        pairing0 = np.sum(np.diag((weight * corr.anomalous)[:, ::-1]))
         nbar, _ = avg_site_correlators(p, 0)
-        assert s.i_a_r == pytest.approx(nbar ** 2, rel=1e-12)
+        assert density0 ** 2 == pytest.approx(nbar ** 2, rel=1e-12)
         r0 = squeezing_frame(p).r0
         if g == 0.0:
-            assert abs(s.i_b_a) < 1e-25
+            assert abs(pairing0) ** 2 < 1e-25
         else:
-            assert s.i_b_a == pytest.approx(math.sinh(2 * r0) ** 2 / 4.0, rel=1e-12)
+            assert abs(pairing0) ** 2 == pytest.approx(math.sinh(2 * r0) ** 2 / 4.0, rel=1e-12)
     with pytest.raises(DomainError):
-        selection_sums(_params(0.2, 8), site=8)
+        epsilon4(_params(0.2, 8), site=8)
 
 
-def test_union_matches_brute_resonance_enumeration():
-    for g, n in [(0.2, 6), (0.1, 7), (0.0, 6)]:
+def test_epsilon4_matches_brute_resonance_enumeration():
+    # (0.2, 17) and (0.2, 23): N + 1 composite, with resonances beyond k = q and mirrors
+    for g, n in [(0.2, 6), (0.1, 7), (0.0, 6), (0.2, 17), (0.2, 23)]:
         p = _params(g, n)
         corr = momentum_correlators(p)
-        nm, am = corr.normal, corr.anomalous
+        weight = _site_weights(n)
+        nm, am = weight * corr.normal, weight * corr.anomalous
         eps = np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
-        t = np.sin(np.pi * np.arange(1, n + 1) / (n + 1))
-        pref2 = (2.0 / (n + 1)) ** 2
-        brute_n = 0.0
-        brute_a = 0.0
-        for q in range(n):
-            for k in range(n):
-                for q2 in range(n):
-                    for k2 in range(n):
-                        w4 = t[q] * t[k] * t[q2] * t[k2]
-                        if abs(eps[q] + eps[q2] - eps[k] - eps[k2]) < 1e-9:
-                            brute_n += w4 * np.real(nm[q, k] * nm[q2, k2])
-                        if abs(eps[q] + eps[k] - eps[q2] - eps[k2]) < 1e-9:
-                            brute_a += w4 * np.real(am[q, k] * np.conj(am[q2, k2]))
-        s = selection_sums(p)
-        assert s.union_normal == pytest.approx(pref2 * brute_n, abs=1e-14)
-        assert s.union_anomalous == pytest.approx(pref2 * brute_a, abs=1e-14)
+        # every quadruple (q, k, q2, k2), axes in that order
+        e_q, e_k = eps[:, None, None, None], eps[None, :, None, None]
+        e_q2, e_k2 = eps[None, None, :, None], eps[None, None, None, :]
+        n_n = np.real(nm[:, :, None, None] * nm[None, None, :, :])
+        n_a = np.real(am[:, :, None, None] * np.conj(am)[None, None, :, :])
+        num_n = np.sum(n_n, where=np.abs(e_q + e_q2 - e_k - e_k2) < 1e-9)
+        num_a = np.sum(n_a, where=np.abs(e_q + e_k - e_q2 - e_k2) < 1e-9)
+        den_n = np.sum(n_n, where=(np.abs(e_q - e_k) < 1e-9) & (np.abs(e_q2 - e_k2) < 1e-9))
+        den_a = np.sum(n_a, where=(np.abs(e_q + e_k) < 1e-9) & (np.abs(e_q2 + e_k2) < 1e-9))
+        brute = (num_n - num_a) / (den_n - den_a) - 1.0
+        assert epsilon4(p) == pytest.approx(brute, rel=1e-12)
 
 
 def test_epsilon4_matches_time_average():
@@ -158,9 +160,14 @@ def test_epsilon4_values_and_decay():
 
 
 def test_mirror_cancellation_estimate():
+    # the mirror set of the squared density against the diagonal set of the squared pairing
     p = _params(0.0, 48)
-    s = selection_sums(p)
-    exact = s.i_b_r - s.i_a_a
+    corr = momentum_correlators(p)
+    t2 = np.sin(np.pi * np.arange(1, 49) / 49.0) ** 2
+    weight = np.outer(t2, t2)
+    i_b_r = (2.0 / 49.0) ** 2 * np.sum(weight * corr.normal * corr.normal[::-1, ::-1])
+    i_a_a = (2.0 / 49.0) ** 2 * np.sum(weight * np.abs(corr.anomalous) ** 2)
+    exact = i_b_r - i_a_a
     assert exact == pytest.approx(-156.57955772709101, rel=1e-12)
     fr = squeezing_frame(p)
     form = (2.0 / 49.0) ** 2 * (
@@ -169,15 +176,6 @@ def test_mirror_cancellation_estimate():
     assert form == pytest.approx(-340.38659544578303, rel=1e-12)
     assert exact < 0.0 and form < 0.0
     assert 1.0 / 3.0 < exact / form < 3.0
-
-
-def test_degenerate_spectrum_warning():
-    with pytest.warns(DegenerateSpectrum):
-        selection_sums(_params(0.2, 11))
-    for n in (12, 13):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DegenerateSpectrum)
-            selection_sums(_params(0.2, n))
 
 
 def test_log_correction_and_report():
