@@ -2,9 +2,9 @@
 
 Gaussian-state simulation of the open-boundary chain with hopping g + iw
 and pairing iDelta, plus the closed-form long-time entanglement
-predictions it is meant to be checked against: single-site and block
-entropies, dephased-ensemble spectra, scaling collapse, and the
-four-point consistency diagnostics.
+predictions it is meant to be checked against: the single-site entropy
+S1 and the block law l S1, the exact dephased site correlators, scaling
+collapse, and the four-point consistency diagnostics.
 """
 from __future__ import annotations
 
@@ -26,7 +26,6 @@ from .gaussian import (
     entropy_from_gram,
     entropy_kernel,
     local_decompose,
-    single_site_nu,
     site_correlators,
     subsystem_entropy_from_rows,
     symplectic_eigenvalues_from_rows,
@@ -59,12 +58,7 @@ from .dynamics import (
 )
 from .analytics import (
     CollapseResult,
-    GgeSpectrum,
     avg_site_correlators,
-    conserved_correlators,
-    continuum_mode_nu,
-    gge_entropy,
-    gge_spectrum,
     nu_bar_squared,
     s1_prediction,
     scaling_collapse,
@@ -84,7 +78,7 @@ __all__ = [
     "BkcError", "ConfigError", "CriticalFrameUndefined", "DomainError",
     "MissingReference", "NonConvergence", "NumericalFailure", "OverflowGuard",
     "LocalDecomposition", "entropy_from_factor", "entropy_from_gram", "entropy_kernel",
-    "local_decompose", "single_site_nu", "site_correlators", "subsystem_entropy_from_rows",
+    "local_decompose", "site_correlators", "subsystem_entropy_from_rows",
     "symplectic_eigenvalues_from_rows", "symplectic_form",
     "ModelParams", "PhaseRegime", "SqueezingFrame", "TightBindingSpectrum",
     "bdg_matrices", "classify_phase", "squeezing_frame", "tight_binding_spectrum",
@@ -92,9 +86,7 @@ __all__ = [
     "SiteProfiles", "TimeAverageResult", "build_propagator", "evolve",
     "page_curve", "profiles", "series_fluctuation_ratio", "time_averaged_entropy",
     "time_series",
-    "CollapseResult", "GgeSpectrum", "avg_site_correlators",
-    "conserved_correlators", "continuum_mode_nu",
-    "gge_entropy", "gge_spectrum", "nu_bar_squared", "s1_prediction",
+    "CollapseResult", "avg_site_correlators", "nu_bar_squared", "s1_prediction",
     "scaling_collapse",
     "FourPointReport", "InitialMomentumCorrelators", "a_kernel", "epsilon4",
     "fourpoint_report", "log_correction", "momentum_correlators",

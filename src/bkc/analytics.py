@@ -4,17 +4,18 @@ All formulas follow from expanding the post-quench vacuum in the frame
 modes: conserved occupations pair with the anomalous correlator between a
 mode n and its energy mirror N+1-n, and dephasing kills everything else.
 Site positions j run 1..N inside formulas; public ``site`` arguments are
-0-based indices. Mode labels n = 1..N.
+0-based indices. A block of l sites has the one law l S1, which ``bkc
+analytic`` applies as min(l, N - l) S1 in every phase.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, MissingReference
-from .gaussian import entropy_kernel, single_site_nu
+from .gaussian import entropy_kernel
 from .model import (
     ModelParams,
     PhaseRegime,
@@ -23,46 +24,15 @@ from .model import (
 )
 
 
-def conserved_correlators(params: ModelParams, j0: float | None = None):
-    """Time-invariant mode correlators of the post-quench state.
-
-    Returns (occupations, pair_amplitudes): occupations[n-1] is the
-    conserved <b_n^dag b_n> and pair_amplitudes[n-1] the conserved
-    <b_{N+1-n} b_n> between energy-mirrored modes, both evaluated on the
-    vacuum in the frame centred at j0 (default (N+1)/2).
-    """
-    frame = squeezing_frame(params, j0)
-    n = params.n_sites
-    jays = np.arange(1, n + 1, dtype=float)
-    labels = np.arange(1, n + 1, dtype=float)
-    sin2 = np.sin(np.pi * np.outer(labels, jays) / (n + 1)) ** 2
-    ch0, sh0 = math.cosh(2 * frame.r0), math.sinh(2 * frame.r0)
-    if frame.regime is PhaseRegime.NONRECIPROCAL:
-        prof_c = np.cosh(2.0 * frame.r * (jays - frame.j0))
-        prof_s = np.sinh(2.0 * frame.r * (jays - frame.j0))
-        v = sin2 @ prof_c / (n + 1)
-        w = sin2 @ prof_s / (n + 1)
-        occ = ch0 * v - 0.5
-        pair = ch0 * w - 0.5j * sh0
-    else:
-        occ = np.full(n, 0.5 * (ch0 - 1.0))
-        phases = np.exp(-2j * (frame.phi - math.pi / 2.0) * jays)
-        pair = (-0.5j * sh0) * (2.0 / (n + 1)) * (sin2 @ phases)
-    return occ, pair
-
-
-def avg_site_correlators(params: ModelParams, site: int, continuum: bool = False):
-    """Long-time averages (nbar, mbar) of the on-site correlators at a site.
+def avg_site_correlators(params: ModelParams, site: int):
+    """Exact long-time averages (nbar, mbar) of the on-site correlators at a site.
 
     The averages are taken in the hopping frame (the locally squeezed
-    picture where the chain is a plain tight-binding model). Local
-    squeezing leaves the single-site symplectic eigenvalue alone, so
-    nu^2 = (2 nbar + 1)^2 - 4 |mbar|^2 is also the lab-frame value even
-    though nbar and mbar themselves are frame quantities.
-
-    ``site`` is 0-based. The discrete forms are exact time averages; with
-    ``continuum=True`` the corresponding continuum expressions (including
-    the O(a/L) edge terms) are used instead.
+    picture where the chain is a plain tight-binding model), centred at
+    (N+1)/2. Local squeezing leaves the single-site symplectic eigenvalue
+    alone, so nu^2 = (2 nbar + 1)^2 - 4 |mbar|^2 is also the lab-frame value
+    even though nbar and mbar themselves are frame quantities. ``site`` is
+    0-based.
     """
     n = params.n_sites
     if not 0 <= site < n:
@@ -72,28 +42,18 @@ def avg_site_correlators(params: ModelParams, site: int, continuum: bool = False
     ch0, sh0 = math.cosh(2 * frame.r0), math.sinh(2 * frame.r0)
     sign = 1.0 if jj % 2 else -1.0  # (-1)^(j+1): mirror-mode fold parity
     if frame.regime is PhaseRegime.NONRECIPROCAL:
-        r, x0 = frame.r, frame.j0
-        edge_c = 0.5 * (math.cosh(2 * r * (jj - x0)) + math.cosh(2 * r * (n + 1 - jj - x0)))
-        edge_s = 0.5 * (math.sinh(2 * r * (jj - x0)) + math.sinh(2 * r * (n + 1 - jj - x0)))
-        if continuum:
-            y = (n + 1) * r
-            bulk_c = (math.sinh(y) / y) * math.cosh(r * (n + 1 - 2 * x0)) * (n + 1)
-            bulk_s = (math.sinh(y) / y) * math.sinh(r * (n + 1 - 2 * x0)) * (n + 1)
-        else:
-            bulk_c = math.sinh(r * n) * math.cosh(r * (n + 1 - 2 * x0)) / math.sinh(r)
-            bulk_s = math.sinh(r * n) * math.sinh(r * (n + 1 - 2 * x0)) / math.sinh(r)
-        nbar = -0.5 + ch0 / (2.0 * (n + 1)) * (bulk_c + edge_c)
-        mbar = sign * (-0.5j * sh0 + ch0 / (2.0 * (n + 1)) * (bulk_s + edge_s))
-        return float(nbar), complex(mbar)
+        # about the centre the site j and its mirror N+1-j add equal cosh and
+        # opposite sinh edge terms, and the bulk sinh term vanishes
+        r = frame.r
+        bulk = math.sinh(r * n) / math.sinh(r)
+        edge = math.cosh(2 * r * (jj - frame.j0))
+        nbar = -0.5 + ch0 / (2.0 * (n + 1)) * (bulk + edge)
+        return float(nbar), complex(-0.5j * sign * sh0)
     theta = math.pi - 2.0 * frame.phi
     nbar = 0.5 * (ch0 - 1.0)
-    if continuum:
-        phi_l = theta * (n + 1)
-        mbar = -sign * (sh0 / 2.0) * (np.exp(1j * phi_l) - 1.0) / phi_l
-    else:
-        edge = 0.5 * (np.exp(1j * theta * jj) + np.exp(1j * theta * (n + 1 - jj)))
-        bulk = (1.0 - np.exp(1j * theta * n)) / (1.0 - np.exp(-1j * theta))
-        mbar = -1j * sign * sh0 / (2.0 * (n + 1)) * (edge - bulk)
+    edge = 0.5 * (np.exp(1j * theta * jj) + np.exp(1j * theta * (n + 1 - jj)))
+    bulk = (1.0 - np.exp(1j * theta * n)) / (1.0 - np.exp(-1j * theta))
+    mbar = -1j * sign * sh0 / (2.0 * (n + 1)) * (edge - bulk)
     return float(nbar), complex(mbar)
 
 
@@ -172,64 +132,6 @@ def s1_prediction(params: ModelParams) -> float:
         return 0.5 * math.log(nu_bar_squared(params))
     sat = params.g / math.sqrt(params.g ** 2 - params.delta ** 2)
     return entropy_kernel(sat)
-
-
-@dataclass(frozen=True, eq=False)
-class GgeSpectrum:
-    """Per-mode data of the dephased (time-averaged) ensemble."""
-
-    momenta: np.ndarray
-    occupations: np.ndarray
-    pair_amplitudes: np.ndarray = field(repr=False)
-    nus: np.ndarray = field(repr=False)
-
-    @property
-    def entropies(self) -> np.ndarray:
-        return entropy_kernel(self.nus)
-
-
-def gge_spectrum(params: ModelParams) -> GgeSpectrum:
-    """Mode-resolved symplectic eigenvalues of the dephased ensemble.
-
-    nu_n^2 = (2 n_n + 1)^2 - 4 |m_n|^2 from the conserved correlators in
-    the frame centred at j0 = 0, the convention of the continuum mode
-    formulas.
-    """
-    occ, pair = conserved_correlators(params, 0.0)
-    n = params.n_sites
-    momenta = np.pi * np.arange(1, n + 1) / (n + 1)
-    return GgeSpectrum(momenta=momenta, occupations=occ, pair_amplitudes=pair,
-                       nus=single_site_nu(occ, pair))
-
-
-def continuum_mode_nu(params: ModelParams, p) -> np.ndarray:
-    """Continuum limit of the dephased mode eigenvalue at momentum p (j0 = 0)."""
-    p = np.asarray(p, dtype=float)
-    frame = squeezing_frame(params)
-    n = params.n_sites
-    ch0, sh0 = math.cosh(2 * frame.r0), math.sinh(2 * frame.r0)
-    if frame.regime is PhaseRegime.NONRECIPROCAL:
-        xi = 1.0 / frame.r
-        y = (n + 1) * frame.r
-        filt = (p * xi) ** 2 / (1.0 + (p * xi) ** 2)
-        nu_sq = 1.0 + ch0 ** 2 * ((math.sinh(y) / y) ** 2 * filt ** 2 - 1.0)
-    else:
-        theta = math.pi - 2.0 * frame.phi
-        z = (n + 1) * theta
-        filt = 4.0 * p ** 2 / (4.0 * p ** 2 - theta ** 2)
-        nu_sq = 1.0 + sh0 ** 2 * (1.0 - 2.0 * (1.0 - math.cos(z)) / z ** 2 * filt ** 2)
-    return np.sqrt(np.maximum(nu_sq, 1.0))
-
-
-def gge_entropy(params: ModelParams, l: int) -> float:
-    """Dephased-ensemble prediction for a block of l sites: (l/N) sum_n s(nu_n)."""
-    n = params.n_sites
-    if not 0 <= l <= n:
-        raise DomainError(f"block length {l} out of range for {n} sites")
-    if l == 0:
-        return 0.0
-    spectrum = gge_spectrum(params)
-    return float(l / n * np.sum(spectrum.entropies))
 
 
 _COLLAPSE_BINS = 10

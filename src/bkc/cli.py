@@ -213,7 +213,8 @@ def _sweep_point(task) -> list[dict]:
 
 
 def _existing_rows(path: Path) -> dict[tuple, dict]:
-    """Parse a previous sweep CSV; whether a row converged is not stored there.
+    """Parse a previous sweep CSV; how a row ran (converged, protocol, route,
+    seconds) is recorded only in the manifest.
 
     A data row that does not parse is a ConfigError naming its path and line.
     """
@@ -225,9 +226,8 @@ def _existing_rows(path: Path) -> dict[tuple, dict]:
         return rows
     for lineno, line in enumerate(lines[1:], start=2):
         try:
-            row = _sweep_row((cast(cell) for cast, cell in
-                              zip(_SWEEP_CASTS, line.split(","), strict=True)),
-                             route="resumed", seconds=0.0)
+            row = _sweep_row(cast(cell) for cast, cell in
+                             zip(_SWEEP_CASTS, line.split(","), strict=True))
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: malformed sweep row {line!r}: {exc}") from exc
         rows[(row["g"], row["N"], row["subsystem"])] = row
@@ -321,8 +321,8 @@ def cmd_sweep(cfg: dict[str, str]) -> int:
 
     Rows of an earlier run in the same directory are reused only where its
     manifest records them as converged under the sampling protocol this
-    config resolves for their point; a reused row keeps its recorded
-    protocol. The CSV and manifest are rewritten after every grid point.
+    config resolves for their point; a reused row keeps its whole recorded
+    run entry. The CSV and manifest are rewritten after every grid point.
     """
     started = time.time()
     jobs = _scalar(cfg, "jobs", int)
@@ -335,9 +335,8 @@ def cmd_sweep(cfg: dict[str, str]) -> int:
     rows = _existing_rows(csv_path)
     for key, row in rows.items():
         run = recorded.get(key, {})
+        row.update((k, run[k]) for k in ("protocol", "route", "seconds") if k in run)
         row["converged"] = run.get("converged") is True
-        if "protocol" in run:
-            row["protocol"] = run["protocol"]
     tasks = []
     for params in _grid(cfg):
         protocol = dataclasses.asdict(_protocol_for(params, cfg))

@@ -77,6 +77,8 @@ from .model import (
 _CHUNK_BYTES = 4 * 2 ** 20
 # P per site: (q, p) -> (u, v) = ((q+p), (q-p)) / sqrt2, its own inverse.
 _HALF_TURN = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+# Absolute stderr floor of the stopping rule (AveragingProtocol).
+_STDERR_FLOOR = 1e-12
 
 
 class PropagationMode(enum.Enum):
@@ -95,8 +97,13 @@ class AveragingProtocol:
 
     Samples are taken at t_k = t_min + k dt. The estimate starts from
     ``initial_samples`` values and is extended in ``batch_samples`` steps
-    until the standard error of the mean drops below ``rel_threshold``
-    times |mean|, or ``max_samples`` is reached (NonConvergence).
+    until the standard error of the mean drops below the larger of
+    ``rel_threshold`` times |mean| and an absolute floor of 1e-12, or
+    ``max_samples`` is reached (NonConvergence). The floor is a module
+    constant, not a field, at the rounding level of an entropy: at
+    delta == 0 the vacuum stays the vacuum, and every entropy is noise of
+    about 1e-15 with no relative error to reach. An entropy that is not
+    rounding noise has a far larger relative target.
     """
 
     t_min: float
@@ -454,7 +461,8 @@ def _converge_series(sample, protocol: AveragingProtocol) -> tuple[np.ndarray, b
         parts.append(sample(drawn, target))
         drawn = target
         arr = np.concatenate(parts)
-        if np.all(_standard_error(arr) <= protocol.rel_threshold * np.abs(arr.mean(axis=0))):
+        target_err = np.maximum(protocol.rel_threshold * np.abs(arr.mean(axis=0)), _STDERR_FLOOR)
+        if np.all(_standard_error(arr) <= target_err):
             return arr, True
         if drawn >= protocol.max_samples:
             return arr, False

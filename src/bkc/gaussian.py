@@ -192,17 +192,6 @@ def site_correlators(block):
     return (float(n), complex(m)) if block.ndim == 2 else (n, m)
 
 
-def single_site_nu(n, m):
-    """Symplectic eigenvalue of a single mode from its (n, m) correlators; arrays of
-    modes give an array, each nu^2 checked against its own floor, scaled by (2n + 1)^2."""
-    diag = (2.0 * np.asarray(n, dtype=float) + 1.0) ** 2
-    nu_sq = diag - 4.0 * np.abs(m) ** 2
-    if np.any(nu_sq < 1.0 - (2.0 * _NU_TOL + _NU_SCALE_TOL * np.maximum(1.0, diag))):
-        raise DomainError(f"unphysical single-mode correlators: min nu^2 = {nu_sq.min()!r}")
-    nu = np.sqrt(np.maximum(nu_sq, 1.0))
-    return float(nu) if nu.ndim == 0 else nu
-
-
 @dataclass(frozen=True)
 class LocalDecomposition:
     """Single-mode block factored as a rotated squeezed thermal state.

@@ -161,8 +161,11 @@ def _factor_inverse(factors: np.ndarray) -> np.ndarray:
     return out
 
 
-def squeezing_frame(params: ModelParams, j0: float | None = None) -> SqueezingFrame:
-    """Construct the squeezing frame centred at j0 (1-based, default (N+1)/2).
+def squeezing_frame(params: ModelParams) -> SqueezingFrame:
+    """Construct the squeezing frame centred at the chain's middle, j0 = (N+1)/2.
+
+    There the edge factors e^{r |j - j0|} are smallest; another centre would
+    squeeze every site alike and change no symplectic eigenvalue.
 
     Raises CriticalFrameUndefined exactly at g == delta, where the frame
     parameters diverge, and OverflowGuard where a site factor
@@ -174,9 +177,7 @@ def squeezing_frame(params: ModelParams, j0: float | None = None) -> SqueezingFr
             f"no squeezing frame at g == delta == {params.g!r}"
         )
     n = params.n_sites
-    if j0 is None:
-        j0 = (n + 1) / 2.0
-    j0 = float(j0)
+    j0 = (n + 1) / 2.0
     jays = np.arange(1, n + 1, dtype=float)
     if regime is PhaseRegime.NONRECIPROCAL:
         kappa = math.sqrt(params.delta ** 2 - params.g ** 2)
@@ -190,7 +191,7 @@ def squeezing_frame(params: ModelParams, j0: float | None = None) -> SqueezingFr
         r = 0.0
         phi = math.atan2(params.w, kappa)
         cos_j, sin_j = np.cos(phi * jays), np.sin(phi * jays)
-    if r * max(j0 - 1.0, n - j0) > math.log(OVERFLOW_LIMIT):
+    if r * (j0 - 1.0) > math.log(OVERFLOW_LIMIT):
         raise OverflowGuard(
             f"squeezing frame factors pass {OVERFLOW_LIMIT:g} for w={params.w!r}, "
             f"delta={params.delta!r}, g={params.g!r}, N={n}"

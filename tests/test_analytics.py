@@ -1,4 +1,4 @@
-"""Closed-form averages: conserved correlators, GGE spectrum, collapse tools."""
+"""Closed forms: exact dephased site correlators, nu_bar, S1 and the collapse tools."""
 import math
 
 import numpy as np
@@ -6,18 +6,14 @@ import pytest
 
 from bkc.analytics import (
     avg_site_correlators,
-    conserved_correlators,
-    continuum_mode_nu,
-    gge_entropy,
-    gge_spectrum,
     nu_bar_squared,
     s1_prediction,
     scaling_collapse,
 )
-from bkc.errors import CriticalFrameUndefined, DomainError, MissingReference
+from bkc.errors import DomainError, MissingReference
 from bkc.gaussian import entropy_kernel
 from bkc.model import ModelParams, squeezing_frame, tight_binding_spectrum
-from oracles import dephased_mode_covariance, mode_covariance
+from oracles import dephased_mode_covariance
 
 
 def _params(g, n, w=1.0, delta=0.25):
@@ -30,29 +26,6 @@ def _occ_of(blk):
 
 def _pair_of(cross):
     return ((cross[0, 0] - cross[1, 1]) + 1j * (cross[0, 1] + cross[1, 0])) / 4.0
-
-
-def test_conserved_correlators_match_mode_blocks():
-    for g, n in [(0.0, 9), (0.2, 12), (0.1, 8), (0.3, 12), (0.4, 9)]:
-        p = _params(g, n)
-        occ, pair = conserved_correlators(p)
-        x = mode_covariance(p)
-        occ_ref = np.array([_occ_of(x[2 * a:2 * a + 2, 2 * a:2 * a + 2]) for a in range(n)])
-        pair_ref = np.array([
-            _pair_of(x[2 * (n - 1 - a):2 * (n - 1 - a) + 2, 2 * a:2 * a + 2])
-            for a in range(n)
-        ])
-        assert np.max(np.abs(occ - occ_ref)) < 5e-15
-        assert np.max(np.abs(pair - pair_ref)) < 5e-15
-
-
-def test_conserved_pair_mirror_symmetry():
-    for g, n in [(0.1, 11), (0.35, 10)]:
-        occ, pair = conserved_correlators(_params(g, n))
-        assert np.max(np.abs(pair - pair[::-1])) < 1e-12
-        assert np.all(np.real(occ) > -1e-12)
-    occ_r, _ = conserved_correlators(_params(0.35, 10))
-    assert np.allclose(occ_r, occ_r[0], rtol=0, atol=1e-15)
 
 
 def test_avg_site_matches_dephased_blocks():
@@ -71,19 +44,11 @@ def test_avg_site_matches_dephased_blocks():
             assert nu2 == pytest.approx(nu2_blk, rel=1e-12, abs=1e-12)
 
 
-def test_avg_site_validation_and_continuum():
+def test_avg_site_validation():
     with pytest.raises(DomainError):
         avg_site_correlators(_params(0.1, 8), 8)
     with pytest.raises(DomainError):
         avg_site_correlators(_params(0.1, 8), -1)
-    # weak squeezing: continuum forms track the exact sums
-    nd, md = avg_site_correlators(_params(0.2495, 32), 0)
-    nc, mc = avg_site_correlators(_params(0.2495, 32), 0, continuum=True)
-    assert nc == pytest.approx(nd, rel=5e-2)
-    nd_r, _ = avg_site_correlators(_params(0.2505, 32), 0)
-    nc_r, mc_r = avg_site_correlators(_params(0.2505, 32), 0, continuum=True)
-    assert nc_r == nd_r
-    assert (2 * nc_r + 1.0) ** 2 - 4 * abs(mc_r) ** 2 >= 1.0
 
 
 def test_nu_bar_critical_closed_form():
@@ -152,44 +117,13 @@ def test_s1_prediction_tracks_converged_averages():
         assert abs(pred - ref) / ref <= 0.05, (g, n, pred, ref)
 
 
-def test_gge_spectrum_properties():
-    p = _params(0.2, 16)
-    spec = gge_spectrum(p)
-    assert np.allclose(spec.momenta, np.pi * np.arange(1, 17) / 17.0)
-    assert np.all(spec.nus >= 1.0)
-    assert np.allclose(spec.entropies, entropy_kernel(spec.nus))
-    with pytest.raises(CriticalFrameUndefined):
-        gge_spectrum(_params(0.25, 16))
-
-
-def test_gge_entropy_block_scaling():
-    p = _params(0.2, 16)
-    assert gge_entropy(p, 0) == 0.0
-    assert gge_entropy(_params(0.25, 16), 0) == 0.0
-    assert gge_entropy(p, 6) == pytest.approx(2.0 * gge_entropy(p, 3), rel=1e-12)
-    with pytest.raises(DomainError):
-        gge_entropy(p, -1)
-    with pytest.raises(DomainError):
-        gge_entropy(p, 17)
-
-
-def test_continuum_mode_nu_tracks_discrete():
-    for g, tol in [(0.0, 1.5e-2), (0.2, 6e-3), (0.3, 1e-4), (0.4, 5e-4)]:
-        p = _params(g, 16)
-        spec = gge_spectrum(p)
-        half = spec.momenta < np.pi / 2
-        cont = continuum_mode_nu(p, spec.momenta[half])
-        assert np.max(np.abs(cont - spec.nus[half]) / spec.nus[half]) < tol
-
-
 def test_continuum_params_fields():
-    # xi = 1/r, L = N + 1 and x0 = j0 of the continuum forms, read off the frame
+    # decay length xi = 1/r, length L = N + 1 and centre x0 = j0, read off the frame
     frame = squeezing_frame(_params(0.2, 32))
     assert 1.0 / frame.r == pytest.approx(1.0 / math.atanh(0.15), rel=1e-14)
     assert 1.0 / frame.r == pytest.approx(6.616363078510365, rel=1e-13)
     assert frame.params.n_sites + 1 == 33
     assert frame.j0 == 16.5
-    assert squeezing_frame(_params(0.2, 32), j0=4.0).j0 == 4.0
     assert squeezing_frame(_params(0.3, 32)).r == 0.0   # xi = inf
 
 

@@ -75,14 +75,44 @@ def test_sweep_deterministic_and_resumable(tmp_path):
     part = _write_cfg(tmp_path, name="part.cfg", g="0.1", n="8",
                       out=tmp_path / "c", **_FAST)
     assert main(["sweep", "--config", part]) == 0
+    recorded = json.loads((tmp_path / "c" / "sweep.manifest.json").read_text())["runs"]
     grow = _write_cfg(tmp_path, name="grow.cfg", g="0.1,0.25", n="8",
                       out=tmp_path / "c", **_FAST)
     assert main(["sweep", "--config", grow]) == 0
     assert (tmp_path / "c" / "sweep.csv").read_bytes() == first
     manifest = json.loads((tmp_path / "c" / "sweep.manifest.json").read_text())
-    routes = {run["route"] for run in manifest["runs"]}
-    assert "resumed" in routes
+    assert manifest["runs"][:1] == recorded
     assert manifest["command"] == "sweep"
+
+
+def test_rows_of_an_earlier_sweep_keep_their_run_record(tmp_path):
+    # a second sweep into the directory with another g carries the first row over
+    out = tmp_path / "r"
+    first = _write_cfg(tmp_path, name="first.cfg", g="0.2", n="8", out=out, **_FAST)
+    assert main(["sweep", "--config", first]) == 0
+    [recorded] = json.loads((out / "sweep.manifest.json").read_text())["runs"]
+    assert recorded["route"] == "frame" and recorded["seconds"] > 0.0
+    second = _write_cfg(tmp_path, name="second.cfg", g="0.3", n="8", out=out, **_FAST)
+    assert main(["sweep", "--config", second]) == 0
+    runs = json.loads((out / "sweep.manifest.json").read_text())["runs"]
+    assert [run["g"] for run in runs] == [0.2, 0.3]
+    assert runs[0] == recorded
+
+
+def test_zero_pairing_averages_converge_on_the_initial_samples(tmp_path):
+    # at delta = 0 every entropy is rounding noise, which no relative target fits
+    keys = dict(delta="0", g="0.2", n="8", protocol_initial_samples="100",
+                protocol_max_samples="200")
+    quarter = _write_cfg(tmp_path, name="quarter.cfg", cut="quarter", out=tmp_path / "q",
+                         **keys)
+    assert main(["sweep", "--config", quarter]) == 0
+    [row] = (tmp_path / "q" / "sweep.csv").read_text().splitlines()[1:]
+    assert abs(float(row.split(",")[3])) < 1e-12 and row.endswith(",100")
+    profile = _write_cfg(tmp_path, name="profile.cfg", figures="profiles",
+                         out=tmp_path / "p", **keys)
+    assert main(["figures", "--config", profile]) == 0
+    lines = (tmp_path / "p" / "profiles.csv").read_text().splitlines()[1:]
+    assert len(lines) == 8 and all(line.endswith(",100") for line in lines)
 
 
 def test_sweep_records_the_closed_form_route_on_the_critical_line(tmp_path):
@@ -131,13 +161,17 @@ def test_analytic_at_zero_delta_is_zero(tmp_path):
 
 
 def test_analytic_block_cuts(tmp_path):
-    cfg = _write_cfg(tmp_path, g="0.2", n="8", cut="quarter", out=tmp_path / "q")
+    # one block law, l S1, in all three phases: at N = 8 every S1 is the
+    # critical expansion, at N = 64 the deep-phase forms off g = Delta
+    cfg = _write_cfg(tmp_path, g="0.2,0.25,0.3", n="8,64", cut="quarter", out=tmp_path / "q")
     assert main(["analytic", "--config", cfg]) == 0
-    line = (tmp_path / "q" / "analytic.csv").read_text().splitlines()[1]
-    parts = line.split(",")
-    p = ModelParams(w=1.0, delta=0.25, g=0.2, n_sites=8)
-    assert parts[2] == "left:2"
-    assert float(parts[3]) == 2 * s1_prediction(p)
+    lines = (tmp_path / "q" / "analytic.csv").read_text().splitlines()[1:]
+    assert len(lines) == 6
+    for line in lines:
+        parts = line.split(",")
+        p = ModelParams(w=1.0, delta=0.25, g=float(parts[0]), n_sites=int(parts[1]))
+        assert parts[2] == f"left:{p.n_sites // 4}"
+        assert float(parts[3]) == p.n_sites // 4 * s1_prediction(p)
 
 
 def test_collapse_roundtrip_and_missing_reference(tmp_path):
@@ -211,9 +245,10 @@ def test_page_cut_sweep_and_analytic(tmp_path):
                                                        rel_threshold=1.0))
     assert [float(row[3]) for row in rows] == list(curve.entropies)
     assert int(rows[0][5]) == curve.n_samples
+    recorded = json.loads((tmp_path / "s" / "sweep.manifest.json").read_text())["runs"]
     assert main(["sweep", "--config", cfg]) == 0
     manifest = json.loads((tmp_path / "s" / "sweep.manifest.json").read_text())
-    assert [run["route"] for run in manifest["runs"]] == ["resumed"] * 7
+    assert manifest["runs"] == recorded
 
     assert main(["analytic", "--config", cfg]) == 0
     s1 = s1_prediction(p)
@@ -467,9 +502,7 @@ def test_resume_reuses_rows_only_under_their_protocol(tmp_path):
     # the same protocol again: both rows are reused with what they recorded
     assert main(["sweep", "--config", longer]) == 0
     resumed = json.loads((out / "sweep.manifest.json").read_text())["runs"]
-    assert [run["route"] for run in resumed] == ["resumed", "resumed"]
-    for run, before in zip(resumed, runs):
-        assert run["protocol"] == before["protocol"]
+    assert resumed == runs
 
 
 def test_sweep_directory_holds_one_pair_of_couplings(tmp_path, capsys):
@@ -492,7 +525,7 @@ def test_sweep_directory_holds_one_pair_of_couplings(tmp_path, capsys):
     same = _write_cfg(tmp_path, name="same.cfg", w="1.0", delta="0.250", **keys)
     assert main(["sweep", "--config", same]) == 0
     runs = json.loads((out / "sweep.manifest.json").read_text())["runs"]
-    assert [run["route"] for run in runs] == ["resumed"]
+    assert runs == json.loads(written["sweep.manifest.json"])["runs"]
 
 
 def test_interrupted_sweep_keeps_finished_points(tmp_path, monkeypatch):
@@ -513,11 +546,13 @@ def test_interrupted_sweep_keeps_finished_points(tmp_path, monkeypatch):
     lines = (out / "sweep.csv").read_text().splitlines()
     assert len(lines) == 2 and lines[1].startswith("0.10000000000000001,8,site:4,")
     assert sorted(path.name for path in out.iterdir()) == ["sweep.csv", "sweep.manifest.json"]
+    finished = json.loads((out / "sweep.manifest.json").read_text())["runs"]
 
     monkeypatch.setattr(cli, "_sweep_point", real)
     assert main(["sweep", "--config", cfg]) == 0
     runs = json.loads((out / "sweep.manifest.json").read_text())["runs"]
-    assert [(run["g"], run["route"]) for run in runs] == [(0.1, "resumed"), (0.2, "frame")]
+    assert runs[:1] == finished
+    assert [(run["g"], run["route"]) for run in runs] == [(0.1, "frame"), (0.2, "frame")]
     fresh = _write_cfg(tmp_path, name="fresh.cfg", g="0.1,0.2", n="8",
                        out=tmp_path / "fresh", **_FAST)
     assert main(["sweep", "--config", fresh]) == 0

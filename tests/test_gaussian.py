@@ -13,7 +13,6 @@ from bkc.gaussian import (
     entropy_from_gram,
     entropy_kernel,
     local_decompose,
-    single_site_nu,
     site_correlators,
     subsystem_entropy_from_rows,
     symplectic_eigenvalues_from_rows,
@@ -159,28 +158,16 @@ def test_site_correlators_take_a_stack_of_blocks():
             site_correlators(bad)
 
 
-def test_single_site_nu_pure_and_thermal():
-    assert single_site_nu(0.0, 0.0) == 1.0
-    r = 0.8
-    assert single_site_nu(math.sinh(r) ** 2, 0.5 * math.sinh(2 * r)) == pytest.approx(
-        1.0, abs=1e-12
-    )
-    assert single_site_nu(1.7, 0.0) == pytest.approx(2 * 1.7 + 1, rel=1e-14)
-
-
-def test_single_site_nu_matches_block_spectrum():
+def test_site_correlators_give_the_block_spectrum():
+    # nu^2 = (2n + 1)^2 - 4|m|^2 of a single mode, against the eigen-route
     for _ in range(25):
         s = random_symplectic(3, RNG)
         sig = s @ s.T
         for j in range(3):
             n, m = site_correlators(sig[2 * j:2 * j + 2, 2 * j:2 * j + 2])
             direct = symplectic_eigenvalues(sig, [j])[0]
-            assert single_site_nu(n, m) == pytest.approx(direct, abs=1e-10 * direct)
-
-
-def test_single_site_nu_rejects_unphysical():
-    with pytest.raises(DomainError):
-        single_site_nu(0.0, 1.0)
+            nu = math.sqrt((2 * n + 1) ** 2 - 4 * abs(m) ** 2)
+            assert nu == pytest.approx(direct, abs=1e-10 * direct)
 
 
 def test_thermal_entropy_values():

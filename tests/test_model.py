@@ -224,11 +224,3 @@ def test_dynamical_spectrum_matches_standing_wave_frequencies():
         freqs = np.sort(np.abs(tb.energies / 2.0))
         got = np.sort(np.abs(vals.imag))
         assert np.allclose(got, np.repeat(freqs, 2), atol=1e-8)
-
-
-def test_frame_gauge_site_default_and_override():
-    p = ModelParams(w=1.0, delta=0.25, g=0.0, n_sites=7)
-    assert squeezing_frame(p).j0 == 4.0
-    assert squeezing_frame(p, j0=1.0).j0 == 1.0
-    # gauge choice shifts the stretch profile but keeps the frame valid
-    assert validate_frame(squeezing_frame(p, j0=1.0)) < 1e-10
