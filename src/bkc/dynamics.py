@@ -38,7 +38,12 @@ at most ``_CHUNK_BYTES`` of entropy-map rows (and the arrays that reducing
 them needs), never crosses a convergence check, and is one stacked call for
 the rows and one batched factorization for their entropies, or one call for
 the spectra of a single site's Gram blocks or of a cut on g == delta. No
-average builds the full map S(t).
+average builds the full map S(t). A chunk is a grid batch: with k = a B + b
+(B = 32), single sites and the g == delta route take e^{i omega t_k} =
+e^{i omega t_aB} e^{i omega b dt} from float64 trig at the anchors t_aB, a table
+of the offsets made once per average, and angle addition (``_phases``). So a
+phase depends on its grid index alone, never on the chunk. Explicit times and
+frame block rows keep the trig of fl(omega t).
 
 The covariance of the evolved vacuum is sigma(t) = S(t) S(t)^T.
 """
@@ -79,6 +84,10 @@ _CHUNK_BYTES = 4 * 2 ** 20
 _HALF_TURN = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 # Absolute stderr floor of the stopping rule (AveragingProtocol).
 _STDERR_FLOOR = 1e-12
+# Grid stride B between anchors of direct trig; offsets b < B share one table (_phases).
+_ANCHOR_STRIDE = 32
+# Largest rounding J t eps of a grid phase, rad, that for_params accepts.
+_PHASE_RESOLUTION = 1e-6
 
 
 class PropagationMode(enum.Enum):
@@ -103,7 +112,9 @@ class AveragingProtocol:
     constant, not a field, at the rounding level of an entropy: at
     delta == 0 the vacuum stays the vacuum, and every entropy is noise of
     about 1e-15 with no relative error to reach. An entropy that is not
-    rounding noise has a far larger relative target.
+    rounding noise has a far larger relative target. ``for_params`` rejects grids
+    whose last time t has J t 2^-52 > 1e-6 rad (``_PHASE_RESOLUTION``): |omega| <= J,
+    so past that a float64 phase keeps too few digits (none at t = 1e18).
     """
 
     t_min: float
@@ -127,7 +138,11 @@ class AveragingProtocol:
         hop = params.hopping
         kwargs = {"t_min": 10.0 * params.n_sites / hop, "dt": 10.0 / hop}
         kwargs.update(overrides)
-        return cls(**kwargs)
+        grid = cls(**kwargs)
+        slip = hop * grid.time(grid.max_samples - 1) * 2.0 ** -52
+        if slip > _PHASE_RESOLUTION:
+            raise ValueError(f"grid phases past float64 resolution: J t eps = {slip:.3g} rad")
+        return grid
 
     def time(self, k: int) -> float:
         return self.t_min + k * self.dt
@@ -135,6 +150,41 @@ class AveragingProtocol:
     def times(self, k0: int, k1: int) -> np.ndarray:
         """Grid times t_k for k0 <= k < k1, equal to ``time(k)`` bit for bit."""
         return self.t_min + np.arange(k0, k1) * self.dt
+
+
+class _GridBatch:
+    """Grid indices k of one chunk, their times t_min + k dt (``protocol.times`` bit
+    for bit) and the average's ``offsets``: cos and sin of omega b dt, 2 x B x m, by m."""
+
+    def __init__(self, protocol: AveragingProtocol, indices: np.ndarray, offsets: dict):
+        self.protocol, self.indices, self.offsets = protocol, indices, offsets
+        self.times = protocol.t_min + indices * protocol.dt
+        self.size = indices.size
+
+    def __getitem__(self, i):
+        return self.times[i]
+
+
+def _phases(frequencies: np.ndarray, times) -> np.ndarray:
+    """cos and sin of omega t for the m ``frequencies`` at every time, 2 x K x m: trig of
+    fl(omega t), or a ``_GridBatch``'s anchored rotations (module docstring). A batch's
+    average keeps one offset table, made at its first use, per m."""
+    if not isinstance(times, _GridBatch):
+        phase = np.multiply.outer(times, frequencies)
+        return np.stack([np.cos(phase), np.sin(phase)])
+    m, grid = frequencies.size, times.protocol
+    anchors, slot = np.unique(times.indices // _ANCHOR_STRIDE, return_inverse=True)
+    anchor_times = grid.t_min + anchors * _ANCHOR_STRIDE * grid.dt
+    cos_a, sin_a = _phases(frequencies, anchor_times)[:, :, None]
+    if m not in times.offsets:
+        times.offsets[m] = _phases(frequencies, np.arange(_ANCHOR_STRIDE) * grid.dt)
+    cos_b, sin_b = times.offsets[m]
+    out, scratch = np.empty((2, anchors.size, _ANCHOR_STRIDE, m)), np.multiply(sin_a, sin_b)
+    np.subtract(np.multiply(cos_a, cos_b, out=out[0]), scratch, out=out[0])
+    np.add(np.multiply(sin_a, cos_b, out=out[1]), np.multiply(cos_a, sin_b, out=scratch), out=out[1])
+    rows, out = slot * _ANCHOR_STRIDE + times.indices % _ANCHOR_STRIDE, out.reshape(2, -1, m)
+    # consecutive indices, as in every sampler chunk, take a view of the grid, not a copy
+    return out[:, rows[0]:rows[-1] + 1] if np.all(np.diff(rows) == 1) else out[:, rows]
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,15 +261,12 @@ class Propagator:
         As omega_{N-1-i} = -omega_i, m_{N-1-i,j} = (-1)^j m_ij and an odd N's
         middle omega is 0, C_jk = 0 unless j = k mod 2 and S_jk = 0 unless not:
         the sums run over the h = N // 2 lowest modes with weights 2 m_ij and
-        one phase fl(t omega_i) per pair. Returns C for the columns k of the
+        one phase (``_phases``) per pair. Returns C for the columns k of the
         site's parity and S for the others, K x N/2 each.
         """
-        n, k, h = self.params.n_sites, times.size, self.params.n_sites // 2
+        n, h = self.params.n_sites, self.params.n_sites // 2
         own, other = site % 2, 1 - site % 2
-        weights = np.empty((2, k, h))
-        phase = np.multiply.outer(times, self.frequencies[:h], out=weights[1])
-        np.cos(phase, out=weights[0])
-        np.sin(phase, out=weights[1])
+        weights = _phases(self.frequencies[:h], times)
         weights *= 2.0 * self.modes[:h, site]
         cos_part = weights[0] @ self.modes[:h, own::2]
         sin_part = weights[1] @ self.modes[:h, other::2]
@@ -280,10 +327,9 @@ class Propagator:
         weights = work[2 * size:4 * size].reshape(k, l, 2 * n)
         parity = sites % 2
         site_rows = scale * np.hstack([-self.columns[sites, n:], self.columns[sites, :n]])
-        phase = np.multiply.outer(times, self.frequencies)
-        sin = np.sin(phase)
+        cos, sin = _phases(self.frequencies, times)
         # cos, sin, -sin, each over both halves of a site row
-        trig = np.tile(np.stack([np.cos(phase), sin, -sin], axis=1), 2)
+        trig = np.tile(np.stack([cos, sin, -sin], axis=1), 2)
         for p, part in enumerate((slice(None, (n + 1) // 2), slice((n + 1) // 2, None))):
             # own parity: cos; an odd site into even columns: +sin; even into odd: -sin
             np.take(trig, np.where(parity == p, 0, 2 - parity), axis=1, out=weights, mode="clip")
@@ -393,14 +439,15 @@ class Propagator:
         Entropy averages of a single site away from g == delta and of every cut
         on it take no rows (``_site_gram``, ``critical_spectrum``); Page curves,
         profiles and ``time_series`` do. On the frame route a single site's
-        rows come from paired phases (``_site_rows``), off the full map's by
-        fl(t omega) + fl(-t omega), up
-        to about 5e-12 rad at N = 512. Larger blocks keep one phase per mode
+        rows come from paired phases (``_site_rows``), anchored on a grid batch
+        (``_phases``), off the full map's fl(t omega) by up to 7e-12 rad at
+        N = 512, k < 1000 (1e-10 by k = 20,000). Larger blocks keep one phase per mode
         and the per-time order Psi2^T[rows] (B(t) G), which the 1e-12
         references fix for the ill-conditioned g = 0 quarter (pairing moved its
         N = 256 value by 1.8e-5).
         """
-        times = np.atleast_1d(np.asarray(t, dtype=float))
+        batch = isinstance(t, _GridBatch)
+        times = t if batch else np.atleast_1d(np.asarray(t, dtype=float))
         shape = (times.size, rows.size, 2 * self.params.n_sites)
         stack = np.empty(shape)
         if self.frame is None:
@@ -416,10 +463,10 @@ class Propagator:
             self._site_rows(rows[0] // 2, times, stack)
         else:
             factor = self._mode_rows(rows)
-            for i, s in enumerate(times):
+            for i, s in enumerate(t.times if batch else times):
                 np.matmul(factor, self._rotated_map(s), out=stack[i])
         within_limit(stack, f"propagation to t = {times[0]}..{times[-1]}")
-        return stack if np.ndim(t) else stack[0]
+        return stack if batch or np.ndim(t) else stack[0]
 
 
 @functools.lru_cache(maxsize=32)
@@ -493,8 +540,9 @@ def _sample(params: ModelParams, subsystem, reduce, protocol: AveragingProtocol 
     prop = build_propagator(params, None)
     chunk = max(1, _CHUNK_BYTES // (stacks * rows.size * 2 * params.n_sites * 8))
     sites = rows[::2] // 2
+    offsets: dict = {}   # the offset tables of this average (_phases)
 
-    def evaluate(times: np.ndarray) -> np.ndarray:
+    def evaluate(times: _GridBatch) -> np.ndarray:
         if spectrum_reduce is None or (prop.frame is not None and sites.size > 1):
             # a copy: a view of the rows would keep the whole chunk alive
             return np.array(reduce(prop.entropy_rows(times, rows)))
@@ -504,8 +552,9 @@ def _sample(params: ModelParams, subsystem, reduce, protocol: AveragingProtocol 
         return spectrum_reduce(nu[:, None], trace)
 
     def draw(k0: int, k1: int) -> np.ndarray:
-        return np.concatenate([evaluate(protocol.times(c0, min(k1, c0 + chunk)))
-                               for c0 in range(k0, k1, chunk)])
+        return np.concatenate([
+            evaluate(_GridBatch(protocol, np.arange(c0, min(k1, c0 + chunk)), offsets))
+            for c0 in range(k0, k1, chunk)])
 
     return _converge_series(draw, protocol)
 

@@ -429,6 +429,15 @@ def test_exit_codes(tmp_path, capfd):
         assert err.startswith("error:") and err.count("\n") == 1
 
 
+def test_grid_past_phase_resolution_exits_3(tmp_path, capsys):
+    # at t_min = 1e18 only a few grid times are distinct and no phase has a digit
+    cfg = _write_cfg(tmp_path, g="0.2", n="8", protocol_t_min="1e18", out=tmp_path / "late")
+    assert main(["sweep", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "phase" in err
+    assert not (tmp_path / "late").exists()
+
+
 def test_collapse_exponent_must_be_finite_and_positive(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, g="0.25,0.26", n="8,16", out=tmp_path / "c")
     assert main(["analytic", "--config", cfg]) == 0

@@ -244,6 +244,59 @@ def test_site_gram_matches_longdouble_rows():
                     assert np.max(np.abs(got - ref)) <= 2e-13 * np.max(np.abs(ref))
 
 
+def test_grid_phases_depend_on_the_index_only(monkeypatch):
+    # chunks of 146 and 366 site samples, 9 and 22 quarter samples, 3 and 7 for its
+    # complement, none a multiple of the anchor stride. (Chunks of one or two N = 64
+    # quarter samples round differently, anchored or not: their GEMMs have M <= 32.)
+    cases = [(_params(0.2, 64), [32]), (_params(0.25, 64), range(16)),
+             (_params(0.25, 64), range(16, 64))]
+    values = []
+    for budget in (600_000, 1_500_000):
+        monkeypatch.setattr(dynamics, "_CHUNK_BYTES", budget)
+        values.append([time_averaged_entropy(p, sites, AveragingProtocol.for_params(
+            p, initial_samples=300, rel_threshold=1.0)).values for p, sites in cases])
+    for one, other in zip(*values):
+        assert one.size == 300 and np.array_equal(one, other)
+    # a batch of two far-apart indices gives the rows of a full-range batch
+    prop = build_propagator(_params(0.2, 64))
+    proto = AveragingProtocol.for_params(prop.params)
+    grid = dynamics._GridBatch(proto, np.arange(778), {})
+    pair = dynamics._GridBatch(proto, np.array([0, 777]), grid.offsets)
+    assert np.array_equal(pair.times, grid.times[[0, 777]])
+    for site in (0, 32, 63):
+        assert np.array_equal(prop._site_gram(site, pair), prop._site_gram(site, grid)[[0, 777]])
+
+
+@pytest.mark.parametrize("g, n", [(0.2, 64), (0.2, 512), (0.25, 96)])
+def test_grid_phase_accuracy(g, n):
+    # long-double trig of the float64 frequencies on the real grid t_min + k dt;
+    # anchored and direct phases both within 2 eps max|omega t_k| (bound set before the run)
+    prop = build_propagator(_params(g, n))
+    proto = AveragingProtocol.for_params(prop.params)
+    offsets = {}
+    ld = np.longdouble
+    bound = 2 * np.finfo(float).eps * np.max(np.abs(prop.frequencies)) * proto.time(19_999)
+    for k0 in (0, 19_000):
+        k = np.arange(k0, k0 + 1000)
+        phase = np.multiply.outer(ld(proto.t_min) + k.astype(ld) * ld(proto.dt),
+                                  prop.frequencies.astype(ld))
+        ref = np.stack([np.cos(phase), np.sin(phase)])
+        for times in (dynamics._GridBatch(proto, k, offsets), proto.times(k0, k0 + 1000)):
+            assert np.max(np.abs(dynamics._phases(prop.frequencies, times) - ref)) <= bound
+
+
+def test_protocol_rejects_grids_past_phase_resolution():
+    # at t = 1e18 one ulp of t is 128, so phases J t carry no digits
+    p = _params(0.2, 8)
+    with pytest.raises(ValueError, match="phase"):
+        AveragingProtocol.for_params(p, t_min=1e18)
+    AveragingProtocol.for_params(p)
+    # the late window [T, 2T] at T = 40 N^2 / J, N = 2048: J t eps = 7.5e-8 rad
+    big = _params(0.2, 2048)
+    late = 40.0 * 2048 ** 2 / big.hopping
+    AveragingProtocol.for_params(big, t_min=late, dt=late / 20000)
+
+
 def test_site_average_matches_row_route():
     # at delta = 0.9 and 0.99 the Gram entries pass 1e155, so det sigma_j = nu^2
     # would overflow; the rows and det(sigma_j / tr) stay in range
