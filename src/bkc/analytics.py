@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, MissingReference
-from .gaussian import entropy_kernel
+from .errors import MissingReference
+from .gaussian import entropy_kernel, quadrature_indices
 from .model import (
     ModelParams,
     PhaseRegime,
@@ -35,8 +35,7 @@ def avg_site_correlators(params: ModelParams, site: int):
     0-based.
     """
     n = params.n_sites
-    if not 0 <= site < n:
-        raise DomainError(f"site {site} out of range for {n} sites")
+    quadrature_indices([site], n)   # DomainError unless a site of the chain
     frame = squeezing_frame(params)
     jj = site + 1
     ch0, sh0 = math.cosh(2 * frame.r0), math.sinh(2 * frame.r0)

@@ -424,8 +424,9 @@ def cmd_collapse(cfg: dict[str, str], input_csv: str) -> int:
     return 0
 
 
-def _figure_profiles(params: ModelParams, cfg: dict[str, str]) -> tuple[list, dict]:
-    prof, converged, seconds = _run_average(profiles, params, _protocol_for(params, cfg))
+def _figure_profiles(params: ModelParams, protocol: AveragingProtocol,
+                     cfg: dict[str, str]) -> tuple[list, dict]:
+    prof, converged, seconds = _run_average(profiles, params, protocol)
     rows = []
     for j, s_thermal in enumerate(prof.thermal_entropies()):
         decomp = local_decompose(prof.mean_blocks[j])
@@ -436,20 +437,22 @@ def _figure_profiles(params: ModelParams, cfg: dict[str, str]) -> tuple[list, di
                   "seconds": seconds}
 
 
-def _figure_page(params: ModelParams, cfg: dict[str, str]) -> tuple[list, dict]:
-    curve, converged, seconds = _run_average(page_curve, params, _protocol_for(params, cfg))
+def _figure_page(params: ModelParams, protocol: AveragingProtocol,
+                 cfg: dict[str, str]) -> tuple[list, dict]:
+    curve, converged, seconds = _run_average(page_curve, params, protocol)
     rows = [(params.g, params.n_sites, int(l), float(s_mean), float(err), int(curve.n_samples))
             for l, s_mean, err in zip(curve.lengths, curve.entropies, curve.stderrs)]
     return rows, {"subsystem": "page", "converged": converged, "route": _route(params),
                   "seconds": seconds}
 
 
-def _figure_fourpoint(params: ModelParams, cfg: dict[str, str]) -> tuple[list, dict]:
+def _figure_fourpoint(params: ModelParams, protocol: AveragingProtocol,
+                      cfg: dict[str, str]) -> tuple[list, dict]:
     """Four-point row; a point it cannot evaluate gives no row and an entry with a ``reason``."""
     site = _resolve_site(cfg, params.n_sites)
     started = time.perf_counter()
     try:
-        report = fourpoint_report(params, site, _protocol_for(params, cfg))
+        report = fourpoint_report(params, site, protocol)
     except (CriticalFrameUndefined, DomainError) as exc:
         return [], {"reason": str(exc)}
     row = (params.g, params.n_sites, site, report.epsilon4, report.one_over_eps4,
@@ -467,17 +470,21 @@ _FIGURES = {
 
 
 def _run_figures(cfg: dict[str, str], names: list[str], command: str) -> int:
-    """Write each named product's CSV and ``<command>.manifest.json``: entries with a
-    ``reason`` go under ``skipped``, the rest under ``runs``, and exit 2 if one of
-    those did not converge."""
+    """Check every point's protocol and probe site, then write each named product's CSV
+    and ``<command>.manifest.json``: entries with a ``reason`` go under ``skipped``, the
+    rest under ``runs``, and exit 2 if one of those did not converge."""
     started = time.time()
     out = Path(cfg["out"])
+    points = [(params, _protocol_for(params, cfg)) for params in _grid(cfg)]
+    if "fourpoint" in names:
+        for params, _ in points:
+            _resolve_site(cfg, params.n_sites)
     entries = []
     for name in names:
         figure, header = _FIGURES[name]
         rows = []
-        for params in _grid(cfg):
-            point_rows, entry = figure(params, cfg)
+        for params, protocol in points:
+            point_rows, entry = figure(params, protocol, cfg)
             rows.extend(point_rows)
             entries.append({"g": params.g, "N": params.n_sites, **entry})
         _write_csv(out / f"{name}.csv", header, rows)

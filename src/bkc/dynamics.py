@@ -1,7 +1,7 @@
 """Vacuum-quench propagation and long-time averaging of entanglement data.
 
-Every average (``time_series``, ``page_curve``, ``profiles``) takes the
-``FRAME_EXACT`` route, which ``build_propagator(params, None)`` always picks:
+Every average takes the ``FRAME_EXACT`` route, which
+``build_propagator(params, None)`` always picks:
 
 * Away from g == delta it conjugates the exact mode rotation through the
   squeezing frame, S(t) = G^{-1} B(t) G with B(t) block-diagonal rotations
@@ -28,22 +28,25 @@ Every average (``time_series``, ``page_curve``, ``profiles``) takes the
   sigma_A = [[I, H_AA], [H_AA, I + V_A V_A^T]], and the shear
   v_A -> v_A - H_AA u_A, symplectic as H_AA is symmetric, takes it to
   diag(I, I + Y Y^T) with Y = V_A - H_AA U_A. So nu^2 = 1 + eig(Y Y^T), one
-  l x l eigensolve (``Propagator.critical_spectrum``).
+  l x l eigensolve.
 
 The package has no matrix exponential: the tests check both forms against
 ``scipy.linalg.expm`` of the generator Omega h.
 
 One sampler draws the grid in chunks of consecutive indices: a chunk holds
 at most ``_CHUNK_BYTES`` of entropy-map rows (and the arrays that reducing
-them needs), never crosses a convergence check, and is one stacked call for
-the rows and one batched factorization for their entropies, or one call for
-the spectra of a single site's Gram blocks or of a cut on g == delta. No
-average builds the full map S(t). A chunk is a grid batch: with k = a B + b
-(B = 32), single sites and the g == delta route take e^{i omega t_k} =
-e^{i omega t_aB} e^{i omega b dt} from float64 trig at the anchors t_aB, a table
-of the offsets made once per average, and angle addition (``_phases``). So a
-phase depends on its grid index alone, never on the chunk. Explicit times and
-frame block rows keep the trig of fl(omega t).
+them needs), never crosses a convergence check, and is one call of the
+average's ``evaluate``. Entropy averages and ``log_correction`` take
+``Propagator.spectrum``, the one place that picks a route: a frame site's Gram
+block, a frame block's rows and QR (as ``subsystem_entropy_from_rows``), the
+shear on g == delta. Page curves, profiles and ``time_series`` take
+``entropy_rows``. No average builds the full map S(t). A chunk is a grid
+batch, the range k0 <= k < k1: with k = a B + b (B = 32), single sites and the
+g == delta route take e^{i omega t_k} = e^{i omega t_aB} e^{i omega b dt} from
+float64 trig at the anchors t_aB, a table of the offsets made once per average,
+and angle addition (``_phases``). So a phase depends on its grid index alone,
+never on the chunk. Explicit times and frame block rows keep the trig of
+fl(omega t).
 
 The covariance of the evolved vacuum is sigma(t) = S(t) S(t)^T.
 """
@@ -66,6 +69,7 @@ from .gaussian import (
     quadrature_indices,
     site_correlators,
     subsystem_entropy_from_rows,
+    symplectic_eigenvalues_from_rows,
 )
 from .model import (
     ModelParams,
@@ -153,13 +157,13 @@ class AveragingProtocol:
 
 
 class _GridBatch:
-    """Grid indices k of one chunk, their times t_min + k dt (``protocol.times`` bit
-    for bit) and the average's ``offsets``: cos and sin of omega b dt, 2 x B x m, by m."""
+    """Grid indices k0 <= k < k1 of one chunk, their ``protocol.times`` and the average's
+    ``offsets``: cos and sin of omega b dt, 2 x B x m, by m."""
 
-    def __init__(self, protocol: AveragingProtocol, indices: np.ndarray, offsets: dict):
-        self.protocol, self.indices, self.offsets = protocol, indices, offsets
-        self.times = protocol.t_min + indices * protocol.dt
-        self.size = indices.size
+    def __init__(self, protocol: AveragingProtocol, k0: int, k1: int, offsets: dict):
+        self.protocol, self.k0, self.k1, self.offsets = protocol, k0, k1, offsets
+        self.times = protocol.times(k0, k1)
+        self.size = k1 - k0
 
     def __getitem__(self, i):
         return self.times[i]
@@ -173,7 +177,7 @@ def _phases(frequencies: np.ndarray, times) -> np.ndarray:
         phase = np.multiply.outer(times, frequencies)
         return np.stack([np.cos(phase), np.sin(phase)])
     m, grid = frequencies.size, times.protocol
-    anchors, slot = np.unique(times.indices // _ANCHOR_STRIDE, return_inverse=True)
+    anchors = np.arange(times.k0 // _ANCHOR_STRIDE, (times.k1 - 1) // _ANCHOR_STRIDE + 1)
     anchor_times = grid.t_min + anchors * _ANCHOR_STRIDE * grid.dt
     cos_a, sin_a = _phases(frequencies, anchor_times)[:, :, None]
     if m not in times.offsets:
@@ -182,9 +186,8 @@ def _phases(frequencies: np.ndarray, times) -> np.ndarray:
     out, scratch = np.empty((2, anchors.size, _ANCHOR_STRIDE, m)), np.multiply(sin_a, sin_b)
     np.subtract(np.multiply(cos_a, cos_b, out=out[0]), scratch, out=out[0])
     np.add(np.multiply(sin_a, cos_b, out=out[1]), np.multiply(cos_a, sin_b, out=scratch), out=out[1])
-    rows, out = slot * _ANCHOR_STRIDE + times.indices % _ANCHOR_STRIDE, out.reshape(2, -1, m)
-    # consecutive indices, as in every sampler chunk, take a view of the grid, not a copy
-    return out[:, rows[0]:rows[-1] + 1] if np.all(np.diff(rows) == 1) else out[:, rows]
+    first = anchors[0] * _ANCHOR_STRIDE
+    return out.reshape(2, -1, m)[:, times.k0 - first:times.k1 - first]
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,12 +251,13 @@ class Propagator:
         return (self.modes[:, None, :, None]
                 * self.frame.site_factors.transpose(1, 0, 2)).reshape(2 * n, 2 * n)
 
-    def _mode_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Rows of Psi2^T: row 2j+b holds modes[i, j] at column 2i+b, zeros elsewhere."""
-        n = self.params.n_sites
-        out = np.zeros((rows.size, n, 2))
-        out[np.arange(rows.size), :, rows % 2] = self.modes[:, rows // 2].T
-        return out.reshape(rows.size, 2 * n)
+    def _mode_rows(self, sites: np.ndarray) -> np.ndarray:
+        """Rows 2j, 2j+1 of Psi2^T for every j in ``sites``: row 2j+b holds modes[i, j] at
+        column 2i+b, zeros elsewhere."""
+        n, l = self.params.n_sites, sites.size
+        out = np.zeros((l, 2, n, 2))
+        out[:, 0, :, 0] = out[:, 1, :, 1] = self.modes[:, sites].T
+        return out.reshape(2 * l, 2 * n)
 
     def _site_sums(self, site: int, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mode sums C_jk, S_jk = sum_i m_ij m_ik (cos, sin)(omega_i t) of j = ``site``.
@@ -354,23 +358,27 @@ class Propagator:
             np.subtract(u_part, v_part, out=out[:, :, 1, p::2, 0])
             np.negative(u_part, out=out[:, :, 1, p::2, 1])
 
-    def critical_spectrum(self, sites: np.ndarray,
-                          times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """nu (K x l) of the whole sites ``sites`` at every time on g == delta, without rows,
-        and its floor scale ||W_A||^2 = tr sigma_A = 2l + ||V_A||^2 (K).
+    def spectrum(self, sites: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
+        """nu (K x l) of the whole sites ``sites`` at every time, unclamped, and its floor
+        scale ||W_A||^2 (K), by the cut's route (module docstring).
 
-        nu^2 = 1 + eig(Y Y^T) (module docstring), unclamped: the caller's floor
-        check sees every nu below 1 (nu = 0 for an eigenvalue below -1). A cut of
+        On g == delta nu = 0 for an eigenvalue of Y Y^T below -1, and a cut of
         more than half the chain takes its complement B's nu, noise and scale,
         and 2l - N more nu at exactly 1 (the state is pure): A's rank-(N - l)
         Y Y^T adds 2l - N eigenvalues near eps ||Y||^2, 1e-11 to S at N = 256.
         """
+        if self.frame is not None:
+            if sites.size == 1:
+                nu, trace = _gram_nu(self._site_gram(sites[0], times))
+                return nu[:, None], trace
+            rows = self.entropy_rows(times, sites)
+            return symplectic_eigenvalues_from_rows(rows), np.einsum("...ij,...ij->...", rows, rows)
         n, l, k = self.params.n_sites, sites.size, times.size
         if 2 * l > n:
             ones = np.ones((k, 2 * l - n))
             if l == n:
                 return ones, np.zeros(k)
-            nu, scale = self.critical_spectrum(np.setdiff1d(np.arange(n), sites), times)
+            nu, scale = self.spectrum(np.setdiff1d(np.arange(n), sites), times)
             return np.hstack([ones, nu]), scale
         what = f"propagation to t = {times[0]}..{times[-1]}"
         work = np.empty(4 * k * l * n)
@@ -412,57 +420,45 @@ class Propagator:
         return within_limit((self.frame.inverse_factors() @ w_rows).reshape(2 * n, 2 * n),
                             f"propagation to t = {t}")
 
-    def subsystem_rows(self, t: float, rows: np.ndarray) -> np.ndarray:
-        """Rows of S(t) for the quadratures listed in ``rows``."""
-        return self.symplectic(t)[rows]
+    def subsystem_rows(self, t: float, sites) -> np.ndarray:
+        """Rows 2j, 2j+1 of S(t) for every j in ``sites``."""
+        n = self.params.n_sites
+        return self.symplectic(t).reshape(n, 2, 2 * n)[sites].reshape(-1, 2 * n)
 
     def entropy_map(self, t: float) -> np.ndarray:
         """Every row of entropy_rows(t); see that method for the frame choice."""
-        return self.entropy_rows(t, np.arange(2 * self.params.n_sites))
+        return self.entropy_rows(t, np.arange(self.params.n_sites))
 
-    def entropy_rows(self, t, rows: np.ndarray) -> np.ndarray:
-        """Rows of a quadrature map whose state has the subsystem entropies of S(t).
+    def entropy_rows(self, t, sites) -> np.ndarray:
+        """Rows 2j, 2j+1 of a quadrature map whose state has the subsystem entropies of
+        S(t), for every j in ``sites``.
 
-        Away from g == delta the frame route returns rows of
-        W(t) = Psi2^T B(t) G = F S(t), i.e. the evolved state written in the
-        squeezing frame F. Site blocks of W W^T differ from the lab ones only
-        by per-site symplectic factors, which leave every whole-site
-        subsystem entropy unchanged but strip the e^{r (j - j0)}
-        local-squeezing amplification. Without that rescaling the lab-frame
-        site blocks at large N carry entries so far above the symplectic
-        eigenvalues that the eigensolver's floating-point floor swallows the
-        entropy entirely. On g == delta it returns rows of W = S(t) P, whose
-        site blocks of W W^T are the lab ones (module docstring).
+        Away from g == delta these are rows of W(t) = Psi2^T B(t) G = F S(t), the
+        evolved state in the squeezing frame F: its site blocks differ from the
+        lab ones by per-site symplectic factors, which keep every whole-site
+        entropy but strip the e^{r (j - j0)} local squeezing that would bury the
+        lab blocks' nu under the eigensolver's floor at large N. On g == delta
+        they are rows of W = S(t) P, whose site blocks are the lab ones.
 
         ``t`` is a time, which gives the 2l x 2N rows, or a 1-D array of K
-        times, which gives a K x 2l x 2N stack; a time is a batch of one.
-        Entropy averages of a single site away from g == delta and of every cut
-        on it take no rows (``_site_gram``, ``critical_spectrum``); Page curves,
-        profiles and ``time_series`` do. On the frame route a single site's
-        rows come from paired phases (``_site_rows``), anchored on a grid batch
+        times, which gives a K x 2l x 2N stack. A single frame site's rows come
+        from paired phases (``_site_rows``), anchored on a grid batch
         (``_phases``), off the full map's fl(t omega) by up to 7e-12 rad at
-        N = 512, k < 1000 (1e-10 by k = 20,000). Larger blocks keep one phase per mode
-        and the per-time order Psi2^T[rows] (B(t) G), which the 1e-12
+        N = 512, k < 1000 (1e-10 by k = 20,000). Larger blocks keep one phase per
+        mode and the per-time order Psi2^T[rows] (B(t) G), which the 1e-12
         references fix for the ill-conditioned g = 0 quarter (pairing moved its
         N = 256 value by 1.8e-5).
         """
         batch = isinstance(t, _GridBatch)
         times = t if batch else np.atleast_1d(np.asarray(t, dtype=float))
-        shape = (times.size, rows.size, 2 * self.params.n_sites)
-        stack = np.empty(shape)
+        sites = np.asarray(sites)
+        stack = np.empty((times.size, 2 * sites.size, 2 * self.params.n_sites))
         if self.frame is None:
-            sites = rows[::2] // 2
-            if np.array_equal(rows, (2 * sites[:, None] + [0, 1]).ravel()):
-                self._critical_rows(sites, times, stack)
-            else:
-                # rows that are not whole sites: take them from their sites' pairs
-                pairs = np.empty((times.size, 2 * rows.size, shape[2]))
-                self._critical_rows(rows // 2, times, pairs)
-                stack[:] = pairs[:, 2 * np.arange(rows.size) + rows % 2]
-        elif rows.size == 2 and rows[0] % 2 == 0 and rows[1] == rows[0] + 1:
-            self._site_rows(rows[0] // 2, times, stack)
+            self._critical_rows(sites, times, stack)
+        elif sites.size == 1:
+            self._site_rows(sites[0], times, stack)
         else:
-            factor = self._mode_rows(rows)
+            factor = self._mode_rows(sites)
             for i, s in enumerate(t.times if batch else times):
                 np.matmul(factor, self._rotated_map(s), out=stack[i])
         within_limit(stack, f"propagation to t = {times[0]}..{times[-1]}")
@@ -516,21 +512,15 @@ def _converge_series(sample, protocol: AveragingProtocol) -> tuple[np.ndarray, b
         target = min(drawn + protocol.batch_samples, protocol.max_samples)
 
 
-def _sample(params: ModelParams, subsystem, reduce, protocol: AveragingProtocol | None,
-            stacks: int = 2, spectrum_reduce=None) -> tuple[np.ndarray, bool]:
-    """Sampler behind every average: ``reduce`` of the subsystem's rows on the grid.
+def _sample(params: ModelParams, subsystem, evaluate, protocol: AveragingProtocol | None,
+            stacks: int = 2) -> tuple[np.ndarray, bool]:
+    """Sampler behind every average: the values and whether they converged.
 
-    ``reduce`` maps a K x 2l x 2N stack of entropy-map rows to K values (a
-    scalar or an array each). Returns the values and whether they
-    converged. The propagator is ``build_propagator(params, None)``, the
-    key under which it is cached. ``spectrum_reduce``, if given, replaces
-    ``reduce`` where no rows are needed: it maps nu (K x l) and its floor
-    scale (K), from the ``_gram_nu`` of a single site's ``_site_gram`` blocks
-    away from g == delta and from ``critical_spectrum`` for any cut on it.
-
-    A draw is taken in chunks that fit ``stacks`` arrays of a chunk's size
-    (by default the rows and their QR copy, or U, V and their weights) in
-    _CHUNK_BYTES; each chunk allocates its own arrays.
+    ``evaluate(prop, sites, batch)`` maps ``build_propagator(params, None)`` (the
+    key under which it is cached), the subsystem's sorted sites and a chunk's
+    ``_GridBatch`` of K grid indices to K values (a scalar or an array each). A
+    chunk fits ``stacks`` arrays of the subsystem's rows (by default the rows and
+    their QR copy, or U, V and their weights) in _CHUNK_BYTES.
     """
     if protocol is None:
         protocol = AveragingProtocol.for_params(params)
@@ -542,21 +532,18 @@ def _sample(params: ModelParams, subsystem, reduce, protocol: AveragingProtocol 
     sites = rows[::2] // 2
     offsets: dict = {}   # the offset tables of this average (_phases)
 
-    def evaluate(times: _GridBatch) -> np.ndarray:
-        if spectrum_reduce is None or (prop.frame is not None and sites.size > 1):
-            # a copy: a view of the rows would keep the whole chunk alive
-            return np.array(reduce(prop.entropy_rows(times, rows)))
-        if prop.frame is None:
-            return spectrum_reduce(*prop.critical_spectrum(sites, times))
-        nu, trace = _gram_nu(prop._site_gram(sites[0], times))
-        return spectrum_reduce(nu[:, None], trace)
-
     def draw(k0: int, k1: int) -> np.ndarray:
         return np.concatenate([
-            evaluate(_GridBatch(protocol, np.arange(c0, min(k1, c0 + chunk)), offsets))
+            evaluate(prop, sites, _GridBatch(protocol, c0, min(k1, c0 + chunk), offsets))
             for c0 in range(k0, k1, chunk)])
 
     return _converge_series(draw, protocol)
+
+
+def _of_rows(reduce):
+    """``evaluate`` for _sample: ``reduce`` of the K x 2l x 2N entropy-map rows, copied
+    out (a view of the rows would keep the whole chunk alive)."""
+    return lambda prop, sites, batch: np.array(reduce(prop.entropy_rows(batch, sites)))
 
 
 def _series_result(values: np.ndarray, converged: bool) -> TimeAverageResult:
@@ -575,7 +562,7 @@ def time_series(
     ``reduce`` maps a K x 2l x 2N stack of rows to K values. Sampling
     follows the protocol; the result says whether it converged.
     """
-    return _series_result(*_sample(params, subsystem, reduce, protocol))
+    return _series_result(*_sample(params, subsystem, _of_rows(reduce), protocol))
 
 
 def time_averaged_entropy(
@@ -587,12 +574,12 @@ def time_averaged_entropy(
 
     ``subsystem`` is an iterable of 0-based site indices. Raises
     NonConvergence (with the partial estimate attached) if the sample cap
-    is reached first. A single site away from g == delta takes nu = sqrt(det)
-    of its Gram block, every cut on g == delta the shear-reduced spectrum
-    (``critical_spectrum``); other cuts take rows and QR.
+    is reached first. Each sample takes the ``Propagator.spectrum`` route of
+    the cut.
     """
-    result = _series_result(*_sample(params, subsystem, subsystem_entropy_from_rows, protocol,
-                                     spectrum_reduce=_entropy_from_spectrum))
+    result = _series_result(*_sample(
+        params, subsystem,
+        lambda prop, sites, batch: _entropy_from_spectrum(*prop.spectrum(sites, batch)), protocol))
     if not result.converged:
         raise NonConvergence(
             f"entropy mean not converged after {result.n_samples} samples", result=result
@@ -639,7 +626,7 @@ def page_curve(
         return np.stack([entropy_from_factor(r_mat[:, :2 * l, :2 * l]) for l in lengths], axis=1)
 
     # a chunk holds its rows, their QR copy, R and the per-cut temporaries
-    values, converged = _sample(params, range(n), reduce, protocol, stacks=8)
+    values, converged = _sample(params, range(n), _of_rows(reduce), protocol, stacks=8)
     curve = PageCurve(lengths=lengths, entropies=values.mean(axis=0),
                       stderrs=_standard_error(values), n_samples=values.shape[0],
                       converged=converged)
@@ -700,7 +687,7 @@ def profiles(
         gram_sum[:] += np.einsum("knar,knbr->nab", site_rows, site_rows)
         return subsystem_entropy_from_rows(stack.reshape(-1, 2, 2 * n)).reshape(-1, n)
 
-    values, converged = _sample(params, range(n), reduce, protocol)
+    values, converged = _sample(params, range(n), _of_rows(reduce), protocol)
     mean_blocks = gram_sum / values.shape[0]
     frame = build_propagator(params, None).frame
     if frame is not None:

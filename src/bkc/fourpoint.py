@@ -27,6 +27,7 @@ import numpy as np
 
 from .dynamics import AveragingProtocol, _sample
 from .errors import DomainError
+from .gaussian import quadrature_indices
 from .model import ModelParams, PhaseRegime, squeezing_frame
 
 _RESONANCE_TOL = 1e-9
@@ -121,8 +122,7 @@ def epsilon4(params: ModelParams, site: int = 0) -> float:
     is 0-based.
     """
     n = params.n_sites
-    if not 0 <= site < n:
-        raise DomainError(f"site {site} out of range for {n} sites")
+    quadrature_indices([site], n)   # DomainError unless a site of the chain
     corr = momentum_correlators(params)
     labels = np.arange(1, n + 1, dtype=float)
     eps = np.cos(np.pi * labels / (n + 1))
@@ -154,17 +154,14 @@ def log_correction(
     the averaged nu_t^2. The ratio is taken on x = (nu_t / max nu_t)^2, so
     that no power of nu leaves float range.
     """
-    n = params.n_sites
-    if not 0 <= site < n:
-        raise DomainError(f"site {site} out of range for {n} sites")
     if protocol is None:
         protocol = AveragingProtocol.for_params(params)
     # a cap equal to the initial batch draws exactly that batch
     batch = dataclasses.replace(protocol, max_samples=protocol.initial_samples)
-    # nu of the sampler's spectrum, in units of 2^500 (which leaves x unchanged)
-    # so that the sampler's variance check of nu stays in float range
-    nu, _ = _sample(params, [site], None, batch,
-                    spectrum_reduce=lambda nus, scale: nus[:, 0] * 2.0 ** -500)
+    # nu in units of 2^500 (which leaves x unchanged), so that the sampler's
+    # variance check of nu stays in float range; the sampler checks ``site``
+    nu, _ = _sample(params, [site], lambda prop, sites, grid:
+                    prop.spectrum(sites, grid)[0][:, 0] * 2.0 ** -500, batch)
     x = (nu / nu.max()) ** 2
     return float(np.var(x) / np.mean(x) ** 2)
 

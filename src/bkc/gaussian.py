@@ -33,13 +33,18 @@ def symplectic_form(n_modes: int) -> np.ndarray:
 def quadrature_indices(modes, n_modes: int | None = None) -> np.ndarray:
     """Interleaved (q, p) row indices for a sequence of distinct 0-based mode indices.
 
-    With ``n_modes`` given, every index must also lie below it.
+    With ``n_modes`` given, every index must also lie below it, and each must equal
+    an integer: the package's one site check.
     """
-    modes = np.asarray(sorted(modes), dtype=int)
-    if modes.size and modes[0] < 0:
-        raise DomainError(f"mode index {modes[0]} is negative")
-    if n_modes is not None and modes.size and modes[-1] >= n_modes:
-        raise DomainError(f"mode index {modes[-1]} out of range for {n_modes} modes")
+    values = np.asarray(sorted(modes), dtype=float)
+    whole = np.isfinite(values) & (values == np.round(values))
+    if not whole.all():
+        raise DomainError(f"mode index {values[~whole][0]} is not an integer")
+    if values.size and values[0] < 0:
+        raise DomainError(f"mode index {int(values[0])} is negative")
+    if n_modes is not None and values.size and values[-1] >= n_modes:
+        raise DomainError(f"mode index {int(values[-1])} out of range for {n_modes} modes")
+    modes = values.astype(int)
     repeated = modes[1:][modes[1:] == modes[:-1]]
     if repeated.size:
         raise DomainError(f"mode index {repeated[0]} listed more than once")

@@ -438,6 +438,15 @@ def test_grid_past_phase_resolution_exits_3(tmp_path, capsys):
     assert not (tmp_path / "late").exists()
 
 
+def test_figures_check_the_site_before_any_product_runs(tmp_path, capsys):
+    cfg = _write_cfg(tmp_path, g="0.2", n="8", site="99", figures="page, fourpoint",
+                     out=tmp_path / "late_site", **_FAST)
+    assert main(["figures", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "site 99" in err
+    assert not (tmp_path / "late_site").exists()
+
+
 def test_collapse_exponent_must_be_finite_and_positive(tmp_path, capsys):
     cfg = _write_cfg(tmp_path, g="0.25,0.26", n="8,16", out=tmp_path / "c")
     assert main(["analytic", "--config", cfg]) == 0

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from bkc import dynamics
+from bkc.analytics import avg_site_correlators
 from bkc.dynamics import (
     AveragingProtocol,
     PropagationMode,
@@ -22,7 +23,7 @@ from bkc.dynamics import (
     time_series,
 )
 from bkc.errors import DomainError, NonConvergence
-from bkc.fourpoint import log_correction
+from bkc.fourpoint import epsilon4, log_correction
 from bkc.gaussian import (
     quadrature_indices,
     site_correlators,
@@ -97,9 +98,9 @@ def test_symplectic_map_basics():
     s = prop.symplectic(5.3)
     assert symplectic_residual(s) <= 1e-10
     rows = quadrature_indices([1, 4])
-    assert np.allclose(prop.subsystem_rows(5.3, rows), s[rows], atol=1e-12)
+    assert np.allclose(prop.subsystem_rows(5.3, [1, 4]), s[rows], atol=1e-12)
     w = prop.entropy_map(5.3)
-    assert np.allclose(prop.entropy_rows(5.3, rows), w[rows], atol=1e-12)
+    assert np.allclose(prop.entropy_rows(5.3, [1, 4]), w[rows], atol=1e-12)
 
 
 def test_entropy_map_reproduces_lab_entropies():
@@ -108,9 +109,8 @@ def test_entropy_map_reproduces_lab_entropies():
     prop = build_propagator(p)
     for t in (2.3, 11.0, 47.7):
         for cut in ([0], [4], [0, 1, 2], list(range(6))):
-            rows = quadrature_indices(cut)
-            s_lab = subsystem_entropy_from_rows(prop.subsystem_rows(t, rows))
-            s_frame = subsystem_entropy_from_rows(prop.entropy_rows(t, rows))
+            s_lab = subsystem_entropy_from_rows(prop.subsystem_rows(t, cut))
+            s_frame = subsystem_entropy_from_rows(prop.entropy_rows(t, cut))
             assert s_frame == pytest.approx(s_lab, abs=1e-8)
 
 
@@ -204,7 +204,7 @@ def test_site_rows_match_full_map():
             full = [prop.entropy_map(t) for t in times]
             for site in (0, n // 2, n - 1):
                 rows = quadrature_indices([site])
-                stack = prop.entropy_rows(times, rows)
+                stack = prop.entropy_rows(times, [site])
                 for got, t, dense in zip(stack, times, full):
                     ref = _longdouble_site_rows(prop, site, t)
                     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -257,14 +257,15 @@ def test_grid_phases_depend_on_the_index_only(monkeypatch):
             p, initial_samples=300, rel_threshold=1.0)).values for p, sites in cases])
     for one, other in zip(*values):
         assert one.size == 300 and np.array_equal(one, other)
-    # a batch of two far-apart indices gives the rows of a full-range batch
+    # sub-ranges of at least two indices give the rows of a full-range batch
     prop = build_propagator(_params(0.2, 64))
     proto = AveragingProtocol.for_params(prop.params)
-    grid = dynamics._GridBatch(proto, np.arange(778), {})
-    pair = dynamics._GridBatch(proto, np.array([0, 777]), grid.offsets)
-    assert np.array_equal(pair.times, grid.times[[0, 777]])
-    for site in (0, 32, 63):
-        assert np.array_equal(prop._site_gram(site, pair), prop._site_gram(site, grid)[[0, 777]])
+    grid = dynamics._GridBatch(proto, 0, 778, {})
+    for k0, k1 in ((0, 2), (31, 34), (776, 778)):
+        part = dynamics._GridBatch(proto, k0, k1, grid.offsets)
+        assert np.array_equal(part.times, grid.times[k0:k1])
+        for site in (0, 32, 63):
+            assert np.array_equal(prop._site_gram(site, part), prop._site_gram(site, grid)[k0:k1])
 
 
 @pytest.mark.parametrize("g, n", [(0.2, 64), (0.2, 512), (0.25, 96)])
@@ -281,7 +282,8 @@ def test_grid_phase_accuracy(g, n):
         phase = np.multiply.outer(ld(proto.t_min) + k.astype(ld) * ld(proto.dt),
                                   prop.frequencies.astype(ld))
         ref = np.stack([np.cos(phase), np.sin(phase)])
-        for times in (dynamics._GridBatch(proto, k, offsets), proto.times(k0, k0 + 1000)):
+        for times in (dynamics._GridBatch(proto, k0, k0 + 1000, offsets),
+                      proto.times(k0, k0 + 1000)):
             assert np.max(np.abs(dynamics._phases(prop.frequencies, times) - ref)) <= bound
 
 
@@ -389,7 +391,7 @@ def test_critical_spectrum_mirror_and_whole_chain(n):
         mirror = time_averaged_entropy(p, rest, proto).values
         assert np.max(np.abs(got - mirror)) <= bound
     # the whole chain is pure: every nu is exactly 1 and S exactly 0
-    nu, _ = build_propagator(p, None).critical_spectrum(np.arange(n), proto.times(0, 3))
+    nu, _ = build_propagator(p, None).spectrum(np.arange(n), proto.times(0, 3))
     assert np.array_equal(nu, np.ones((3, n)))
     assert not time_averaged_entropy(p, range(n), proto).values.any()
 
@@ -726,7 +728,7 @@ def test_entropy_rows_stack_matches_scalar_calls():
         times = proto.times(0, 12)
         for cut in ([4], [0, 1, 2], [2, 5]):
             rows = quadrature_indices(cut)
-            single = np.stack([prop.entropy_rows(t, rows) for t in times])
+            single = np.stack([prop.entropy_rows(t, cut) for t in times])
             if prop.frame is None:
                 # on g == delta the rows are S(t) P
                 half_turns = np.kron(np.eye(10), [[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
@@ -734,13 +736,14 @@ def test_entropy_rows_stack_matches_scalar_calls():
             else:
                 # elsewhere they are F S(t)
                 dense = np.stack([frame_matrix(prop.frame) @ dense_map(p, t) for t in times])[:, rows]
-            stack = prop.entropy_rows(times, rows)
+            stack = prop.entropy_rows(times, cut)
             assert stack.shape == (12, rows.size, 20)
             for ref in (single, dense):
                 assert np.allclose(stack, ref, rtol=1e-10, atol=1e-12 * np.abs(ref).max())
-            # rows out of site order are the same rows, reordered
-            flipped = prop.entropy_rows(times, rows[::-1].copy())
-            assert np.allclose(flipped, stack[:, ::-1], rtol=0, atol=1e-13 * np.abs(stack).max())
+            # sites out of order give the same site rows, reordered
+            flipped = prop.entropy_rows(times, cut[::-1])
+            reordered = stack.reshape(12, -1, 2, 20)[:, ::-1].reshape(stack.shape)
+            assert np.allclose(flipped, reordered, rtol=0, atol=1e-13 * np.abs(stack).max())
 
 
 def test_chunk_memory_is_bounded_and_views_are_copied(monkeypatch):
@@ -798,3 +801,26 @@ def test_subsystems_validated():
     with pytest.raises(DomainError, match="mode index -1"):
         time_averaged_entropy(p, [-1, 2])
 
+
+def test_non_integer_sites_rejected():
+    p = _params(0.2, 8)
+    with pytest.raises(DomainError, match="mode index 2.7 is not an integer"):
+        quadrature_indices([2.7, 0])
+    with pytest.raises(DomainError, match="not an integer"):
+        time_averaged_entropy(p, [1.5])
+    for entry in (log_correction, avg_site_correlators, epsilon4):
+        with pytest.raises(DomainError, match="not an integer"):
+            entry(p, 1.5)
+    assert quadrature_indices([2.0, 0]).tolist() == [0, 1, 4, 5]
+
+
+def test_frame_block_entropies_match_row_route():
+    # spectrum's block branch makes the calls of subsystem_entropy_from_rows
+    for g in (0.0, 0.2, 0.3):
+        p = _params(g, 32)
+        proto = AveragingProtocol.for_params(p, initial_samples=60, rel_threshold=1.0)
+        for cut in (range(8), [3, 17], range(1, 32)):
+            got = time_averaged_entropy(p, cut, proto)
+            ref = time_series(p, cut, subsystem_entropy_from_rows, proto)
+            assert got.n_samples == ref.n_samples == 60
+            assert np.array_equal(got.values, ref.values)

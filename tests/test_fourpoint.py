@@ -136,11 +136,10 @@ def test_epsilon4_matches_time_average():
         p = _params(g, 16)
         proto = AveragingProtocol.for_params(p)
         prop = build_propagator(p)
-        rows = np.array([0, 1])
         n_t = np.empty(samples)
         m_t = np.empty(samples, dtype=complex)
         for k in range(samples):
-            blk_rows = prop.entropy_rows(proto.time(k), rows)
+            blk_rows = prop.entropy_rows(proto.time(k), [0])
             blk = blk_rows @ blk_rows.T
             n_t[k] = (blk[0, 0] + blk[1, 1] - 2.0) / 4.0
             m_t[k] = ((blk[0, 0] - blk[1, 1]) + 1j * (blk[0, 1] + blk[1, 0])) / 4.0
