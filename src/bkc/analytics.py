@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MissingReference
-from .gaussian import entropy_kernel, quadrature_indices
+from .gaussian import entropy_kernel, site_indices
 from .model import (
     ModelParams,
     PhaseRegime,
@@ -35,7 +35,7 @@ def avg_site_correlators(params: ModelParams, site: int):
     0-based.
     """
     n = params.n_sites
-    quadrature_indices([site], n)   # DomainError unless a site of the chain
+    site_indices([site], n)   # DomainError unless a site of the chain
     frame = squeezing_frame(params)
     jj = site + 1
     ch0, sh0 = math.cosh(2 * frame.r0), math.sinh(2 * frame.r0)

@@ -166,19 +166,18 @@ def _subsystems(cfg: dict[str, str], n: int) -> list[tuple[str, list[int]]]:
     raise ConfigError(f"unknown cut {cut!r} (expected site, quarter or page)")
 
 
-def _run_average(average, *args) -> tuple[object, bool, float]:
-    """``average(*args)``, whether it converged (else the partial result) and its seconds."""
+def _measure(average, params: ModelParams, protocol: AveragingProtocol,
+             *args) -> tuple[object, dict]:
+    """``average(params, *args, protocol)`` (the partial result if it did not converge) and its
+    run record: converged, protocol, route ("closed-form" on g == delta, else "frame"), seconds."""
     started = time.perf_counter()
     try:
-        result, converged = average(*args), True
+        result, converged = average(params, *args, protocol), True
     except NonConvergence as exc:
         result, converged = exc.result, False
-    return result, converged, time.perf_counter() - started
-
-
-def _route(params: ModelParams) -> str:
-    """Propagation route for the run records: the closed form on g == delta, else the frame."""
-    return "closed-form" if classify_phase(params) is PhaseRegime.CRITICAL else "frame"
+    route = "closed-form" if classify_phase(params) is PhaseRegime.CRITICAL else "frame"
+    return result, {"converged": converged, "protocol": dataclasses.asdict(protocol),
+                    "route": route, "seconds": time.perf_counter() - started}
 
 
 def _sweep_row(values, **meta) -> dict:
@@ -186,29 +185,29 @@ def _sweep_row(values, **meta) -> dict:
     return dict(zip(SWEEP_FIELDS, values, strict=True), **meta)
 
 
-def _page_rows(params: ModelParams, protocol: AveragingProtocol) -> list[dict]:
-    """Page curve of one grid point as sweep rows, one per cut l = 1..N-1."""
-    curve, converged, seconds = _run_average(page_curve, params, protocol)
-    return [_sweep_row((params.g, params.n_sites, f"left:{int(l)}", float(s_mean), float(err),
-                        int(curve.n_samples)),
-                       converged=converged, protocol=dataclasses.asdict(protocol),
-                       route=_route(params), seconds=seconds / curve.lengths.size)
+def _page(params: ModelParams, protocol: AveragingProtocol,
+          cfg: dict[str, str]) -> tuple[list, dict]:
+    """Page curve of one grid point, a figure product and the sweep's page cut: rows
+    (g, N, l, S_mean, stderr, n_samples) for l = 1..N-1, and the run record."""
+    curve, record = _measure(page_curve, params, protocol)
+    rows = [(params.g, params.n_sites, int(l), float(s_mean), float(err), int(curve.n_samples))
             for l, s_mean, err in zip(curve.lengths, curve.entropies, curve.stderrs)]
+    return rows, record
 
 
 def _sweep_point(task) -> list[dict]:
-    """Worker: all requested rows for one (g, N) grid point."""
-    cfg, w, delta, g, n = task
-    params = ModelParams(w=w, delta=delta, g=g, n_sites=n)
+    """Worker: all requested rows for one grid point, ``task`` = (cfg, params)."""
+    cfg, params = task
     protocol = _protocol_for(params, cfg)
     if cfg["cut"] == "page":
-        return _page_rows(params, protocol)
+        rows, record = _page(params, protocol, cfg)
+        record["seconds"] /= len(rows)
+        return [_sweep_row((g, n, f"left:{l}", *rest), **record) for g, n, l, *rest in rows]
     rows = []
-    for label, sites in _subsystems(cfg, n):
-        result, converged, seconds = _run_average(time_averaged_entropy, params, sites, protocol)
-        rows.append(_sweep_row((g, n, label, result.mean, result.stderr, result.n_samples),
-                               converged=converged, protocol=dataclasses.asdict(protocol),
-                               route=_route(params), seconds=seconds))
+    for label, sites in _subsystems(cfg, params.n_sites):
+        result, record = _measure(time_averaged_entropy, params, protocol, sites)
+        rows.append(_sweep_row((params.g, params.n_sites, label, result.mean, result.stderr,
+                                result.n_samples), **record))
     return rows
 
 
@@ -216,14 +215,15 @@ def _existing_rows(path: Path) -> dict[tuple, dict]:
     """Parse a previous sweep CSV; how a row ran (converged, protocol, route,
     seconds) is recorded only in the manifest.
 
-    A data row that does not parse is a ConfigError naming its path and line.
+    An empty file holds no rows. A first line other than the sweep header, or a
+    data row that does not parse, is a ConfigError naming its path and line.
     """
     rows = {}
     if not path.exists():
         return rows
     lines = path.read_text().splitlines()
-    if not lines or lines[0] != ",".join(SWEEP_FIELDS):
-        return rows
+    if lines and lines[0] != ",".join(SWEEP_FIELDS):
+        raise ConfigError(f"{path}:1: not a sweep table; use another out directory or input")
     for lineno, line in enumerate(lines[1:], start=2):
         try:
             row = _sweep_row(cast(cell) for cast, cell in
@@ -345,7 +345,7 @@ def cmd_sweep(cfg: dict[str, str]) -> int:
         if all(key in rows and rows[key]["converged"] and rows[key].get("protocol") == protocol
                for key in wanted):
             continue
-        tasks.append((cfg, params.w, params.delta, params.g, params.n_sites))
+        tasks.append((cfg, params))
 
     def save() -> None:
         _write_sweep_csv(csv_path, rows.values())
@@ -426,24 +426,14 @@ def cmd_collapse(cfg: dict[str, str], input_csv: str) -> int:
 
 def _figure_profiles(params: ModelParams, protocol: AveragingProtocol,
                      cfg: dict[str, str]) -> tuple[list, dict]:
-    prof, converged, seconds = _run_average(profiles, params, protocol)
+    prof, record = _measure(profiles, params, protocol)
     rows = []
     for j, s_thermal in enumerate(prof.thermal_entropies()):
         decomp = local_decompose(prof.mean_blocks[j])
         rows.append((params.g, params.n_sites, j, prof.entropies[j], prof.stderrs[j],
                      prof.occupations[j], abs(prof.pair_amplitudes[j]), s_thermal,
                      decomp.beta, decomp.z, prof.n_samples))
-    return rows, {"subsystem": "profiles", "converged": converged, "route": _route(params),
-                  "seconds": seconds}
-
-
-def _figure_page(params: ModelParams, protocol: AveragingProtocol,
-                 cfg: dict[str, str]) -> tuple[list, dict]:
-    curve, converged, seconds = _run_average(page_curve, params, protocol)
-    rows = [(params.g, params.n_sites, int(l), float(s_mean), float(err), int(curve.n_samples))
-            for l, s_mean, err in zip(curve.lengths, curve.entropies, curve.stderrs)]
-    return rows, {"subsystem": "page", "converged": converged, "route": _route(params),
-                  "seconds": seconds}
+    return rows, record
 
 
 def _figure_fourpoint(params: ModelParams, protocol: AveragingProtocol,
@@ -458,21 +448,23 @@ def _figure_fourpoint(params: ModelParams, protocol: AveragingProtocol,
     row = (params.g, params.n_sites, site, report.epsilon4, report.one_over_eps4,
            report.log_correction)
     return [row], {"subsystem": f"site:{site}", "converged": True, "route": "sums",
+                   "protocol": dataclasses.asdict(protocol),
                    "seconds": time.perf_counter() - started}
 
 
 _FIGURES = {
     "profiles": (_figure_profiles,
                  "g,N,site,entropy,stderr,occupation,pair_abs,s_thermal,beta,z,n_samples"),
-    "page": (_figure_page, "g,N,l,S_mean,stderr,n_samples"),
+    "page": (_page, "g,N,l,S_mean,stderr,n_samples"),
     "fourpoint": (_figure_fourpoint, "g,N,site,epsilon4,one_over_eps4,log_correction"),
 }
 
 
 def _run_figures(cfg: dict[str, str], names: list[str], command: str) -> int:
     """Check every point's protocol and probe site, then write each named product's CSV
-    and ``<command>.manifest.json``: entries with a ``reason`` go under ``skipped``, the
-    rest under ``runs``, and exit 2 if one of those did not converge."""
+    and ``<command>.manifest.json``: entries (``subsystem`` the product unless they name
+    one) with a ``reason`` go under ``skipped``, the rest under ``runs``; exit 2 if one of
+    those did not converge."""
     started = time.time()
     out = Path(cfg["out"])
     points = [(params, _protocol_for(params, cfg)) for params in _grid(cfg)]
@@ -486,7 +478,7 @@ def _run_figures(cfg: dict[str, str], names: list[str], command: str) -> int:
         for params, protocol in points:
             point_rows, entry = figure(params, protocol, cfg)
             rows.extend(point_rows)
-            entries.append({"g": params.g, "N": params.n_sites, **entry})
+            entries.append({"g": params.g, "N": params.n_sites, "subsystem": name, **entry})
         _write_csv(out / f"{name}.csv", header, rows)
     runs = [entry for entry in entries if "reason" not in entry]
     _write_manifest(out / f"{command}.manifest.json", command, cfg, runs, started,

@@ -33,10 +33,12 @@ Every average takes the ``FRAME_EXACT`` route, which
 The package has no matrix exponential: the tests check both forms against
 ``scipy.linalg.expm`` of the generator Omega h.
 
-One sampler draws the grid in chunks of consecutive indices: a chunk holds
-at most ``_CHUNK_BYTES`` of entropy-map rows (and the arrays that reducing
-them needs), never crosses a convergence check, and is one call of the
-average's ``evaluate``. Entropy averages and ``log_correction`` take
+One sampler, the door of every average, checks the sites (``site_indices``)
+and the grid (``_check_grid``); the averages extend its draw until it
+converges, ``log_correction`` takes one. A draw runs in chunks of consecutive
+grid indices: a chunk holds at most ``_CHUNK_BYTES`` of entropy-map rows (and
+the arrays that reducing them needs), never crosses a convergence check, and
+is one call of the average's ``evaluate``. Entropy averages and ``log_correction`` take
 ``Propagator.spectrum``, the one place that picks a route: a frame site's Gram
 block, a frame block's rows and QR (as ``subsystem_entropy_from_rows``), the
 shear on g == delta. Page curves, profiles and ``time_series`` take
@@ -66,8 +68,8 @@ from .gaussian import (
     _gram_nu,
     entropy_from_factor,
     entropy_kernel,
-    quadrature_indices,
     site_correlators,
+    site_indices,
     subsystem_entropy_from_rows,
     symplectic_eigenvalues_from_rows,
 )
@@ -82,7 +84,7 @@ from .model import (
 )
 
 # Memory budget of one chunk of samples: its map rows plus the arrays of the
-# same size that factoring them needs (``stacks`` in _sample).
+# same size that factoring them needs (``stacks`` in _sampler).
 _CHUNK_BYTES = 4 * 2 ** 20
 # P per site: (q, p) -> (u, v) = ((q+p), (q-p)) / sqrt2, its own inverse.
 _HALF_TURN = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
@@ -90,7 +92,7 @@ _HALF_TURN = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 _STDERR_FLOOR = 1e-12
 # Grid stride B between anchors of direct trig; offsets b < B share one table (_phases).
 _ANCHOR_STRIDE = 32
-# Largest rounding J t eps of a grid phase, rad, that for_params accepts.
+# Largest rounding J t eps of a grid phase, rad, that a sampled grid may have.
 _PHASE_RESOLUTION = 1e-6
 
 
@@ -116,9 +118,9 @@ class AveragingProtocol:
     constant, not a field, at the rounding level of an entropy: at
     delta == 0 the vacuum stays the vacuum, and every entropy is noise of
     about 1e-15 with no relative error to reach. An entropy that is not
-    rounding noise has a far larger relative target. ``for_params`` rejects grids
-    whose last time t has J t 2^-52 > 1e-6 rad (``_PHASE_RESOLUTION``): |omega| <= J,
-    so past that a float64 phase keeps too few digits (none at t = 1e18).
+    rounding noise has a far larger relative target. ``_check_grid`` rejects, in
+    ``for_params`` and in every average, grids whose last time t has J t 2^-52 >
+    1e-6 rad: |omega| <= J, so past that a float64 phase keeps too few digits.
     """
 
     t_min: float
@@ -142,11 +144,7 @@ class AveragingProtocol:
         hop = params.hopping
         kwargs = {"t_min": 10.0 * params.n_sites / hop, "dt": 10.0 / hop}
         kwargs.update(overrides)
-        grid = cls(**kwargs)
-        slip = hop * grid.time(grid.max_samples - 1) * 2.0 ** -52
-        if slip > _PHASE_RESOLUTION:
-            raise ValueError(f"grid phases past float64 resolution: J t eps = {slip:.3g} rad")
-        return grid
+        return _check_grid(cls(**kwargs), params)
 
     def time(self, k: int) -> float:
         return self.t_min + k * self.dt
@@ -154,6 +152,14 @@ class AveragingProtocol:
     def times(self, k0: int, k1: int) -> np.ndarray:
         """Grid times t_k for k0 <= k < k1, equal to ``time(k)`` bit for bit."""
         return self.t_min + np.arange(k0, k1) * self.dt
+
+
+def _check_grid(protocol: AveragingProtocol, params: ModelParams) -> AveragingProtocol:
+    """``protocol``, unless its last phase J t rounds by more than ``_PHASE_RESOLUTION``."""
+    slip = params.hopping * protocol.time(protocol.max_samples - 1) * 2.0 ** -52
+    if slip > _PHASE_RESOLUTION:
+        raise ValueError(f"grid phases past float64 resolution: J t eps = {slip:.3g} rad")
+    return protocol
 
 
 class _GridBatch:
@@ -367,6 +373,7 @@ class Propagator:
         and 2l - N more nu at exactly 1 (the state is pure): A's rank-(N - l)
         Y Y^T adds 2l - N eigenvalues near eps ||Y||^2, 1e-11 to S at N = 256.
         """
+        sites = site_indices(sites, self.params.n_sites)
         if self.frame is not None:
             if sites.size == 1:
                 nu, trace = _gram_nu(self._site_gram(sites[0], times))
@@ -394,8 +401,7 @@ class Propagator:
 
     def _rotated_map(self, t: float) -> np.ndarray:
         """B(t) G without materializing B: paired-row rotation of G, written in place."""
-        cos_t = np.cos(self.frequencies * t)[:, None]
-        sin_t = np.sin(self.frequencies * t)[:, None]
+        cos_t, sin_t = _phases(self.frequencies, [t])[:, 0, :, None]
         pairs = self.mode_map.reshape(cos_t.size, 2, -1)
         out = np.empty_like(pairs)
         scratch = sin_t * pairs[:, 1]
@@ -423,6 +429,7 @@ class Propagator:
     def subsystem_rows(self, t: float, sites) -> np.ndarray:
         """Rows 2j, 2j+1 of S(t) for every j in ``sites``."""
         n = self.params.n_sites
+        sites = site_indices(sites, n)
         return self.symplectic(t).reshape(n, 2, 2 * n)[sites].reshape(-1, 2 * n)
 
     def entropy_map(self, t: float) -> np.ndarray:
@@ -451,7 +458,7 @@ class Propagator:
         """
         batch = isinstance(t, _GridBatch)
         times = t if batch else np.atleast_1d(np.asarray(t, dtype=float))
-        sites = np.asarray(sites)
+        sites = site_indices(sites, self.params.n_sites)
         stack = np.empty((times.size, 2 * sites.size, 2 * self.params.n_sites))
         if self.frame is None:
             self._critical_rows(sites, times, stack)
@@ -512,24 +519,21 @@ def _converge_series(sample, protocol: AveragingProtocol) -> tuple[np.ndarray, b
         target = min(drawn + protocol.batch_samples, protocol.max_samples)
 
 
-def _sample(params: ModelParams, subsystem, evaluate, protocol: AveragingProtocol | None,
-            stacks: int = 2) -> tuple[np.ndarray, bool]:
-    """Sampler behind every average: the values and whether they converged.
+def _sampler(params: ModelParams, subsystem, evaluate, protocol: AveragingProtocol | None,
+             stacks: int = 2):
+    """Check the sites and the grid; return ``draw(k0, k1)``, the values at grid indices
+    k0 <= k < k1 along axis 0, and the protocol (``for_params`` if None).
 
     ``evaluate(prop, sites, batch)`` maps ``build_propagator(params, None)`` (the
     key under which it is cached), the subsystem's sorted sites and a chunk's
     ``_GridBatch`` of K grid indices to K values (a scalar or an array each). A
-    chunk fits ``stacks`` arrays of the subsystem's rows (by default the rows and
-    their QR copy, or U, V and their weights) in _CHUNK_BYTES.
+    chunk fits ``stacks`` arrays of the subsystem's 2l rows (by default the rows
+    and their QR copy, or U, V and their weights) in _CHUNK_BYTES.
     """
-    if protocol is None:
-        protocol = AveragingProtocol.for_params(params)
-    rows = quadrature_indices(subsystem, params.n_sites)
-    if rows.size == 0:
-        raise ValueError("subsystem must contain at least one site")
+    sites = np.sort(site_indices(subsystem, params.n_sites))
+    protocol = _check_grid(protocol or AveragingProtocol.for_params(params), params)
     prop = build_propagator(params, None)
-    chunk = max(1, _CHUNK_BYTES // (stacks * rows.size * 2 * params.n_sites * 8))
-    sites = rows[::2] // 2
+    chunk = max(1, _CHUNK_BYTES // (stacks * 2 * sites.size * 2 * params.n_sites * 8))
     offsets: dict = {}   # the offset tables of this average (_phases)
 
     def draw(k0: int, k1: int) -> np.ndarray:
@@ -537,11 +541,11 @@ def _sample(params: ModelParams, subsystem, evaluate, protocol: AveragingProtoco
             evaluate(prop, sites, _GridBatch(protocol, c0, min(k1, c0 + chunk), offsets))
             for c0 in range(k0, k1, chunk)])
 
-    return _converge_series(draw, protocol)
+    return draw, protocol
 
 
 def _of_rows(reduce):
-    """``evaluate`` for _sample: ``reduce`` of the K x 2l x 2N entropy-map rows, copied
+    """``evaluate`` for _sampler: ``reduce`` of the K x 2l x 2N entropy-map rows, copied
     out (a view of the rows would keep the whole chunk alive)."""
     return lambda prop, sites, batch: np.array(reduce(prop.entropy_rows(batch, sites)))
 
@@ -562,7 +566,8 @@ def time_series(
     ``reduce`` maps a K x 2l x 2N stack of rows to K values. Sampling
     follows the protocol; the result says whether it converged.
     """
-    return _series_result(*_sample(params, subsystem, _of_rows(reduce), protocol))
+    return _series_result(*_converge_series(*_sampler(params, subsystem, _of_rows(reduce),
+                                                      protocol)))
 
 
 def time_averaged_entropy(
@@ -577,9 +582,10 @@ def time_averaged_entropy(
     is reached first. Each sample takes the ``Propagator.spectrum`` route of
     the cut.
     """
-    result = _series_result(*_sample(
+    result = _series_result(*_converge_series(*_sampler(
         params, subsystem,
-        lambda prop, sites, batch: _entropy_from_spectrum(*prop.spectrum(sites, batch)), protocol))
+        lambda prop, sites, batch: _entropy_from_spectrum(*prop.spectrum(sites, batch)),
+        protocol)))
     if not result.converged:
         raise NonConvergence(
             f"entropy mean not converged after {result.n_samples} samples", result=result
@@ -626,7 +632,8 @@ def page_curve(
         return np.stack([entropy_from_factor(r_mat[:, :2 * l, :2 * l]) for l in lengths], axis=1)
 
     # a chunk holds its rows, their QR copy, R and the per-cut temporaries
-    values, converged = _sample(params, range(n), _of_rows(reduce), protocol, stacks=8)
+    values, converged = _converge_series(*_sampler(params, range(n), _of_rows(reduce), protocol,
+                                                   stacks=8))
     curve = PageCurve(lengths=lengths, entropies=values.mean(axis=0),
                       stderrs=_standard_error(values), n_samples=values.shape[0],
                       converged=converged)
@@ -687,7 +694,7 @@ def profiles(
         gram_sum[:] += np.einsum("knar,knbr->nab", site_rows, site_rows)
         return subsystem_entropy_from_rows(stack.reshape(-1, 2, 2 * n)).reshape(-1, n)
 
-    values, converged = _sample(params, range(n), _of_rows(reduce), protocol)
+    values, converged = _converge_series(*_sampler(params, range(n), _of_rows(reduce), protocol))
     mean_blocks = gram_sum / values.shape[0]
     frame = build_propagator(params, None).frame
     if frame is not None:

@@ -19,15 +19,14 @@ Public ``site`` arguments are 0-based; mode labels n = 1..N.
 """
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import AveragingProtocol, _sample
+from .dynamics import AveragingProtocol, _sampler
 from .errors import DomainError
-from .gaussian import quadrature_indices
+from .gaussian import site_indices
 from .model import ModelParams, PhaseRegime, squeezing_frame
 
 _RESONANCE_TOL = 1e-9
@@ -122,7 +121,7 @@ def epsilon4(params: ModelParams, site: int = 0) -> float:
     is 0-based.
     """
     n = params.n_sites
-    quadrature_indices([site], n)   # DomainError unless a site of the chain
+    site_indices([site], n)   # DomainError unless a site of the chain
     corr = momentum_correlators(params)
     labels = np.arange(1, n + 1, dtype=float)
     eps = np.cos(np.pi * labels / (n + 1))
@@ -149,19 +148,15 @@ def log_correction(
 ) -> float:
     """Variance of nu_t^2 relative to its squared mean at one site.
 
-    Sampled on the protocol time grid with the fixed initial batch size.
-    Small values justify replacing the average of ln nu_t^2 by the log of
-    the averaged nu_t^2. The ratio is taken on x = (nu_t / max nu_t)^2, so
-    that no power of nu leaves float range.
+    One draw of the protocol's ``initial_samples`` grid times, with no
+    convergence loop; the sampler checks ``site`` and the grid. Small values
+    justify replacing the average of ln nu_t^2 by the log of the averaged
+    nu_t^2. The ratio is taken on x = (nu_t / max nu_t)^2, so that no power
+    of nu leaves float range.
     """
-    if protocol is None:
-        protocol = AveragingProtocol.for_params(params)
-    # a cap equal to the initial batch draws exactly that batch
-    batch = dataclasses.replace(protocol, max_samples=protocol.initial_samples)
-    # nu in units of 2^500 (which leaves x unchanged), so that the sampler's
-    # variance check of nu stays in float range; the sampler checks ``site``
-    nu, _ = _sample(params, [site], lambda prop, sites, grid:
-                    prop.spectrum(sites, grid)[0][:, 0] * 2.0 ** -500, batch)
+    draw, protocol = _sampler(params, [site], lambda prop, sites, grid:
+                              prop.spectrum(sites, grid)[0][:, 0], protocol)
+    nu = draw(0, protocol.initial_samples)
     x = (nu / nu.max()) ** 2
     return float(np.var(x) / np.mean(x) ** 2)
 

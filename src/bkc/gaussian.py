@@ -30,25 +30,26 @@ def symplectic_form(n_modes: int) -> np.ndarray:
     return np.kron(np.eye(n_modes), OMEGA2)
 
 
-def quadrature_indices(modes, n_modes: int | None = None) -> np.ndarray:
-    """Interleaved (q, p) row indices for a sequence of distinct 0-based mode indices.
-
-    With ``n_modes`` given, every index must also lie below it, and each must equal
-    an integer: the package's one site check.
+def site_indices(sites, n_sites: int) -> np.ndarray:
+    """The 0-based ``sites`` of a chain of ``n_sites`` as ints, in the caller's order: the
+    package's one site check. DomainError for an empty list and for an index that is not
+    equal to an integer (also NaN and inf), negative, listed twice or not below ``n_sites``.
     """
-    values = np.asarray(sorted(modes), dtype=float)
+    values = np.asarray(sites, dtype=float)
+    if values.ndim != 1 or values.size == 0:
+        raise DomainError(f"expected a non-empty list of site indices, got {sites!r}")
     whole = np.isfinite(values) & (values == np.round(values))
     if not whole.all():
         raise DomainError(f"mode index {values[~whole][0]} is not an integer")
-    if values.size and values[0] < 0:
-        raise DomainError(f"mode index {int(values[0])} is negative")
-    if n_modes is not None and values.size and values[-1] >= n_modes:
-        raise DomainError(f"mode index {int(values[-1])} out of range for {n_modes} modes")
-    modes = values.astype(int)
-    repeated = modes[1:][modes[1:] == modes[:-1]]
+    ordered = np.sort(values)
+    if ordered[0] < 0:
+        raise DomainError(f"mode index {int(ordered[0])} is negative")
+    if ordered[-1] >= n_sites:
+        raise DomainError(f"mode index {int(ordered[-1])} out of range for {n_sites} modes")
+    repeated = ordered[1:][ordered[1:] == ordered[:-1]]
     if repeated.size:
-        raise DomainError(f"mode index {repeated[0]} listed more than once")
-    return np.stack([2 * modes, 2 * modes + 1], axis=1).reshape(-1)
+        raise DomainError(f"mode index {int(repeated[0])} listed more than once")
+    return values.astype(int)
 
 
 def symplectic_eigenvalues_from_rows(rows) -> np.ndarray:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from bkc.gaussian import OMEGA2, _entropy_from_spectrum, quadrature_indices, symplectic_form
+from bkc.gaussian import OMEGA2, _entropy_from_spectrum, site_indices, symplectic_form
 from bkc.model import (
     ModelParams,
     SqueezingFrame,
@@ -139,11 +139,17 @@ def dephased_covariance(params: ModelParams) -> np.ndarray:
     return g_inv @ dephased_mode_covariance(params) @ g_inv.T
 
 
+def quadrature_rows(sites) -> np.ndarray:
+    """Interleaved (q, p) row indices 2j, 2j+1 of every site j of ``sites``, in order."""
+    sites = np.asarray(sites)
+    return np.stack([2 * sites, 2 * sites + 1], axis=1).reshape(-1)
+
+
 def _block(sigma, modes) -> np.ndarray:
     arr = np.asarray(sigma, dtype=float)
     if modes is None:
         return arr
-    idx = quadrature_indices(modes, arr.shape[0] // 2)
+    idx = quadrature_rows(np.sort(site_indices(modes, arr.shape[0] // 2)))
     return arr[np.ix_(idx, idx)]
 
 

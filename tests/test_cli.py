@@ -1,4 +1,5 @@
 """Command-line runner: config parsing, determinism, resume, exit codes."""
+import dataclasses
 import json
 import os
 import subprocess
@@ -313,6 +314,13 @@ def test_figures_products_skip_critical_fourpoint(tmp_path):
     assert all(run["seconds"] > 0.0 for run in measured)
     assert {(run["g"], run["route"]) for run in measured} == {
         (0.2, "frame"), (0.2, "sums"), (0.25, "closed-form")}
+    # every measured profiles and Page entry records the protocol of its point
+    averaged = [run for run in measured if run["subsystem"] in ("profiles", "page")]
+    assert len(averaged) == 4
+    for run in averaged:
+        p = ModelParams(w=1.0, delta=0.25, g=run["g"], n_sites=run["N"])
+        assert run["protocol"] == dataclasses.asdict(AveragingProtocol.for_params(
+            p, initial_samples=30, rel_threshold=1.0))
     assert not list((tmp_path / "f").glob("*.tmp"))
 
 
@@ -409,7 +417,8 @@ def test_exit_codes(tmp_path, capfd):
     # non-finite sampling values and fewer than one job are configuration errors
     base = {"g": "0.1", "n": "8", "out": tmp_path / "j", **_FAST}
     bad = [({"protocol_t_min": "nan"}, []), ({"protocol_dt": "inf"}, []),
-           ({"protocol_rel_threshold": "nan"}, []), ({}, ["--jobs", "0"]), ({}, ["--jobs", "-4"])]
+           ({"protocol_rel_threshold": "nan"}, []), ({}, ["--jobs", "0"]), ({}, ["--jobs", "-4"]),
+           ({"g": "0.2,x"}, []), ({"w": "abc"}, []), ({"g": ","}, []), ({"cut": "foo"}, [])]
     capfd.readouterr()
     for i, (keys, extra) in enumerate(bad):
         cfg = _write_cfg(tmp_path, name=f"bad{i}.cfg", **{**base, **keys})
@@ -490,6 +499,13 @@ def test_malformed_sweep_csv_exits_3(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{csv}:3:" in err
         assert "Traceback" not in err
+    # a file that is not a sweep table is no sweep to resume, and stays as it was
+    csv.write_text("g,N,l,S_mean,stderr,n_samples\n0.20000000000000001,8,1,1.5,0.01,30\n")
+    table = csv.read_bytes()
+    assert main(["sweep", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert csv.read_bytes() == table
 
 
 def test_capped_sweep_stays_unconverged_on_rerun(tmp_path):

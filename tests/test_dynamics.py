@@ -25,8 +25,8 @@ from bkc.dynamics import (
 from bkc.errors import DomainError, NonConvergence
 from bkc.fourpoint import epsilon4, log_correction
 from bkc.gaussian import (
-    quadrature_indices,
     site_correlators,
+    site_indices,
     subsystem_entropy_from_rows,
 )
 from bkc.model import ModelParams, tight_binding_spectrum
@@ -34,6 +34,7 @@ from oracles import (
     dense_map,
     dephased_covariance,
     frame_matrix,
+    quadrature_rows,
     symplectic_eigenvalues,
     symplectic_residual,
 )
@@ -97,7 +98,7 @@ def test_symplectic_map_basics():
     assert np.array_equal(prop.symplectic(0.0), np.eye(12))
     s = prop.symplectic(5.3)
     assert symplectic_residual(s) <= 1e-10
-    rows = quadrature_indices([1, 4])
+    rows = quadrature_rows([1, 4])
     assert np.allclose(prop.subsystem_rows(5.3, [1, 4]), s[rows], atol=1e-12)
     w = prop.entropy_map(5.3)
     assert np.allclose(prop.entropy_rows(5.3, [1, 4]), w[rows], atol=1e-12)
@@ -156,7 +157,7 @@ def test_time_average_same_samples_both_routes():
                               batch_samples=20, max_samples=80, rel_threshold=1.0)
     r_frame = time_averaged_entropy(p, [0, 1], proto)
     assert build_propagator(p, None).mode is PropagationMode.FRAME_EXACT
-    rows = quadrature_indices([0, 1])
+    rows = quadrature_rows([0, 1])
     r_lab = [subsystem_entropy_from_rows(dense_map(p, t)[rows])
              for t in proto.times(0, r_frame.n_samples)]
     assert np.allclose(r_frame.values, r_lab, atol=1e-8)
@@ -203,7 +204,7 @@ def test_site_rows_match_full_map():
             times = np.array([proto.t_min, proto.time(777)])
             full = [prop.entropy_map(t) for t in times]
             for site in (0, n // 2, n - 1):
-                rows = quadrature_indices([site])
+                rows = quadrature_rows([site])
                 stack = prop.entropy_rows(times, [site])
                 for got, t, dense in zip(stack, times, full):
                     ref = _longdouble_site_rows(prop, site, t)
@@ -293,6 +294,12 @@ def test_protocol_rejects_grids_past_phase_resolution():
     with pytest.raises(ValueError, match="phase"):
         AveragingProtocol.for_params(p, t_min=1e18)
     AveragingProtocol.for_params(p)
+    # a protocol built directly meets the same check when an average samples it
+    direct = AveragingProtocol(t_min=1e18, dt=10.0)
+    for average in (lambda: time_averaged_entropy(p, [3], direct), lambda: page_curve(p, direct),
+                    lambda: profiles(p, direct), lambda: log_correction(p, 0, direct)):
+        with pytest.raises(ValueError, match="phase"):
+            average()
     # the late window [T, 2T] at T = 40 N^2 / J, N = 2048: J t eps = 7.5e-8 rad
     big = _params(0.2, 2048)
     late = 40.0 * 2048 ** 2 / big.hopping
@@ -320,7 +327,7 @@ def test_site_gram_near_criticality_matches_dense_expm(n):
         proto = AveragingProtocol.for_params(p, initial_samples=40, rel_threshold=1.0)
         for site in (0, n // 2):
             got = time_averaged_entropy(p, [site], proto)
-            rows = quadrature_indices([site])
+            rows = quadrature_rows([site])
             ref = [subsystem_entropy_from_rows(dense_map(p, t)[rows])
                    for t in proto.times(0, got.n_samples)]
             assert got.n_samples == 40
@@ -360,7 +367,7 @@ def test_critical_spectrum_matches_dense_expm(n):
     proto = AveragingProtocol.for_params(p, initial_samples=40, rel_threshold=1.0)
     for sites in ([n // 2], range(n // 4)):
         got = time_averaged_entropy(p, sites, proto)
-        rows = quadrature_indices(sites)
+        rows = quadrature_rows(sites)
         ref = np.array([subsystem_entropy_from_rows(dense_map(p, t)[rows])
                         for t in proto.times(0, got.n_samples)])
         assert got.n_samples == 40
@@ -626,7 +633,7 @@ def test_critical_rows_match_dense_expm(n):
                                          max_samples=240, rel_threshold=2e-3)
     cuts = ([n // 2], list(range(n // 4)))
     dense = np.array([
-        [subsystem_entropy_from_rows(lab_map[quadrature_indices(cut)]) for cut in cuts]
+        [subsystem_entropy_from_rows(lab_map[quadrature_rows(cut)]) for cut in cuts]
         for lab_map in (dense_map(p, t) for t in proto.times(0, proto.max_samples))
     ])
     for i, cut in enumerate(cuts):
@@ -727,7 +734,7 @@ def test_entropy_rows_stack_matches_scalar_calls():
         proto = AveragingProtocol.for_params(p)
         times = proto.times(0, 12)
         for cut in ([4], [0, 1, 2], [2, 5]):
-            rows = quadrature_indices(cut)
+            rows = quadrature_rows(cut)
             single = np.stack([prop.entropy_rows(t, cut) for t in times])
             if prop.frame is None:
                 # on g == delta the rows are S(t) P
@@ -800,18 +807,27 @@ def test_subsystems_validated():
         time_averaged_entropy(p, [0, 0])
     with pytest.raises(DomainError, match="mode index -1"):
         time_averaged_entropy(p, [-1, 2])
+    # the public row and spectrum methods take the same check, on both routes
+    times = AveragingProtocol.for_params(p).times(0, 2)
+    for g in (0.2, 0.25):
+        prop = build_propagator(_params(g, 8))
+        for sites in ([], [-1], [2, 2], [8], [1.5]):
+            for call in (lambda: prop.spectrum(sites, times), lambda: prop.entropy_rows(3.0, sites),
+                         lambda: prop.subsystem_rows(3.0, sites)):
+                with pytest.raises(DomainError):
+                    call()
 
 
 def test_non_integer_sites_rejected():
     p = _params(0.2, 8)
     with pytest.raises(DomainError, match="mode index 2.7 is not an integer"):
-        quadrature_indices([2.7, 0])
+        site_indices([2.7, 0], 8)
     with pytest.raises(DomainError, match="not an integer"):
         time_averaged_entropy(p, [1.5])
     for entry in (log_correction, avg_site_correlators, epsilon4):
         with pytest.raises(DomainError, match="not an integer"):
             entry(p, 1.5)
-    assert quadrature_indices([2.0, 0]).tolist() == [0, 1, 4, 5]
+    assert site_indices([2.0, 0], 8).tolist() == [2, 0]
 
 
 def test_frame_block_entropies_match_row_route():
