@@ -440,16 +440,13 @@ def _figure_fourpoint(params: ModelParams, protocol: AveragingProtocol,
                       cfg: dict[str, str]) -> tuple[list, dict]:
     """Four-point row; a point it cannot evaluate gives no row and an entry with a ``reason``."""
     site = _resolve_site(cfg, params.n_sites)
-    started = time.perf_counter()
     try:
-        report = fourpoint_report(params, site, protocol)
+        report, record = _measure(fourpoint_report, params, protocol, site)
     except (CriticalFrameUndefined, DomainError) as exc:
         return [], {"reason": str(exc)}
     row = (params.g, params.n_sites, site, report.epsilon4, report.one_over_eps4,
            report.log_correction)
-    return [row], {"subsystem": f"site:{site}", "converged": True, "route": "sums",
-                   "protocol": dataclasses.asdict(protocol),
-                   "seconds": time.perf_counter() - started}
+    return [row], {"subsystem": f"site:{site}", **record, "route": "sums"}
 
 
 _FIGURES = {

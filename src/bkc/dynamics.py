@@ -33,22 +33,23 @@ Every average takes the ``FRAME_EXACT`` route, which
 The package has no matrix exponential: the tests check both forms against
 ``scipy.linalg.expm`` of the generator Omega h.
 
-One sampler, the door of every average, checks the sites (``site_indices``)
-and the grid (``_check_grid``); the averages extend its draw until it
-converges, ``log_correction`` takes one. A draw runs in chunks of consecutive
-grid indices: a chunk holds at most ``_CHUNK_BYTES`` of entropy-map rows (and
-the arrays that reducing them needs), never crosses a convergence check, and
-is one call of the average's ``evaluate``. Entropy averages and ``log_correction`` take
-``Propagator.spectrum``, the one place that picks a route: a frame site's Gram
-block, a frame block's rows and QR (as ``subsystem_entropy_from_rows``), the
-shear on g == delta. Page curves, profiles and ``time_series`` take
-``entropy_rows``. No average builds the full map S(t). A chunk is a grid
-batch, the range k0 <= k < k1: with k = a B + b (B = 32), single sites and the
-g == delta route take e^{i omega t_k} = e^{i omega t_aB} e^{i omega b dt} from
-float64 trig at the anchors t_aB, a table of the offsets made once per average,
-and angle addition (``_phases``). So a phase depends on its grid index alone,
-never on the chunk. Explicit times and frame block rows keep the trig of
-fl(omega t).
+One sampler, the door of every average, checks the sites (``site_indices``) and
+the grid (``_check_grid``); the averages extend its draw until it converges,
+``log_correction`` takes one. A draw runs in chunks of consecutive grid indices:
+a chunk holds at most ``_CHUNK_BYTES`` of entropy-map rows (and the arrays that
+reducing them needs), never crosses a convergence check, and is one call of the
+average's ``evaluate``. Entropy averages and ``log_correction`` take
+``Propagator.spectrum``, the one place that picks a route. On both routes a cut of
+more than N/2 sites takes its complement's spectrum (the state is pure); the rest
+take a frame site's Gram block, a frame block's rows and QR (as
+``subsystem_entropy_from_rows``) or the shear on g == delta. Page curves (l > N/2
+too), profiles and ``time_series`` reduce the rows of the sites asked for,
+``entropy_rows``. No average builds the full map S(t). A chunk is a grid batch,
+the range k0 <= k < k1: with k = a B + b (B = 32), single sites and the g == delta
+route take e^{i omega t_k} = e^{i omega t_aB} e^{i omega b dt} from float64 trig at
+the anchors t_aB, a table of the offsets made once per average, and angle
+addition (``_phases``). So a phase depends on its grid index alone, never on the
+chunk. Explicit times and frame block rows keep the trig of fl(omega t).
 
 The covariance of the evolved vacuum is sigma(t) = S(t) S(t)^T.
 """
@@ -173,6 +174,11 @@ class _GridBatch:
 
     def __getitem__(self, i):
         return self.times[i]
+
+
+def _as_times(t):
+    """``t`` as K times: a ``_GridBatch`` as it is, one time or many as a 1-D float array."""
+    return t if isinstance(t, _GridBatch) else np.atleast_1d(np.asarray(t, dtype=float))
 
 
 def _phases(frequencies: np.ndarray, times) -> np.ndarray:
@@ -365,28 +371,27 @@ class Propagator:
             np.negative(u_part, out=out[:, :, 1, p::2, 1])
 
     def spectrum(self, sites: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
-        """nu (K x l) of the whole sites ``sites`` at every time, unclamped, and its floor
-        scale ||W_A||^2 (K), by the cut's route (module docstring).
+        """nu (K x l) of the whole sites ``sites`` at K ``times`` (as in ``entropy_rows``),
+        unclamped, and its floor scale ||W_A||^2 (K), by the cut's route (module docstring).
 
-        On g == delta nu = 0 for an eigenvalue of Y Y^T below -1, and a cut of
-        more than half the chain takes its complement B's nu, noise and scale,
-        and 2l - N more nu at exactly 1 (the state is pure): A's rank-(N - l)
-        Y Y^T adds 2l - N eigenvalues near eps ||Y||^2, 1e-11 to S at N = 256.
+        On both routes a cut of more than N/2 sites takes its complement's nu and scale and
+        2l - N more nu at exactly 1 (the state is pure), the whole chain nu = 1 and scale 0;
+        only ``page_curve`` and the row methods keep a large cut's own rows, whose 2l - N
+        spurious nu near 1 add 25 % to S for the 3N/4 frame cut at g = 0, delta = 0.9,
+        N = 64. On g == delta nu = 0 for eig(Y Y^T) < -1.
         """
-        sites = site_indices(sites, self.params.n_sites)
+        sites, times = site_indices(sites, self.params.n_sites), _as_times(times)
+        n, l, k = self.params.n_sites, sites.size, times.size
+        if 2 * l > n:
+            rest = np.setdiff1d(np.arange(n), sites)
+            nu, scale = self.spectrum(rest, times) if rest.size else (np.ones((k, 0)), np.zeros(k))
+            return np.hstack([np.ones((k, 2 * l - n)), nu]), scale
         if self.frame is not None:
-            if sites.size == 1:
+            if l == 1:
                 nu, trace = _gram_nu(self._site_gram(sites[0], times))
                 return nu[:, None], trace
             rows = self.entropy_rows(times, sites)
             return symplectic_eigenvalues_from_rows(rows), np.einsum("...ij,...ij->...", rows, rows)
-        n, l, k = self.params.n_sites, sites.size, times.size
-        if 2 * l > n:
-            ones = np.ones((k, 2 * l - n))
-            if l == n:
-                return ones, np.zeros(k)
-            nu, scale = self.spectrum(np.setdiff1d(np.arange(n), sites), times)
-            return np.hstack([ones, nu]), scale
         what = f"propagation to t = {times[0]}..{times[-1]}"
         work = np.empty(4 * k * l * n)
         u_mat, v_mat = self._critical_uv(sites, times, 1.0, work)
@@ -447,8 +452,8 @@ class Propagator:
         lab blocks' nu under the eigensolver's floor at large N. On g == delta
         they are rows of W = S(t) P, whose site blocks are the lab ones.
 
-        ``t`` is a time, which gives the 2l x 2N rows, or a 1-D array of K
-        times, which gives a K x 2l x 2N stack. A single frame site's rows come
+        One time ``t`` gives the 2l x 2N rows; K times (a sequence, a 1-D array or a
+        grid batch) give a K x 2l x 2N stack. A single frame site's rows come
         from paired phases (``_site_rows``), anchored on a grid batch
         (``_phases``), off the full map's fl(t omega) by up to 7e-12 rad at
         N = 512, k < 1000 (1e-10 by k = 20,000). Larger blocks keep one phase per
@@ -456,9 +461,7 @@ class Propagator:
         references fix for the ill-conditioned g = 0 quarter (pairing moved its
         N = 256 value by 1.8e-5).
         """
-        batch = isinstance(t, _GridBatch)
-        times = t if batch else np.atleast_1d(np.asarray(t, dtype=float))
-        sites = site_indices(sites, self.params.n_sites)
+        times, sites = _as_times(t), site_indices(sites, self.params.n_sites)
         stack = np.empty((times.size, 2 * sites.size, 2 * self.params.n_sites))
         if self.frame is None:
             self._critical_rows(sites, times, stack)
@@ -466,10 +469,10 @@ class Propagator:
             self._site_rows(sites[0], times, stack)
         else:
             factor = self._mode_rows(sites)
-            for i, s in enumerate(t.times if batch else times):
-                np.matmul(factor, self._rotated_map(s), out=stack[i])
+            for i in range(times.size):
+                np.matmul(factor, self._rotated_map(times[i]), out=stack[i])
         within_limit(stack, f"propagation to t = {times[0]}..{times[-1]}")
-        return stack if batch or np.ndim(t) else stack[0]
+        return stack if isinstance(t, _GridBatch) or np.ndim(t) else stack[0]
 
 
 @functools.lru_cache(maxsize=32)

@@ -388,9 +388,16 @@ def test_critical_spectrum_matches_row_route(n):
         assert np.max(np.abs(got.values - ref.values) / ref.values) <= 1e-12
 
 
-@pytest.mark.parametrize("n", [64, 128])
-def test_critical_spectrum_mirror_and_whole_chain(n):
-    p = _params(0.25, n)
+@pytest.mark.parametrize("n, g, delta", [
+    pytest.param(64, 0.25, 0.25, id="64"),
+    pytest.param(128, 0.25, 0.25, id="128"),
+    # frame points: a cut of more than N/2 sites takes its complement's spectrum there too
+    pytest.param(64, 0.0, 0.9, id="frame-g0-delta0.9-64"),
+    pytest.param(64, 0.2, 0.25, id="frame-g0.2-64"),
+    pytest.param(64, 0.3, 0.25, id="frame-g0.3-64"),
+])
+def test_critical_spectrum_mirror_and_whole_chain(n, g, delta):
+    p = _params(g, n, delta=delta)
     proto = AveragingProtocol.for_params(p, initial_samples=30, rel_threshold=1.0)
     for sites, bound in ((range(n // 4), 1e-12), ([n // 3], 1e-10)):
         rest = sorted(set(range(n)) - set(sites))
@@ -751,6 +758,14 @@ def test_entropy_rows_stack_matches_scalar_calls():
             flipped = prop.entropy_rows(times, cut[::-1])
             reordered = stack.reshape(12, -1, 2, 20)[:, ::-1].reshape(stack.shape)
             assert np.allclose(flipped, reordered, rtol=0, atol=1e-13 * np.abs(stack).max())
+            # spectrum takes times as entropy_rows does: one time, a list or an array
+            nu = prop.spectrum(cut, times)[0]
+            assert np.array_equal(prop.spectrum(cut, list(times))[0], nu)
+            for i in (0, 7):
+                one = prop.spectrum(cut, times[i:i + 1])[0]
+                for form in (float(times[i]), [float(times[i])], np.float64(times[i])):
+                    assert np.array_equal(prop.spectrum(cut, form)[0], one)
+                assert np.allclose(one[0], nu[i], rtol=1e-10, atol=0)
 
 
 def test_chunk_memory_is_bounded_and_views_are_copied(monkeypatch):
@@ -831,12 +846,16 @@ def test_non_integer_sites_rejected():
 
 
 def test_frame_block_entropies_match_row_route():
-    # spectrum's block branch makes the calls of subsystem_entropy_from_rows
+    # spectrum's block branch makes the calls of subsystem_entropy_from_rows; a cut of
+    # more than N/2 sites takes its complement's spectrum, here site 0's Gram block
     for g in (0.0, 0.2, 0.3):
         p = _params(g, 32)
         proto = AveragingProtocol.for_params(p, initial_samples=60, rel_threshold=1.0)
         for cut in (range(8), [3, 17], range(1, 32)):
             got = time_averaged_entropy(p, cut, proto)
-            ref = time_series(p, cut, subsystem_entropy_from_rows, proto)
+            if len(cut) > 16:
+                ref = time_averaged_entropy(p, [0], proto)
+            else:
+                ref = time_series(p, cut, subsystem_entropy_from_rows, proto)
             assert got.n_samples == ref.n_samples == 60
             assert np.array_equal(got.values, ref.values)
