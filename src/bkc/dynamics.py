@@ -35,21 +35,21 @@ The package has no matrix exponential: the tests check both forms against
 
 One sampler, the door of every average, checks the sites (``site_indices``) and
 the grid (``_check_grid``); the averages extend its draw until it converges,
-``log_correction`` takes one. A draw runs in chunks of consecutive grid indices:
-a chunk holds at most ``_CHUNK_BYTES`` of entropy-map rows (and the arrays that
-reducing them needs), never crosses a convergence check, and is one call of the
-average's ``evaluate``. Entropy averages and ``log_correction`` take
+``log_correction`` takes one. Entropy averages and ``log_correction`` take
 ``Propagator.spectrum``, the one place that picks a route. On both routes a cut of
-more than N/2 sites takes its complement's spectrum (the state is pure); the rest
-take a frame site's Gram block, a frame block's rows and QR (as
-``subsystem_entropy_from_rows``) or the shear on g == delta. Page curves (l > N/2
-too), profiles and ``time_series`` reduce the rows of the sites asked for,
-``entropy_rows``. No average builds the full map S(t). A chunk is a grid batch,
-the range k0 <= k < k1: with k = a B + b (B = 32), single sites and the g == delta
-route take e^{i omega t_k} = e^{i omega t_aB} e^{i omega b dt} from float64 trig at
-the anchors t_aB, a table of the offsets made once per average, and angle
-addition (``_phases``). So a phase depends on its grid index alone, never on the
-chunk. Explicit times and frame block rows keep the trig of fl(omega t).
+more than N/2 sites takes its complement's spectrum (the state is pure,
+``_route_sites``); the rest take a frame site's Gram block, a frame block's rows and
+QR (as ``subsystem_entropy_from_rows``) or the shear on g == delta. Page curves
+(l > N/2 too), profiles and ``time_series`` reduce the rows of the sites asked for,
+``entropy_rows``. No average builds the full map S(t). A draw runs in chunks of
+consecutive grid indices, one ``evaluate`` call each and none across a convergence
+check, that hold at most ``_CHUNK_BYTES`` of rows (and what reducing them needs):
+the 2l rows reduced, or those of the min(l, N - l) sites the route reads. A chunk
+is a grid batch, k0 <= k < k1: with k = a B + b (B = 32), single sites and the
+g == delta route take e^{i omega t_k} = e^{i omega t_aB} e^{i omega b dt} from
+float64 trig at the anchors t_aB, a table of the offsets made once per average, and
+angle addition (``_phases``). So a phase depends on its grid index alone, never on
+the chunk. Explicit times and frame block rows keep the trig of fl(omega t).
 
 The covariance of the evolved vacuum is sigma(t) = S(t) S(t)^T.
 """
@@ -98,11 +98,8 @@ _PHASE_RESOLUTION = 1e-6
 
 
 class PropagationMode(enum.Enum):
-    """Route of a Propagator; ``FRAME_EXACT`` is the only one.
-
-    It is the exact mode rotation in the squeezing frame, or on g == delta
-    the closed form. ``Propagator.mode`` names it for the run records.
-    """
+    """Route of a Propagator: only ``FRAME_EXACT``, the frame's mode rotation or on g == delta
+    the closed form. ``Propagator.mode`` stays for the benchmark's tracer, not the run records."""
 
     FRAME_EXACT = "frame"
 
@@ -169,8 +166,7 @@ class _GridBatch:
 
     def __init__(self, protocol: AveragingProtocol, k0: int, k1: int, offsets: dict):
         self.protocol, self.k0, self.k1, self.offsets = protocol, k0, k1, offsets
-        self.times = protocol.times(k0, k1)
-        self.size = k1 - k0
+        self.times, self.size = protocol.times(k0, k1), k1 - k0
 
     def __getitem__(self, i):
         return self.times[i]
@@ -213,6 +209,11 @@ class TimeAverageResult:
     values: np.ndarray = field(repr=False)
 
 
+def _route_sites(sites: np.ndarray, n: int) -> np.ndarray:
+    """The sites ``Propagator.spectrum`` reads for a cut: past N/2 its complement (purity)."""
+    return np.setdiff1d(np.arange(n), sites) if 2 * sites.size > n else sites
+
+
 def _critical_columns(params: ModelParams, modes: np.ndarray,
                       cosines: np.ndarray) -> np.ndarray:
     """The g == delta map's precomputed columns, one row per site: N x 2N.
@@ -239,15 +240,15 @@ class Propagator:
     def __init__(self, params: ModelParams):
         self.params = params
         self.frame: SqueezingFrame | None = None
-        spectrum = tight_binding_spectrum(params)
+        spectrum, n = tight_binding_spectrum(params), params.n_sites
         if classify_phase(params) is PhaseRegime.CRITICAL:
-            n = params.n_sites
             cosines = np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
             self.frequencies = params.w * cosines
             self.columns = _critical_columns(params, spectrum.modes, cosines)
         else:
             self.frame = squeezing_frame(params)
-            self.modes = spectrum.modes
+            # m_ij (mode i, site j) of the even and odd sites j, contiguous for _site_sums' GEMMs
+            self.modes = [np.ascontiguousarray(spectrum.modes[:, p::2]) for p in (0, 1)]
             # +-J cos(pi n / (N+1)) with the frame's hopping sign; halving is exact
             self.frequencies = (-0.5 * frame_hopping_sign(self.frame)) * spectrum.energies
 
@@ -256,19 +257,23 @@ class Propagator:
         """Psi2 G, the one 2N x 2N array of the frame route; built at the first block request.
 
         With Psi2 = modes (x) I2 and G block diagonal, entry (2i+a, 2j+b) is
-        the single product modes[i, j] G_j[a, b], so this equals the dense
+        the single product m_ij G_j[a, b], so this equals the dense
         product bit for bit.
         """
         n = self.params.n_sites
-        return (self.modes[:, None, :, None]
+        return (self._site_modes(range(n)).T[:, None, :, None]
                 * self.frame.site_factors.transpose(1, 0, 2)).reshape(2 * n, 2 * n)
 
+    def _site_modes(self, sites) -> np.ndarray:
+        """m_ij for every j in ``sites``, one row per site: l x N."""
+        return np.array([self.modes[j % 2][:, j // 2] for j in sites])
+
     def _mode_rows(self, sites: np.ndarray) -> np.ndarray:
-        """Rows 2j, 2j+1 of Psi2^T for every j in ``sites``: row 2j+b holds modes[i, j] at
+        """Rows 2j, 2j+1 of Psi2^T for every j in ``sites``: row 2j+b holds m_ij at
         column 2i+b, zeros elsewhere."""
         n, l = self.params.n_sites, sites.size
         out = np.zeros((l, 2, n, 2))
-        out[:, 0, :, 0] = out[:, 1, :, 1] = self.modes[:, sites].T
+        out[:, 0, :, 0] = out[:, 1, :, 1] = self._site_modes(sites)
         return out.reshape(2 * l, 2 * n)
 
     def _site_sums(self, site: int, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -281,13 +286,13 @@ class Propagator:
         site's parity and S for the others, K x N/2 each.
         """
         n, h = self.params.n_sites, self.params.n_sites // 2
-        own, other = site % 2, 1 - site % 2
+        own_modes, other_modes = self.modes[site % 2], self.modes[1 - site % 2]
         weights = _phases(self.frequencies[:h], times)
-        weights *= 2.0 * self.modes[:h, site]
-        cos_part = weights[0] @ self.modes[:h, own::2]
-        sin_part = weights[1] @ self.modes[:h, other::2]
+        weights *= 2.0 * own_modes[:h, site // 2]
+        cos_part = weights[0] @ own_modes[:h]
+        sin_part = weights[1] @ other_modes[:h]
         if n % 2:
-            cos_part += self.modes[h, site] * self.modes[h, own::2]
+            cos_part += own_modes[h, site // 2] * own_modes[h]
         return cos_part, sin_part
 
     def _site_rows(self, site: int, times: np.ndarray, out: np.ndarray) -> None:
@@ -382,10 +387,10 @@ class Propagator:
         """
         sites, times = site_indices(sites, self.params.n_sites), _as_times(times)
         n, l, k = self.params.n_sites, sites.size, times.size
-        if 2 * l > n:
-            rest = np.setdiff1d(np.arange(n), sites)
-            nu, scale = self.spectrum(rest, times) if rest.size else (np.ones((k, 0)), np.zeros(k))
-            return np.hstack([np.ones((k, 2 * l - n)), nu]), scale
+        read = _route_sites(sites, n)
+        if read.size < l:
+            nu, scale = self.spectrum(read, times) if read.size else (np.ones((k, 0)), np.zeros(k))
+            return np.hstack([np.ones((k, l - read.size)), nu]), scale
         if self.frame is not None:
             if l == 1:
                 nu, trace = _gram_nu(self._site_gram(sites[0], times))
@@ -507,9 +512,7 @@ def _converge_series(sample, protocol: AveragingProtocol) -> tuple[np.ndarray, b
     along axis 0, a scalar or a vector per index. Each call is one draw:
     the initial samples, then one batch per failed convergence check.
     """
-    parts: list[np.ndarray] = []
-    drawn = 0
-    target = protocol.initial_samples
+    parts, drawn, target = [], 0, protocol.initial_samples
     while True:
         parts.append(sample(drawn, target))
         drawn = target
@@ -523,20 +526,22 @@ def _converge_series(sample, protocol: AveragingProtocol) -> tuple[np.ndarray, b
 
 
 def _sampler(params: ModelParams, subsystem, evaluate, protocol: AveragingProtocol | None,
-             stacks: int = 2):
+             rows: int = 0):
     """Check the sites and the grid; return ``draw(k0, k1)``, the values at grid indices
     k0 <= k < k1 along axis 0, and the protocol (``for_params`` if None).
 
     ``evaluate(prop, sites, batch)`` maps ``build_propagator(params, None)`` (the
     key under which it is cached), the subsystem's sorted sites and a chunk's
-    ``_GridBatch`` of K grid indices to K values (a scalar or an array each). A
-    chunk fits ``stacks`` arrays of the subsystem's 2l rows (by default the rows
-    and their QR copy, or U, V and their weights) in _CHUNK_BYTES.
+    ``_GridBatch`` of K grid indices to K values (a scalar or an array each). A chunk
+    fits in _CHUNK_BYTES ``rows`` arrays of the subsystem's 2l rows (``_of_rows``) or,
+    for a spectrum (``rows`` 0), two of the route's (``_route_sites``): the rows and
+    their QR copy, or U, V and their weights.
     """
     sites = np.sort(site_indices(subsystem, params.n_sites))
     protocol = _check_grid(protocol or AveragingProtocol.for_params(params), params)
     prop = build_propagator(params, None)
-    chunk = max(1, _CHUNK_BYTES // (stacks * 2 * sites.size * 2 * params.n_sites * 8))
+    width = sites.size if rows else max(1, _route_sites(sites, params.n_sites).size)
+    chunk = max(1, _CHUNK_BYTES // ((rows or 2) * 2 * width * 2 * params.n_sites * 8))
     offsets: dict = {}   # the offset tables of this average (_phases)
 
     def draw(k0: int, k1: int) -> np.ndarray:
@@ -551,6 +556,13 @@ def _of_rows(reduce):
     """``evaluate`` for _sampler: ``reduce`` of the K x 2l x 2N entropy-map rows, copied
     out (a view of the rows would keep the whole chunk alive)."""
     return lambda prop, sites, batch: np.array(reduce(prop.entropy_rows(batch, sites)))
+
+
+def _converged(result, what: str):
+    """``result``, or NonConvergence carrying it if its sampling hit the cap."""
+    if result.converged:
+        return result
+    raise NonConvergence(f"{what} not converged after {result.n_samples} samples", result=result)
 
 
 def _series_result(values: np.ndarray, converged: bool) -> TimeAverageResult:
@@ -570,7 +582,7 @@ def time_series(
     follows the protocol; the result says whether it converged.
     """
     return _series_result(*_converge_series(*_sampler(params, subsystem, _of_rows(reduce),
-                                                      protocol)))
+                                                      protocol, rows=2)))
 
 
 def time_averaged_entropy(
@@ -585,15 +597,10 @@ def time_averaged_entropy(
     is reached first. Each sample takes the ``Propagator.spectrum`` route of
     the cut.
     """
-    result = _series_result(*_converge_series(*_sampler(
+    return _converged(_series_result(*_converge_series(*_sampler(
         params, subsystem,
         lambda prop, sites, batch: _entropy_from_spectrum(*prop.spectrum(sites, batch)),
-        protocol)))
-    if not result.converged:
-        raise NonConvergence(
-            f"entropy mean not converged after {result.n_samples} samples", result=result
-        )
-    return result
+        protocol))), "entropy mean")
 
 
 def series_fluctuation_ratio(values) -> float:
@@ -636,15 +643,10 @@ def page_curve(
 
     # a chunk holds its rows, their QR copy, R and the per-cut temporaries
     values, converged = _converge_series(*_sampler(params, range(n), _of_rows(reduce), protocol,
-                                                   stacks=8))
-    curve = PageCurve(lengths=lengths, entropies=values.mean(axis=0),
-                      stderrs=_standard_error(values), n_samples=values.shape[0],
-                      converged=converged)
-    if not converged:
-        raise NonConvergence(
-            f"page curve not converged after {values.shape[0]} samples", result=curve
-        )
-    return curve
+                                                   rows=8))
+    return _converged(PageCurve(lengths=lengths, entropies=values.mean(axis=0),
+                                stderrs=_standard_error(values), n_samples=values.shape[0],
+                                converged=converged), "page curve")
 
 
 @dataclass(frozen=True, eq=False)
@@ -697,18 +699,15 @@ def profiles(
         gram_sum[:] += np.einsum("knar,knbr->nab", site_rows, site_rows)
         return subsystem_entropy_from_rows(stack.reshape(-1, 2, 2 * n)).reshape(-1, n)
 
-    values, converged = _converge_series(*_sampler(params, range(n), _of_rows(reduce), protocol))
+    values, converged = _converge_series(*_sampler(params, range(n), _of_rows(reduce), protocol,
+                                                   rows=2))
     mean_blocks = gram_sum / values.shape[0]
     frame = build_propagator(params, None).frame
     if frame is not None:
         inverse = frame.inverse_factors()
         mean_blocks = inverse @ mean_blocks @ inverse.transpose(0, 2, 1)
     occs, pairs = site_correlators(mean_blocks)
-    result = SiteProfiles(entropies=values.mean(axis=0), stderrs=_standard_error(values),
-                          occupations=occs, pair_amplitudes=pairs, mean_blocks=mean_blocks,
-                          n_samples=values.shape[0], converged=converged)
-    if not converged:
-        raise NonConvergence(
-            f"site profiles not converged after {values.shape[0]} samples", result=result
-        )
-    return result
+    return _converged(SiteProfiles(
+        entropies=values.mean(axis=0), stderrs=_standard_error(values), occupations=occs,
+        pair_amplitudes=pairs, mean_blocks=mean_blocks, n_samples=values.shape[0],
+        converged=converged), "site profiles")

@@ -593,6 +593,21 @@ def test_interrupted_sweep_keeps_finished_points(tmp_path, monkeypatch):
     assert (out / "sweep.csv").read_bytes() == (tmp_path / "fresh" / "sweep.csv").read_bytes()
 
 
+def test_parallel_sweep_matches_serial(tmp_path):
+    # two grid points on two spawned workers give the serial sweep's bytes and run records
+    written = {}
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}"
+        cfg = _write_cfg(tmp_path, name=f"jobs{jobs}.cfg", g="0.1,0.25", n="8", out=out,
+                         jobs=jobs, **_FAST)
+        assert main(["sweep", "--config", cfg]) == 0
+        runs = json.loads((out / "sweep.manifest.json").read_text())["runs"]
+        assert len(runs) == 2 and all(run["seconds"] > 0.0 for run in runs)
+        written[jobs] = ((out / "sweep.csv").read_bytes(),
+                         [{k: v for k, v in run.items() if k != "seconds"} for run in runs])
+    assert written["2"] == written["1"]
+
+
 def test_pool_workers_start_with_one_blas_thread(monkeypatch):
     monkeypatch.setenv("OMP_NUM_THREADS", "3")
     monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)

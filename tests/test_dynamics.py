@@ -246,9 +246,10 @@ def test_site_gram_matches_longdouble_rows():
 
 
 def test_grid_phases_depend_on_the_index_only(monkeypatch):
-    # chunks of 146 and 366 site samples, 9 and 22 quarter samples, 3 and 7 for its
-    # complement, none a multiple of the anchor stride. (Chunks of one or two N = 64
-    # quarter samples round differently, anchored or not: their GEMMs have M <= 32.)
+    # chunks of 146 and 366 site samples, 9 and 22 quarter samples (its complement reads
+    # the quarter, so it takes the same), none a multiple of the anchor stride. (Chunks of
+    # one or two N = 64 quarter samples round differently, anchored or not: their GEMMs
+    # have M <= 32.)
     cases = [(_params(0.2, 64), [32]), (_params(0.25, 64), range(16)),
              (_params(0.25, 64), range(16, 64))]
     values = []
@@ -267,6 +268,28 @@ def test_grid_phases_depend_on_the_index_only(monkeypatch):
         assert np.array_equal(part.times, grid.times[k0:k1])
         for site in (0, 32, 63):
             assert np.array_equal(prop._site_gram(site, part), prop._site_gram(site, grid)[k0:k1])
+
+
+@pytest.mark.parametrize("g", [0.2, 0.25])
+def test_cut_past_half_is_chunked_by_the_sites_its_route_reads(monkeypatch, g):
+    # spectrum serves the N - 1 cut from site 0, so the sampler sizes its chunks for one
+    # site's rows too: the same spectrum calls on the same grid batches as site 0
+    p = _params(g, 64)
+    proto = AveragingProtocol.for_params(p, initial_samples=1500, rel_threshold=1.0)
+    real = Propagator.spectrum
+    batches = {}
+
+    def counted(self, sites, times):
+        batches.setdefault(len(sites), []).append((times.k0, times.k1))
+        return real(self, sites, times)
+
+    monkeypatch.setattr(Propagator, "spectrum", counted)
+    site = time_averaged_entropy(p, [0], proto).values
+    assert batches.pop(1) == [(0, 1024), (1024, 1500)]
+    cut = time_averaged_entropy(p, range(1, 64), proto).values
+    assert batches == {63: [(0, 1024), (1024, 1500)], 1: [(0, 1024), (1024, 1500)]}
+    # so it gives site 0's values bit for bit (on g == delta the parent's chunks did not)
+    assert np.array_equal(cut, site)
 
 
 @pytest.mark.parametrize("g, n", [(0.2, 64), (0.2, 512), (0.25, 96)])
