@@ -33,23 +33,23 @@ Every average takes the ``FRAME_EXACT`` route, which
 The package has no matrix exponential: the tests check both forms against
 ``scipy.linalg.expm`` of the generator Omega h.
 
-One sampler, the door of every average, checks the sites (``site_indices``) and
-the grid (``_check_grid``); the averages extend its draw until it converges,
+One sampler, the door of every average, checks the sites (``site_indices``) and the
+grid (``_check_grid``); the averages extend its draw until it converges,
 ``log_correction`` takes one. Entropy averages and ``log_correction`` take
 ``Propagator.spectrum``, the one place that picks a route. On both routes a cut of
-more than N/2 sites takes its complement's spectrum (the state is pure,
-``_route_sites``); the rest take a frame site's Gram block, a frame block's rows and
-QR (as ``subsystem_entropy_from_rows``) or the shear on g == delta. Page curves
-(l > N/2 too), profiles and ``time_series`` reduce the rows of the sites asked for,
-``entropy_rows``. No average builds the full map S(t). A draw runs in chunks of
-consecutive grid indices, one ``evaluate`` call each and none across a convergence
-check, that hold at most ``_CHUNK_BYTES`` of rows (and what reducing them needs):
-the 2l rows reduced, or those of the min(l, N - l) sites the route reads. A chunk
-is a grid batch, k0 <= k < k1: with k = a B + b (B = 32), single sites and the
-g == delta route take e^{i omega t_k} = e^{i omega t_aB} e^{i omega b dt} from
-float64 trig at the anchors t_aB, a table of the offsets made once per average, and
-angle addition (``_phases``). So a phase depends on its grid index alone, never on
-the chunk. Explicit times and frame block rows keep the trig of fl(omega t).
+more than N/2 sites takes its complement's spectrum, the only nu other than 1 it
+carries (the state is pure, ``_route_sites``); the rest take a frame site's Gram
+block, a frame block's rows and QR (as ``subsystem_entropy_from_rows``) or the shear
+on g == delta. Page curves (l > N/2 too), profiles and ``time_series`` reduce the rows
+of the sites asked for, ``entropy_rows``. No average builds the full map S(t). A draw
+runs in chunks of consecutive grid indices, one ``evaluate`` call each and none across
+a convergence check, that hold at most ``_CHUNK_BYTES`` of rows (and what reducing
+them needs): the 2l rows reduced, or those of the min(l, N - l) sites the route reads.
+A chunk is a grid batch, k0 <= k < k1: with k = a B + b (B = 32), single sites and the
+g == delta route take e^{i omega t_k} = e^{i omega t_aB} e^{i omega b dt} from float64
+trig at the anchors t_aB, a table of the offsets made once per average, and angle
+addition (``_phases``). So a phase depends on its grid index alone, never on the
+chunk. Explicit times and frame block rows keep the trig of fl(omega t).
 
 The covariance of the evolved vacuum is sigma(t) = S(t) S(t)^T.
 """
@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonConvergence, within_limit
+from .errors import DomainError, NonConvergence, within_limit
 from .gaussian import (
     OMEGA2,
     _entropy_from_spectrum,
@@ -173,8 +173,14 @@ class _GridBatch:
 
 
 def _as_times(t):
-    """``t`` as K times: a ``_GridBatch`` as it is, one time or many as a 1-D float array."""
-    return t if isinstance(t, _GridBatch) else np.atleast_1d(np.asarray(t, dtype=float))
+    """``t`` as K times, the one time check: a ``_GridBatch`` as it is, one time or a 1-D
+    list of them as floats. DomainError if empty, nested, NaN or infinite; t < 0 is valid."""
+    if isinstance(t, _GridBatch):
+        return t
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    if times.ndim != 1 or times.size == 0 or not np.isfinite(times).all():
+        raise DomainError(f"expected one finite time or a non-empty 1-D list of them, got {t!r}")
+    return times
 
 
 def _phases(frequencies: np.ndarray, times) -> np.ndarray:
@@ -249,6 +255,12 @@ class Propagator:
             self.frame = squeezing_frame(params)
             # m_ij (mode i, site j) of the even and odd sites j, contiguous for _site_sums' GEMMs
             self.modes = [np.ascontiguousarray(spectrum.modes[:, p::2]) for p in (0, 1)]
+            # _site_gram's G_k G_k^T and Omega G_k G_k^T Omega^T of the even and odd sites k,
+            # N/2 x 4 each; squares past float range reach the blocks' guard as inf
+            with np.errstate(over="ignore", invalid="ignore"):
+                grams = self.frame.site_factors @ self.frame.site_factors.transpose(0, 2, 1)
+                self.grams, self.turned = ([a[p::2].reshape(-1, 4) for p in (0, 1)]
+                                           for a in (grams, OMEGA2 @ grams @ OMEGA2.T))
             # +-J cos(pi n / (N+1)) with the frame's hopping sign; halving is exact
             self.frequencies = (-0.5 * frame_hopping_sign(self.frame)) * spectrum.energies
 
@@ -316,16 +328,12 @@ class Propagator:
 
         Site k's 2 x 2 part of the rows is C_jk G_k (own parity) or
         S_jk Omega G_k (other parity), so the blocks are two (K x N/2) by
-        (N/2 x 4) products, of C^2 with G_k G_k^T and of S^2 with
-        Omega G_k G_k^T Omega^T. The overflow guard checks the blocks.
+        (N/2 x 4) products, of C^2 with ``grams`` and of S^2 with ``turned``. The
+        overflow guard checks the blocks.
         """
-        own, other = site % 2, 1 - site % 2
         cos_part, sin_part = self._site_sums(site, times)
-        with np.errstate(over="ignore", invalid="ignore"):
-            grams = self.frame.site_factors @ self.frame.site_factors.transpose(0, 2, 1)
-            turned = OMEGA2 @ grams @ OMEGA2.T
-            blocks = (np.square(cos_part, out=cos_part) @ grams[own::2].reshape(-1, 4)
-                      + np.square(sin_part, out=sin_part) @ turned[other::2].reshape(-1, 4))
+        blocks = (np.square(cos_part, out=cos_part) @ self.grams[site % 2]
+                  + np.square(sin_part, out=sin_part) @ self.turned[1 - site % 2])
         return within_limit(blocks.reshape(-1, 2, 2), f"propagation to t = {times[0]}..{times[-1]}")
 
     def _critical_uv(self, sites: np.ndarray, times: np.ndarray, scale: float,
@@ -376,21 +384,21 @@ class Propagator:
             np.negative(u_part, out=out[:, :, 1, p::2, 1])
 
     def spectrum(self, sites: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
-        """nu (K x l) of the whole sites ``sites`` at K ``times`` (as in ``entropy_rows``),
-        unclamped, and its floor scale ||W_A||^2 (K), by the cut's route (module docstring).
+        """nu (K x min(l, N - l)) of the whole sites ``sites`` at K ``times`` (as in
+        ``entropy_rows``), unclamped, and its floor scale ||W_A||^2 (K), by the cut's route.
 
-        On both routes a cut of more than N/2 sites takes its complement's nu and scale and
-        2l - N more nu at exactly 1 (the state is pure), the whole chain nu = 1 and scale 0;
-        only ``page_curve`` and the row methods keep a large cut's own rows, whose 2l - N
-        spurious nu near 1 add 25 % to S for the 3N/4 frame cut at g = 0, delta = 0.9,
-        N = 64. On g == delta nu = 0 for eig(Y Y^T) < -1.
+        The state is pure, so only min(l, N - l) nu can differ from 1 (Botero & Reznik, PRA
+        67, 052311 (2003)): a cut of more than N/2 sites returns its complement's nu and
+        scale as they are, the whole chain K x 0 nu and scale 0. Only ``page_curve`` and the
+        row methods keep a large cut's own rows, whose 2l - N spurious nu near 1 add 25 % to
+        S for the 3N/4 frame cut at g = 0, delta = 0.9, N = 64. On g == delta nu = 0 for
+        eig(Y Y^T) < -1.
         """
         sites, times = site_indices(sites, self.params.n_sites), _as_times(times)
         n, l, k = self.params.n_sites, sites.size, times.size
         read = _route_sites(sites, n)
         if read.size < l:
-            nu, scale = self.spectrum(read, times) if read.size else (np.ones((k, 0)), np.zeros(k))
-            return np.hstack([np.ones((k, l - read.size)), nu]), scale
+            return self.spectrum(read, times) if read.size else (np.ones((k, 0)), np.zeros(k))
         if self.frame is not None:
             if l == 1:
                 nu, trace = _gram_nu(self._site_gram(sites[0], times))

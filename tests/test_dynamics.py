@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from bkc.dynamics import (
     time_averaged_entropy,
     time_series,
 )
-from bkc.errors import DomainError, NonConvergence
+from bkc.errors import DomainError, NonConvergence, OverflowGuard
 from bkc.fourpoint import epsilon4, log_correction
 from bkc.gaussian import (
     site_correlators,
@@ -164,7 +165,12 @@ def test_time_average_same_samples_both_routes():
 
 
 def _held_bytes(prop):
-    return sum(v.nbytes for v in vars(prop).values() if isinstance(v, np.ndarray))
+    """Bytes of the arrays a propagator holds, also those in lists and tuples."""
+    def held(v):
+        if isinstance(v, (list, tuple)):
+            return sum(held(item) for item in v)
+        return v.nbytes if isinstance(v, np.ndarray) else 0
+    return sum(held(v) for v in vars(prop).values())
 
 
 def test_frame_propagator_holds_one_dense_map():
@@ -270,7 +276,7 @@ def test_grid_phases_depend_on_the_index_only(monkeypatch):
             assert np.array_equal(prop._site_gram(site, part), prop._site_gram(site, grid)[k0:k1])
 
 
-@pytest.mark.parametrize("g", [0.2, 0.25])
+@pytest.mark.parametrize("g", [0.2, 0.25, 0.3])
 def test_cut_past_half_is_chunked_by_the_sites_its_route_reads(monkeypatch, g):
     # spectrum serves the N - 1 cut from site 0, so the sampler sizes its chunks for one
     # site's rows too: the same spectrum calls on the same grid batches as site 0
@@ -290,6 +296,12 @@ def test_cut_past_half_is_chunked_by_the_sites_its_route_reads(monkeypatch, g):
     assert batches == {63: [(0, 1024), (1024, 1500)], 1: [(0, 1024), (1024, 1500)]}
     # so it gives site 0's values bit for bit (on g == delta the parent's chunks did not)
     assert np.array_equal(cut, site)
+    # its spectrum is site 0's, the one nu the N - 1 cut carries
+    monkeypatch.setattr(Propagator, "spectrum", real)
+    prop, times = build_propagator(p), proto.times(0, 40)
+    nu, scale = prop.spectrum(range(1, 64), times)
+    assert nu.shape == (40, 1)
+    assert all(map(np.array_equal, (nu, scale), prop.spectrum([0], times)))
 
 
 @pytest.mark.parametrize("g, n", [(0.2, 64), (0.2, 512), (0.25, 96)])
@@ -327,6 +339,35 @@ def test_protocol_rejects_grids_past_phase_resolution():
     big = _params(0.2, 2048)
     late = 40.0 * 2048 ** 2 / big.hopping
     AveragingProtocol.for_params(big, t_min=late, dt=late / 20000)
+
+
+@pytest.mark.parametrize("g, sites", [(0.2, [0]), (0.2, range(4)), (0.25, [0]), (0.25, range(4))])
+def test_times_are_checked_once(g, sites):
+    # a frame site, a frame block and g == delta: one DomainError for times that are
+    # not a non-empty 1-D list of finite floats, from spectrum and entropy_rows alike
+    prop = build_propagator(_params(g, 8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in ([], [[1.0, 2.0]], [math.nan], [math.inf], [3.0, -math.inf], math.nan):
+            for call in (prop.spectrum, lambda s, times: prop.entropy_rows(times, s)):
+                with pytest.raises(DomainError, match="finite time"):
+                    call(sites, bad)
+    # negative finite times are valid
+    nu, scale = prop.spectrum(sites, [-3.5, 2.0])
+    assert nu.shape == (2, len(sites)) and np.isfinite(scale).all()
+    assert prop.entropy_rows(-3.5, sites).shape == (2 * len(sites), 16)
+
+
+def test_site_past_the_gram_range_raises_overflow_guard():
+    # site factors of 7e171 square past float range in the Grams made at construction;
+    # a site average reports it through the blocks' guard, with no floating-point warning
+    p = _params(0.0, 300, delta=0.99)
+    proto = AveragingProtocol.for_params(p, initial_samples=20, rel_threshold=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for site in (0, 150):
+            with pytest.raises(OverflowGuard, match="propagation"):
+                time_averaged_entropy(p, [site], proto)
 
 
 def test_site_average_matches_row_route():
@@ -427,9 +468,9 @@ def test_critical_spectrum_mirror_and_whole_chain(n, g, delta):
         got = time_averaged_entropy(p, sites, proto).values
         mirror = time_averaged_entropy(p, rest, proto).values
         assert np.max(np.abs(got - mirror)) <= bound
-    # the whole chain is pure: every nu is exactly 1 and S exactly 0
+    # the whole chain is pure: it carries no nu other than 1, and S is exactly 0
     nu, _ = build_propagator(p, None).spectrum(np.arange(n), proto.times(0, 3))
-    assert np.array_equal(nu, np.ones((3, n)))
+    assert nu.shape == (3, 0)
     assert not time_averaged_entropy(p, range(n), proto).values.any()
 
 

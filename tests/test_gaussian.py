@@ -94,6 +94,38 @@ def test_entropy_kernel_huge_argument():
     assert entropy_kernel(x) == pytest.approx(math.log(x / 2) + 1.0, rel=1e-12)
 
 
+# s(x) at float64 points, from 800-digit arithmetic rounded once (tests/kernel_reference.py)
+_KERNEL_REFERENCE = [
+    (1.0000000000000002, 4.189626486814324e-15),
+    (1.000000000001, 1.4663343163796542e-11),
+    (1.00000001, 1.0056913905424288e-07),
+    (1.0001, 0.000545175627605919),
+    (1.5, 0.6255030294227348),
+    (3.0, 1.3862943611198906),
+    (99.99, 4.911906329927088),
+    (100.0, 4.912006338261455),
+    (1000.0, 7.214607931755475),
+    (10000000000.0, 23.33270374938051),
+    (1e+154, 354.9049571405231),
+    (1e+300, 691.0823807176538),
+    (1.7e+308, 710.0336897126683),
+]
+
+
+def test_entropy_kernel_within_two_eps_of_high_precision_values():
+    # bound fixed before the run; the two-branch kernel was 1.2e14 eps off at 1 + 2^-52
+    x, ref = np.array(_KERNEL_REFERENCE).T
+    eps = np.finfo(float).eps
+    assert np.all(np.abs(entropy_kernel(x) - ref) <= 2 * eps * ref)
+    for xi, ri in _KERNEL_REFERENCE:
+        assert abs(entropy_kernel(xi) - ri) <= 2 * eps * ri
+    # exactly 0 at 1 and where noise is clamped to 1; NaN in is NaN out, never 0
+    assert entropy_kernel(1.0) == 0.0 and entropy_kernel(1.0 - 5e-9) == 0.0
+    assert math.isnan(entropy_kernel(math.nan))
+    out = entropy_kernel(np.array([1.0, math.nan, 1.0 - 5e-9, 3.0]))
+    assert out[0] == out[2] == 0.0 and np.isnan(out[1]) and out[3] > 0.0
+
+
 def test_subsystem_entropy_complement_symmetry():
     s = random_symplectic(4, RNG)
     sig = s @ s.T
