@@ -8,8 +8,13 @@ Every average takes the ``FRAME_EXACT`` route, which
   at the frequencies J cos(pi n / (N+1)). A single site takes its mode sums
   from one phase per +-omega pair of this chiral spectrum and two GEMMs with
   halves of the N x N modes; its averages square them into the site's 2 x 2
-  Gram block (no rows, no QR). Block rows keep one phase per mode and need
-  Psi2 G, the one 2N x 2N array, built at the first block request.
+  Gram block (no rows, no QR). At g > delta the frame has r = 0, so the state's
+  only non-vacuum part is the pairing matrix P = u(t) diag(2 m_j) u(t)^T of the
+  passive unitary u, with 2 m_j = i sinh(2 r0) e^{-2 i phi j} read off G_j G_j^T;
+  P / sinh(2 r0) is unitary, so a block A with complement B has
+  nu_k^2 = 1 + sigma_k(P_AB)^2 (``_pairing_spectrum``; u from one Toeplitz-minus-
+  Hankel table per chunk, ``_unitary_rows``). Blocks at g < delta keep rows: one
+  phase per mode and Psi2 G, the one 2N x 2N array, built at their first request.
 * On g == delta the bond block delta [[1, 1], [-1, -1]] is nilpotent and
   the map has a closed form. With Z the shift (Z_{j,j+1} = 1),
   T_w = (w/2)(Z^T - Z), T_c = (Z + Z^T)/2 and per-site u = (q+p)/sqrt2,
@@ -39,17 +44,19 @@ grid (``_check_grid``); the averages extend its draw until it converges,
 ``Propagator.spectrum``, the one place that picks a route. On both routes a cut of
 more than N/2 sites takes its complement's spectrum, the only nu other than 1 it
 carries (the state is pure, ``_route_sites``); the rest take a frame site's Gram
-block, a frame block's rows and QR (as ``subsystem_entropy_from_rows``) or the shear
-on g == delta. Page curves (l > N/2 too), profiles and ``time_series`` reduce the rows
-of the sites asked for, ``entropy_rows``. No average builds the full map S(t). A draw
-runs in chunks of consecutive grid indices, one ``evaluate`` call each and none across
-a convergence check, that hold at most ``_CHUNK_BYTES`` of rows (and what reducing
-them needs): the 2l rows reduced, or those of the min(l, N - l) sites the route reads.
-A chunk is a grid batch, k0 <= k < k1: with k = a B + b (B = 32), single sites and the
-g == delta route take e^{i omega t_k} = e^{i omega t_aB} e^{i omega b dt} from float64
-trig at the anchors t_aB, a table of the offsets made once per average, and angle
-addition (``_phases``). So a phase depends on its grid index alone, never on the
-chunk. Explicit times and frame block rows keep the trig of fl(omega t).
+block, the pairing matrix (blocks at g > delta), a frame block's rows and QR (as
+``subsystem_entropy_from_rows``, g < delta) or the shear on g == delta (``_route``
+names them). Page curves at g > delta read every cut off one N x N P per sample; other
+Page curves (l > N/2 too), profiles and ``time_series`` reduce the rows of the sites
+asked for, ``entropy_rows``. No average builds the full map S(t). A draw runs in
+chunks of consecutive grid indices, one ``evaluate`` call each and none across a
+convergence check, that hold at most ``_CHUNK_BYTES`` (``_sample_bytes``): the 2l rows
+reduced, or what the route builds for the min(l, N - l) sites it reads. A chunk is a
+grid batch, k0 <= k < k1: with k = a B + b (B = 32), single sites, the table of u(t)
+and the g == delta route take e^{i omega t_k} = e^{i omega t_aB} e^{i omega b dt}
+from float64 trig at the anchors t_aB, a table of the offsets made once per average,
+and angle addition (``_phases``). So a phase depends on its grid index alone, never
+on the chunk. Explicit times and frame block rows keep the trig of fl(omega t).
 
 The covariance of the evolved vacuum is sigma(t) = S(t) S(t)^T.
 """
@@ -61,6 +68,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, NonConvergence, within_limit
 from .gaussian import (
@@ -84,8 +92,7 @@ from .model import (
     tight_binding_spectrum,
 )
 
-# Memory budget of one chunk of samples: its map rows plus the arrays of the
-# same size that factoring them needs (``stacks`` in _sampler).
+# Memory budget of one chunk of samples: what its route builds (_sample_bytes).
 _CHUNK_BYTES = 4 * 2 ** 20
 # P per site: (q, p) -> (u, v) = ((q+p), (q-p)) / sqrt2, its own inverse.
 _HALF_TURN = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
@@ -220,6 +227,33 @@ def _route_sites(sites: np.ndarray, n: int) -> np.ndarray:
     return np.setdiff1d(np.arange(n), sites) if 2 * sites.size > n else sites
 
 
+def _route(params: ModelParams, sites) -> str:
+    """The route of the cut ``sites`` in ``Propagator.spectrum``, as run records name it:
+    "closed-form" on g == delta; off it "pairing" at g > delta when the cut reads two or
+    more sites (``_route_sites``), else "frame" (a site's Gram block or block rows). A Page
+    curve takes its middle cut's, range(N // 2)."""
+    regime = classify_phase(params)
+    if regime is PhaseRegime.CRITICAL:
+        return "closed-form"
+    wide = _route_sites(np.asarray(sites), params.n_sites).size >= 2
+    return "pairing" if wide and regime is PhaseRegime.RECIPROCAL else "frame"
+
+
+def _sample_bytes(params: ModelParams, sites: np.ndarray, rows: int) -> int:
+    """Bytes of one sample in a chunk, the sampler's one chunk rule: ``rows`` arrays of the
+    cut's 2l x 2N rows, or for a spectrum (``rows`` 0) what its route builds for the w sites
+    it reads: the rows of u (N x N complex) and P_AB (w x (N - w) complex) on the pairing
+    route, else two arrays of 2w x 2N rows (the rows and their QR copy, or U, V and their
+    weights)."""
+    n = params.n_sites
+    if rows:
+        return rows * 2 * sites.size * 2 * n * 8
+    width = max(1, _route_sites(sites, n).size)
+    if _route(params, sites) == "pairing":
+        return 16 * (n * n + width * (n - width))
+    return 2 * 2 * width * 2 * n * 8
+
+
 def _critical_columns(params: ModelParams, modes: np.ndarray,
                       cosines: np.ndarray) -> np.ndarray:
     """The g == delta map's precomputed columns, one row per site: N x 2N.
@@ -266,7 +300,8 @@ class Propagator:
 
     @functools.cached_property
     def mode_map(self) -> np.ndarray:
-        """Psi2 G, the one 2N x 2N array of the frame route; built at the first block request.
+        """Psi2 G, the one 2N x 2N array of the frame route; built at the first block request
+        of a non-reciprocal chain (g < delta) and by the row methods, never at g > delta.
 
         With Psi2 = modes (x) I2 and G block diagonal, entry (2i+a, 2j+b) is
         the single product m_ij G_j[a, b], so this equals the dense
@@ -275,6 +310,74 @@ class Propagator:
         n = self.params.n_sites
         return (self._site_modes(range(n)).T[:, None, :, None]
                 * self.frame.site_factors.transpose(1, 0, 2)).reshape(2 * n, 2 * n)
+
+    @functools.cached_property
+    def pairing_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Weights of ``_unitary_rows``' table and the pairings 2 m_j, built at the first
+        reciprocal block request: (2/(N+1)) cos(pi n m/(N+1)) for the h = N // 2 lowest modes
+        n and the even m <= N+1, the same negated for the odd m (h x (N/2 + 1) each), an odd
+        N's middle-mode term (-1)^(m/2) / (N+1) of the even m (zeros for even N), and
+        2 m_j = (s_qq - s_pp) / 2 + i s_qp of each site's G_j G_j^T (N complex)."""
+        n, h = self.params.n_sites, self.params.n_sites // 2
+        cycles = np.outer(np.arange(1, h + 1), np.arange(n + 2)) % (2 * n + 2)
+        weights = (2.0 / (n + 1)) * np.cos(np.pi * cycles / (n + 1))
+        even = np.arange(0, n + 2, 2)
+        middle = (n % 2) * (1.0 - 2.0 * (even // 2 % 2)) / (n + 1)
+        pairs = np.empty(n, dtype=complex)
+        for p in (0, 1):
+            qq, qp, pq, pp = self.grams[p].T
+            pairs[p::2] = (qq - pp) / 2.0 + 0.5j * (qp + pq)
+        return (np.ascontiguousarray(weights[:, 0::2]), -np.ascontiguousarray(weights[:, 1::2]),
+                middle, pairs)
+
+    def _unitary_rows(self, times, *cuts: np.ndarray) -> list[np.ndarray]:
+        """Rows of the frame's passive unitary u(t) at K ``times``, K x l x N complex, for each
+        sorted site array of ``cuts``, all from one table.
+
+        The modes are sines, so u_jk = c_|j-k| - c_{j+k+2} (0-based sites) with
+        c_m = (1/(N+1)) sum_n cos(pi n m/(N+1)) e^{-i omega_n t} and c_{2N+2-m} = c_m: a
+        Toeplitz minus a Hankel matrix, both sliding windows of the m = 0..N+1 table. As
+        omega_{N+1-n} = -omega_n, even m are real cosine sums and odd m imaginary sine sums
+        over the h lowest modes, one phase per pair (``_phases``): two real GEMMs with the
+        ``pairing_table`` weights. Each run of consecutive sites is one slice of the windows.
+        """
+        n, h = self.params.n_sites, self.params.n_sites // 2
+        even, odd, middle, _ = self.pairing_table
+        cos, sin = _phases(self.frequencies[:h], times)
+        table = np.zeros((cos.shape[0], n + 2), dtype=complex)
+        table.real[:, 0::2] = cos @ even + middle
+        table.imag[:, 1::2] = sin @ odd
+        # T_jk = e[N-1-j+k] of e = c_{N-1}..c_1 c_0..c_{N-1},
+        # H_jk = f[j+k] of f = c_2..c_{N+1} c_N..c_2
+        toeplitz = sliding_window_view(np.hstack([table[:, n - 1:0:-1], table[:, :n]]), n,
+                                       axis=1)[:, ::-1]
+        hankel = sliding_window_view(np.hstack([table[:, 2:], table[:, n:1:-1]]), n, axis=1)
+        out = []
+        for cut in cuts:
+            rows = np.empty((cos.shape[0], cut.size, n), dtype=complex)
+            starts = np.flatnonzero(np.diff(cut, prepend=-2) != 1)
+            for a, b in zip(starts, [*starts[1:], cut.size]):
+                run = slice(cut[a], cut[b - 1] + 1)
+                np.subtract(toeplitz[:, run], hankel[:, run], out=rows[:, a:b])
+            out.append(rows)
+        return out
+
+    def _pairing_block(self, times, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """The block P[rows, cols] = (u_rows diag(2 m)) u_cols^T of the pairing matrix at K
+        ``times``, K x |rows| x |cols| complex; the rows of u are freed on return."""
+        u_rows, u_cols = self._unitary_rows(times, rows, cols)
+        u_rows *= self.pairing_table[3]
+        return u_rows @ u_cols.transpose(0, 2, 1)
+
+    def _pairing_spectrum(self, cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """nu and floor scale of a cut from the K x a x b cross block P_AB of its pairing
+        matrix: nu^2 = 1 + eig of the Gram of P_AB on its smaller side, l = min(a, b), so
+        nu >= 1 with no 1 - x cancellation; scale tr sigma_A = 2 l cosh 2 r0."""
+        if cross.shape[1] > cross.shape[2]:
+            cross = cross.transpose(0, 2, 1)
+        gram = cross @ cross.conj().transpose(0, 2, 1)
+        nu = np.sqrt(1.0 + np.maximum(np.linalg.eigvalsh(gram), 0.0))
+        return nu, np.full(cross.shape[0], 2.0 * cross.shape[1] * math.cosh(2.0 * self.frame.r0))
 
     def _site_modes(self, sites) -> np.ndarray:
         """m_ij for every j in ``sites``, one row per site: l x N."""
@@ -389,16 +492,22 @@ class Propagator:
 
         The state is pure, so only min(l, N - l) nu can differ from 1 (Botero & Reznik, PRA
         67, 052311 (2003)): a cut of more than N/2 sites returns its complement's nu and
-        scale as they are, the whole chain K x 0 nu and scale 0. Only ``page_curve`` and the
-        row methods keep a large cut's own rows, whose 2l - N spurious nu near 1 add 25 % to
-        S for the 3N/4 frame cut at g = 0, delta = 0.9, N = 64. On g == delta nu = 0 for
-        eig(Y Y^T) < -1.
+        scale as they are, the whole chain K x 0 nu and scale 0. Only ``page_curve`` off
+        g > delta and the row methods keep a large cut's own rows, whose 2l - N spurious nu
+        near 1 add 25 % to S for the 3N/4 frame cut at g = 0, delta = 0.9, N = 64. Sites
+        take their Gram block; blocks at g > delta the pairing matrix's cross block
+        P_AB = (u_A diag(2 m) u_B^T) (``_pairing_spectrum``), with no Psi2 G; blocks at
+        g < delta their rows and QR. On g == delta nu = 0 for eig(Y Y^T) < -1.
         """
         sites, times = site_indices(sites, self.params.n_sites), _as_times(times)
         n, l, k = self.params.n_sites, sites.size, times.size
         read = _route_sites(sites, n)
         if read.size < l:
             return self.spectrum(read, times) if read.size else (np.ones((k, 0)), np.zeros(k))
+        if _route(self.params, sites) == "pairing":
+            sites = np.sort(sites)
+            return self._pairing_spectrum(
+                self._pairing_block(times, sites, np.setdiff1d(np.arange(n), sites)))
         if self.frame is not None:
             if l == 1:
                 nu, trace = _gram_nu(self._site_gram(sites[0], times))
@@ -542,14 +651,12 @@ def _sampler(params: ModelParams, subsystem, evaluate, protocol: AveragingProtoc
     key under which it is cached), the subsystem's sorted sites and a chunk's
     ``_GridBatch`` of K grid indices to K values (a scalar or an array each). A chunk
     fits in _CHUNK_BYTES ``rows`` arrays of the subsystem's 2l rows (``_of_rows``) or,
-    for a spectrum (``rows`` 0), two of the route's (``_route_sites``): the rows and
-    their QR copy, or U, V and their weights.
+    for a spectrum (``rows`` 0), what its route builds (``_sample_bytes``).
     """
     sites = np.sort(site_indices(subsystem, params.n_sites))
     protocol = _check_grid(protocol or AveragingProtocol.for_params(params), params)
     prop = build_propagator(params, None)
-    width = sites.size if rows else max(1, _route_sites(sites, params.n_sites).size)
-    chunk = max(1, _CHUNK_BYTES // ((rows or 2) * 2 * width * 2 * params.n_sites * 8))
+    chunk = max(1, _CHUNK_BYTES // _sample_bytes(params, sites, rows))
     offsets: dict = {}   # the offset tables of this average (_phases)
 
     def draw(k0: int, k1: int) -> np.ndarray:
@@ -637,10 +744,14 @@ def page_curve(
     """Entropy of the leftmost l sites for every cut l = 1..N-1.
 
     All cuts share the same deterministic time grid; sampling stops when
-    every cut individually meets the protocol target. One QR per sample,
-    W^T = Q T, serves every cut: the leading 2l x 2l block of T is the
-    factor of W[:2l]^T (QR column-prefix property), and cut l reads its
-    spectrum off it in ``entropy_from_factor``, with no second factorization.
+    every cut individually meets the protocol target. At g > delta (``_route`` of
+    the middle cut) one N x N pairing matrix P = u diag(2 m) u^T per sample serves
+    every cut: cut l reads the Gram of P[:l, l:] on its smaller side
+    (``_pairing_spectrum``), so P's symmetry gives a cut and its complement the same
+    nu and no large side is read off its own rows. Otherwise one QR per sample,
+    W^T = Q T, serves every cut: the leading 2l x 2l block of T is the factor of
+    W[:2l]^T (QR column-prefix property), and cut l reads its spectrum off it in
+    ``entropy_from_factor``, with no second factorization.
     """
     n = params.n_sites
     lengths = np.arange(1, n)
@@ -649,9 +760,15 @@ def page_curve(
         r_mat = np.linalg.qr(np.swapaxes(stack, -1, -2), mode="r")
         return np.stack([entropy_from_factor(r_mat[:, :2 * l, :2 * l]) for l in lengths], axis=1)
 
-    # a chunk holds its rows, their QR copy, R and the per-cut temporaries
-    values, converged = _converge_series(*_sampler(params, range(n), _of_rows(reduce), protocol,
-                                                   rows=8))
+    def pairing(prop: Propagator, sites: np.ndarray, batch: _GridBatch) -> np.ndarray:
+        pairs = prop._pairing_block(batch, sites, sites)
+        return np.stack([_entropy_from_spectrum(*prop._pairing_spectrum(pairs[:, :l, l:]))
+                         for l in lengths], axis=1)
+
+    # a rows chunk holds its rows, their QR copy, R and the per-cut temporaries; a pairing
+    # chunk holds two copies of u and P, 48 N^2 of those 256 N^2 bytes per sample
+    evaluate = pairing if _route(params, range(n // 2)) == "pairing" else _of_rows(reduce)
+    values, converged = _converge_series(*_sampler(params, range(n), evaluate, protocol, rows=8))
     return _converged(PageCurve(lengths=lengths, entropies=values.mean(axis=0),
                                 stderrs=_standard_error(values), n_samples=values.shape[0],
                                 converged=converged), "page curve")

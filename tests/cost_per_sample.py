@@ -1,0 +1,116 @@
+"""Cost per sample of the entropy routes: the tables of the README's "Cost per sample".
+
+    PYTHONPATH=src python tests/cost_per_sample.py [--repeats 9]
+
+Uses numpy and bkc only, pins BLAS to one thread (OPENBLAS_NUM_THREADS=1 unless set),
+and is not collected by pytest. Each value is the best of ``--repeats`` timed runs
+after one warm-up run (which builds the propagator and its lazy tables), divided by the
+samples drawn on the default grid. It prints three Markdown tables:
+
+* a single site N/2 over the first 1,000 samples, at g = 0.2 (frame, Gram block) and
+  g = 0.25 = Delta (closed form), N = 128-2048;
+* the quarter at g = 0.3: rows and QR (``time_series`` with
+  ``subsystem_entropy_from_rows``) against ``time_averaged_entropy``, which takes the
+  pairing route, N = 64-1024;
+* the Page curve at g = 0.3: one QR of the full map's rows per sample (the route of
+  ``page_curve`` off g > Delta, run through its sampler) against ``page_curve``'s one
+  pairing matrix per sample, N = 32 and 64.
+"""
+import argparse
+import os
+import time
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+
+from bkc import dynamics  # noqa: E402
+from bkc.dynamics import (  # noqa: E402
+    AveragingProtocol,
+    page_curve,
+    time_averaged_entropy,
+    time_series,
+)
+from bkc.gaussian import entropy_from_factor, subsystem_entropy_from_rows  # noqa: E402
+from bkc.model import ModelParams  # noqa: E402
+
+SITE_NS = (128, 512, 1024, 2048)
+QUARTER_SAMPLES = {64: 500, 128: 200, 256: 50, 512: 12, 1024: 4}
+PAGE_SAMPLES = {32: 100, 64: 40}
+
+
+def _params(g: float, n: int) -> ModelParams:
+    return ModelParams(w=1.0, delta=0.25, g=g, n_sites=n)
+
+
+def _per_sample(run, samples: int, repeats: int) -> float:
+    """Best seconds per sample of ``run()`` over ``repeats`` timed calls after a warm-up."""
+    run()
+    best = np.inf
+    for _ in range(repeats):
+        started = time.perf_counter()
+        run()
+        best = min(best, time.perf_counter() - started)
+    return best / samples
+
+
+def _protocol(params: ModelParams, samples: int) -> AveragingProtocol:
+    return AveragingProtocol.for_params(params, initial_samples=samples, max_samples=samples,
+                                        rel_threshold=1.0)
+
+
+def _rows_page(params: ModelParams, samples: int):
+    """One QR of the full map's rows per sample serving every cut, in page_curve's chunks."""
+    lengths = np.arange(1, params.n_sites)
+
+    def reduce(stack):
+        r_mat = np.linalg.qr(np.swapaxes(stack, -1, -2), mode="r")
+        return np.stack([entropy_from_factor(r_mat[:, :2 * l, :2 * l]) for l in lengths], axis=1)
+
+    draw, _ = dynamics._sampler(params, range(params.n_sites), dynamics._of_rows(reduce),
+                                _protocol(params, samples), rows=8)
+    return lambda: draw(0, samples)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeats", type=int, default=9)
+    repeats = parser.parse_args().repeats
+
+    print("Single site N/2, first 1,000 samples, us per sample\n")
+    print("| N | g = 0.2 (frame) | g = 0.25 (critical) |\n|---|---|---|")
+    for n in SITE_NS:
+        cells = []
+        for g in (0.2, 0.25):
+            p = _params(g, n)
+            proto = _protocol(p, 1000)
+            cost = _per_sample(lambda: time_averaged_entropy(p, [n // 2], proto), 1000, repeats)
+            cells.append(f"{cost * 1e6:,.3g} us")
+        print(f"| {n} | {' | '.join(cells)} |")
+
+    print("\nQuarter at g = 0.3, ms per sample\n")
+    print("| N | samples | rows and QR | pairing | ratio |\n|---|---|---|---|---|")
+    for n, samples in QUARTER_SAMPLES.items():
+        p = _params(0.3, n)
+        proto = _protocol(p, samples)
+        quarter = range(n // 4)
+        rows = _per_sample(lambda: time_series(p, quarter, subsystem_entropy_from_rows, proto),
+                           samples, repeats)
+        pairing = _per_sample(lambda: time_averaged_entropy(p, quarter, proto), samples, repeats)
+        print(f"| {n} | {samples} | {rows * 1e3:.3g} ms | {pairing * 1e3:.3g} ms | "
+              f"{rows / pairing:.2g}x |")
+
+    print("\nPage curve at g = 0.3, ms per sample\n")
+    print("| N | samples | rows and QR | pairing | ratio |\n|---|---|---|---|---|")
+    for n, samples in PAGE_SAMPLES.items():
+        p = _params(0.3, n)
+        proto = _protocol(p, samples)
+        rows = _per_sample(_rows_page(p, samples), samples, repeats)
+        pairing = _per_sample(lambda: page_curve(p, proto), samples, repeats)
+        print(f"| {n} | {samples} | {rows * 1e3:.3g} ms | {pairing * 1e3:.3g} ms | "
+              f"{rows / pairing:.2g}x |")
+
+
+if __name__ == "__main__":
+    main()

@@ -124,6 +124,22 @@ def test_sweep_records_the_closed_form_route_on_the_critical_line(tmp_path):
         0.2: "frame", 0.25: "closed-form"}
 
 
+def test_run_records_name_the_pairing_route(tmp_path):
+    # at g > delta a block and a Page curve read the pairing matrix; a site its Gram block
+    keys = dict(g="0.3", n="8", **_FAST)
+    routes = []
+    for cut in ("quarter", "site"):
+        cfg = _write_cfg(tmp_path, name=f"{cut}.cfg", cut=cut, out=tmp_path / cut, **keys)
+        assert main(["sweep", "--config", cfg]) == 0
+        [run] = json.loads((tmp_path / cut / "sweep.manifest.json").read_text())["runs"]
+        routes.append(run["route"])
+    page = _write_cfg(tmp_path, name="page.cfg", figures="page", out=tmp_path / "page", **keys)
+    assert main(["figures", "--config", page]) == 0
+    [run] = json.loads((tmp_path / "page" / "figures.manifest.json").read_text())["runs"]
+    assert run["subsystem"] == "page"
+    assert routes + [run["route"]] == ["pairing", "frame", "pairing"]
+
+
 def test_analytic_matches_predictions(tmp_path):
     cfg = _write_cfg(tmp_path, g="0,0.2", n="8,16", out=tmp_path / "out")
     assert main(["analytic", "--config", cfg]) == 0

@@ -36,6 +36,7 @@ from oracles import (
     dephased_covariance,
     frame_matrix,
     quadrature_rows,
+    subsystem_entropy,
     symplectic_eigenvalues,
     symplectic_residual,
 )
@@ -909,9 +910,16 @@ def test_non_integer_sites_rejected():
     assert site_indices([2.0, 0], 8).tolist() == [2, 0]
 
 
+# the pairing route's per-sample bound against rows and QR and against the covariance
+# oracle, fixed before the run (scratch: at most 3.6e-14)
+_PAIRING_RTOL = 1e-12
+
+
 def test_frame_block_entropies_match_row_route():
-    # spectrum's block branch makes the calls of subsystem_entropy_from_rows; a cut of
-    # more than N/2 sites takes its complement's spectrum, here site 0's Gram block
+    # spectrum's block branch makes the calls of subsystem_entropy_from_rows at g < delta,
+    # and reads the pairing matrix at g > delta (within the pairing route's per-sample
+    # bound); a cut of more than N/2 sites takes its complement's spectrum, here site 0's
+    # Gram block
     for g in (0.0, 0.2, 0.3):
         p = _params(g, 32)
         proto = AveragingProtocol.for_params(p, initial_samples=60, rel_threshold=1.0)
@@ -922,4 +930,103 @@ def test_frame_block_entropies_match_row_route():
             else:
                 ref = time_series(p, cut, subsystem_entropy_from_rows, proto)
             assert got.n_samples == ref.n_samples == 60
-            assert np.array_equal(got.values, ref.values)
+            if g > p.delta and len(cut) <= 16:
+                assert np.max(np.abs(got.values - ref.values) / ref.values) <= _PAIRING_RTOL
+            else:
+                assert np.array_equal(got.values, ref.values)
+
+
+@pytest.mark.parametrize("n, samples", [(32, 24), (64, 16), (128, 8), (256, 4)])
+def test_reciprocal_blocks_match_row_route(n, samples):
+    for g in (0.2501, 0.26, 0.3, 0.5):
+        p = _params(g, n)
+        proto = AveragingProtocol.for_params(p, initial_samples=samples, rel_threshold=1.0)
+        for cut in (range(n // 4), [3, 17]):
+            got = time_averaged_entropy(p, cut, proto)
+            ref = time_series(p, cut, subsystem_entropy_from_rows, proto)
+            assert got.n_samples == ref.n_samples == samples
+            assert np.max(np.abs(got.values - ref.values) / ref.values) <= _PAIRING_RTOL
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_reciprocal_blocks_match_covariance_oracle(n):
+    # the eigen-route on the frame covariance W W^T of the full map's rows; a dense expm
+    # is itself 1e-12 to 1e-11 off at these times, on every route
+    for g in (0.26, 0.3, 0.5):
+        p = _params(g, n)
+        prop = build_propagator(p)
+        proto = AveragingProtocol.for_params(p, initial_samples=20, rel_threshold=1.0)
+        for cut in (range(n // 4), [1, 4], range(n // 2)):
+            got = time_averaged_entropy(p, cut, proto)
+            ref = [subsystem_entropy(w_map @ w_map.T, cut)
+                   for w_map in map(prop.entropy_map, proto.times(0, got.n_samples))]
+            assert np.max(np.abs(got.values - ref) / ref) <= _PAIRING_RTOL
+
+
+def test_reciprocal_blocks_at_zero_pairing_are_exactly_zero():
+    # delta = 0: sinh 2 r0 = 0, so every nu is 1 and S is 0 with no division
+    p = _params(0.3, 32, delta=0.0)
+    proto = AveragingProtocol.for_params(p, initial_samples=100, rel_threshold=1.0)
+    for cut in (range(8), [3, 17], range(16), range(5, 30)):
+        result = time_averaged_entropy(p, cut, proto)
+        assert result.n_samples == 100
+        assert np.all(result.values == 0.0)
+    page = page_curve(p, proto)
+    assert np.all(page.entropies == 0.0)
+
+
+def test_reciprocal_page_curve_is_mirror_symmetric(monkeypatch):
+    n = 32
+    p = _params(0.3, n)
+    proto = AveragingProtocol.for_params(p, initial_samples=40, rel_threshold=1.0)
+    loop, seen = dynamics._converge_series, []
+
+    def keep(*args):
+        seen.append(loop(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(dynamics, "_converge_series", keep)
+    curve = page_curve(p, proto)
+    values = seen[0][0]
+    assert values.shape == (40, n - 1)
+    assert np.max(np.abs(values - values[:, ::-1])) <= 1e-13 * curve.entropies.max()
+    # its cuts l <= N/2 are those of rows and QR, cut by cut
+    prop = build_propagator(p)
+    ref = np.array([[subsystem_entropy_from_rows(prop.entropy_rows(t, range(l)))
+                     for l in range(1, n // 2 + 1)] for t in proto.times(0, 40)])
+    assert np.max(np.abs(values[:, :n // 2] - ref) / ref) <= _PAIRING_RTOL
+
+
+def test_reciprocal_average_builds_no_mode_map():
+    n = 64
+    p = _params(0.3, n)
+    proto = AveragingProtocol.for_params(p, initial_samples=50, rel_threshold=1.0)
+    build_propagator.cache_clear()
+    time_averaged_entropy(p, range(n // 4), proto)
+    prop = build_propagator(p, None)
+    assert "mode_map" not in vars(prop)
+    assert _held_bytes(prop) <= 0.45 * (2 * n) ** 2 * 8
+
+
+def test_reciprocal_chunks_hold_what_the_pairing_route_builds(monkeypatch):
+    # a chunk of the pair [0, 1] holds u (N x N complex) and its 2 x (N - 2) P_AB per
+    # sample, not two site rows: 62 samples at N = 64, where rows would take 512
+    n = 64
+    p = _params(0.3, n)
+    proto = AveragingProtocol.for_params(p, initial_samples=300, rel_threshold=1.0)
+    build_propagator(p, None).pairing_table   # built before tracing, as the modes are
+    real, batches = Propagator.spectrum, []
+
+    def counted(self, sites, times):
+        batches.append(times.size)
+        return real(self, sites, times)
+
+    monkeypatch.setattr(Propagator, "spectrum", counted)
+    tracemalloc.start()
+    try:
+        time_averaged_entropy(p, [0, 1], proto)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batches == [62] * 4 + [52]
+    assert peak <= 2 * dynamics._CHUNK_BYTES
