@@ -563,6 +563,10 @@ def main(argv=None) -> int:
     except BkcError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:
+        # numpy's message names the array it could not allocate
+        print(f"error: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

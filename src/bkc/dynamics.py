@@ -25,7 +25,12 @@ Every average takes the ``FRAME_EXACT`` route, which
 
   D = diag(i^j), E = diag(e^{-i w c_n t}), c_n = cos(pi n / (N+1)), Psi the
   (symmetric) sine modes and K_nm = a_nm / (c_m - c_n), K_nn = 0, with
-  a = Psi (Z - Z^T) Psi / 2. Both stay bounded in t. The rows returned are
+  a = Psi (Z - Z^T) Psi / 2. Both stay bounded in t. The spectrum pairs
+  c_{N+1-n} = -c_n with psi_{N+1-n,j} = (-1)^(j+1) psi_nj (1-based), and
+  Phi = (2 delta / w) K Psi pairs the same way, as K_{n'm'} = K_nm where a_{n'm'} = -a_nm;
+  so every cosine and sine sum of U and V is twice its sum over the h = N // 2 lowest
+  modes, and an odd N's middle mode (c = 0, kept as exactly 0.0, so its grid phase is
+  exactly (1, 0)) adds once to the cosine sums (``_critical_uv``). The rows returned are
   those of W = S(t) P, P = [[1, 1], [1, -1]] / sqrt2 per site, so
   W W^T = S S^T: whole-site entropies and Gram blocks are the lab ones.
   Entropies need no rows: in (u, v), S = [[U, 0], [V, U]] with U orthogonal,
@@ -243,8 +248,12 @@ def _sample_bytes(params: ModelParams, sites: np.ndarray, rows: int) -> int:
     """Bytes of one sample in a chunk, the sampler's one chunk rule: ``rows`` arrays of the
     cut's 2l x 2N rows, or for a spectrum (``rows`` 0) what its route builds for the w sites
     it reads: the rows of u (N x N complex) and P_AB (w x (N - w) complex) on the pairing
-    route, else two arrays of 2w x 2N rows (the rows and their QR copy, or U, V and their
-    weights)."""
+    route, else two arrays of 2w x 2N rows (the rows and their QR copy, or on g == delta
+    U, V and their weights). That count keeps the g == delta chunks where they were when
+    the weights spanned all N modes: its 8N floats per site now over-count the 2N + 2m,
+    about 3N, of U, V and the half-spectrum weights (``_critical_work``); the trig table
+    of about 3N floats per sample, not per site, brings a single site's chunk near the
+    budget."""
     n = params.n_sites
     if rows:
         return rows * 2 * sites.size * 2 * n * 8
@@ -256,20 +265,21 @@ def _sample_bytes(params: ModelParams, sites: np.ndarray, rows: int) -> int:
 
 def _critical_columns(params: ModelParams, modes: np.ndarray,
                       cosines: np.ndarray) -> np.ndarray:
-    """The g == delta map's precomputed columns, one row per site: N x 2N.
+    """The g == delta map's table on the paired half spectrum, one row per site: N x 2m.
 
-    Row k holds kappa_k [Psi[:, k] | Phi[:, k]] with kappa_k = (-1)^floor(k/2)
-    and Phi = (2 delta / w) K Psi. K is symmetric (a is antisymmetric, and so
-    is c_m - c_n), so the second term of V reads Phi as well: (Psi K)_jn = Phi_nj.
+    Row k holds kappa_k [Psi[:m, k] | Phi[:m, k]] for the m = N - N // 2 kept modes (the
+    h = N // 2 lowest and an odd N's middle one), with kappa_k = (-1)^floor(k/2) and
+    Phi = (2 delta / w) K Psi. K is symmetric (a is antisymmetric, and so is c_m - c_n),
+    so the second term of V reads Phi as well: (Psi K)_jn = Phi_nj. Only the kept rows
+    of K are formed; ``_critical_uv`` doubles the h pairs' terms.
     """
-    n = params.n_sites
-    hop = modes[:, :-1] @ modes[:, 1:].T
-    gap = cosines[None, :] - cosines[:, None]
-    k_mat = np.divide(0.5 * (hop - hop.T), gap, out=np.zeros((n, n)),
-                      where=~np.eye(n, dtype=bool))
-    coupled = (2.0 * params.delta / params.w) * (k_mat @ modes)
+    n, m = params.n_sites, params.n_sites - params.n_sites // 2
+    hop = modes[:m, :-1] @ modes[:, 1:].T - modes[:m, 1:] @ modes[:, :-1].T
+    gap = cosines[None, :] - cosines[:m, None]
+    k_rows = np.divide(0.5 * hop, gap, out=np.zeros((m, n)), where=~np.eye(m, n, dtype=bool))
+    coupled = (2.0 * params.delta / params.w) * (k_rows @ modes)
     kappa = 1.0 - 2.0 * (np.arange(n) // 2 % 2)
-    return np.ascontiguousarray((np.vstack([modes, coupled]) * kappa).T)
+    return np.ascontiguousarray((np.vstack([modes[:m], coupled]) * kappa).T)
 
 
 class Propagator:
@@ -283,8 +293,10 @@ class Propagator:
         spectrum, n = tight_binding_spectrum(params), params.n_sites
         if classify_phase(params) is PhaseRegime.CRITICAL:
             cosines = np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
-            self.frequencies = params.w * cosines
+            if n % 2:
+                cosines[n // 2] = 0.0   # the middle mode, where cos(pi / 2) rounds to 6e-17
             self.columns = _critical_columns(params, spectrum.modes, cosines)
+            self.frequencies = params.w * cosines[:n - n // 2]   # the kept modes
         else:
             self.frame = squeezing_frame(params)
             # m_ij (mode i, site j) of the even and odd sites j, contiguous for _site_sums' GEMMs
@@ -439,26 +451,37 @@ class Propagator:
                   + np.square(sin_part, out=sin_part) @ self.turned[1 - site % 2])
         return within_limit(blocks.reshape(-1, 2, 2), f"propagation to t = {times[0]}..{times[-1]}")
 
+    def _critical_work(self, sites: np.ndarray, times: np.ndarray) -> np.ndarray:
+        """Work array of ``_critical_uv``: K l (2N + 2m) floats for U, V and the weights."""
+        n, two_m = self.params.n_sites, self.columns.shape[1]
+        return np.empty(times.size * sites.size * (2 * n + two_m))
+
     def _critical_uv(self, sites: np.ndarray, times: np.ndarray, scale: float,
                      work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``scale`` times the rows ``sites`` of U(t) and V(t) at every time, on g == delta:
-        K x l x N each, even sites' columns first, in ``work`` (4 K l N floats, one
-        allocation rather than one per GEMM) with the GEMM weights after them.
+        K x l x N each, even sites' columns first, in ``work`` (``_critical_work``, one
+        allocation rather than one per GEMM) with the GEMM weights, K x l x 2m, after them.
 
         U_jk = kappa_j kappa_k times C_jk if j = k mod 2, +S_jk if j is odd and
         k even, -S_jk if j is even and k odd, with (C, S)_jk = sum_n psi_nj
         psi_nk (cos, sin)(w c_n t); V follows the same rule with psi_nj Phi_nk
         - Phi_nj psi_nk in the sums. So the columns of parity p take the cosine
         weights of the sites of parity p and the +-sine weights of the others.
-        Per parity p, the weighted [-kappa Phi | kappa psi] site rows times
-        kappa Psi_p give U and times [kappa Psi_p; kappa Phi_p] give V.
+        As c_{N+1-n} = -c_n and psi, Phi_{N+1-n, j} = (-1)^(j+1) psi, Phi_nj (1-based), each
+        of those sums is twice its sum over the h = N // 2 lowest modes, plus an odd N's
+        middle mode (c = 0, phase (1, 0)) once in the cosine sums: the site rows carry
+        these weights 2 and 1. Per parity p, the weighted [-kappa Phi | kappa psi] site
+        rows times kappa Psi_p give U (inner width m) and times [kappa Psi_p; kappa Phi_p]
+        give V (2m), of the m kept modes of the table ``columns``.
         """
         n, k, l = self.params.n_sites, times.size, sites.size
-        size = k * l * n
+        m, size = self.frequencies.size, k * l * n
         u_mat, v_mat = work[:size].reshape(k * l, n), work[size:2 * size].reshape(k * l, n)
-        weights = work[2 * size:4 * size].reshape(k, l, 2 * n)
+        weights = work[2 * size:2 * size + 2 * k * l * m].reshape(k, l, 2 * m)
         parity = sites % 2
-        site_rows = scale * np.hstack([-self.columns[sites, n:], self.columns[sites, :n]])
+        pairs = np.full(m, 2.0 * scale)
+        pairs[n // 2:] = scale   # an odd N's middle mode counts once
+        site_rows = np.hstack([-self.columns[sites, m:] * pairs, self.columns[sites, :m] * pairs])
         cos, sin = _phases(self.frequencies, times)
         # cos, sin, -sin, each over both halves of a site row
         trig = np.tile(np.stack([cos, sin, -sin], axis=1), 2)
@@ -467,18 +490,18 @@ class Propagator:
             np.take(trig, np.where(parity == p, 0, 2 - parity), axis=1, out=weights, mode="clip")
             weights *= site_rows
             cols = self.columns[p::2].T   # [kappa Psi_p; kappa Phi_p]
-            np.matmul(weights.reshape(k * l, 2 * n)[:, n:], cols[:n], out=u_mat[:, part])
-            np.matmul(weights.reshape(k * l, 2 * n), cols, out=v_mat[:, part])
+            np.matmul(weights.reshape(k * l, 2 * m)[:, m:], cols[:m], out=u_mat[:, part])
+            np.matmul(weights.reshape(k * l, 2 * m), cols, out=v_mat[:, part])
         return u_mat.reshape(k, l, n), v_mat.reshape(k, l, n)
 
     def _critical_rows(self, sites: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
         """Rows 2j, 2j+1 of W(t) = S(t) P for every j in ``sites`` at every time, into
         ``out`` (K x 2l x 2N), on g == delta: row 2j is (U_jk + V_jk, U_jk) / sqrt2
         and row 2j+1 (U_jk - V_jk, -U_jk) / sqrt2 in the per-site (u, v) columns."""
-        k, l, n = times.size, sites.size, self.params.n_sites
-        work = np.empty(4 * k * l * n)
-        u_mat, v_mat = self._critical_uv(sites, times, 1.0 / math.sqrt(2.0), work)
-        out = out.reshape(k, l, 2, n, 2)   # a view: out is C-contiguous
+        n = self.params.n_sites
+        u_mat, v_mat = self._critical_uv(sites, times, 1.0 / math.sqrt(2.0),
+                                         self._critical_work(sites, times))
+        out = out.reshape(*u_mat.shape[:2], 2, n, 2)   # a view: out is C-contiguous
         for p, part in enumerate((slice(None, (n + 1) // 2), slice((n + 1) // 2, None))):
             u_part, v_part = u_mat[..., part], v_mat[..., part]
             np.add(u_part, v_part, out=out[:, :, 0, p::2, 0])
@@ -515,7 +538,7 @@ class Propagator:
             rows = self.entropy_rows(times, sites)
             return symplectic_eigenvalues_from_rows(rows), np.einsum("...ij,...ij->...", rows, rows)
         what = f"propagation to t = {times[0]}..{times[-1]}"
-        work = np.empty(4 * k * l * n)
+        work = self._critical_work(sites, times)
         u_mat, v_mat = self._critical_uv(sites, times, 1.0, work)
         within_limit(work[:2 * u_mat.size], what)   # U_A and V_A
         scale = 2.0 * l + np.einsum("kij,kij->k", v_mat, v_mat)

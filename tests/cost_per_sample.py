@@ -5,10 +5,12 @@
 Uses numpy and bkc only, pins BLAS to one thread (OPENBLAS_NUM_THREADS=1 unless set),
 and is not collected by pytest. Each value is the best of ``--repeats`` timed runs
 after one warm-up run (which builds the propagator and its lazy tables), divided by the
-samples drawn on the default grid. It prints three Markdown tables:
+samples drawn on the default grid. It prints four Markdown tables:
 
 * a single site N/2 over the first 1,000 samples, at g = 0.2 (frame, Gram block) and
   g = 0.25 = Delta (closed form), N = 128-2048;
+* the quarter at g = 0.25 = Delta (closed form, the shear spectrum), N = 64-1024, with
+  the sample counts of the reciprocal quarter table;
 * the quarter at g = 0.3: rows and QR (``time_series`` with
   ``subsystem_entropy_from_rows``) against ``time_averaged_entropy``, which takes the
   pairing route, N = 64-1024;
@@ -88,6 +90,15 @@ def main() -> None:
             cost = _per_sample(lambda: time_averaged_entropy(p, [n // 2], proto), 1000, repeats)
             cells.append(f"{cost * 1e6:,.3g} us")
         print(f"| {n} | {' | '.join(cells)} |")
+
+    print("\nQuarter at g = 0.25 = Delta, ms per sample\n")
+    print("| N | samples | closed form |\n|---|---|---|")
+    for n, samples in QUARTER_SAMPLES.items():
+        p = _params(0.25, n)
+        proto = _protocol(p, samples)
+        cost = _per_sample(lambda: time_averaged_entropy(p, range(n // 4), proto), samples,
+                           repeats)
+        print(f"| {n} | {samples} | {cost * 1e3:.3g} ms |")
 
     print("\nQuarter at g = 0.3, ms per sample\n")
     print("| N | samples | rows and QR | pairing | ratio |\n|---|---|---|---|---|")

@@ -12,6 +12,8 @@ are the slow, direct forms the tests compare them with:
 * ``mode_covariance``, ``dephased_mode_covariance`` and
   ``dephased_covariance``: the initial covariance X = G G^T in the normal
   modes, and its exact infinite-time average by the stationary-block rules;
+* ``critical_uv``: the g == delta closed form's U(t) and V(t) summed over all
+  N modes in long double;
 * ``symplectic_eigenvalues`` and ``subsystem_entropy``: the covariance
   eigen-route, the paired eigenvalues of Omega_A sigma_A of a block sigma_A
   and the clamped entropy sum over them.
@@ -137,6 +139,29 @@ def dephased_covariance(params: ModelParams) -> np.ndarray:
     psi2 = np.kron(tight_binding_spectrum(params).modes, np.eye(2))
     g_inv = frame_inverse_matrix(squeezing_frame(params)) @ psi2.T
     return g_inv @ dephased_mode_covariance(params) @ g_inv.T
+
+
+def critical_uv(params: ModelParams, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """U(t) and V(t) of the g == delta closed form (``bkc.dynamics``), N x N each:
+    U = D Psi E Psi D*, V = (2 delta / w) D Psi (E K - K E) Psi D*, every mode summed on
+    its own, in long double, with no pairing of the +-c_n modes; rounded to float64."""
+    n, ld = params.n_sites, np.longdouble
+    labels = np.arange(1, n + 1, dtype=ld)
+    angle = 4 * np.arctan(ld(1)) / (n + 1)
+    psi = np.sqrt(ld(2) / (n + 1)) * np.sin(angle * np.outer(labels, labels))
+    cosines = np.cos(angle * labels)
+    shift = np.eye(n, k=1, dtype=ld)
+    a_mat = psi @ (shift - shift.T) @ psi / 2
+    gap = cosines[None, :] - cosines[:, None]
+    same = np.eye(n, dtype=bool)
+    k_mat = np.where(same, ld(0), a_mat / np.where(same, ld(1), gap))
+    turn = np.array([1, 1j, -1, -1j], dtype=np.clongdouble)[np.arange(n) % 4]   # D = diag(i^j)
+    decay = np.exp(-1j * (ld(params.w) * ld(t)) * cosines)      # E
+    u_mat = (turn[:, None] * psi) @ (decay[:, None] * psi) * turn.conj()
+    inner = decay[:, None] * k_mat - k_mat * decay[None, :]
+    v_mat = (2 * ld(params.delta) / ld(params.w)) * ((turn[:, None] * psi) @ inner @ psi
+                                                      * turn.conj())
+    return u_mat.real.astype(float), v_mat.real.astype(float)
 
 
 def quadrature_rows(sites) -> np.ndarray:

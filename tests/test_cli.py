@@ -8,7 +8,7 @@ import warnings
 
 import pytest
 
-from bkc import cli
+from bkc import cli, dynamics
 from bkc.analytics import s1_prediction
 from bkc.cli import main, parse_config
 from bkc.dynamics import AveragingProtocol, page_curve
@@ -452,6 +452,19 @@ def test_exit_codes(tmp_path, capfd):
         assert main(["sweep", "--config", cfg]) == 3
         err = capfd.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_out_of_memory_exits_4(tmp_path, capsys, monkeypatch):
+    # n = 100000 asks for a 74.5 GiB mode matrix; the stub fails as numpy would, without
+    # allocating anything
+    def refuse(params, mode=None):
+        raise MemoryError(f"Unable to allocate modes of N = {params.n_sites}")
+
+    monkeypatch.setattr(dynamics, "build_propagator", refuse)
+    cfg = _write_cfg(tmp_path, g="0.2", n="100000", out=tmp_path / "oom", **_FAST)
+    assert main(["sweep", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate modes of N = 100000\n"
 
 
 def test_grid_past_phase_resolution_exits_3(tmp_path, capsys):

@@ -32,6 +32,7 @@ from bkc.gaussian import (
 )
 from bkc.model import ModelParams, tight_binding_spectrum
 from oracles import (
+    critical_uv,
     dense_map,
     dephased_covariance,
     frame_matrix,
@@ -426,7 +427,7 @@ def test_site_average_takes_gram_blocks(monkeypatch):
     assert calls == {"qr": 0, "rows": 0}
 
 
-@pytest.mark.parametrize("n", [32, 64])
+@pytest.mark.parametrize("n", [7, 31, 32, 64])
 def test_critical_spectrum_matches_dense_expm(n):
     p = _params(0.25, n)
     proto = AveragingProtocol.for_params(p, initial_samples=40, rel_threshold=1.0)
@@ -716,7 +717,7 @@ def test_critical_rows_match_dense_expm(n):
         assert np.max(np.abs(got.values - ref) / np.abs(ref)) <= 1e-10
 
 
-@pytest.mark.parametrize("n", [8, 32, 96])
+@pytest.mark.parametrize("n", [7, 8, 31, 32, 96])
 def test_critical_map_matches_expm(n):
     p = _params(0.25, n)
     prop = build_propagator(p)
@@ -726,6 +727,43 @@ def test_critical_map_matches_expm(n):
         ref = dense_map(p, t)
         assert np.linalg.norm(mine - ref) / np.linalg.norm(ref) <= 1e-10
         assert symplectic_residual(mine) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [7, 8, 64])
+def test_critical_uv_matches_full_mode_sums(n):
+    # the paired half spectrum against every mode summed on its own in long double; the
+    # package's phases round by eps |omega t| <= 4e-13 rad here (bound set before the run)
+    prop = build_propagator(_params(0.25, n))
+    proto = AveragingProtocol.for_params(prop.params)
+    times = np.array([proto.dt, proto.t_min, proto.time(100)])
+    sites = np.unique([0, 1, n // 2, n - 2, n - 1])
+    order = np.r_[0:n:2, 1:n:2]   # even sites' columns first
+    got = prop._critical_uv(sites, times, 1.0, prop._critical_work(sites, times))
+    for i, t in enumerate(times):
+        for mine, ref in zip(got, critical_uv(prop.params, t)):
+            ref = ref[np.ix_(sites, order)]
+            assert np.max(np.abs(mine[i] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_odd_chain_middle_mode_is_still():
+    # the kept modes of an odd chain end with the middle one, c = 0 exactly, so its
+    # grid phase is exactly (1, 0); an even chain keeps its N / 2 lowest modes
+    for n in (7, 31, 257):
+        prop = build_propagator(_params(0.25, n))
+        assert prop.frequencies.size == n // 2 + 1 and prop.frequencies[-1] == 0.0
+        assert np.all(prop.frequencies[:-1] > 0.0)
+        proto = AveragingProtocol.for_params(prop.params)
+        for times in (dynamics._GridBatch(proto, 0, 100, {}), proto.times(0, 100)):
+            cos, sin = dynamics._phases(prop.frequencies, times)
+            assert np.all(cos[:, -1] == 1.0) and np.all(sin[:, -1] == 0.0)
+    assert build_propagator(_params(0.25, 8)).frequencies.size == 4
+
+
+@pytest.mark.parametrize("n", [63, 64])
+def test_critical_propagator_holds_the_half_table(n):
+    # N x 2m for the m = N - N // 2 kept modes: about half an N x 2N table of all modes
+    prop = build_propagator(_params(0.25, n))
+    assert _held_bytes(prop) <= 0.55 * n * 2 * n * 8
 
 
 def test_critical_line_average_imports_no_scipy():
