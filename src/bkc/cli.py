@@ -190,7 +190,7 @@ def _page(params: ModelParams, protocol: AveragingProtocol,
           cfg: dict[str, str]) -> tuple[list, dict]:
     """Page curve of one grid point, a figure product and the sweep's page cut: rows
     (g, N, l, S_mean, stderr, n_samples) for l = 1..N-1, and the run record."""
-    curve, record = _measure(page_curve, params, protocol, cut=range(params.n_sites // 2))
+    curve, record = _measure(page_curve, params, protocol, cut=range(params.n_sites))
     rows = [(params.g, params.n_sites, int(l), float(s_mean), float(err), int(curve.n_samples))
             for l, s_mean, err in zip(curve.lengths, curve.entropies, curve.stderrs)]
     return rows, record

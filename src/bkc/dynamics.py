@@ -12,7 +12,7 @@ Every average takes the ``FRAME_EXACT`` route, which
   only non-vacuum part is the pairing matrix P = u(t) diag(2 m_j) u(t)^T of the
   passive unitary u, with 2 m_j = i sinh(2 r0) e^{-2 i phi j} read off G_j G_j^T;
   P / sinh(2 r0) is unitary, so a block A with complement B has
-  nu_k^2 = 1 + sigma_k(P_AB)^2 (``_pairing_spectrum``; u from one Toeplitz-minus-
+  nu_k^2 = 1 + sigma_k(P_AB)^2 (``_cross_spectrum``; u from one Toeplitz-minus-
   Hankel table per chunk, ``_unitary_rows``). Blocks at g < delta keep rows: one
   phase per mode and Psi2 G, the one 2N x 2N array, built at their first request.
 * On g == delta the bond block delta [[1, 1], [-1, -1]] is nilpotent and
@@ -33,12 +33,12 @@ Every average takes the ``FRAME_EXACT`` route, which
   exactly (1, 0)) adds once to the cosine sums (``_critical_uv``). The rows returned are
   those of W = S(t) P, P = [[1, 1], [1, -1]] / sqrt2 per site, so
   W W^T = S S^T: whole-site entropies and Gram blocks are the lab ones.
-  Entropies need no rows: in (u, v), S = [[U, 0], [V, U]] with U orthogonal,
-  and S J S^T = J makes H = V U^T symmetric. A block A has
-  sigma_A = [[I, H_AA], [H_AA, I + V_A V_A^T]], and the shear
-  v_A -> v_A - H_AA u_A, symplectic as H_AA is symmetric, takes it to
-  diag(I, I + Y Y^T) with Y = V_A - H_AA U_A. So nu^2 = 1 + eig(Y Y^T), one
-  l x l eigensolve.
+  Entropies need no rows: in (u, v), S = [[U, 0], [V, U]] with U orthogonal, and
+  S J S^T = J makes H = V U^T symmetric. A block A has sigma_A = [[I, H_AA], [H_AA,
+  I + V_A V_A^T]], and the shear v_A -> v_A - H_AA u_A, symplectic as H_AA is symmetric,
+  takes it to diag(I, I + Y Y^T) with Y = V_A - H_AA U_A. As V V^T = H^2, Y Y^T =
+  H_AB H_AB^T for the complement B: the pairing law with H for P (``_cross_spectrum``),
+  one l x l eigensolve. A block takes its Y, a Page curve one H per sample.
 
 The package has no matrix exponential: the tests check both forms against
 ``scipy.linalg.expm`` of the generator Omega h.
@@ -51,9 +51,9 @@ more than N/2 sites takes its complement's spectrum, the only nu other than 1 it
 carries (the state is pure, ``_route_sites``); the rest take a frame site's Gram
 block, the pairing matrix (blocks at g > delta), a frame block's rows and QR (as
 ``subsystem_entropy_from_rows``, g < delta) or the shear on g == delta (``_route``
-names them). Page curves at g > delta read every cut off one N x N P per sample; other
-Page curves (l > N/2 too), profiles and ``time_series`` reduce the rows of the sites
-asked for, ``entropy_rows``. No average builds the full map S(t). A draw runs in
+names them). Page curves at g >= delta read every cut off one N x N P or H per sample;
+at g < delta they (l > N/2 too), profiles and ``time_series`` reduce the rows of the
+sites asked for, ``entropy_rows``. No average builds the full map S(t). A draw runs in
 chunks of consecutive grid indices, one ``evaluate`` call each and none across a
 convergence check, that hold at most ``_CHUNK_BYTES`` (``_sample_bytes``): the 2l rows
 reduced, or what the route builds for the min(l, N - l) sites it reads. A chunk is a
@@ -234,26 +234,26 @@ def _route_sites(sites: np.ndarray, n: int) -> np.ndarray:
 
 def _route(params: ModelParams, sites) -> str:
     """The route of the cut ``sites`` in ``Propagator.spectrum``, as run records name it:
-    "closed-form" on g == delta; off it "pairing" at g > delta when the cut reads two or
-    more sites (``_route_sites``), else "frame" (a site's Gram block or block rows). A Page
-    curve takes its middle cut's, range(N // 2)."""
+    "closed-form" on g == delta, "frame" at g < delta (block rows) and for a cut that reads
+    one site (``_route_sites``, its Gram block), else "pairing". A Page curve takes the
+    whole chain's, which reads none: the route of ``page_curve``, by the regime alone."""
     regime = classify_phase(params)
     if regime is PhaseRegime.CRITICAL:
         return "closed-form"
-    wide = _route_sites(np.asarray(sites), params.n_sites).size >= 2
-    return "pairing" if wide and regime is PhaseRegime.RECIPROCAL else "frame"
+    single = _route_sites(np.asarray(sites), params.n_sites).size == 1
+    return "frame" if single or regime is PhaseRegime.NONRECIPROCAL else "pairing"
 
 
 def _sample_bytes(params: ModelParams, sites: np.ndarray, rows: int) -> int:
     """Bytes of one sample in a chunk, the sampler's one chunk rule: ``rows`` arrays of the
-    cut's 2l x 2N rows, or for a spectrum (``rows`` 0) what its route builds for the w sites
-    it reads: the rows of u (N x N complex) and P_AB (w x (N - w) complex) on the pairing
-    route, else two arrays of 2w x 2N rows (the rows and their QR copy, or on g == delta
-    U, V and their weights). That count keeps the g == delta chunks where they were when
-    the weights spanned all N modes: its 8N floats per site now over-count the 2N + 2m,
-    about 3N, of U, V and the half-spectrum weights (``_critical_work``); the trig table
-    of about 3N floats per sample, not per site, brings a single site's chunk near the
-    budget."""
+    cut's 2l x 2N rows (a Page curve counts eight of the whole chain's on every route), or
+    for a spectrum (``rows`` 0) what its route builds for the w sites it reads: the rows of
+    u (N x N complex) and P_AB (w x (N - w) complex) on the pairing route, else two arrays
+    of 2w x 2N rows (the rows and their QR copy, or on g == delta U, V and their weights).
+    That count keeps the g == delta chunks where they were when the weights spanned all N
+    modes: its 8N floats per site now over-count the 2N + 2m, about 3N, of U, V and the
+    half-spectrum weights (``_critical_work``); the trig table of about 3N floats per
+    sample, not per site, brings a single site's chunk near the budget."""
     n = params.n_sites
     if rows:
         return rows * 2 * sites.size * 2 * n * 8
@@ -280,6 +280,18 @@ def _critical_columns(params: ModelParams, modes: np.ndarray,
     coupled = (2.0 * params.delta / params.w) * (k_rows @ modes)
     kappa = 1.0 - 2.0 * (np.arange(n) // 2 % 2)
     return np.ascontiguousarray((np.vstack([modes[:m], coupled]) * kappa).T)
+
+
+def _cross_spectrum(cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """nu and floor scale of a cut from the K x a x b block X coupling it to the rest of a
+    pure state (P_AB; H_AB or the shear's Y on g == delta): nu^2 = 1 + eig of X's Gram on
+    its smaller side l = min(a, b), with no 1 - x cancellation; scale 2 l + tr Gram, guarded."""
+    if cross.shape[1] > cross.shape[2]:
+        cross = cross.transpose(0, 2, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = cross @ cross.conj().transpose(0, 2, 1)   # conj() of a real X is X: a syrk
+    trace = within_limit(np.trace(gram, axis1=1, axis2=2).real, "subsystem spectrum")
+    return np.sqrt(np.maximum(1.0 + np.linalg.eigvalsh(gram), 0.0)), 2.0 * cross.shape[1] + trace
 
 
 class Propagator:
@@ -380,16 +392,6 @@ class Propagator:
         u_rows, u_cols = self._unitary_rows(times, rows, cols)
         u_rows *= self.pairing_table[3]
         return u_rows @ u_cols.transpose(0, 2, 1)
-
-    def _pairing_spectrum(self, cross: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """nu and floor scale of a cut from the K x a x b cross block P_AB of its pairing
-        matrix: nu^2 = 1 + eig of the Gram of P_AB on its smaller side, l = min(a, b), so
-        nu >= 1 with no 1 - x cancellation; scale tr sigma_A = 2 l cosh 2 r0."""
-        if cross.shape[1] > cross.shape[2]:
-            cross = cross.transpose(0, 2, 1)
-        gram = cross @ cross.conj().transpose(0, 2, 1)
-        nu = np.sqrt(1.0 + np.maximum(np.linalg.eigvalsh(gram), 0.0))
-        return nu, np.full(cross.shape[0], 2.0 * cross.shape[1] * math.cosh(2.0 * self.frame.r0))
 
     def _site_modes(self, sites) -> np.ndarray:
         """m_ij for every j in ``sites``, one row per site: l x N."""
@@ -511,16 +513,16 @@ class Propagator:
 
     def spectrum(self, sites: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
         """nu (K x min(l, N - l)) of the whole sites ``sites`` at K ``times`` (as in
-        ``entropy_rows``), unclamped, and its floor scale ||W_A||^2 (K), by the cut's route.
+        ``entropy_rows``), unclamped, and its floor scale (K), by the cut's route.
 
         The state is pure, so only min(l, N - l) nu can differ from 1 (Botero & Reznik, PRA
         67, 052311 (2003)): a cut of more than N/2 sites returns its complement's nu and
-        scale as they are, the whole chain K x 0 nu and scale 0. Only ``page_curve`` off
-        g > delta and the row methods keep a large cut's own rows, whose 2l - N spurious nu
+        scale as they are, the whole chain K x 0 nu and scale 0. Only ``page_curve`` at
+        g < delta and the row methods keep a large cut's own rows, whose 2l - N spurious nu
         near 1 add 25 % to S for the 3N/4 frame cut at g = 0, delta = 0.9, N = 64. Sites
-        take their Gram block; blocks at g > delta the pairing matrix's cross block
-        P_AB = (u_A diag(2 m) u_B^T) (``_pairing_spectrum``), with no Psi2 G; blocks at
-        g < delta their rows and QR. On g == delta nu = 0 for eig(Y Y^T) < -1.
+        take their Gram block and blocks at g < delta their rows and QR; blocks at g > delta
+        P_AB = (u_A diag(2 m) u_B^T), with no Psi2 G, and on g == delta the shear residual Y
+        give ``_cross_spectrum`` their cross block.
         """
         sites, times = site_indices(sites, self.params.n_sites), _as_times(times)
         n, l, k = self.params.n_sites, sites.size, times.size
@@ -529,25 +531,21 @@ class Propagator:
             return self.spectrum(read, times) if read.size else (np.ones((k, 0)), np.zeros(k))
         if _route(self.params, sites) == "pairing":
             sites = np.sort(sites)
-            return self._pairing_spectrum(
-                self._pairing_block(times, sites, np.setdiff1d(np.arange(n), sites)))
+            return _cross_spectrum(self._pairing_block(times, sites,
+                                                       np.setdiff1d(np.arange(n), sites)))
         if self.frame is not None:
             if l == 1:
                 nu, trace = _gram_nu(self._site_gram(sites[0], times))
                 return nu[:, None], trace
             rows = self.entropy_rows(times, sites)
             return symplectic_eigenvalues_from_rows(rows), np.einsum("...ij,...ij->...", rows, rows)
-        what = f"propagation to t = {times[0]}..{times[-1]}"
         work = self._critical_work(sites, times)
         u_mat, v_mat = self._critical_uv(sites, times, 1.0, work)
-        within_limit(work[:2 * u_mat.size], what)   # U_A and V_A
-        scale = 2.0 * l + np.einsum("kij,kij->k", v_mat, v_mat)
         with np.errstate(over="ignore", invalid="ignore"):
             # Y = V_A - H_AA U_A in place of V_A; the weights' space takes H_AA U_A
             v_mat -= np.matmul(v_mat @ u_mat.transpose(0, 2, 1), u_mat,
                                out=work[2 * u_mat.size:3 * u_mat.size].reshape(u_mat.shape))
-            gram = within_limit(v_mat @ v_mat.transpose(0, 2, 1), what)
-        return np.sqrt(np.maximum(1.0 + np.linalg.eigvalsh(gram), 0.0)), scale
+        return _cross_spectrum(v_mat)
 
     def _rotated_map(self, t: float) -> np.ndarray:
         """B(t) G without materializing B: paired-row rotation of G, written in place."""
@@ -767,14 +765,13 @@ def page_curve(
     """Entropy of the leftmost l sites for every cut l = 1..N-1.
 
     All cuts share the same deterministic time grid; sampling stops when
-    every cut individually meets the protocol target. At g > delta (``_route`` of
-    the middle cut) one N x N pairing matrix P = u diag(2 m) u^T per sample serves
-    every cut: cut l reads the Gram of P[:l, l:] on its smaller side
-    (``_pairing_spectrum``), so P's symmetry gives a cut and its complement the same
-    nu and no large side is read off its own rows. Otherwise one QR per sample,
-    W^T = Q T, serves every cut: the leading 2l x 2l block of T is the factor of
-    W[:2l]^T (QR column-prefix property), and cut l reads its spectrum off it in
-    ``entropy_from_factor``, with no second factorization.
+    every cut individually meets the protocol target. At g >= delta one symmetric N x N
+    cross matrix per sample serves every cut, P = u diag(2 m) u^T at g > delta and
+    H = V U^T on g == delta: cut l reads the Gram of X[:l, l:] on its smaller side
+    (``_cross_spectrum``), so a cut and its complement share one spectrum and no large
+    side is read off its own rows. At g < delta one QR per sample, W^T = Q T, serves
+    every cut: the leading 2l x 2l block of T is the factor of W[:2l]^T (QR column-prefix
+    property), and cut l reads its spectrum off it in ``entropy_from_factor``.
     """
     n = params.n_sites
     lengths = np.arange(1, n)
@@ -783,14 +780,19 @@ def page_curve(
         r_mat = np.linalg.qr(np.swapaxes(stack, -1, -2), mode="r")
         return np.stack([entropy_from_factor(r_mat[:, :2 * l, :2 * l]) for l in lengths], axis=1)
 
-    def pairing(prop: Propagator, sites: np.ndarray, batch: _GridBatch) -> np.ndarray:
-        pairs = prop._pairing_block(batch, sites, sites)
-        return np.stack([_entropy_from_spectrum(*prop._pairing_spectrum(pairs[:, :l, l:]))
+    def cross(prop: Propagator, sites: np.ndarray, batch: _GridBatch) -> np.ndarray:
+        if prop.frame is None:
+            u_mat, v_mat = prop._critical_uv(sites, batch, 1.0, prop._critical_work(sites, batch))
+            matrix = v_mat @ u_mat.transpose(0, 2, 1)   # H = V U^T
+        else:
+            matrix = prop._pairing_block(batch, sites, sites)
+        return np.stack([_entropy_from_spectrum(*_cross_spectrum(matrix[:, :l, l:]))
                          for l in lengths], axis=1)
 
-    # a rows chunk holds its rows, their QR copy, R and the per-cut temporaries; a pairing
-    # chunk holds two copies of u and P, 48 N^2 of those 256 N^2 bytes per sample
-    evaluate = pairing if _route(params, range(n // 2)) == "pairing" else _of_rows(reduce)
+    # a rows chunk holds its rows, their QR copy, R and per-cut temporaries; of those 256 N^2
+    # bytes a sample a cross chunk holds 48 N^2 (u twice and P) or 32 N^2 (U, V, weights, H)
+    rows = classify_phase(params) is PhaseRegime.NONRECIPROCAL
+    evaluate = _of_rows(reduce) if rows else cross
     values, converged = _converge_series(*_sampler(params, range(n), evaluate, protocol, rows=8))
     return _converged(PageCurve(lengths=lengths, entropies=values.mean(axis=0),
                                 stderrs=_standard_error(values), n_samples=values.shape[0],

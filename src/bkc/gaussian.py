@@ -65,8 +65,8 @@ def symplectic_eigenvalues_from_rows(rows) -> np.ndarray:
     modes inside strongly amplified blocks. For one mode the error in nu is
     eps rho from the QR and eps rho^2 from the Gram, rho = sqrt(s00 s11) / nu,
     so ``entropy_from_gram`` serves single modes with rho near 1 (frame-route
-    sites: rho <= 1.06 at g = 0-0.3, N = 64-512). Off g == delta blocks never
-    take a Gram; on it they take the bounded shear residual's (``dynamics``).
+    sites: rho <= 1.06 at g = 0-0.3, N = 64-512). Blocks at g < delta never take
+    a Gram; at g >= delta they take a bounded cross block's (``_cross_spectrum``).
 
     ``rows`` may also be a K x 2l x 2N stack; the result is then K x l and
     the whole stack is factored in one batched QR.

@@ -5,7 +5,7 @@
 Uses numpy and bkc only, pins BLAS to one thread (OPENBLAS_NUM_THREADS=1 unless set),
 and is not collected by pytest. Each value is the best of ``--repeats`` timed runs
 after one warm-up run (which builds the propagator and its lazy tables), divided by the
-samples drawn on the default grid. It prints four Markdown tables:
+samples drawn on the default grid. It prints five Markdown tables:
 
 * a single site N/2 over the first 1,000 samples, at g = 0.2 (frame, Gram block) and
   g = 0.25 = Delta (closed form), N = 128-2048;
@@ -14,9 +14,10 @@ samples drawn on the default grid. It prints four Markdown tables:
 * the quarter at g = 0.3: rows and QR (``time_series`` with
   ``subsystem_entropy_from_rows``) against ``time_averaged_entropy``, which takes the
   pairing route, N = 64-1024;
-* the Page curve at g = 0.3: one QR of the full map's rows per sample (the route of
-  ``page_curve`` off g > Delta, run through its sampler) against ``page_curve``'s one
-  pairing matrix per sample, N = 32 and 64.
+* the Page curve at g = 0.3 and at g = 0.25 = Delta: one QR of the full map's rows per
+  sample (the route of ``page_curve`` at g < Delta, run through its sampler) against
+  ``page_curve``'s one cross matrix per sample (the pairing matrix P at g = 0.3,
+  H = V U^T on g = Delta), N = 32 and 64, and 128 on g = Delta.
 """
 import argparse
 import os
@@ -39,7 +40,7 @@ from bkc.model import ModelParams  # noqa: E402
 
 SITE_NS = (128, 512, 1024, 2048)
 QUARTER_SAMPLES = {64: 500, 128: 200, 256: 50, 512: 12, 1024: 4}
-PAGE_SAMPLES = {32: 100, 64: 40}
+PAGE_SAMPLES = {32: 100, 64: 40, 128: 10}
 
 
 def _params(g: float, n: int) -> ModelParams:
@@ -112,15 +113,17 @@ def main() -> None:
         print(f"| {n} | {samples} | {rows * 1e3:.3g} ms | {pairing * 1e3:.3g} ms | "
               f"{rows / pairing:.2g}x |")
 
-    print("\nPage curve at g = 0.3, ms per sample\n")
-    print("| N | samples | rows and QR | pairing | ratio |\n|---|---|---|---|---|")
-    for n, samples in PAGE_SAMPLES.items():
-        p = _params(0.3, n)
-        proto = _protocol(p, samples)
-        rows = _per_sample(_rows_page(p, samples), samples, repeats)
-        pairing = _per_sample(lambda: page_curve(p, proto), samples, repeats)
-        print(f"| {n} | {samples} | {rows * 1e3:.3g} ms | {pairing * 1e3:.3g} ms | "
-              f"{rows / pairing:.2g}x |")
+    for g, route, sizes in ((0.3, "pairing", (32, 64)), (0.25, "H = V U^T", (32, 64, 128))):
+        print(f"\nPage curve at g = {g}, ms per sample\n")
+        print(f"| N | samples | rows and QR | {route} | ratio |\n|---|---|---|---|---|")
+        for n in sizes:
+            samples = PAGE_SAMPLES[n]
+            p = _params(g, n)
+            proto = _protocol(p, samples)
+            rows = _per_sample(_rows_page(p, samples), samples, repeats)
+            cross = _per_sample(lambda: page_curve(p, proto), samples, repeats)
+            print(f"| {n} | {samples} | {rows * 1e3:.3g} ms | {cross * 1e3:.3g} ms | "
+                  f"{rows / cross:.2g}x |")
 
 
 if __name__ == "__main__":

@@ -140,6 +140,26 @@ def test_run_records_name_the_pairing_route(tmp_path):
     assert routes + [run["route"]] == ["pairing", "frame", "pairing"]
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_page_entries_name_the_route_that_ran(tmp_path, n):
+    # a Page curve's route follows the regime, also where its middle cut is one site;
+    # at delta = 0 the reciprocal curve is the vacuum's, exactly 0
+    routes = {}
+    for g, delta in ((0.2, 0.25), (0.25, 0.25), (0.3, 0.25), (0.3, 0.0)):
+        out = tmp_path / f"{g}-{delta}"
+        cfg = _write_cfg(tmp_path, name=f"{g}-{delta}.cfg", figures="page", g=g, delta=delta,
+                         n=n, out=out, **_FAST)
+        assert main(["figures", "--config", cfg]) == 0
+        [run] = json.loads((out / "figures.manifest.json").read_text())["runs"]
+        routes[g, delta] = run["route"]
+        values = [float(line.split(",")[3]) for line in
+                  (out / "page.csv").read_text().splitlines()[1:]]
+        assert len(values) == n - 1
+        assert (delta == 0.0) == all(value == 0.0 for value in values)
+    assert routes == {(0.2, 0.25): "frame", (0.25, 0.25): "closed-form",
+                      (0.3, 0.25): "pairing", (0.3, 0.0): "pairing"}
+
+
 def test_analytic_matches_predictions(tmp_path):
     cfg = _write_cfg(tmp_path, g="0,0.2", n="8,16", out=tmp_path / "out")
     assert main(["analytic", "--config", cfg]) == 0

@@ -26,6 +26,7 @@ from bkc.dynamics import (
 from bkc.errors import DomainError, NonConvergence, OverflowGuard
 from bkc.fourpoint import epsilon4, log_correction
 from bkc.gaussian import (
+    _entropy_from_spectrum,
     site_correlators,
     site_indices,
     subsystem_entropy_from_rows,
@@ -562,11 +563,11 @@ def test_page_curve_factors_each_chunk_once(monkeypatch):
     assert calls == [(40, 16, 16)]
 
 
-@pytest.mark.parametrize("g, n", [(0.2, 32), (0.25, 16)])
+@pytest.mark.parametrize("g, n", [(0.2, 32)])
 def test_page_curve_samples_match_refactored_cut_blocks(monkeypatch, g, n):
     # cut l reads the leading 2l x 2l block of R off the one QR; passing its
     # transpose back through the row route factors it again and must agree
-    # bit for bit (frame route at g = 0.2, closed form at g = Delta)
+    # bit for bit (the frame route, which serves Page curves at g < Delta only)
     p = _params(g, n)
     proto = AveragingProtocol.for_params(p, initial_samples=40, batch_samples=20,
                                          max_samples=80, rel_threshold=1.0)
@@ -592,6 +593,41 @@ def test_page_curve_samples_match_refactored_cut_blocks(monkeypatch, g, n):
                                                                       -1, -2))
                              for l in range(1, n)], axis=1))
     assert np.array_equal(seen[0][0], np.concatenate(ref))
+
+
+@pytest.mark.parametrize("n", [16, 33, 64])
+def test_critical_page_curve_matches_spectrum_and_its_mirror(monkeypatch, n):
+    # on g = Delta every cut reads the Gram of H_AB, H = V U^T, on its smaller side: per
+    # sample it is the shear spectrum of the cut (or of its complement past N/2), and the
+    # chain's mirror symmetry holds to rounding (rows and QR gave about 4e-13 at N = 64)
+    p = _params(0.25, n)
+    proto = AveragingProtocol.for_params(p, initial_samples=40, rel_threshold=1.0)
+    loop, seen = dynamics._converge_series, []
+
+    def keep(*args):
+        seen.append(loop(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(dynamics, "_converge_series", keep)
+    curve = page_curve(p, proto)
+    values = seen[0][0]
+    prop, times = build_propagator(p), proto.times(0, 40)
+    ref = np.stack([_entropy_from_spectrum(*prop.spectrum(np.arange(l), times))
+                    for l in range(1, n)], axis=1)
+    assert values.shape == ref.shape == (40, n - 1)
+    assert np.max(np.abs(values - ref) / ref) <= 1e-13
+    assert np.max(np.abs(values - values[:, ::-1])) <= 1e-13 * curve.entropies.max()
+
+
+def test_page_curves_at_and_past_delta_take_no_rows(monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("entropy_rows called")
+
+    monkeypatch.setattr(Propagator, "entropy_rows", refuse)
+    for g in (0.25, 0.3):
+        p = _params(g, 16)
+        proto = AveragingProtocol.for_params(p, initial_samples=20, rel_threshold=1.0)
+        assert page_curve(p, proto).n_samples == 20
 
 
 @pytest.mark.parametrize("n", [8, 16])
