@@ -33,7 +33,6 @@ from . import __version__
 from .analytics import s1_prediction, scaling_collapse
 from .dynamics import (
     AveragingProtocol,
-    _route,
     page_curve,
     profiles,
     time_averaged_entropy,
@@ -168,17 +167,18 @@ def _subsystems(cfg: dict[str, str], n: int) -> list[tuple[str, list[int]]]:
 
 
 def _measure(average, params: ModelParams, protocol: AveragingProtocol,
-             *args, cut=(0,)) -> tuple[object, dict]:
+             *args) -> tuple[object, dict]:
     """``average(params, *args, protocol)`` (the partial result if it did not converge) and its
-    run record: converged, protocol, the route of the sites ``cut`` (``dynamics._route``:
-    "closed-form", "pairing" or "frame"), seconds."""
+    run record: converged, protocol, the result's ``route`` ("gram", "rows", "pairing" or
+    "closed-form", the branch that ran; None if it has none), seconds."""
     started = time.perf_counter()
     try:
         result, converged = average(params, *args, protocol), True
     except NonConvergence as exc:
         result, converged = exc.result, False
     return result, {"converged": converged, "protocol": dataclasses.asdict(protocol),
-                    "route": _route(params, cut), "seconds": time.perf_counter() - started}
+                    "route": getattr(result, "route", None),
+                    "seconds": time.perf_counter() - started}
 
 
 def _sweep_row(values, **meta) -> dict:
@@ -190,7 +190,7 @@ def _page(params: ModelParams, protocol: AveragingProtocol,
           cfg: dict[str, str]) -> tuple[list, dict]:
     """Page curve of one grid point, a figure product and the sweep's page cut: rows
     (g, N, l, S_mean, stderr, n_samples) for l = 1..N-1, and the run record."""
-    curve, record = _measure(page_curve, params, protocol, cut=range(params.n_sites))
+    curve, record = _measure(page_curve, params, protocol)
     rows = [(params.g, params.n_sites, int(l), float(s_mean), float(err), int(curve.n_samples))
             for l, s_mean, err in zip(curve.lengths, curve.entropies, curve.stderrs)]
     return rows, record
@@ -206,7 +206,7 @@ def _sweep_point(task) -> list[dict]:
         return [_sweep_row((g, n, f"left:{l}", *rest), **record) for g, n, l, *rest in rows]
     rows = []
     for label, sites in _subsystems(cfg, params.n_sites):
-        result, record = _measure(time_averaged_entropy, params, protocol, sites, cut=sites)
+        result, record = _measure(time_averaged_entropy, params, protocol, sites)
         rows.append(_sweep_row((params.g, params.n_sites, label, result.mean, result.stderr,
                                 result.n_samples), **record))
     return rows

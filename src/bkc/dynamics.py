@@ -45,23 +45,23 @@ The package has no matrix exponential: the tests check both forms against
 
 One sampler, the door of every average, checks the sites (``site_indices``) and the
 grid (``_check_grid``); the averages extend its draw until it converges,
-``log_correction`` takes one. Entropy averages and ``log_correction`` take
-``Propagator.spectrum``, the one place that picks a route. On both routes a cut of
-more than N/2 sites takes its complement's spectrum, the only nu other than 1 it
-carries (the state is pure, ``_route_sites``); the rest take a frame site's Gram
-block, the pairing matrix (blocks at g > delta), a frame block's rows and QR (as
-``subsystem_entropy_from_rows``, g < delta) or the shear on g == delta (``_route``
-names them). Page curves at g >= delta read every cut off one N x N P or H per sample;
-at g < delta they (l > N/2 too), profiles and ``time_series`` reduce the rows of the
-sites asked for, ``entropy_rows``. No average builds the full map S(t). A draw runs in
-chunks of consecutive grid indices, one ``evaluate`` call each and none across a
-convergence check, that hold at most ``_CHUNK_BYTES`` (``_sample_bytes``): the 2l rows
-reduced, or what the route builds for the min(l, N - l) sites it reads. A chunk is a
-grid batch, k0 <= k < k1: with k = a B + b (B = 32), single sites, the table of u(t)
-and the g == delta route take e^{i omega t_k} = e^{i omega t_aB} e^{i omega b dt}
-from float64 trig at the anchors t_aB, a table of the offsets made once per average,
-and angle addition (``_phases``). So a phase depends on its grid index alone, never
-on the chunk. Explicit times and frame block rows keep the trig of fl(omega t).
+``log_correction`` takes one. ``_route`` names the branch that runs, ``Propagator.spectrum``
+and ``page_curve`` dispatch on that name and each average's result records it (``route``).
+A cut of more than N/2 sites takes its complement's spectrum, the only nu other than 1 it
+carries (the state is pure, ``_route_sites``); the sites read take "gram" (a frame site's
+Gram block), "rows" (a g < delta block's rows and QR, as ``subsystem_entropy_from_rows``),
+"pairing" (P_AB at g > delta) or "closed-form" (the shear on g == delta). Page curves read
+every cut off one N x N P or H per sample, or on "rows" (l > N/2 too) reduce the rows
+of the whole chain, as profiles and ``time_series`` do (``entropy_rows``: "rows", or
+"closed-form" on g == delta). No average builds the full map S(t). A draw runs in chunks of
+consecutive grid indices, one ``evaluate`` call each and none across a convergence check, that
+hold at most ``_CHUNK_BYTES`` (``_sample_bytes``): the 2l rows reduced, or what the route
+builds for the min(l, N - l) sites it reads. A chunk is a grid batch, k0 <= k < k1: with
+k = a B + b (B = 32), single sites, the table of u(t) and the g == delta route take
+e^{i omega t_k} = e^{i omega t_aB} e^{i omega b dt} from float64 trig at the anchors t_aB, a
+table of the offsets made once per average, and angle addition (``_phases``). So a phase
+depends on its grid index alone, never on the chunk. Explicit times and frame block rows keep
+the trig of fl(omega t).
 
 The covariance of the evolved vacuum is sigma(t) = S(t) S(t)^T.
 """
@@ -225,6 +225,7 @@ class TimeAverageResult:
     n_samples: int
     converged: bool
     values: np.ndarray = field(repr=False)
+    route: str | None = field(default=None, repr=False)   # the branch that ran (_route)
 
 
 def _route_sites(sites: np.ndarray, n: int) -> np.ndarray:
@@ -233,23 +234,23 @@ def _route_sites(sites: np.ndarray, n: int) -> np.ndarray:
 
 
 def _route(params: ModelParams, sites) -> str:
-    """The route of the cut ``sites`` in ``Propagator.spectrum``, as run records name it:
-    "closed-form" on g == delta, "frame" at g < delta (block rows) and for a cut that reads
-    one site (``_route_sites``, its Gram block), else "pairing". A Page curve takes the
-    whole chain's, which reads none: the route of ``page_curve``, by the regime alone."""
-    regime = classify_phase(params)
-    if regime is PhaseRegime.CRITICAL:
+    """The branch of ``Propagator.spectrum`` for the sites that the cut ``sites`` reads
+    (``_route_sites``), as run records name it: "closed-form" on g == delta, else "gram" for
+    one site (its Gram block), "rows" for a block at g < delta (rows and QR), "pairing" at
+    g > delta (P_AB). The whole chain reads none: its name, by regime, is ``page_curve``'s."""
+    if classify_phase(params) is PhaseRegime.CRITICAL:
         return "closed-form"
-    single = _route_sites(np.asarray(sites), params.n_sites).size == 1
-    return "frame" if single or regime is PhaseRegime.NONRECIPROCAL else "pairing"
+    if _route_sites(np.asarray(sites), params.n_sites).size == 1:
+        return "gram"
+    return "rows" if classify_phase(params) is PhaseRegime.NONRECIPROCAL else "pairing"
 
 
 def _sample_bytes(params: ModelParams, sites: np.ndarray, rows: int) -> int:
     """Bytes of one sample in a chunk, the sampler's one chunk rule: ``rows`` arrays of the
-    cut's 2l x 2N rows (a Page curve counts eight of the whole chain's on every route), or
-    for a spectrum (``rows`` 0) what its route builds for the w sites it reads: the rows of
-    u (N x N complex) and P_AB (w x (N - w) complex) on the pairing route, else two arrays
-    of 2w x 2N rows (the rows and their QR copy, or on g == delta U, V and their weights).
+    cut's 2l x 2N rows (a Page curve counts eight of the whole chain's on "rows", two on its
+    cross routes), or for a spectrum (``rows`` 0) what its ``_route`` builds for the w sites
+    it reads: on "pairing" the rows of u (N x N complex) and P_AB (w x (N - w) complex), else
+    two arrays of 2w x 2N rows (rows and QR copy; site sums; or U, V and their weights).
     That count keeps the g == delta chunks where they were when the weights spanned all N
     modes: its 8N floats per site now over-count the 2N + 2m, about 3N, of U, V and the
     half-spectrum weights (``_critical_work``); the trig table of about 3N floats per
@@ -513,32 +514,33 @@ class Propagator:
 
     def spectrum(self, sites: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
         """nu (K x min(l, N - l)) of the whole sites ``sites`` at K ``times`` (as in
-        ``entropy_rows``), unclamped, and its floor scale (K), by the cut's route.
+        ``entropy_rows``), unclamped, and its floor scale (K), by the name ``_route`` gives.
 
         The state is pure, so only min(l, N - l) nu can differ from 1 (Botero & Reznik, PRA
         67, 052311 (2003)): a cut of more than N/2 sites returns its complement's nu and
         scale as they are, the whole chain K x 0 nu and scale 0. Only ``page_curve`` at
         g < delta and the row methods keep a large cut's own rows, whose 2l - N spurious nu
-        near 1 add 25 % to S for the 3N/4 frame cut at g = 0, delta = 0.9, N = 64. Sites
-        take their Gram block and blocks at g < delta their rows and QR; blocks at g > delta
-        P_AB = (u_A diag(2 m) u_B^T), with no Psi2 G, and on g == delta the shear residual Y
-        give ``_cross_spectrum`` their cross block.
+        near 1 add 25 % to S for the 3N/4 frame cut at g = 0, delta = 0.9, N = 64. The
+        sites read then take one branch: "gram" a frame site's Gram block, "rows" a g < delta
+        block's rows and QR; "pairing" P_AB = (u_A diag(2 m) u_B^T), with no Psi2 G, and
+        "closed-form" the shear residual Y give ``_cross_spectrum`` their cross block.
         """
         sites, times = site_indices(sites, self.params.n_sites), _as_times(times)
         n, l, k = self.params.n_sites, sites.size, times.size
         read = _route_sites(sites, n)
         if read.size < l:
             return self.spectrum(read, times) if read.size else (np.ones((k, 0)), np.zeros(k))
-        if _route(self.params, sites) == "pairing":
+        route = _route(self.params, sites)
+        if route == "gram":
+            nu, trace = _gram_nu(self._site_gram(sites[0], times))
+            return nu[:, None], trace
+        if route == "rows":
+            rows = self.entropy_rows(times, sites)
+            return symplectic_eigenvalues_from_rows(rows), np.einsum("...ij,...ij->...", rows, rows)
+        if route == "pairing":
             sites = np.sort(sites)
             return _cross_spectrum(self._pairing_block(times, sites,
                                                        np.setdiff1d(np.arange(n), sites)))
-        if self.frame is not None:
-            if l == 1:
-                nu, trace = _gram_nu(self._site_gram(sites[0], times))
-                return nu[:, None], trace
-            rows = self.entropy_rows(times, sites)
-            return symplectic_eigenvalues_from_rows(rows), np.einsum("...ij,...ij->...", rows, rows)
         work = self._critical_work(sites, times)
         u_mat, v_mat = self._critical_uv(sites, times, 1.0, work)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -701,9 +703,9 @@ def _converged(result, what: str):
     raise NonConvergence(f"{what} not converged after {result.n_samples} samples", result=result)
 
 
-def _series_result(values: np.ndarray, converged: bool) -> TimeAverageResult:
-    return TimeAverageResult(mean=float(values.mean()), stderr=float(_standard_error(values)),
-                             n_samples=int(values.size), converged=converged, values=values)
+def _series_result(values: np.ndarray, converged: bool, route: str) -> TimeAverageResult:
+    return TimeAverageResult(float(values.mean()), float(_standard_error(values)),
+                             int(values.size), converged, values, route)
 
 
 def time_series(
@@ -714,11 +716,12 @@ def time_series(
 ) -> TimeAverageResult:
     """Average of ``reduce`` over the entropy-map rows of ``subsystem`` on the grid.
 
-    ``reduce`` maps a K x 2l x 2N stack of rows to K values. Sampling
-    follows the protocol; the result says whether it converged.
+    ``reduce`` maps a K x 2l x 2N stack of rows to K values. Sampling follows the protocol;
+    the result says whether it converged; its route is "rows" ("closed-form" on g == delta).
     """
+    route = "closed-form" if classify_phase(params) is PhaseRegime.CRITICAL else "rows"
     return _series_result(*_converge_series(*_sampler(params, subsystem, _of_rows(reduce),
-                                                      protocol, rows=2)))
+                                                      protocol, rows=2)), route)
 
 
 def time_averaged_entropy(
@@ -731,12 +734,13 @@ def time_averaged_entropy(
     ``subsystem`` is an iterable of 0-based site indices. Raises
     NonConvergence (with the partial estimate attached) if the sample cap
     is reached first. Each sample takes the ``Propagator.spectrum`` route of
-    the cut.
+    the cut, which the result names (``_route``).
     """
+    sites = site_indices(subsystem, params.n_sites)
     return _converged(_series_result(*_converge_series(*_sampler(
-        params, subsystem,
+        params, sites,
         lambda prop, sites, batch: _entropy_from_spectrum(*prop.spectrum(sites, batch)),
-        protocol))), "entropy mean")
+        protocol)), _route(params, sites)), "entropy mean")
 
 
 def series_fluctuation_ratio(values) -> float:
@@ -756,6 +760,7 @@ class PageCurve:
     stderrs: np.ndarray
     n_samples: int
     converged: bool
+    route: str | None = field(default=None, repr=False)   # the branch that ran (_route)
 
 
 def page_curve(
@@ -764,24 +769,24 @@ def page_curve(
 ) -> PageCurve:
     """Entropy of the leftmost l sites for every cut l = 1..N-1.
 
-    All cuts share the same deterministic time grid; sampling stops when
-    every cut individually meets the protocol target. At g >= delta one symmetric N x N
-    cross matrix per sample serves every cut, P = u diag(2 m) u^T at g > delta and
-    H = V U^T on g == delta: cut l reads the Gram of X[:l, l:] on its smaller side
+    All cuts share the same deterministic time grid; sampling stops when every cut meets
+    the protocol target. The route is the whole chain's ``_route``. On "pairing" and
+    "closed-form" one symmetric N x N cross matrix X per sample, P = u diag(2 m) u^T or
+    H = V U^T, serves every cut: cut l reads the Gram of X[:l, l:] on its smaller side
     (``_cross_spectrum``), so a cut and its complement share one spectrum and no large
-    side is read off its own rows. At g < delta one QR per sample, W^T = Q T, serves
+    side is read off its own rows. On "rows" (g < delta) one QR per sample, W^T = Q T, serves
     every cut: the leading 2l x 2l block of T is the factor of W[:2l]^T (QR column-prefix
     property), and cut l reads its spectrum off it in ``entropy_from_factor``.
     """
     n = params.n_sites
-    lengths = np.arange(1, n)
+    lengths, route = np.arange(1, n), _route(params, range(n))
 
     def reduce(stack: np.ndarray) -> np.ndarray:
         r_mat = np.linalg.qr(np.swapaxes(stack, -1, -2), mode="r")
         return np.stack([entropy_from_factor(r_mat[:, :2 * l, :2 * l]) for l in lengths], axis=1)
 
     def cross(prop: Propagator, sites: np.ndarray, batch: _GridBatch) -> np.ndarray:
-        if prop.frame is None:
+        if route == "closed-form":
             u_mat, v_mat = prop._critical_uv(sites, batch, 1.0, prop._critical_work(sites, batch))
             matrix = v_mat @ u_mat.transpose(0, 2, 1)   # H = V U^T
         else:
@@ -789,14 +794,13 @@ def page_curve(
         return np.stack([_entropy_from_spectrum(*_cross_spectrum(matrix[:, :l, l:]))
                          for l in lengths], axis=1)
 
-    # a rows chunk holds its rows, their QR copy, R and per-cut temporaries; of those 256 N^2
-    # bytes a sample a cross chunk holds 48 N^2 (u twice and P) or 32 N^2 (U, V, weights, H)
-    rows = classify_phase(params) is PhaseRegime.NONRECIPROCAL
-    evaluate = _of_rows(reduce) if rows else cross
-    values, converged = _converge_series(*_sampler(params, range(n), evaluate, protocol, rows=8))
+    # a rows chunk holds eight arrays of rows (256 N^2 bytes a sample: rows, QR copy, R, per-cut
+    # temporaries), a cross chunk two (64 N^2: u twice and P 48 N^2, or U, V, weights, H 32 N^2)
+    evaluate, rows = (_of_rows(reduce), 8) if route == "rows" else (cross, 2)
+    values, converged = _converge_series(*_sampler(params, range(n), evaluate, protocol, rows))
     return _converged(PageCurve(lengths=lengths, entropies=values.mean(axis=0),
                                 stderrs=_standard_error(values), n_samples=values.shape[0],
-                                converged=converged), "page curve")
+                                converged=converged, route=route), "page curve")
 
 
 @dataclass(frozen=True, eq=False)
@@ -814,6 +818,7 @@ class SiteProfiles:
     mean_blocks: np.ndarray
     n_samples: int
     converged: bool
+    route: str | None = field(default=None, repr=False)   # "rows" or "closed-form"
 
     def thermal_entropies(self) -> np.ndarray:
         """Thermal proxy per site: entropy of a thermal mode at the same density.
@@ -834,14 +839,14 @@ def profiles(
 ) -> SiteProfiles:
     """Single-site entropy and averaged correlators for every site.
 
-    Each chunk of entropy maps W gives the site entropies in one batched
-    factorization and adds its site Gram blocks W_j W_j^T into one sum. Away
-    from g == delta W = F S, so the averaged lab blocks F_j^-1 Xbar_j F_j^-T
-    are mapped once from the averaged Gram Xbar_j, which keeps more digits
-    than mapping every sample's rows to the lab frame first. On g == delta
-    W = S P and the Gram blocks are the lab ones.
+    Each chunk of entropy maps W gives the site entropies in one batched factorization
+    and adds its site Gram blocks W_j W_j^T into one sum. On "rows" (g != delta) W = F S,
+    so the averaged lab blocks F_j^-1 Xbar_j F_j^-T are mapped once from the averaged Gram
+    Xbar_j, which keeps more digits than mapping every sample's rows to the lab frame
+    first. On "closed-form" (g == delta) W = S P and the Gram blocks are the lab ones.
     """
     n = params.n_sites
+    route = "closed-form" if classify_phase(params) is PhaseRegime.CRITICAL else "rows"
     gram_sum = np.zeros((n, 2, 2))
 
     def reduce(stack: np.ndarray) -> np.ndarray:
@@ -852,12 +857,11 @@ def profiles(
     values, converged = _converge_series(*_sampler(params, range(n), _of_rows(reduce), protocol,
                                                    rows=2))
     mean_blocks = gram_sum / values.shape[0]
-    frame = build_propagator(params, None).frame
-    if frame is not None:
-        inverse = frame.inverse_factors()
+    if route == "rows":
+        inverse = build_propagator(params, None).frame.inverse_factors()
         mean_blocks = inverse @ mean_blocks @ inverse.transpose(0, 2, 1)
     occs, pairs = site_correlators(mean_blocks)
     return _converged(SiteProfiles(
         entropies=values.mean(axis=0), stderrs=_standard_error(values), occupations=occs,
         pair_amplitudes=pairs, mean_blocks=mean_blocks, n_samples=values.shape[0],
-        converged=converged), "site profiles")
+        converged=converged, route=route), "site profiles")

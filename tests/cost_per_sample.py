@@ -15,9 +15,9 @@ samples drawn on the default grid. It prints five Markdown tables:
   ``subsystem_entropy_from_rows``) against ``time_averaged_entropy``, which takes the
   pairing route, N = 64-1024;
 * the Page curve at g = 0.3 and at g = 0.25 = Delta: one QR of the full map's rows per
-  sample (the route of ``page_curve`` at g < Delta, run through its sampler) against
-  ``page_curve``'s one cross matrix per sample (the pairing matrix P at g = 0.3,
-  H = V U^T on g = Delta), N = 32 and 64, and 128 on g = Delta.
+  sample (the route "rows" of ``page_curve`` at g < Delta, run through its sampler in its
+  chunks of eight row arrays) against ``page_curve``'s one cross matrix per sample (route
+  "pairing", P, at g = 0.3; "closed-form", H = V U^T, on g = Delta), N = 32, 64 and 128.
 """
 import argparse
 import os
@@ -113,7 +113,7 @@ def main() -> None:
         print(f"| {n} | {samples} | {rows * 1e3:.3g} ms | {pairing * 1e3:.3g} ms | "
               f"{rows / pairing:.2g}x |")
 
-    for g, route, sizes in ((0.3, "pairing", (32, 64)), (0.25, "H = V U^T", (32, 64, 128))):
+    for g, route, sizes in ((0.3, "pairing", (32, 64, 128)), (0.25, "H = V U^T", (32, 64, 128))):
         print(f"\nPage curve at g = {g}, ms per sample\n")
         print(f"| N | samples | rows and QR | {route} | ratio |\n|---|---|---|---|---|")
         for n in sizes:

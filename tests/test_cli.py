@@ -92,7 +92,7 @@ def test_rows_of_an_earlier_sweep_keep_their_run_record(tmp_path):
     first = _write_cfg(tmp_path, name="first.cfg", g="0.2", n="8", out=out, **_FAST)
     assert main(["sweep", "--config", first]) == 0
     [recorded] = json.loads((out / "sweep.manifest.json").read_text())["runs"]
-    assert recorded["route"] == "frame" and recorded["seconds"] > 0.0
+    assert recorded["route"] == "gram" and recorded["seconds"] > 0.0
     second = _write_cfg(tmp_path, name="second.cfg", g="0.3", n="8", out=out, **_FAST)
     assert main(["sweep", "--config", second]) == 0
     runs = json.loads((out / "sweep.manifest.json").read_text())["runs"]
@@ -121,7 +121,7 @@ def test_sweep_records_the_closed_form_route_on_the_critical_line(tmp_path):
     assert main(["sweep", "--config", cfg]) == 0
     manifest = json.loads((tmp_path / "r" / "sweep.manifest.json").read_text())
     assert {run["g"]: run["route"] for run in manifest["runs"]} == {
-        0.2: "frame", 0.25: "closed-form"}
+        0.2: "gram", 0.25: "closed-form"}
 
 
 def test_run_records_name_the_pairing_route(tmp_path):
@@ -137,8 +137,33 @@ def test_run_records_name_the_pairing_route(tmp_path):
     assert main(["figures", "--config", page]) == 0
     [run] = json.loads((tmp_path / "page" / "figures.manifest.json").read_text())["runs"]
     assert run["subsystem"] == "page"
-    assert routes + [run["route"]] == ["pairing", "frame", "pairing"]
+    assert routes + [run["route"]] == ["pairing", "gram", "pairing"]
 
+
+
+def test_run_records_name_the_branch_that_ran(tmp_path):
+    # each entry takes the route of the result that ran: a site's Gram block, a g < Delta
+    # block's rows and QR, the pairing matrix at g > Delta, the closed form on g = Delta;
+    # profiles reduce rows, and the four-point table keeps its mode sums
+    routes = {}
+    for cut, g in (("site", 0.2), ("quarter", 0.2), ("quarter", 0.3), ("site", 0.25)):
+        out = tmp_path / f"{cut}-{g}"
+        cfg = _write_cfg(tmp_path, name=f"{cut}-{g}.cfg", cut=cut, g=g, n="8", out=out, **_FAST)
+        assert main(["sweep", "--config", cfg]) == 0
+        [run] = json.loads((out / "sweep.manifest.json").read_text())["runs"]
+        routes[cut, g] = run["route"]
+    # the four-point table has no row at g > Delta
+    for g, figures in ((0.2, "page,profiles,fourpoint"), (0.3, "page,profiles")):
+        out = tmp_path / f"figures-{g}"
+        cfg = _write_cfg(tmp_path, name=f"figures-{g}.cfg", figures=figures, g=g, n="8",
+                         out=out, **_FAST)
+        assert main(["figures", "--config", cfg]) == 0
+        for run in json.loads((out / "figures.manifest.json").read_text())["runs"]:
+            routes[run["subsystem"], g] = run["route"]
+    assert routes == {
+        ("site", 0.2): "gram", ("quarter", 0.2): "rows", ("quarter", 0.3): "pairing",
+        ("site", 0.25): "closed-form", ("page", 0.2): "rows", ("profiles", 0.2): "rows",
+        ("site:4", 0.2): "sums", ("page", 0.3): "pairing", ("profiles", 0.3): "rows"}
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_page_entries_name_the_route_that_ran(tmp_path, n):
@@ -156,7 +181,7 @@ def test_page_entries_name_the_route_that_ran(tmp_path, n):
                   (out / "page.csv").read_text().splitlines()[1:]]
         assert len(values) == n - 1
         assert (delta == 0.0) == all(value == 0.0 for value in values)
-    assert routes == {(0.2, 0.25): "frame", (0.25, 0.25): "closed-form",
+    assert routes == {(0.2, 0.25): "rows", (0.25, 0.25): "closed-form",
                       (0.3, 0.25): "pairing", (0.3, 0.0): "pairing"}
 
 
@@ -349,7 +374,7 @@ def test_figures_products_skip_critical_fourpoint(tmp_path):
     assert manifest["rows"] == len(measured) == 5
     assert all(run["seconds"] > 0.0 for run in measured)
     assert {(run["g"], run["route"]) for run in measured} == {
-        (0.2, "frame"), (0.2, "sums"), (0.25, "closed-form")}
+        (0.2, "rows"), (0.2, "sums"), (0.25, "closed-form")}
     # every measured profiles and Page entry records the protocol of its point
     averaged = [run for run in measured if run["subsystem"] in ("profiles", "page")]
     assert len(averaged) == 4
@@ -567,7 +592,7 @@ def test_capped_sweep_stays_unconverged_on_rerun(tmp_path):
     assert main(["sweep", "--config", capped]) == 2
     assert (tmp_path / "cap" / "sweep.csv").read_bytes() == first
     runs = json.loads((tmp_path / "cap" / "sweep.manifest.json").read_text())["runs"]
-    assert [(run["route"], run["converged"]) for run in runs] == [("frame", False)]
+    assert [(run["route"], run["converged"]) for run in runs] == [("gram", False)]
 
 
 def test_resume_reuses_rows_only_under_their_protocol(tmp_path):
@@ -580,7 +605,7 @@ def test_resume_reuses_rows_only_under_their_protocol(tmp_path):
     lines = (out / "sweep.csv").read_text().splitlines()[1:]
     assert [line.split(",")[-1] for line in lines] == ["60", "60"]
     runs = json.loads((out / "sweep.manifest.json").read_text())["runs"]
-    assert [run["route"] for run in runs] == ["frame", "closed-form"]
+    assert [run["route"] for run in runs] == ["gram", "closed-form"]
     assert [run["protocol"]["initial_samples"] for run in runs] == [60, 60]
     # the same protocol again: both rows are reused with what they recorded
     assert main(["sweep", "--config", longer]) == 0
@@ -635,7 +660,7 @@ def test_interrupted_sweep_keeps_finished_points(tmp_path, monkeypatch):
     assert main(["sweep", "--config", cfg]) == 0
     runs = json.loads((out / "sweep.manifest.json").read_text())["runs"]
     assert runs[:1] == finished
-    assert [(run["g"], run["route"]) for run in runs] == [(0.1, "frame"), (0.2, "frame")]
+    assert [(run["g"], run["route"]) for run in runs] == [(0.1, "gram"), (0.2, "gram")]
     fresh = _write_cfg(tmp_path, name="fresh.cfg", g="0.1,0.2", n="8",
                        out=tmp_path / "fresh", **_FAST)
     assert main(["sweep", "--config", fresh]) == 0

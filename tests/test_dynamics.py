@@ -1104,3 +1104,97 @@ def test_reciprocal_chunks_hold_what_the_pairing_route_builds(monkeypatch):
         tracemalloc.stop()
     assert batches == [62] * 4 + [52]
     assert peak <= 2 * dynamics._CHUNK_BYTES
+
+
+@pytest.mark.parametrize("g", [0.25, 0.3])
+@pytest.mark.parametrize("n", [64, 128])
+def test_page_chunks_past_delta_fill_their_budget(monkeypatch, g, n):
+    # a cross chunk counts two arrays of the whole chain's rows (64 N^2 bytes a sample), not
+    # the eight of rows and QR: 16 samples at N = 64 and 4 at N = 128, where eight gave 4 and 1
+    chunk = dynamics._CHUNK_BYTES // (2 * (2 * n) ** 2 * 8)
+    p = _params(g, n)
+    proto = AveragingProtocol.for_params(p, initial_samples=chunk, max_samples=chunk,
+                                         rel_threshold=1.0)
+    if g > 0.25:
+        build_propagator(p, None).pairing_table   # built before tracing, as the modes are
+    loop, seen = dynamics._converge_series, []
+
+    def keep(*args):
+        seen.append(loop(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(dynamics, "_converge_series", keep)
+    tracemalloc.start()
+    try:
+        page_curve(p, proto)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chunk == {64: 16, 128: 4}[n]
+    assert 0.4 * dynamics._CHUNK_BYTES <= peak <= 1.1 * dynamics._CHUNK_BYTES
+    # the eight-array chunks, a quarter of the samples each, give the same values
+    monkeypatch.setattr(dynamics, "_CHUNK_BYTES", dynamics._CHUNK_BYTES // 4)
+    page_curve(p, proto)
+    assert np.max(np.abs(seen[0][0] - seen[1][0]) / seen[1][0]) <= 1e-13
+
+
+_BRANCHES = {"gram": "_site_gram", "rows": "entropy_rows", "pairing": "_pairing_block",
+             "closed-form": "_critical_uv"}
+
+
+@pytest.mark.parametrize("product, g, sites, route, called", [
+    pytest.param("entropy", 0.2, [8], "gram", {"_site_gram"}, id="site-0.2"),
+    pytest.param("entropy", 0.2, range(1, 16), "gram", {"_site_gram"}, id="last-0.2"),
+    pytest.param("entropy", 0.3, range(1, 16), "gram", {"_site_gram"}, id="last-0.3"),
+    pytest.param("entropy", 0.2, range(4), "rows", {"entropy_rows"}, id="quarter-0.2"),
+    pytest.param("entropy", 0.3, range(4), "pairing", {"_pairing_block"}, id="quarter-0.3"),
+    pytest.param("entropy", 0.25, [8], "closed-form", {"_critical_uv"}, id="site-0.25"),
+    pytest.param("entropy", 0.25, range(4), "closed-form", {"_critical_uv"},
+                 id="quarter-0.25"),
+    pytest.param("page", 0.2, None, "rows", {"entropy_rows"}, id="page-0.2"),
+    pytest.param("page", 0.25, None, "closed-form", {"_critical_uv"}, id="page-0.25"),
+    pytest.param("page", 0.3, None, "pairing", {"_pairing_block"}, id="page-0.3"),
+    pytest.param("profiles", 0.2, None, "rows", {"entropy_rows"}, id="profiles-0.2"),
+    pytest.param("profiles", 0.25, None, "closed-form", {"entropy_rows", "_critical_uv"},
+                 id="profiles-0.25"),
+    pytest.param("profiles", 0.3, None, "rows", {"entropy_rows"}, id="profiles-0.3"),
+])
+def test_results_name_the_branch_that_ran(monkeypatch, product, g, sites, route, called):
+    # the N - 1 cut reads site 0 (its complement), so it takes that site's Gram block
+    ran = set()
+    for name in _BRANCHES.values():
+        def counted(self, *args, _name=name, _real=getattr(Propagator, name)):
+            ran.add(_name)
+            return _real(self, *args)
+        monkeypatch.setattr(Propagator, name, counted)
+    p = _params(g, 16)
+    proto = AveragingProtocol.for_params(p, initial_samples=20, rel_threshold=1.0)
+    average = {"entropy": lambda: time_averaged_entropy(p, sites, proto),
+               "page": lambda: page_curve(p, proto), "profiles": lambda: profiles(p, proto)}
+    result = average[product]()
+    assert result.route == route and _BRANCHES[route] in called
+    assert ran == called
+    assert "route" not in repr(result)
+
+
+# tests/page_reference.py (50 digits): the N = 32, g = 0.2 state at t_min on exact
+# phases, and on the package's paired float64 phases of the site sums; S(site 0) and
+# S(sites 1..31) agree to the printed digits in both
+_REFERENCE_T_MIN = 323.6619119514711
+_REFERENCE_EXACT = 2.949128564840427
+_REFERENCE_PAIRED = 2.949128564840472
+
+
+def test_edges_of_the_page_reference_state():
+    p = _params(0.2, 32)
+    proto = AveragingProtocol.for_params(p, initial_samples=1, max_samples=1)
+    assert proto.t_min == _REFERENCE_T_MIN
+    prop = build_propagator(p, None)
+    for sites in ([0], range(1, 32)):
+        got = _entropy_from_spectrum(*prop.spectrum(sites, proto.t_min))[0]
+        assert abs(got - _REFERENCE_PAIRED) <= 1e-14 * _REFERENCE_PAIRED
+    # the g < Delta Page curve reads S(31) off its own rows and QR factor
+    with pytest.raises(NonConvergence) as info:
+        page_curve(p, proto)
+    own = info.value.result.entropies[-1]
+    assert abs(own - _REFERENCE_EXACT) <= 1e-11 * _REFERENCE_EXACT
