@@ -24,7 +24,6 @@ import json
 import os
 import sys
 import time
-from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -304,6 +303,8 @@ def _worker_pool(jobs: int):
     top would oversubscribe the cores. The variables are set before the
     workers import numpy and the parent's values are restored on exit.
     """
+    from multiprocessing import get_context   # here: importing it costs every run ~5 ms
+
     saved = {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
     try:

@@ -228,9 +228,16 @@ class TimeAverageResult:
     route: str | None = field(default=None, repr=False)   # the branch that ran (_route)
 
 
+def _complement(sites: np.ndarray, n: int) -> np.ndarray:
+    """Sorted sites of the chain not in ``sites``, by a mask: np.setdiff1d imports numpy.ma."""
+    rest = np.ones(n, dtype=bool)
+    rest[sites] = False
+    return np.flatnonzero(rest)
+
+
 def _route_sites(sites: np.ndarray, n: int) -> np.ndarray:
     """The sites ``Propagator.spectrum`` reads for a cut: past N/2 its complement (purity)."""
-    return np.setdiff1d(np.arange(n), sites) if 2 * sites.size > n else sites
+    return _complement(sites, n) if 2 * sites.size > n else sites
 
 
 def _route(params: ModelParams, sites) -> str:
@@ -250,18 +257,18 @@ def _sample_bytes(params: ModelParams, sites: np.ndarray, rows: int) -> int:
     cut's 2l x 2N rows (a Page curve counts eight of the whole chain's on "rows", two on its
     cross routes), or for a spectrum (``rows`` 0) what its ``_route`` builds for the w sites
     it reads: on "pairing" the rows of u (N x N complex) and P_AB (w x (N - w) complex), else
-    two arrays of 2w x 2N rows (rows and QR copy; site sums; or U, V and their weights).
-    That count keeps the g == delta chunks where they were when the weights spanned all N
-    modes: its 8N floats per site now over-count the 2N + 2m, about 3N, of U, V and the
-    half-spectrum weights (``_critical_work``); the trig table of about 3N floats per
-    sample, not per site, brings a single site's chunk near the budget."""
+    two arrays of 2w x 2N rows (rows and QR copy; site sums), plus on "closed-form" the trig
+    table, 6m floats for the m = N - N // 2 kept modes. There a sample holds per site U, V,
+    their weights (``_critical_uv``, 2N + 2m floats) and the shear's H_AA U_A (N), half the
+    8N counted, so a quarter's chunk peaks near half the budget and a site's, in the kernel
+    with the table, phases and their stack (11m floats), at about 0.8 of it."""
     n = params.n_sites
     if rows:
         return rows * 2 * sites.size * 2 * n * 8
-    width = max(1, _route_sites(sites, n).size)
-    if _route(params, sites) == "pairing":
+    width, route = max(1, _route_sites(sites, n).size), _route(params, sites)
+    if route == "pairing":
         return 16 * (n * n + width * (n - width))
-    return 2 * 2 * width * 2 * n * 8
+    return 2 * 2 * width * 2 * n * 8 + (6 * (n - n // 2) * 8 if route == "closed-form" else 0)
 
 
 def _critical_columns(params: ModelParams, modes: np.ndarray,
@@ -454,16 +461,11 @@ class Propagator:
                   + np.square(sin_part, out=sin_part) @ self.turned[1 - site % 2])
         return within_limit(blocks.reshape(-1, 2, 2), f"propagation to t = {times[0]}..{times[-1]}")
 
-    def _critical_work(self, sites: np.ndarray, times: np.ndarray) -> np.ndarray:
-        """Work array of ``_critical_uv``: K l (2N + 2m) floats for U, V and the weights."""
-        n, two_m = self.params.n_sites, self.columns.shape[1]
-        return np.empty(times.size * sites.size * (2 * n + two_m))
-
-    def _critical_uv(self, sites: np.ndarray, times: np.ndarray, scale: float,
-                     work: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _critical_uv(self, sites: np.ndarray, times, scale: float = 1.0
+                     ) -> tuple[np.ndarray, np.ndarray]:
         """``scale`` times the rows ``sites`` of U(t) and V(t) at every time, on g == delta:
-        K x l x N each, even sites' columns first, in ``work`` (``_critical_work``, one
-        allocation rather than one per GEMM) with the GEMM weights, K x l x 2m, after them.
+        K x l x N each, even sites' columns first, views of one K l (2N + 2m) allocation
+        that also holds the GEMM weights, K x l x 2m, after them.
 
         U_jk = kappa_j kappa_k times C_jk if j = k mod 2, +S_jk if j is odd and
         k even, -S_jk if j is even and k odd, with (C, S)_jk = sum_n psi_nj
@@ -479,8 +481,9 @@ class Propagator:
         """
         n, k, l = self.params.n_sites, times.size, sites.size
         m, size = self.frequencies.size, k * l * n
+        work = np.empty(2 * size + 2 * k * l * m)
         u_mat, v_mat = work[:size].reshape(k * l, n), work[size:2 * size].reshape(k * l, n)
-        weights = work[2 * size:2 * size + 2 * k * l * m].reshape(k, l, 2 * m)
+        weights = work[2 * size:].reshape(k, l, 2 * m)
         parity = sites % 2
         pairs = np.full(m, 2.0 * scale)
         pairs[n // 2:] = scale   # an odd N's middle mode counts once
@@ -502,8 +505,7 @@ class Propagator:
         ``out`` (K x 2l x 2N), on g == delta: row 2j is (U_jk + V_jk, U_jk) / sqrt2
         and row 2j+1 (U_jk - V_jk, -U_jk) / sqrt2 in the per-site (u, v) columns."""
         n = self.params.n_sites
-        u_mat, v_mat = self._critical_uv(sites, times, 1.0 / math.sqrt(2.0),
-                                         self._critical_work(sites, times))
+        u_mat, v_mat = self._critical_uv(sites, times, 1.0 / math.sqrt(2.0))
         out = out.reshape(*u_mat.shape[:2], 2, n, 2)   # a view: out is C-contiguous
         for p, part in enumerate((slice(None, (n + 1) // 2), slice((n + 1) // 2, None))):
             u_part, v_part = u_mat[..., part], v_mat[..., part]
@@ -539,14 +541,10 @@ class Propagator:
             return symplectic_eigenvalues_from_rows(rows), np.einsum("...ij,...ij->...", rows, rows)
         if route == "pairing":
             sites = np.sort(sites)
-            return _cross_spectrum(self._pairing_block(times, sites,
-                                                       np.setdiff1d(np.arange(n), sites)))
-        work = self._critical_work(sites, times)
-        u_mat, v_mat = self._critical_uv(sites, times, 1.0, work)
+            return _cross_spectrum(self._pairing_block(times, sites, _complement(sites, n)))
+        u_mat, v_mat = self._critical_uv(sites, times)
         with np.errstate(over="ignore", invalid="ignore"):
-            # Y = V_A - H_AA U_A in place of V_A; the weights' space takes H_AA U_A
-            v_mat -= np.matmul(v_mat @ u_mat.transpose(0, 2, 1), u_mat,
-                               out=work[2 * u_mat.size:3 * u_mat.size].reshape(u_mat.shape))
+            v_mat -= (v_mat @ u_mat.transpose(0, 2, 1)) @ u_mat   # Y = V_A - H_AA U_A
         return _cross_spectrum(v_mat)
 
     def _rotated_map(self, t: float) -> np.ndarray:
@@ -787,7 +785,7 @@ def page_curve(
 
     def cross(prop: Propagator, sites: np.ndarray, batch: _GridBatch) -> np.ndarray:
         if route == "closed-form":
-            u_mat, v_mat = prop._critical_uv(sites, batch, 1.0, prop._critical_work(sites, batch))
+            u_mat, v_mat = prop._critical_uv(sites, batch)
             matrix = v_mat @ u_mat.transpose(0, 2, 1)   # H = V U^T
         else:
             matrix = prop._pairing_block(batch, sites, sites)

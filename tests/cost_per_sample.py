@@ -5,7 +5,7 @@
 Uses numpy and bkc only, pins BLAS to one thread (OPENBLAS_NUM_THREADS=1 unless set),
 and is not collected by pytest. Each value is the best of ``--repeats`` timed runs
 after one warm-up run (which builds the propagator and its lazy tables), divided by the
-samples drawn on the default grid. It prints five Markdown tables:
+samples drawn on the default grid. It prints six Markdown tables:
 
 * a single site N/2 over the first 1,000 samples, at g = 0.2 (frame, Gram block) and
   g = 0.25 = Delta (closed form), N = 128-2048;
@@ -17,7 +17,10 @@ samples drawn on the default grid. It prints five Markdown tables:
 * the Page curve at g = 0.3 and at g = 0.25 = Delta: one QR of the full map's rows per
   sample (the route "rows" of ``page_curve`` at g < Delta, run through its sampler in its
   chunks of eight row arrays) against ``page_curve``'s one cross matrix per sample (route
-  "pairing", P, at g = 0.3; "closed-form", H = V U^T, on g = Delta), N = 32, 64 and 128.
+  "pairing", P, at g = 0.3; "closed-form", H = V U^T, on g = Delta), N = 32, 64 and 128;
+* the split of the quarter's ``spectrum`` on g = Delta over one chunk of the first grid
+  samples: the kernel ``_critical_uv``, the shear Y = V_A - H_AA U_A, the Gram Y Y^T and
+  its ``eigvalsh``, each timed on its own, N = 32, 64 and 96.
 """
 import argparse
 import os
@@ -76,6 +79,26 @@ def _rows_page(params: ModelParams, samples: int):
     return lambda: draw(0, samples)
 
 
+def _critical_split(n: int, repeats: int) -> tuple[int, dict[str, float]]:
+    """Seconds per sample of each stage of the g = Delta quarter's spectrum, one chunk."""
+    p = _params(0.25, n)
+    prop, sites = dynamics.build_propagator(p, None), np.arange(n // 4)
+    samples = dynamics._CHUNK_BYTES // dynamics._sample_bytes(p, sites, 0)
+    batch = dynamics._GridBatch(_protocol(p, samples), 0, samples, {})
+    u_mat, v_mat = prop._critical_uv(sites, batch)
+
+    def shear():
+        return v_mat - (v_mat @ u_mat.transpose(0, 2, 1)) @ u_mat
+
+    y_mat = shear()
+    gram = y_mat @ y_mat.transpose(0, 2, 1)
+    stages = {"kernel": lambda: prop._critical_uv(sites, batch), "shear": shear,
+              "Gram": lambda: y_mat @ y_mat.transpose(0, 2, 1),
+              "eigvalsh": lambda: np.linalg.eigvalsh(gram),
+              "spectrum": lambda: prop.spectrum(sites, batch)}
+    return samples, {name: _per_sample(run, samples, repeats) for name, run in stages.items()}
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=9)
@@ -124,6 +147,13 @@ def main() -> None:
             cross = _per_sample(lambda: page_curve(p, proto), samples, repeats)
             print(f"| {n} | {samples} | {rows * 1e3:.3g} ms | {cross * 1e3:.3g} ms | "
                   f"{rows / cross:.2g}x |")
+
+    print("\nQuarter at g = 0.25 = Delta, split of one chunk, us per sample\n")
+    print("| N | samples | kernel | shear | Gram | eigvalsh | spectrum |\n"
+          "|---|---|---|---|---|---|---|")
+    for n in (32, 64, 96):
+        samples, cost = _critical_split(n, repeats)
+        print(f"| {n} | {samples} | " + " | ".join(f"{c * 1e6:.3g}" for c in cost.values()) + " |")
 
 
 if __name__ == "__main__":

@@ -690,3 +690,16 @@ def test_pool_workers_start_with_one_blas_thread(monkeypatch):
     assert seen == ["1", "1", "1"]
     assert os.environ["OMP_NUM_THREADS"] == "3"
     assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+
+def test_importing_the_cli_leaves_multiprocessing_out():
+    # only a sweep with jobs > 1 needs a pool; every other start skips its import cost
+    code = ("import sys\n"
+            "import bkc.cli\n"
+            "assert 'multiprocessing' not in sys.modules, 'multiprocessing imported'\n")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

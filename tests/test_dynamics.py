@@ -293,10 +293,12 @@ def test_cut_past_half_is_chunked_by_the_sites_its_route_reads(monkeypatch, g):
         return real(self, sites, times)
 
     monkeypatch.setattr(Propagator, "spectrum", counted)
+    # (on g == delta a site's chunk also counts the kernel's trig table: 744 samples)
+    chunks = [(0, 744), (744, 1488), (1488, 1500)] if g == 0.25 else [(0, 1024), (1024, 1500)]
     site = time_averaged_entropy(p, [0], proto).values
-    assert batches.pop(1) == [(0, 1024), (1024, 1500)]
+    assert batches.pop(1) == chunks
     cut = time_averaged_entropy(p, range(1, 64), proto).values
-    assert batches == {63: [(0, 1024), (1024, 1500)], 1: [(0, 1024), (1024, 1500)]}
+    assert batches == {63: chunks, 1: chunks}
     # so it gives site 0's values bit for bit (on g == delta the parent's chunks did not)
     assert np.array_equal(cut, site)
     # its spectrum is site 0's, the one nu the N - 1 cut carries
@@ -774,7 +776,7 @@ def test_critical_uv_matches_full_mode_sums(n):
     times = np.array([proto.dt, proto.t_min, proto.time(100)])
     sites = np.unique([0, 1, n // 2, n - 2, n - 1])
     order = np.r_[0:n:2, 1:n:2]   # even sites' columns first
-    got = prop._critical_uv(sites, times, 1.0, prop._critical_work(sites, times))
+    got = prop._critical_uv(sites, times)
     for i, t in enumerate(times):
         for mine, ref in zip(got, critical_uv(prop.params, t)):
             ref = ref[np.ix_(sites, order)]
@@ -1136,6 +1138,34 @@ def test_page_chunks_past_delta_fill_their_budget(monkeypatch, g, n):
     monkeypatch.setattr(dynamics, "_CHUNK_BYTES", dynamics._CHUNK_BYTES // 4)
     page_curve(p, proto)
     assert np.max(np.abs(seen[0][0] - seen[1][0]) / seen[1][0]) <= 1e-13
+
+
+@pytest.mark.parametrize("cut", ["site", "quarter"])
+@pytest.mark.parametrize("n", [64, 256])
+def test_critical_chunks_stay_within_their_budget(monkeypatch, n, cut):
+    # one full chunk of a g = Delta cut, the kernel's trig table included, peaks within
+    # [0.3, 1.0] of the budget (bounds set before the run)
+    p = _params(0.25, n)
+    sites = np.array([n // 2]) if cut == "site" else np.arange(n // 4)
+    chunk = dynamics._CHUNK_BYTES // dynamics._sample_bytes(p, sites, 0)
+    proto = AveragingProtocol.for_params(p, initial_samples=chunk, max_samples=chunk,
+                                         rel_threshold=1.0)
+    build_propagator(p, None)   # the cached propagator is built before tracing
+    real, batches = Propagator.spectrum, []
+
+    def counted(self, sites, times):
+        batches.append(times.size)
+        return real(self, sites, times)
+
+    monkeypatch.setattr(Propagator, "spectrum", counted)
+    tracemalloc.start()
+    try:
+        time_averaged_entropy(p, sites, proto)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert batches == [chunk]
+    assert 0.3 * dynamics._CHUNK_BYTES <= peak <= 1.0 * dynamics._CHUNK_BYTES
 
 
 _BRANCHES = {"gram": "_site_gram", "rows": "entropy_rows", "pairing": "_pairing_block",
