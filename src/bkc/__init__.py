@@ -49,7 +49,6 @@ from .dynamics import (
     SiteProfiles,
     TimeAverageResult,
     build_propagator,
-    evolve,
     page_curve,
     profiles,
     series_fluctuation_ratio,
@@ -83,9 +82,8 @@ __all__ = [
     "ModelParams", "PhaseRegime", "SqueezingFrame", "TightBindingSpectrum",
     "bdg_matrices", "classify_phase", "squeezing_frame", "tight_binding_spectrum",
     "AveragingProtocol", "PageCurve", "PropagationMode", "Propagator",
-    "SiteProfiles", "TimeAverageResult", "build_propagator", "evolve",
-    "page_curve", "profiles", "series_fluctuation_ratio", "time_averaged_entropy",
-    "time_series",
+    "SiteProfiles", "TimeAverageResult", "build_propagator", "page_curve", "profiles",
+    "series_fluctuation_ratio", "time_averaged_entropy", "time_series",
     "CollapseResult", "avg_site_correlators", "nu_bar_squared", "s1_prediction",
     "scaling_collapse",
     "FourPointReport", "InitialMomentumCorrelators", "a_kernel", "epsilon4",

@@ -31,8 +31,8 @@ Every average takes the ``FRAME_EXACT`` route, which
   so every cosine and sine sum of U and V is twice its sum over the h = N // 2 lowest
   modes, and an odd N's middle mode (c = 0, kept as exactly 0.0, so its grid phase is
   exactly (1, 0)) adds once to the cosine sums (``_critical_uv``). The rows returned are
-  those of W = S(t) P, P = [[1, 1], [1, -1]] / sqrt2 per site, so
-  W W^T = S S^T: whole-site entropies and Gram blocks are the lab ones.
+  those of S(t) itself: with q = (u + v) / sqrt2 and p = (u - v) / sqrt2, row q_j is
+  (U_jk + V_jk / 2, V_jk / 2) and row p_j (-V_jk / 2, U_jk - V_jk / 2) in site k's (q, p).
   Entropies need no rows: in (u, v), S = [[U, 0], [V, U]] with U orthogonal, and
   S J S^T = J makes H = V U^T symmetric. A block A has sigma_A = [[I, H_AA], [H_AA,
   I + V_A V_A^T]], and the shear v_A -> v_A - H_AA u_A, symplectic as H_AA is symmetric,
@@ -99,8 +99,6 @@ from .model import (
 
 # Memory budget of one chunk of samples: what its route builds (_sample_bytes).
 _CHUNK_BYTES = 4 * 2 ** 20
-# P per site: (q, p) -> (u, v) = ((q+p), (q-p)) / sqrt2, its own inverse.
-_HALF_TURN = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 # Absolute stderr floor of the stopping rule (AveragingProtocol).
 _STDERR_FLOOR = 1e-12
 # Grid stride B between anchors of direct trig; offsets b < B share one table (_phases).
@@ -332,8 +330,10 @@ class Propagator:
 
     @functools.cached_property
     def mode_map(self) -> np.ndarray:
-        """Psi2 G, the one 2N x 2N array of the frame route; built at the first block request
-        of a non-reciprocal chain (g < delta) and by the row methods, never at g > delta.
+        """Psi2 G, the one 2N x 2N array of the frame route; built at the first ``entropy_rows``
+        of two or more sites: a g < delta block's ``spectrum`` or Page curve and, at any
+        g != delta, ``profiles``, ``time_series`` of a block and the dense-map methods. A
+        spectrum or Page curve at g > delta never builds it.
 
         With Psi2 = modes (x) I2 and G block diagonal, entry (2i+a, 2j+b) is
         the single product m_ij G_j[a, b], so this equals the dense
@@ -461,11 +461,10 @@ class Propagator:
                   + np.square(sin_part, out=sin_part) @ self.turned[1 - site % 2])
         return within_limit(blocks.reshape(-1, 2, 2), f"propagation to t = {times[0]}..{times[-1]}")
 
-    def _critical_uv(self, sites: np.ndarray, times, scale: float = 1.0
-                     ) -> tuple[np.ndarray, np.ndarray]:
-        """``scale`` times the rows ``sites`` of U(t) and V(t) at every time, on g == delta:
-        K x l x N each, even sites' columns first, views of one K l (2N + 2m) allocation
-        that also holds the GEMM weights, K x l x 2m, after them.
+    def _critical_uv(self, sites: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
+        """The rows ``sites`` of U(t) and V(t) at every time, on g == delta: K x l x N
+        each, even sites' columns first, views of one K l (2N + 2m) allocation that also
+        holds the GEMM weights, K x l x 2m, after them.
 
         U_jk = kappa_j kappa_k times C_jk if j = k mod 2, +S_jk if j is odd and
         k even, -S_jk if j is even and k odd, with (C, S)_jk = sum_n psi_nj
@@ -485,8 +484,8 @@ class Propagator:
         u_mat, v_mat = work[:size].reshape(k * l, n), work[size:2 * size].reshape(k * l, n)
         weights = work[2 * size:].reshape(k, l, 2 * m)
         parity = sites % 2
-        pairs = np.full(m, 2.0 * scale)
-        pairs[n // 2:] = scale   # an odd N's middle mode counts once
+        pairs = np.full(m, 2.0)
+        pairs[n // 2:] = 1.0   # an odd N's middle mode counts once
         site_rows = np.hstack([-self.columns[sites, m:] * pairs, self.columns[sites, :m] * pairs])
         cos, sin = _phases(self.frequencies, times)
         # cos, sin, -sin, each over both halves of a site row
@@ -501,18 +500,19 @@ class Propagator:
         return u_mat.reshape(k, l, n), v_mat.reshape(k, l, n)
 
     def _critical_rows(self, sites: np.ndarray, times: np.ndarray, out: np.ndarray) -> None:
-        """Rows 2j, 2j+1 of W(t) = S(t) P for every j in ``sites`` at every time, into
-        ``out`` (K x 2l x 2N), on g == delta: row 2j is (U_jk + V_jk, U_jk) / sqrt2
-        and row 2j+1 (U_jk - V_jk, -U_jk) / sqrt2 in the per-site (u, v) columns."""
+        """Rows 2j, 2j+1 of S(t) for every j in ``sites`` at every time, into ``out``
+        (K x 2l x 2N), on g == delta: in site k's (q, p) columns row q_j is
+        (U_jk + V_jk / 2, V_jk / 2) and row p_j (-V_jk / 2, U_jk - V_jk / 2)."""
         n = self.params.n_sites
-        u_mat, v_mat = self._critical_uv(sites, times, 1.0 / math.sqrt(2.0))
+        u_mat, v_mat = self._critical_uv(sites, times)
+        v_mat *= 0.5   # exact
         out = out.reshape(*u_mat.shape[:2], 2, n, 2)   # a view: out is C-contiguous
         for p, part in enumerate((slice(None, (n + 1) // 2), slice((n + 1) // 2, None))):
             u_part, v_part = u_mat[..., part], v_mat[..., part]
             np.add(u_part, v_part, out=out[:, :, 0, p::2, 0])
-            out[:, :, 0, p::2, 1] = u_part
-            np.subtract(u_part, v_part, out=out[:, :, 1, p::2, 0])
-            np.negative(u_part, out=out[:, :, 1, p::2, 1])
+            out[:, :, 0, p::2, 1] = v_part
+            np.negative(v_part, out=out[:, :, 1, p::2, 0])
+            np.subtract(u_part, v_part, out=out[:, :, 1, p::2, 1])
 
     def spectrum(self, sites: np.ndarray, times) -> tuple[np.ndarray, np.ndarray]:
         """nu (K x min(l, N - l)) of the whole sites ``sites`` at K ``times`` (as in
@@ -562,23 +562,20 @@ class Propagator:
 
     def symplectic(self, t: float) -> np.ndarray:
         """Full quadrature map S(t) with sigma(t) = S S^T from the vacuum."""
-        n = self.params.n_sites
         if t == 0.0:
-            return np.eye(2 * n)
-        w_map = self.entropy_map(t)
-        if self.frame is None:
-            # S = W P, and P is its own inverse
-            return (w_map.reshape(-1, 2) @ _HALF_TURN).reshape(2 * n, 2 * n)
-        # S = F^-1 W(t), one 2 x 2 site factor per pair of rows
-        w_rows = w_map.reshape(n, 2, 2 * n)
-        return within_limit((self.frame.inverse_factors() @ w_rows).reshape(2 * n, 2 * n),
-                            f"propagation to t = {t}")
+            return np.eye(2 * self.params.n_sites)
+        return self.subsystem_rows(t, range(self.params.n_sites))
 
     def subsystem_rows(self, t: float, sites) -> np.ndarray:
-        """Rows 2j, 2j+1 of S(t) for every j in ``sites``."""
-        n = self.params.n_sites
-        sites = site_indices(sites, n)
-        return self.symplectic(t).reshape(n, 2, 2 * n)[sites].reshape(-1, 2 * n)
+        """Rows 2j, 2j+1 of S(t) for every j in ``sites``: the ``entropy_rows``, away from
+        g == delta mapped to the lab by each site's 2 x 2 F_j^-1."""
+        sites = site_indices(sites, self.params.n_sites)
+        rows = self.entropy_rows(t, sites)
+        if self.frame is None:
+            return rows
+        site_rows = rows.reshape(-1, sites.size, 2, rows.shape[-1])
+        return within_limit((self.frame.inverse_factors()[sites] @ site_rows).reshape(rows.shape),
+                            f"propagation to t = {t}")
 
     def entropy_map(self, t: float) -> np.ndarray:
         """Every row of entropy_rows(t); see that method for the frame choice."""
@@ -593,7 +590,7 @@ class Propagator:
         lab ones by per-site symplectic factors, which keep every whole-site
         entropy but strip the e^{r (j - j0)} local squeezing that would bury the
         lab blocks' nu under the eigensolver's floor at large N. On g == delta
-        they are rows of W = S(t) P, whose site blocks are the lab ones.
+        they are rows of S(t) itself (``_critical_rows``).
 
         One time ``t`` gives the 2l x 2N rows; K times (a sequence, a 1-D array or a
         grid batch) give a K x 2l x 2N stack. A single frame site's rows come
@@ -628,12 +625,6 @@ def build_propagator(params: ModelParams, mode: None = None) -> Propagator:
     if mode is not None:
         raise ValueError(f"build_propagator takes mode=None only, got {mode!r}")
     return Propagator(params)
-
-
-def evolve(params: ModelParams, t: float) -> np.ndarray:
-    """Covariance sigma(t) = S S^T of the evolved vacuum at time t."""
-    s_mat = build_propagator(params, None).symplectic(t)
-    return s_mat @ s_mat.T
 
 
 def _standard_error(values: np.ndarray) -> np.ndarray:
@@ -841,7 +832,7 @@ def profiles(
     and adds its site Gram blocks W_j W_j^T into one sum. On "rows" (g != delta) W = F S,
     so the averaged lab blocks F_j^-1 Xbar_j F_j^-T are mapped once from the averaged Gram
     Xbar_j, which keeps more digits than mapping every sample's rows to the lab frame
-    first. On "closed-form" (g == delta) W = S P and the Gram blocks are the lab ones.
+    first. On "closed-form" (g == delta) W = S and the Gram blocks are the lab ones.
     """
     n = params.n_sites
     route = "closed-form" if classify_phase(params) is PhaseRegime.CRITICAL else "rows"

@@ -13,7 +13,6 @@ from bkc.analytics import nu_bar_squared, s1_prediction, scaling_collapse
 from bkc.dynamics import (
     AveragingProtocol,
     build_propagator,
-    evolve,
     page_curve,
     profiles,
     series_fluctuation_ratio,
@@ -190,7 +189,8 @@ def test_route_equivalence_and_purity():
     for g in (0.1, 0.4):
         p = _params(g, 6)
         for t in (1.3, 7.7, 20.0 / p.hopping):
-            sig_frame = evolve(p, t)
+            s_frame = build_propagator(p).symplectic(t)
+            sig_frame = s_frame @ s_frame.T
             s_lab = dense_map(p, t)
             sig_lab = s_lab @ s_lab.T
             assert np.max(np.abs(sig_frame - sig_lab)) <= 1e-8

@@ -16,7 +16,6 @@ from bkc.dynamics import (
     PropagationMode,
     Propagator,
     build_propagator,
-    evolve,
     page_curve,
     profiles,
     series_fluctuation_ratio,
@@ -46,6 +45,12 @@ from oracles import (
 
 def _params(g, n, w=1.0, delta=0.25):
     return ModelParams(w=w, delta=delta, g=g, n_sites=n)
+
+
+def _covariance(p, t):
+    """sigma(t) = S S^T of the evolved vacuum from the package's full map."""
+    s_mat = build_propagator(p).symplectic(t)
+    return s_mat @ s_mat.T
 
 
 def test_protocol_grid_scales_with_hopping():
@@ -89,7 +94,7 @@ def test_frame_route_matches_matrix_exponential():
         for g in (0.0, 0.2, 0.3):
             p = _params(g, n)
             t = 3.7
-            sig_frame = evolve(p, t)
+            sig_frame = _covariance(p, t)
             s_lab = dense_map(p, t)
             sig_lab = s_lab @ s_lab.T
             scale = np.max(np.abs(sig_lab))
@@ -120,9 +125,9 @@ def test_entropy_map_reproduces_lab_entropies():
 
 
 def test_evolved_state_stays_pure():
-    nus = symplectic_eigenvalues(evolve(_params(0.25, 16), 50.0))
+    nus = symplectic_eigenvalues(_covariance(_params(0.25, 16), 50.0))
     assert np.max(np.abs(nus - 1.0)) <= 1e-9
-    nus = symplectic_eigenvalues(evolve(_params(0.2, 11), 30.0))
+    nus = symplectic_eigenvalues(_covariance(_params(0.2, 11), 30.0))
     assert np.max(np.abs(nus - 1.0)) <= 1e-9
 
 
@@ -722,17 +727,16 @@ def test_frame_route_averages_never_build_the_lab_map(monkeypatch):
         raise AssertionError(f"full lab map built at t = {t!r}")
 
     monkeypatch.setattr(Propagator, "symplectic", refuse)
+    monkeypatch.setattr(Propagator, "entropy_map", refuse)
     p = _params(0.2, 8)
     proto = AveragingProtocol.for_params(p, initial_samples=20, rel_threshold=1.0)
     for cut in ([3], [0, 1, 2]):
         assert time_series(p, cut, subsystem_entropy_from_rows, proto).n_samples == 20
     assert page_curve(p, proto).n_samples == 20
     assert profiles(p, proto).n_samples == 20
-
-
-def test_evolve_at_time_zero_is_vacuum():
-    sig = evolve(_params(0.2, 5), 0.0)
-    assert np.array_equal(sig, np.eye(10))
+    # nor do a block's lab rows, off and on g == delta
+    for g in (0.2, 0.25):
+        assert build_propagator(_params(g, 8)).subsystem_rows(3.0, [3, 7]).shape == (4, 16)
 
 
 @pytest.mark.parametrize("n", [32, 64])
@@ -781,6 +785,54 @@ def test_critical_uv_matches_full_mode_sums(n):
         for mine, ref in zip(got, critical_uv(prop.params, t)):
             ref = ref[np.ix_(sites, order)]
             assert np.max(np.abs(mine[i] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+# Identities every route's own output obeys (ROADMAP item 20), checked on early and late
+# grid batches; bounds fixed before the run from measured residuals.
+def _early_and_late(proto, k):
+    """The first and the last ``k`` grid indices of ``proto``, as batches of one average."""
+    offsets = {}
+    return [dynamics._GridBatch(proto, k0, k0 + k, offsets) for k0 in (0, proto.max_samples - k)]
+
+
+@pytest.mark.parametrize("n", [64, 512, 2048])
+def test_frame_site_sums_are_unit_rows(n):
+    # row j of the passive unitary u(t): sum_k C_jk^2 + S_jk^2 = 1; each sum has N terms,
+    # so the bound is N eps (measured: 0.23-0.38 N eps at N = 64-2048)
+    prop = build_propagator(_params(0.2, n))
+    for batch in _early_and_late(AveragingProtocol.for_params(prop.params), 32):
+        for site in (0, 1, n // 2, n - 1):
+            cos_part, sin_part = prop._site_sums(site, batch)
+            norms = np.sum(cos_part ** 2, axis=1) + np.sum(sin_part ** 2, axis=1)
+            assert np.max(np.abs(norms - 1.0)) <= n * np.finfo(float).eps
+
+
+def test_pairing_rows_are_unitary_and_pairs_uniform():
+    # the quarter's rows of u(t) at g > delta: u_A u_A^dagger = I, and |2 m_j| = sinh 2 r0
+    # at every site (measured: 4.4e-16 and 5.9e-16 at N = 1024)
+    n = 1024
+    prop = build_propagator(_params(0.3, n))
+    quarter = np.arange(n // 4)
+    for batch in _early_and_late(AveragingProtocol.for_params(prop.params), 4):
+        (rows,) = prop._unitary_rows(batch, quarter)
+        gram = rows @ rows.conj().transpose(0, 2, 1)
+        assert np.max(np.abs(gram - np.eye(quarter.size))) <= 1e-14
+    sinh = math.sinh(2.0 * prop.frame.r0)
+    assert np.max(np.abs(np.abs(prop.pairing_table[3]) - sinh)) <= 1e-14 * sinh
+
+
+def test_critical_rows_are_orthogonal_and_h_symmetric():
+    # the quarter's rows of U(t) and V(t) on g == delta: U_A U_A^T = I, and H_AA = V_A U_A^T
+    # is symmetric (measured: 9.0e-15 and 6.6e-15 relative at N = 1024)
+    n = 1024
+    prop = build_propagator(_params(0.25, n))
+    quarter = np.arange(n // 4)
+    for batch in _early_and_late(AveragingProtocol.for_params(prop.params), 4):
+        u_mat, v_mat = prop._critical_uv(quarter, batch)
+        gram = u_mat @ u_mat.transpose(0, 2, 1)
+        assert np.max(np.abs(gram - np.eye(quarter.size))) <= 1e-13
+        h_aa = v_mat @ u_mat.transpose(0, 2, 1)
+        assert np.max(np.abs(h_aa - h_aa.transpose(0, 2, 1))) <= 1e-13 * np.max(np.abs(h_aa))
 
 
 def test_odd_chain_middle_mode_is_still():
@@ -885,9 +937,8 @@ def test_entropy_rows_stack_matches_scalar_calls():
             rows = quadrature_rows(cut)
             single = np.stack([prop.entropy_rows(t, cut) for t in times])
             if prop.frame is None:
-                # on g == delta the rows are S(t) P
-                half_turns = np.kron(np.eye(10), [[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-                dense = np.stack([dense_map(p, t) @ half_turns for t in times])[:, rows]
+                # on g == delta the rows are S(t)'s own
+                dense = np.stack([dense_map(p, t) for t in times])[:, rows]
             else:
                 # elsewhere they are F S(t)
                 dense = np.stack([frame_matrix(prop.frame) @ dense_map(p, t) for t in times])[:, rows]
@@ -1079,6 +1130,7 @@ def test_reciprocal_average_builds_no_mode_map():
     proto = AveragingProtocol.for_params(p, initial_samples=50, rel_threshold=1.0)
     build_propagator.cache_clear()
     time_averaged_entropy(p, range(n // 4), proto)
+    page_curve(p, proto)
     prop = build_propagator(p, None)
     assert "mode_map" not in vars(prop)
     assert _held_bytes(prop) <= 0.45 * (2 * n) ** 2 * 8

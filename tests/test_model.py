@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from bkc.dynamics import evolve
+from bkc.dynamics import build_propagator
 from bkc.errors import CriticalFrameUndefined
 from bkc.gaussian import symplectic_form
 from bkc.model import (
@@ -87,8 +87,7 @@ def test_generator_matches_finite_difference_derivative():
     h, omega = bdg_matrices(p)
     m = omega @ h
     eps = 1e-5
-    plus = evolve(p, eps)
-    minus = evolve(p, -eps)
+    plus, minus = (s @ s.T for s in map(build_propagator(p).symplectic, (eps, -eps)))
     dot = (plus - minus) / (2 * eps)
     expected = m + m.T  # sigma(0) = identity
     assert np.max(np.abs(dot - expected)) < 1e-6
