@@ -5,12 +5,12 @@ Every average takes the ``FRAME_EXACT`` route, which
 
 * Away from g == delta it conjugates the exact mode rotation through the
   squeezing frame, S(t) = G^{-1} B(t) G with B(t) block-diagonal rotations
-  at the frequencies J cos(pi n / (N+1)). A single site takes its mode sums
-  from one phase per +-omega pair of this chiral spectrum and two GEMMs with
-  halves of the N x N modes; its averages square them into the site's 2 x 2
-  Gram block (no rows, no QR). At g > delta the frame has r = 0, so the state's
-  only non-vacuum part is the pairing matrix P = u(t) diag(2 m_j) u(t)^T of the
-  passive unitary u, with 2 m_j = i sinh(2 r0) e^{-2 i phi j} read off G_j G_j^T;
+  at the frequencies J c_n (below). A single site takes its mode sums from
+  one phase per kept mode and two GEMMs with halves of the N x N modes; its
+  averages square them into the site's 2 x 2 Gram block (no rows, no QR).
+  At g > delta the frame has r = 0, so the state's only non-vacuum part is
+  the pairing matrix P = u(t) diag(2 m_j) u(t)^T of the passive unitary u,
+  with 2 m_j = i sinh(2 r0) e^{-2 i phi j} read off G_j G_j^T;
   P / sinh(2 r0) is unitary, so a block A with complement B has
   nu_k^2 = 1 + sigma_k(P_AB)^2 (``_cross_spectrum``; u from one Toeplitz-minus-
   Hankel table per chunk, ``_unitary_rows``). Blocks at g < delta keep rows: one
@@ -28,17 +28,23 @@ Every average takes the ``FRAME_EXACT`` route, which
   a = Psi (Z - Z^T) Psi / 2. Both stay bounded in t. The spectrum pairs
   c_{N+1-n} = -c_n with psi_{N+1-n,j} = (-1)^(j+1) psi_nj (1-based), and
   Phi = (2 delta / w) K Psi pairs the same way, as K_{n'm'} = K_nm where a_{n'm'} = -a_nm;
-  so every cosine and sine sum of U and V is twice its sum over the h = N // 2 lowest
-  modes, and an odd N's middle mode (c = 0, kept as exactly 0.0, so its grid phase is
-  exactly (1, 0)) adds once to the cosine sums (``_critical_uv``). The rows returned are
-  those of S(t) itself: with q = (u + v) / sqrt2 and p = (u - v) / sqrt2, row q_j is
-  (U_jk + V_jk / 2, V_jk / 2) and row p_j (-V_jk / 2, U_jk - V_jk / 2) in site k's (q, p).
+  so U and V are sums over the kept modes by the rule below (``_critical_uv``). The
+  rows returned are those of S(t) itself: with q = (u + v) / sqrt2 and
+  p = (u - v) / sqrt2, row q_j is (U_jk + V_jk / 2, V_jk / 2) and row p_j
+  (-V_jk / 2, U_jk - V_jk / 2) in site k's (q, p).
   Entropies need no rows: in (u, v), S = [[U, 0], [V, U]] with U orthogonal, and
   S J S^T = J makes H = V U^T symmetric. A block A has sigma_A = [[I, H_AA], [H_AA,
   I + V_A V_A^T]], and the shear v_A -> v_A - H_AA u_A, symplectic as H_AA is symmetric,
   takes it to diag(I, I + Y Y^T) with Y = V_A - H_AA U_A. As V V^T = H^2, Y Y^T =
   H_AB H_AB^T for the complement B: the pairing law with H for P (``_cross_spectrum``),
   one l x l eigensolve. A block takes its Y, a Page curve one H per sample.
+
+Both routes read the open chain's chiral spectrum, c_n = cos(pi n / (N+1)) with
+c_{N+1-n} = -c_n, by one half-spectrum rule (``Propagator.pairs``): the m = N - N // 2
+kept modes are the h = N // 2 lowest, weighed 2 each for their +-omega pair, and an odd
+N's middle mode, weighed 1, whose c is exactly 0.0, so it is exactly still (grid phase
+exactly (1, 0)); the frame's block rows also take it still. The weights sit inside each
+kernel's GEMMs (``_site_sums``, ``_unitary_rows``, ``_critical_uv``).
 
 The package has no matrix exponential: the tests check both forms against
 ``scipy.linalg.expm`` of the generator Omega h.
@@ -92,7 +98,6 @@ from .model import (
     PhaseRegime,
     SqueezingFrame,
     classify_phase,
-    frame_hopping_sign,
     squeezing_frame,
     tight_binding_spectrum,
 )
@@ -243,11 +248,12 @@ def _route(params: ModelParams, sites) -> str:
     (``_route_sites``), as run records name it: "closed-form" on g == delta, else "gram" for
     one site (its Gram block), "rows" for a block at g < delta (rows and QR), "pairing" at
     g > delta (P_AB). The whole chain reads none: its name, by regime, is ``page_curve``'s."""
-    if classify_phase(params) is PhaseRegime.CRITICAL:
+    regime = classify_phase(params)
+    if regime is PhaseRegime.CRITICAL:
         return "closed-form"
     if _route_sites(np.asarray(sites), params.n_sites).size == 1:
         return "gram"
-    return "rows" if classify_phase(params) is PhaseRegime.NONRECIPROCAL else "pairing"
+    return "rows" if regime is PhaseRegime.NONRECIPROCAL else "pairing"
 
 
 def _sample_bytes(params: ModelParams, sites: np.ndarray, rows: int) -> int:
@@ -277,7 +283,7 @@ def _critical_columns(params: ModelParams, modes: np.ndarray,
     h = N // 2 lowest and an odd N's middle one), with kappa_k = (-1)^floor(k/2) and
     Phi = (2 delta / w) K Psi. K is symmetric (a is antisymmetric, and so is c_m - c_n),
     so the second term of V reads Phi as well: (Psi K)_jn = Phi_nj. Only the kept rows
-    of K are formed; ``_critical_uv`` doubles the h pairs' terms.
+    of K are formed; ``_critical_uv`` weighs them by ``Propagator.pairs``.
     """
     n, m = params.n_sites, params.n_sites - params.n_sites // 2
     hop = modes[:m, :-1] @ modes[:, 1:].T - modes[:m, 1:] @ modes[:, :-1].T
@@ -308,13 +314,15 @@ class Propagator:
     def __init__(self, params: ModelParams):
         self.params = params
         self.frame: SqueezingFrame | None = None
-        spectrum, n = tight_binding_spectrum(params), params.n_sites
+        spectrum, n, h = tight_binding_spectrum(params), params.n_sites, params.n_sites // 2
+        cosines = np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
+        cosines[h:n - h] = 0.0   # an odd N's still mode, where float64 cos gives 6e-17-3e-16
+        # the half-spectrum rule: the m = N - h kept modes weigh 2 per +-omega pair, 1 still
+        self.pairs = np.full(n - h, 2.0)
+        self.pairs[h:] = 1.0
         if classify_phase(params) is PhaseRegime.CRITICAL:
-            cosines = np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
-            if n % 2:
-                cosines[n // 2] = 0.0   # the middle mode, where cos(pi / 2) rounds to 6e-17
             self.columns = _critical_columns(params, spectrum.modes, cosines)
-            self.frequencies = params.w * cosines[:n - n // 2]   # the kept modes
+            self.frequencies = params.w * cosines[:n - h]   # the kept modes
         else:
             self.frame = squeezing_frame(params)
             # m_ij (mode i, site j) of the even and odd sites j, contiguous for _site_sums' GEMMs
@@ -325,8 +333,7 @@ class Propagator:
                 grams = self.frame.site_factors @ self.frame.site_factors.transpose(0, 2, 1)
                 self.grams, self.turned = ([a[p::2].reshape(-1, 4) for p in (0, 1)]
                                            for a in (grams, OMEGA2 @ grams @ OMEGA2.T))
-            # +-J cos(pi n / (N+1)) with the frame's hopping sign; halving is exact
-            self.frequencies = (-0.5 * frame_hopping_sign(self.frame)) * spectrum.energies
+            self.frequencies = params.hopping * cosines   # all N modes: _rotated_map
 
     @functools.cached_property
     def mode_map(self) -> np.ndarray:
@@ -344,23 +351,20 @@ class Propagator:
                 * self.frame.site_factors.transpose(1, 0, 2)).reshape(2 * n, 2 * n)
 
     @functools.cached_property
-    def pairing_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def pairing_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Weights of ``_unitary_rows``' table and the pairings 2 m_j, built at the first
-        reciprocal block request: (2/(N+1)) cos(pi n m/(N+1)) for the h = N // 2 lowest modes
-        n and the even m <= N+1, the same negated for the odd m (h x (N/2 + 1) each), an odd
-        N's middle-mode term (-1)^(m/2) / (N+1) of the even m (zeros for even N), and
-        2 m_j = (s_qq - s_pp) / 2 + i s_qp of each site's G_j G_j^T (N complex)."""
-        n, h = self.params.n_sites, self.params.n_sites // 2
-        cycles = np.outer(np.arange(1, h + 1), np.arange(n + 2)) % (2 * n + 2)
-        weights = (2.0 / (n + 1)) * np.cos(np.pi * cycles / (n + 1))
-        even = np.arange(0, n + 2, 2)
-        middle = (n % 2) * (1.0 - 2.0 * (even // 2 % 2)) / (n + 1)
-        pairs = np.empty(n, dtype=complex)
+        reciprocal block request: (pairs_n / (N+1)) cos(pi n m/(N+1)) for the kept modes n
+        (``pairs``) and the even m <= N+1, the same negated for the odd m (N - N // 2 rows
+        each), and 2 m_j = (s_qq - s_pp) / 2 + i s_qp of each site's G_j G_j^T (N complex)."""
+        n = self.params.n_sites
+        cycles = np.outer(np.arange(1, self.pairs.size + 1), np.arange(n + 2)) % (2 * n + 2)
+        weights = (self.pairs[:, None] / (n + 1)) * np.cos(np.pi * cycles / (n + 1))
+        pairings = np.empty(n, dtype=complex)
         for p in (0, 1):
             qq, qp, pq, pp = self.grams[p].T
-            pairs[p::2] = (qq - pp) / 2.0 + 0.5j * (qp + pq)
+            pairings[p::2] = (qq - pp) / 2.0 + 0.5j * (qp + pq)
         return (np.ascontiguousarray(weights[:, 0::2]), -np.ascontiguousarray(weights[:, 1::2]),
-                middle, pairs)
+                pairings)
 
     def _unitary_rows(self, times, *cuts: np.ndarray) -> list[np.ndarray]:
         """Rows of the frame's passive unitary u(t) at K ``times``, K x l x N complex, for each
@@ -370,14 +374,15 @@ class Propagator:
         c_m = (1/(N+1)) sum_n cos(pi n m/(N+1)) e^{-i omega_n t} and c_{2N+2-m} = c_m: a
         Toeplitz minus a Hankel matrix, both sliding windows of the m = 0..N+1 table. As
         omega_{N+1-n} = -omega_n, even m are real cosine sums and odd m imaginary sine sums
-        over the h lowest modes, one phase per pair (``_phases``): two real GEMMs with the
-        ``pairing_table`` weights. Each run of consecutive sites is one slice of the windows.
+        over the kept modes, one phase per pair and an odd N's still (1, 0) (``_phases``):
+        two real GEMMs with the ``pairing_table`` weights, which carry ``pairs``. Each run of
+        consecutive sites is one slice of the windows.
         """
-        n, h = self.params.n_sites, self.params.n_sites // 2
-        even, odd, middle, _ = self.pairing_table
-        cos, sin = _phases(self.frequencies[:h], times)
+        n = self.params.n_sites
+        even, odd, _ = self.pairing_table
+        cos, sin = _phases(self.frequencies[:self.pairs.size], times)
         table = np.zeros((cos.shape[0], n + 2), dtype=complex)
-        table.real[:, 0::2] = cos @ even + middle
+        table.real[:, 0::2] = cos @ even
         table.imag[:, 1::2] = sin @ odd
         # T_jk = e[N-1-j+k] of e = c_{N-1}..c_1 c_0..c_{N-1},
         # H_jk = f[j+k] of f = c_2..c_{N+1} c_N..c_2
@@ -398,7 +403,7 @@ class Propagator:
         """The block P[rows, cols] = (u_rows diag(2 m)) u_cols^T of the pairing matrix at K
         ``times``, K x |rows| x |cols| complex; the rows of u are freed on return."""
         u_rows, u_cols = self._unitary_rows(times, rows, cols)
-        u_rows *= self.pairing_table[3]
+        u_rows *= self.pairing_table[2]
         return u_rows @ u_cols.transpose(0, 2, 1)
 
     def _site_modes(self, sites) -> np.ndarray:
@@ -418,19 +423,15 @@ class Propagator:
 
         As omega_{N-1-i} = -omega_i, m_{N-1-i,j} = (-1)^j m_ij and an odd N's
         middle omega is 0, C_jk = 0 unless j = k mod 2 and S_jk = 0 unless not:
-        the sums run over the h = N // 2 lowest modes with weights 2 m_ij and
-        one phase (``_phases``) per pair. Returns C for the columns k of the
-        site's parity and S for the others, K x N/2 each.
+        the sums run over the m = N - N // 2 kept modes with weights ``pairs`` m_ij
+        and one phase (``_phases``) per pair, (1, 0) for the still mode. Returns C
+        for the columns k of the site's parity and S for the others, K x N/2 each.
         """
-        n, h = self.params.n_sites, self.params.n_sites // 2
+        m = self.pairs.size
         own_modes, other_modes = self.modes[site % 2], self.modes[1 - site % 2]
-        weights = _phases(self.frequencies[:h], times)
-        weights *= 2.0 * own_modes[:h, site // 2]
-        cos_part = weights[0] @ own_modes[:h]
-        sin_part = weights[1] @ other_modes[:h]
-        if n % 2:
-            cos_part += own_modes[h, site // 2] * own_modes[h]
-        return cos_part, sin_part
+        weights = _phases(self.frequencies[:m], times)
+        weights *= self.pairs * own_modes[:m, site // 2]
+        return weights[0] @ own_modes[:m], weights[1] @ other_modes[:m]
 
     def _site_rows(self, site: int, times: np.ndarray, out: np.ndarray) -> None:
         """Rows 2j, 2j+1 of W(t) = Psi2^T B(t) G for j = ``site`` at every time, into
@@ -473,20 +474,19 @@ class Propagator:
         weights of the sites of parity p and the +-sine weights of the others.
         As c_{N+1-n} = -c_n and psi, Phi_{N+1-n, j} = (-1)^(j+1) psi, Phi_nj (1-based), each
         of those sums is twice its sum over the h = N // 2 lowest modes, plus an odd N's
-        middle mode (c = 0, phase (1, 0)) once in the cosine sums: the site rows carry
-        these weights 2 and 1. Per parity p, the weighted [-kappa Phi | kappa psi] site
+        still mode (c = 0, phase (1, 0)) once: the site rows carry the weights ``pairs``
+        of the m = N - h kept modes. Per parity p, the weighted [-kappa Phi | kappa psi] site
         rows times kappa Psi_p give U (inner width m) and times [kappa Psi_p; kappa Phi_p]
         give V (2m), of the m kept modes of the table ``columns``.
         """
         n, k, l = self.params.n_sites, times.size, sites.size
-        m, size = self.frequencies.size, k * l * n
+        m, size = self.pairs.size, k * l * n
         work = np.empty(2 * size + 2 * k * l * m)
         u_mat, v_mat = work[:size].reshape(k * l, n), work[size:2 * size].reshape(k * l, n)
         weights = work[2 * size:].reshape(k, l, 2 * m)
         parity = sites % 2
-        pairs = np.full(m, 2.0)
-        pairs[n // 2:] = 1.0   # an odd N's middle mode counts once
-        site_rows = np.hstack([-self.columns[sites, m:] * pairs, self.columns[sites, :m] * pairs])
+        site_rows = np.hstack([-self.columns[sites, m:] * self.pairs,
+                               self.columns[sites, :m] * self.pairs])
         cos, sin = _phases(self.frequencies, times)
         # cos, sin, -sin, each over both halves of a site row
         trig = np.tile(np.stack([cos, sin, -sin], axis=1), 2)

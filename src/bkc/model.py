@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import OVERFLOW_LIMIT, CriticalFrameUndefined, DomainError, OverflowGuard
+from .errors import OVERFLOW_LIMIT, CriticalFrameUndefined, OverflowGuard
 from .gaussian import symplectic_form
 
 
@@ -236,22 +236,3 @@ def tight_binding_spectrum(params: ModelParams) -> TightBindingSpectrum:
     )
     return TightBindingSpectrum(hopping=hop, energies=energies, modes=modes)
 
-
-def frame_hopping_sign(frame: SqueezingFrame) -> float:
-    """Sign of the transformed hopping read off a bond at the profile centre.
-
-    Edge bonds of the transformed form carry the largest floating-point
-    noise, so the sign is sampled where the site factors are O(1). The bond
-    block of F^{-T} h F^{-1} is F_a^{-T} h_ab F_b^{-1} with h_ab the 2x2
-    bond block of h, so only the two centre factors enter.
-    """
-    params = frame.params
-    mid = min(max(int(round(frame.j0)) - 1, 0), params.n_sites - 2)
-    inv_a, inv_b = _factor_inverse(frame.site_factors[mid:mid + 2])
-    val = (inv_a.T @ _bond_block(params) @ inv_b)[0, 0]
-    half = params.hopping / 2.0
-    if abs(abs(val) - half) > 1e-6 * max(1.0, half):
-        raise DomainError(
-            f"transformed centre bond {val!r} does not match |J|/2 = {half!r}"
-        )
-    return math.copysign(1.0, val)

@@ -29,7 +29,6 @@ from bkc.model import (
     SqueezingFrame,
     _bond_block,
     bdg_matrices,
-    frame_hopping_sign,
     squeezing_frame,
     tight_binding_spectrum,
 )
@@ -114,9 +113,7 @@ def dephased_mode_covariance(params: ModelParams) -> np.ndarray:
     """
     n = params.n_sites
     x = mode_covariance(params)
-    freqs = frame_hopping_sign(squeezing_frame(params)) * params.hopping * np.cos(
-        np.pi * np.arange(1, n + 1) / (n + 1)
-    )
+    freqs = params.hopping * np.cos(np.pi * np.arange(1, n + 1) / (n + 1))
     tiny = 1e-12 * params.hopping
     avg = np.zeros_like(x)
     for a in range(n):

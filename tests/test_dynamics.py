@@ -795,10 +795,11 @@ def _early_and_late(proto, k):
     return [dynamics._GridBatch(proto, k0, k0 + k, offsets) for k0 in (0, proto.max_samples - k)]
 
 
-@pytest.mark.parametrize("n", [64, 512, 2048])
+@pytest.mark.parametrize("n", [7, 31, 64, 512, 2048])
 def test_frame_site_sums_are_unit_rows(n):
     # row j of the passive unitary u(t): sum_k C_jk^2 + S_jk^2 = 1; each sum has N terms,
-    # so the bound is N eps (measured: 0.23-0.38 N eps at N = 64-2048)
+    # so the bound is N eps (measured: 0.23-0.38 N eps at N = 64-2048, 0.43 and 0.61 at the
+    # odd N = 7 and 31, whose still mode sums inside the GEMMs)
     prop = build_propagator(_params(0.2, n))
     for batch in _early_and_late(AveragingProtocol.for_params(prop.params), 32):
         for site in (0, 1, n // 2, n - 1):
@@ -807,10 +808,10 @@ def test_frame_site_sums_are_unit_rows(n):
             assert np.max(np.abs(norms - 1.0)) <= n * np.finfo(float).eps
 
 
-def test_pairing_rows_are_unitary_and_pairs_uniform():
+@pytest.mark.parametrize("n", [1023, 1024])
+def test_pairing_rows_are_unitary_and_pairs_uniform(n):
     # the quarter's rows of u(t) at g > delta: u_A u_A^dagger = I, and |2 m_j| = sinh 2 r0
-    # at every site (measured: 4.4e-16 and 5.9e-16 at N = 1024)
-    n = 1024
+    # at every site (measured: 4.4e-16 and 5.9e-16 at N = 1023 and 1024)
     prop = build_propagator(_params(0.3, n))
     quarter = np.arange(n // 4)
     for batch in _early_and_late(AveragingProtocol.for_params(prop.params), 4):
@@ -818,7 +819,7 @@ def test_pairing_rows_are_unitary_and_pairs_uniform():
         gram = rows @ rows.conj().transpose(0, 2, 1)
         assert np.max(np.abs(gram - np.eye(quarter.size))) <= 1e-14
     sinh = math.sinh(2.0 * prop.frame.r0)
-    assert np.max(np.abs(np.abs(prop.pairing_table[3]) - sinh)) <= 1e-14 * sinh
+    assert np.max(np.abs(np.abs(prop.pairing_table[2]) - sinh)) <= 1e-14 * sinh
 
 
 def test_critical_rows_are_orthogonal_and_h_symmetric():
@@ -836,17 +837,20 @@ def test_critical_rows_are_orthogonal_and_h_symmetric():
 
 
 def test_odd_chain_middle_mode_is_still():
-    # the kept modes of an odd chain end with the middle one, c = 0 exactly, so its
-    # grid phase is exactly (1, 0); an even chain keeps its N / 2 lowest modes
-    for n in (7, 31, 257):
-        prop = build_propagator(_params(0.25, n))
-        assert prop.frequencies.size == n // 2 + 1 and prop.frequencies[-1] == 0.0
-        assert np.all(prop.frequencies[:-1] > 0.0)
-        proto = AveragingProtocol.for_params(prop.params)
-        for times in (dynamics._GridBatch(proto, 0, 100, {}), proto.times(0, 100)):
-            cos, sin = dynamics._phases(prop.frequencies, times)
-            assert np.all(cos[:, -1] == 1.0) and np.all(sin[:, -1] == 0.0)
-    assert build_propagator(_params(0.25, 8)).frequencies.size == 4
+    # on every route the kept modes of an odd chain end with the middle one, c = 0 exactly,
+    # weighed once, so its grid phase is exactly (1, 0); an even chain keeps its N / 2 lowest
+    for g in (0.2, 0.25, 0.3):
+        for n in (7, 31, 257):
+            prop = build_propagator(_params(g, n))
+            kept = prop.frequencies[:n // 2 + 1]
+            assert kept[-1] == 0.0 and np.all(kept[:-1] > 0.0)
+            assert prop.pairs.tolist() == [2.0] * (n // 2) + [1.0]
+            proto = AveragingProtocol.for_params(prop.params)
+            for times in (dynamics._GridBatch(proto, 0, 100, {}), proto.times(0, 100)):
+                cos, sin = dynamics._phases(kept, times)
+                assert np.all(cos[:, -1] == 1.0) and np.all(sin[:, -1] == 0.0)
+        assert build_propagator(_params(g, 8)).pairs.tolist() == [2.0] * 4
+    assert build_propagator(_params(0.25, 7)).frequencies.size == 4
 
 
 @pytest.mark.parametrize("n", [63, 64])
